@@ -34,6 +34,10 @@ class InstructionCache:
         self._cache: SetAssociativeCache[int, bool] = SetAssociativeCache(
             size // line_words, associativity, policy, index="modulo"
         )
+        if line_words == 1:
+            # One word per line: an address is its own line number, so
+            # a probe goes straight to the set cache in one call.
+            self.reference = self._cache.reference
 
     @property
     def stats(self):

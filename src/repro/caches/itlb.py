@@ -12,15 +12,18 @@ appropriate message dictionary via the standard method lookup, then
 cached.  The simulation of section 5 measures exactly this structure's
 hit ratio; :meth:`ITLB.reference` provides the trace-driven interface
 the cache simulator uses, and :meth:`ITLB.translate` the full
-functional path the machine uses.
+functional path (probe, lookup on a miss, fill) in one call.  The
+machine's fetch loop probes with ``ITLB.probe`` and fills after its
+own lookup, so that it can attach the resolved function unit
+(``ITLBEntry.function``) to the entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Union
 
-from repro.caches.setassoc import MISS, SetAssociativeCache
+from repro.caches.setassoc import SetAssociativeCache
 
 #: An ITLB key: the opcode number plus the operand class tags.
 ITLBKey = Tuple[int, Tuple[int, ...]]
@@ -38,14 +41,20 @@ class ITLBEntry:
     primitive: bool
     method: object          # PrimitiveMethod | DefinedMethod
     unit: Optional[str] = None
+    #: The selected unit itself, resolved by whoever fills the entry
+    #: for the key's operand count (the machine does), so a hit can
+    #: call it directly.  None for defined methods, for units that act
+    #: on machine state, and where the filler left it unresolved.
+    function: Optional[Callable] = field(default=None, compare=False)
 
     @staticmethod
-    def from_method(method) -> "ITLBEntry":
+    def from_method(method, function: Optional[Callable] = None
+                    ) -> "ITLBEntry":
         # Duck-typed on the is_primitive property shared by
         # PrimitiveMethod and DefinedMethod (repro.objects.model); the
         # ITLB itself has no dependency on the object model.
         if getattr(method, "is_primitive", False):
-            return ITLBEntry(True, method, method.unit)
+            return ITLBEntry(True, method, method.unit, function)
         return ITLBEntry(False, method)
 
 
@@ -70,6 +79,13 @@ class ITLB:
         self._cache: SetAssociativeCache[ITLBKey, ITLBEntry] = (
             SetAssociativeCache(size, associativity, policy)
         )
+        #: Probe and fill on a whole :data:`ITLBKey`; ``probe`` returns
+        #: the entry or the cache's ``MISS`` sentinel.  With the same
+        #: statistics as :meth:`translate`, they let a caller do the miss
+        #: lookup itself: the machine's fetch loop forms the key, so its
+        #: probe is one call.
+        self.probe = self._cache.probe
+        self.fill = self._cache.fill
 
     @property
     def stats(self):
@@ -87,7 +103,7 @@ class ITLB:
     def key(opcode: int, class_tags: Tuple[int, ...]) -> ITLBKey:
         return (opcode, tuple(class_tags))
 
-    # -- functional path (the machine) ---------------------------------------
+    # -- functional path ------------------------------------------------------
 
     def translate(
         self,
@@ -111,24 +127,6 @@ class ITLB:
         entry = ITLBEntry.from_method(lookup.method)
         self._cache.fill(key, entry)
         return TranslateOutcome(entry, False, lookup)
-
-    def probe_entry(self, opcode: int,
-                    class_tags: Tuple[int, ...]) -> Optional[ITLBEntry]:
-        """Statistical probe returning the cached entry or None.
-
-        Fast-path flavour of :meth:`translate`: the caller performs the
-        miss lookup itself and installs the result with
-        :meth:`fill_entry`, avoiding the closure and outcome-object
-        allocations of the general path.  Hit/miss statistics are
-        identical to :meth:`translate`.
-        """
-        entry = self._cache.probe((opcode, class_tags))
-        return None if entry is MISS else entry
-
-    def fill_entry(self, opcode: int, class_tags: Tuple[int, ...],
-                   entry: ITLBEntry) -> None:
-        """Install a miss result produced by the caller (see probe_entry)."""
-        self._cache.fill((opcode, class_tags), entry)
 
     # -- trace-driven path (the section-5 simulator) ----------------------------
 

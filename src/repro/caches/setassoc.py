@@ -12,6 +12,11 @@ policy (xorshift, seedable) for ablation studies.
 
 ``associativity`` may be the string ``"full"`` for a fully associative
 cache (one set).
+
+The index scheme and the policy are resolved once, at construction,
+so :meth:`~SetAssociativeCache.probe`, :meth:`~SetAssociativeCache.
+reference` and :meth:`~SetAssociativeCache.fill` each run in a single
+frame: one memoized key -> set lookup, then the set's ordered dict.
 """
 
 from __future__ import annotations
@@ -119,26 +124,34 @@ class SetAssociativeCache(Generic[K, V]):
         self.policy = policy
         self.stats = CacheStats()
         self._rand_state = seed or 0x2545F491
-        # Each set is an OrderedDict: iteration order is recency order
-        # for LRU (oldest first) and insertion order for FIFO.
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
-        # key -> set memo: _stable_hash walks tuples/strings on every
-        # probe, which dominates hot lookups; placement is a pure
-        # function of the key so it can be cached (bounded to keep
-        # trace-scale key churn from growing it without limit).
+        # The policy and index scheme, resolved once for the hot paths.
+        self._lru = policy == "lru"
+        self._random = policy == "random"
+        self._modulo = index == "modulo"
+        # Each set is an OrderedDict, created on first use: iteration
+        # order is recency order for LRU (oldest first) and insertion
+        # order for FIFO and random.
+        self._sets: List[Optional[OrderedDict]] = [None] * self.num_sets
+        # key -> set memo for both index schemes: _stable_hash walks
+        # tuples/strings, and with the memo every placement after the
+        # first is one dict probe.  Placement is a pure function of the
+        # key, so the memo is bounded by simply clearing it (trace-scale
+        # key churn must not grow it without limit).
         self._placement: Dict[K, OrderedDict] = {}
 
     # -- internals --------------------------------------------------------
 
     def _set_for(self, key: K) -> OrderedDict:
-        if self.index == "modulo":
-            return self._sets[int(key) % self.num_sets]
         entries = self._placement.get(key)
+        if entries is not None:
+            return entries
+        index = (key if self._modulo else _stable_hash(key)) % self.num_sets
+        entries = self._sets[index]
         if entries is None:
-            entries = self._sets[_stable_hash(key) % self.num_sets]
-            if len(self._placement) >= _PLACEMENT_MEMO_LIMIT:
-                self._placement.clear()
-            self._placement[key] = entries
+            entries = self._sets[index] = OrderedDict()
+        if len(self._placement) >= _PLACEMENT_MEMO_LIMIT:
+            self._placement.clear()
+        self._placement[key] = entries
         return entries
 
     def _next_random(self) -> int:
@@ -149,13 +162,16 @@ class SetAssociativeCache(Generic[K, V]):
         self._rand_state = x
         return x
 
-    def _choose_victim(self, entries: OrderedDict) -> K:
-        if self.policy == "random":
-            keys = list(entries.keys())
-            return keys[self._next_random() % len(keys)]
+    def _evict(self, entries: OrderedDict) -> Tuple[K, V]:
+        """Displace one entry of a full set; returns it as (key, value)."""
+        self.stats.evictions += 1
+        if self._random:
+            keys = list(entries)
+            victim = keys[self._next_random() % len(keys)]
+            return victim, entries.pop(victim)
         # LRU and FIFO both evict the front of the ordered dict; they
         # differ in whether lookups refresh the order.
-        return next(iter(entries))
+        return entries.popitem(last=False)
 
     # -- public API -------------------------------------------------------
 
@@ -169,14 +185,17 @@ class SetAssociativeCache(Generic[K, V]):
 
     def probe(self, key: K) -> Any:
         """Probe the cache; returns the sentinel ``MISS`` on a miss."""
-        entries = self._set_for(key)
-        if key in entries:
+        entries = self._placement.get(key)
+        if entries is None:
+            entries = self._set_for(key)
+        value = entries.get(key, _MISS)
+        if value is _MISS:
+            self.stats.misses += 1
+        else:
             self.stats.hits += 1
-            if self.policy == "lru":
+            if self._lru:
                 entries.move_to_end(key)
-            return entries[key]
-        self.stats.misses += 1
-        return _MISS
+        return value
 
     def contains(self, key: K) -> bool:
         """Non-statistical membership test (for assertions/tests)."""
@@ -184,25 +203,24 @@ class SetAssociativeCache(Generic[K, V]):
 
     def peek(self, key: K) -> Optional[V]:
         """Non-statistical read that does not disturb replacement order."""
-        entries = self._set_for(key)
-        return entries.get(key)
+        return self._set_for(key).get(key)
 
     def fill(self, key: K, value: V) -> Optional[Tuple[K, V]]:
         """Insert (or update) an entry; returns the evicted (key, value).
 
         An update refreshes LRU order but does not count as an eviction.
         """
-        entries = self._set_for(key)
+        entries = self._placement.get(key)
+        if entries is None:
+            entries = self._set_for(key)
         evicted = None
         if key in entries:
             entries[key] = value
-            if self.policy == "lru":
+            if self._lru:
                 entries.move_to_end(key)
         else:
             if len(entries) >= self.associativity:
-                victim = self._choose_victim(entries)
-                evicted = (victim, entries.pop(victim))
-                self.stats.evictions += 1
+                evicted = self._evict(entries)
             entries[key] = value
         self.stats.fills += 1
         return evicted
@@ -219,13 +237,23 @@ class SetAssociativeCache(Generic[K, V]):
         """Trace-driven access: returns True on hit, fills on miss.
 
         This is the operation the section-5 cache simulator performs on
-        each trace event.
+        each trace event (and the machine on each instruction fetch).
         """
-        value = self.probe(key)
-        if value is _MISS:
-            self.fill(key, True)
-            return False
-        return True
+        entries = self._placement.get(key)
+        if entries is None:
+            entries = self._set_for(key)
+        stats = self.stats
+        if key in entries:
+            stats.hits += 1
+            if self._lru:
+                entries.move_to_end(key)
+            return True
+        stats.misses += 1
+        if len(entries) >= self.associativity:
+            self._evict(entries)
+        entries[key] = True
+        stats.fills += 1
+        return False
 
     def invalidate(self, key: K) -> bool:
         """Remove one entry; returns whether it was present."""
@@ -240,10 +268,12 @@ class SetAssociativeCache(Generic[K, V]):
         """Remove every entry whose (key, value) satisfies ``predicate``."""
         removed = 0
         for entries in self._sets:
+            if not entries:
+                continue
             victims = [k for k, v in entries.items() if predicate(k, v)]
             for k in victims:
                 del entries[k]
-                removed += 1
+            removed += len(victims)
         self.stats.invalidations += removed
         return removed
 
@@ -251,20 +281,22 @@ class SetAssociativeCache(Generic[K, V]):
         """Empty the cache, counting invalidations."""
         count = len(self)
         for entries in self._sets:
-            entries.clear()
+            if entries:
+                entries.clear()
         self.stats.invalidations += count
 
     def items(self) -> Iterator[Tuple[K, V]]:
         """Iterate over all resident (key, value) pairs."""
         for entries in self._sets:
-            yield from entries.items()
+            if entries:
+                yield from entries.items()
 
     def set_occupancy(self) -> List[int]:
         """Entries resident per set (for distribution diagnostics)."""
-        return [len(entries) for entries in self._sets]
+        return [len(entries) if entries else 0 for entries in self._sets]
 
     def __len__(self) -> int:
-        return sum(len(entries) for entries in self._sets)
+        return sum(len(entries) for entries in self._sets if entries)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

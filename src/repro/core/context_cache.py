@@ -83,7 +83,10 @@ class ContextCache:
         self.block_words = block_words
         self.reserve = reserve
         self.stats = ContextCacheStats()
-        self._data: List[List[Word]] = [
+        #: Block storage, one ``block_words`` list per block.  The
+        #: machine's fetch loop reads current/next operands straight
+        #: from here (the vectors' register-speed path).
+        self.blocks: List[List[Word]] = [
             [Word.uninitialized()] * block_words for _ in range(num_blocks)
         ]
         self._clear_template: List[Word] = [Word.uninitialized()] * block_words
@@ -106,7 +109,7 @@ class ContextCache:
         # Slice-assign a prebuilt template: block clears happen on
         # every context allocation (the words are shared immutable
         # uninitialized singletons, as Word.uninitialized returns).
-        self._data[block][:] = self._clear_template
+        self.blocks[block][:] = self._clear_template
         self.stats.block_clears += 1
 
     @property
@@ -230,13 +233,13 @@ class ContextCache:
         if self.current is None:
             raise ReproError("no current context resident")
         self.stats.fast_reads += 1
-        return self._data[self.current][index]
+        return self.blocks[self.current][index]
 
     def write_current(self, index: int, word: Word) -> None:
         if self.current is None:
             raise ReproError("no current context resident")
         self.stats.fast_writes += 1
-        self._data[self.current][index] = word
+        self.blocks[self.current][index] = word
         self._dirty[self.current] = True
 
     def read_next(self, index: int) -> Word:
@@ -244,13 +247,13 @@ class ContextCache:
         if self.next is None:
             raise ReproError("no next context resident")
         self.stats.fast_reads += 1
-        return self._data[self.next][index]
+        return self.blocks[self.next][index]
 
     def write_next(self, index: int, word: Word) -> None:
         if self.next is None:
             raise ReproError("no next context resident")
         self.stats.fast_writes += 1
-        self._data[self.next][index] = word
+        self.blocks[self.next][index] = word
         self._dirty[self.next] = True
 
     def read_absolute(self, base: int, index: int) -> Optional[Word]:
@@ -261,7 +264,7 @@ class ContextCache:
             return None
         self.stats.directory_hits += 1
         self._touch(block)
-        return self._data[block][index]
+        return self.blocks[block][index]
 
     def write_absolute(self, base: int, index: int, word: Word) -> bool:
         """Directory-matched write; False when not resident."""
@@ -271,7 +274,7 @@ class ContextCache:
             return False
         self.stats.directory_hits += 1
         self._touch(block)
-        self._data[block][index] = word
+        self.blocks[block][index] = word
         self._dirty[block] = True
         return True
 
@@ -291,7 +294,7 @@ class ContextCache:
         if base is None:
             raise ReproError("copy-back of an unmapped block")
         if self._dirty[block]:
-            self.writer(base, list(self._data[block]))
+            self.writer(base, list(self.blocks[block]))
             self.stats.copybacks += 1
             self.stats.copyback_words += self.block_words
         del self._directory[base]
@@ -320,7 +323,7 @@ class ContextCache:
         words = self.loader(base)
         if len(words) != self.block_words:
             raise ReproError("loader returned wrong-size context image")
-        self._data[block] = list(words)
+        self.blocks[block] = list(words)
         self._directory[base] = block
         self._base_of[block] = base
         self._dirty[block] = False
@@ -334,11 +337,11 @@ class ContextCache:
         for base in list(self._directory):
             block = self._directory[base]
             if self._dirty[block]:
-                self.writer(base, list(self._data[block]))
+                self.writer(base, list(self.blocks[block]))
                 self.stats.copyback_words += self.block_words
                 self._dirty[block] = False
 
     def image_of(self, base: int) -> Optional[List[Word]]:
         """A copy of a resident context's words (diagnostics)."""
         block = self._directory.get(base)
-        return None if block is None else list(self._data[block])
+        return None if block is None else list(self.blocks[block])

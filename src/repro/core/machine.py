@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.caches.icache import InstructionCache
 from repro.caches.itlb import ITLB, ITLBEntry
+from repro.caches.setassoc import MISS
 from repro.caches.stats import AccessProfile
 from repro.errors import (
     AliasTrap,
@@ -45,7 +46,6 @@ from repro.objects.heap import ObjectHeap
 from repro.objects.model import (
     ClassRegistry,
     DefinedMethod,
-    LookupResult,
     ObjectClass,
     PrimitiveMethod,
 )
@@ -69,7 +69,7 @@ from repro.core.decoded import (
     D_SLOW,
     D_ZERO,
     DecodedProgramCache,
-    K_HALT,
+    K_SOURCES,
     K_ZERO,
     UNARY_OPS as _UNARY_OPS,
 )
@@ -77,7 +77,7 @@ from repro.core.encoding import Instruction
 from repro.core.isa import Op, OpcodeTable
 from repro.core.operands import Mode, Operand, Space
 from repro.core.pipeline import CycleAccountant, CycleParams
-from repro.core.primitives import execute_unit
+from repro.core.primitives import execute_unit, unit_function
 from repro.core.registers import RegisterFile
 from repro.trace.columnar import TraceBuilder
 from repro.trace.events import TraceEvent  # noqa: F401 (re-exported)
@@ -461,23 +461,43 @@ class COMMachine:
             return [self._read_operand(a)], [a]
         return [], []   # HALT
 
-    def _itlb_translate(self, inst: Instruction, sources: List[Word]):
+    def _itlb_translate(self, inst: Instruction,
+                        sources: List[Word]) -> ITLBEntry:
         class_tags = tuple(word.class_tag for word in sources)
-        selector = self.opcodes.selector_of(inst.opcode)
-
-        def miss() -> LookupResult:
-            receiver_tag = class_tags[0] if class_tags else \
-                self.object_class.class_tag
-            return self.registry.lookup_by_tag(selector, receiver_tag)
-
-        outcome = self.itlb.translate(inst.opcode, class_tags, miss)
-        if not outcome.hit:
-            self.cycles.itlb_miss(outcome.lookup.probes)
+        entry = self.itlb.probe((inst.opcode, class_tags))
+        if entry is MISS:
+            entry = self._itlb_miss(
+                inst.opcode, self.opcodes.selector_of(inst.opcode),
+                class_tags)
         if self.trace is not None:
             receiver = class_tags[0] if class_tags else -1
             address = getattr(self, "_fetch_absolute", self.ip.packed)
             self.trace.record(address, inst.opcode, receiver)
-        return outcome
+        return entry
+
+    def _itlb_miss(self, opcode: int, selector: str,
+                   class_tags: Tuple[int, ...]) -> ITLBEntry:
+        """An ITLB miss: full method lookup, fill, and the lookup's stall.
+
+        A primitive entry carries its function unit resolved for the
+        key's operand count (``ITLBEntry.function``), so a hit calls the
+        unit directly; units that act on machine state keep
+        ``function=None`` and run from ``self._machine_units``.  A
+        failed lookup (doesNotUnderstand) raises before the fill, so it
+        is never cached.
+        """
+        receiver_tag = (class_tags[0] if class_tags
+                        else self.object_class.class_tag)
+        lookup = self.registry.lookup_by_tag(selector, receiver_tag)
+        method = lookup.method
+        function = None
+        if (getattr(method, "is_primitive", False)
+                and method.unit not in self._machine_units):
+            function = unit_function(method.unit, len(class_tags))
+        entry = ITLBEntry.from_method(method, function)
+        self.itlb.fill((opcode, class_tags), entry)
+        self.cycles.itlb_miss(lookup.probes)
+        return entry
 
     # ------------------------------------------------------------------
     # call / return / xfer
@@ -744,25 +764,52 @@ class COMMachine:
                 break
 
     def step(self) -> None:
-        """Interpret one instruction.
-
-        The fast path consults the predecode layer: when the IP falls
-        inside a predecoded method whose code segment still translates
-        to the captured absolute base, :meth:`_step_decoded` executes
-        the instruction's plan with no MMU walk and no word decode.
-        Everything else (predecode disabled, plan shot down, code
-        outside installed methods) takes the seed's decode-every-step
-        path below; both paths produce identical cycles, profile
-        tallies and trace events.
-        """
+        """Interpret exactly one instruction: one turn of the run loop."""
         if self.halted or self.ip is None:
             raise MachineHalted("machine is halted")
-        if self.predecode:
+        self._execute(1)
+
+    def _execute(self, limit: int) -> int:
+        """The interpretation loop: run until the machine halts or
+        ``limit`` instructions have executed; returns how many did.
+
+        :meth:`run` and :meth:`step` both come here, so the predecode
+        probe exists once.  Each turn looks the IP's segment name up in
+        the predecode layer: when the IP falls inside a predecoded
+        method whose code segment still translates to the captured
+        absolute base, the instruction's plan runs inline below with no
+        MMU walk and no word decode.  Everything else (predecode
+        disabled, plan shot down, code outside installed methods) takes
+        :meth:`_step_slow`, the seed's decode-every-step path.  Both
+        produce identical cycles, profile tallies and trace events
+        (pinned by tests/test_predecode.py).
+
+        Loop-invariant objects are bound to locals once per call; every
+        counter stays on its object, so a trap or the budget exit
+        leaves them exact.
+        """
+        by_segment = self.decoded.by_segment if self.predecode else {}
+        cycles = self.cycles
+        issue_cycles = cycles.params.issue_cycles
+        profile = self.profile
+        cache = self.context_cache
+        blocks = cache.blocks
+        cache_stats = cache.stats
+        constants = self.constants
+        icache_reference = self.icache.reference
+        itlb_probe = self.itlb.probe
+        machine_units = self._machine_units
+        trace = self.trace
+        executed = 0
+        while executed < limit and not self.halted:
             ip = self.ip
+            if ip is None:
+                raise MachineHalted("machine is halted")
+            executed += 1
             exponent = ip.exponent
             mantissa = ip.mantissa
-            method = self.decoded.by_segment.get(
-                (exponent, mantissa >> exponent))
+            method = by_segment.get((exponent, mantissa >> exponent))
+            plan = None
             if method is not None:
                 base = method.base_absolute
                 descriptor = method.descriptor
@@ -776,117 +823,79 @@ class COMMachine:
                         and descriptor.capability_read
                         and offset < len(plans)):
                     plan = plans[offset]
-                    if plan is not None:
-                        self._step_decoded(plan, base + offset)
-                        return
-        inst = self._fetch()
-        self.cycles.issue()
-        self._check_raw_hazard(inst)
-        arch = self.opcodes.architectural_op(inst.opcode)
-        if arch is Op.HALT:
-            self.halted = True
-            self.ip = None
-            return
-        sources, source_operands = self._dispatch_sources(inst)
-        outcome = self._itlb_translate(inst, sources)
-        control_transfer = False
-        if outcome.entry.primitive:
-            unit = outcome.entry.unit
-            try:
-                if unit.startswith("machine."):
-                    control_transfer = self._run_machine_unit(
-                        unit, inst, sources)
-                else:
-                    result = execute_unit(unit, sources)
-                    self._write_result(inst, result)
-            except TagMismatch:
-                # The operand classes had no primitive meaning after
-                # all: take the defined-method path via full lookup.
-                self._dispatch_defined(inst, sources)
-                control_transfer = True
-        else:
-            self._method_call(inst, outcome.entry.method, sources)
-            control_transfer = True
-        if not control_transfer:
-            if inst.returns:
-                self._method_return()
+            if plan is None:
+                self._step_slow()
+                continue
+
+            absolute = base + offset
+            if not icache_reference(absolute):
+                cycles.icache_miss()
+            profile.instruction_fetches += 1
+            cycles.instructions += 1          # CycleAccountant.issue
+            cycles.cycles += issue_cycles
+            prev = self._prev_dest
+            if prev is not None and prev in plan.hazards:
+                cycles.raw_hazard()
+            kind = plan.kind
+            if kind == K_SOURCES:
+                # Context operands come straight from the current or
+                # next block (ContextCache.read_current/read_next).
+                sources = []
+                for is_constant, is_current, index in plan.sources:
+                    if is_constant:
+                        sources.append(constants.get(index))
+                        continue
+                    block = cache.current if is_current else cache.next
+                    if block is None:
+                        raise ReproError(
+                            "operand read with no context resident")
+                    cache_stats.fast_reads += 1
+                    profile.context_reads += 1
+                    sources.append(blocks[block][index])
+            elif kind == K_ZERO:
+                sources = []
+                if plan.nargs >= 1:
+                    profile.context_reads += 1
+                    sources.append(cache.read_next(ARG1_SLOT))
+                    if plan.nargs >= 2:
+                        profile.context_reads += 1
+                        sources.append(cache.read_next(ARG1_SLOT + 1))
+            else:   # K_HALT
+                self.halted = True
+                self.ip = None
+                continue
+            count = len(sources)
+            if count == 2:
+                class_tags = (sources[0].class_tag, sources[1].class_tag)
+            elif count == 1:
+                class_tags = (sources[0].class_tag,)
+            elif count == 0:
+                class_tags = ()
             else:
-                self.ip = self.ip.step(1)
-                self._record_dest(inst)
-        # A control transfer with the return bit set (jump/xfer/call)
-        # is a program error the assembler rejects; the transfer wins.
-
-    def _step_decoded(self, plan, absolute: int) -> None:
-        """Execute one predecoded instruction plan.
-
-        Mirrors the interpretation loop above step for step -- every
-        cycle charge, AccessProfile tally and trace event happens in
-        the same order with the same values (pinned by
-        tests/test_predecode.py).
-        """
-        self._fetch_absolute = absolute
-        cycles = self.cycles
-        if not self.icache.reference(absolute):
-            cycles.icache_miss()
-        profile = self.profile
-        profile.instruction_fetches += 1
-        cycles.issue()
-        prev = self._prev_dest
-        if prev is not None and prev in plan.hazards:
-            cycles.raw_hazard()
-        kind = plan.kind
-        if kind == K_HALT:
-            self.halted = True
-            self.ip = None
-            return
-        cache = self.context_cache
-        sources: List[Word] = []
-        if kind == K_ZERO:
-            if plan.nargs >= 1:
-                profile.context_reads += 1
-                sources.append(cache.read_next(ARG1_SLOT))
-                if plan.nargs >= 2:
-                    profile.context_reads += 1
-                    sources.append(cache.read_next(ARG1_SLOT + 1))
-        else:
-            constants = self.constants
-            for is_constant, is_current, index in plan.sources:
-                if is_constant:
-                    sources.append(constants.get(index))
-                else:
-                    profile.context_reads += 1
-                    sources.append(cache.read_current(index) if is_current
-                                   else cache.read_next(index))
-        count = len(sources)
-        if count == 2:
-            class_tags = (sources[0].class_tag, sources[1].class_tag)
-        elif count == 1:
-            class_tags = (sources[0].class_tag,)
-        elif count == 0:
-            class_tags = ()
-        else:
-            class_tags = tuple(word.class_tag for word in sources)
-        entry = self.itlb.probe_entry(plan.opcode, class_tags)
-        if entry is None:
-            receiver_tag = class_tags[0] if class_tags else \
-                self.object_class.class_tag
-            lookup = self.registry.lookup_by_tag(plan.selector, receiver_tag)
-            entry = ITLBEntry.from_method(lookup.method)
-            self.itlb.fill_entry(plan.opcode, class_tags, entry)
-            cycles.itlb_miss(lookup.probes)
-        if self.trace is not None:
-            receiver = class_tags[0] if class_tags else -1
-            self.trace.record(absolute, plan.opcode, receiver)
-        inst = plan.inst
-        if entry.primitive:
-            unit = entry.unit
-            handler = self._machine_units.get(unit)
+                class_tags = tuple(word.class_tag for word in sources)
+            opcode = plan.opcode
+            entry = itlb_probe((opcode, class_tags))
+            if entry is MISS:
+                entry = self._itlb_miss(opcode, plan.selector, class_tags)
+            if trace is not None:
+                trace.record(absolute, opcode,
+                             class_tags[0] if class_tags else -1)
+            inst = plan.inst
+            if not entry.primitive:
+                self._method_call(inst, entry.method, sources)
+                continue
+            function = entry.function
+            if function is None and entry.unit not in machine_units:
+                # An entry filled without its unit resolved (through
+                # ITLB.translate or ITLB.fill): resolve it here.
+                function = unit_function(entry.unit, count)
             try:
-                if handler is not None:
-                    if handler(inst, sources):
-                        return       # control transfer: IP already set
+                if function is None:
+                    # A machine unit: it writes its own destination.
+                    if machine_units[entry.unit](inst, sources):
+                        continue       # control transfer: IP already set
                 else:
-                    result = execute_unit(unit, sources)
+                    result = function(*sources)
                     dest = plan.dest_kind
                     if dest == D_CUR:
                         profile.context_writes += 1
@@ -916,19 +925,61 @@ class COMMachine:
                 # The operand classes had no primitive meaning after
                 # all: take the defined-method path via full lookup.
                 self._dispatch_defined(inst, sources)
-                return
+                continue
+            if plan.returns:
+                self._method_return()
+            elif plan.next_ip is not None:
+                self.ip = plan.next_ip
+                self._prev_dest = plan.dest_prev
+            else:
+                # Fall-through past the segment's last word: raise
+                # exactly as the slow path's ip.step(1) would.
+                self.ip = ip.step(1)
+        return executed
+
+    def _step_slow(self) -> None:
+        """Fetch, decode and interpret the instruction at the IP.
+
+        The seed's decode-every-step path: the fallback of
+        :meth:`_execute`, and with ``predecode=False`` the reference
+        its predecoded path is pinned against.
+        """
+        inst = self._fetch()
+        self.cycles.issue()
+        self._check_raw_hazard(inst)
+        arch = self.opcodes.architectural_op(inst.opcode)
+        if arch is Op.HALT:
+            self.halted = True
+            self.ip = None
+            return
+        sources, source_operands = self._dispatch_sources(inst)
+        entry = self._itlb_translate(inst, sources)
+        control_transfer = False
+        if entry.primitive:
+            unit = entry.unit
+            try:
+                if unit.startswith("machine."):
+                    control_transfer = self._run_machine_unit(
+                        unit, inst, sources)
+                else:
+                    result = execute_unit(unit, sources)
+                    self._write_result(inst, result)
+            except TagMismatch:
+                # The operand classes had no primitive meaning after
+                # all: take the defined-method path via full lookup.
+                self._dispatch_defined(inst, sources)
+                control_transfer = True
         else:
             self._method_call(inst, entry.method, sources)
-            return
-        if plan.returns:
-            self._method_return()
-        elif plan.next_ip is not None:
-            self.ip = plan.next_ip
-            self._prev_dest = plan.dest_prev
-        else:
-            # Fall-through past the segment's last word: raise exactly
-            # as the slow path's ip.step(1) would.
-            self.ip = self.ip.step(1)
+            control_transfer = True
+        if not control_transfer:
+            if inst.returns:
+                self._method_return()
+            else:
+                self.ip = self.ip.step(1)
+                self._record_dest(inst)
+        # A control transfer with the return bit set (jump/xfer/call)
+        # is a program error the assembler rejects; the transfer wins.
 
     def _record_dest(self, inst: Instruction) -> None:
         if inst.is_zero_operand:
@@ -1016,14 +1067,15 @@ class COMMachine:
         self.ip = main.entry
 
     def run(self, max_instructions: int = 1_000_000) -> int:
-        """Step until halt; returns the number of instructions executed."""
-        executed = 0
-        while not self.halted:
-            if executed >= max_instructions:
-                raise SimulationLimitExceeded(
-                    f"exceeded budget of {max_instructions} instructions")
-            self.step()
-            executed += 1
+        """Step until halt; returns the number of instructions executed.
+
+        Raises :class:`SimulationLimitExceeded` once ``max_instructions``
+        have executed without a halt.
+        """
+        executed = self._execute(max_instructions)
+        if not self.halted:
+            raise SimulationLimitExceeded(
+                f"exceeded budget of {max_instructions} instructions")
         return executed
 
     def result(self) -> Word:

@@ -17,6 +17,12 @@ A unit raises :class:`~repro.errors.TagMismatch` when handed operand
 tags it does not implement; the machine treats that exactly like an
 undefined (non-primitive) method and takes the method-call path, which
 is the architecture's behaviour for non-primitive operand types.
+
+The machine resolves a unit once per ITLB fill (:func:`unit_function`)
+and calls it directly on every hit, so the hot units test their common
+case first and build small-integer results with the trusted
+:func:`~repro.memory.tags.small_integer_word` after their one range
+check.
 """
 
 from __future__ import annotations
@@ -29,8 +35,9 @@ from repro.memory.tags import (
     Tag,
     Word,
     fits_small_integer,
+    small_integer_word,
 )
-from repro.core.constants import boolean_word
+from repro.core.constants import FALSE, TRUE, boolean_word
 
 
 class ArithmeticTrap(TrapError):
@@ -39,6 +46,8 @@ class ArithmeticTrap(TrapError):
 
 _FIELD_MASK = (1 << SMALL_INTEGER_BITS) - 1
 _SIGN_BIT = 1 << (SMALL_INTEGER_BITS - 1)
+_INT = Tag.SMALL_INTEGER
+_NUMBER_TAGS = (Tag.SMALL_INTEGER, Tag.FLOAT)
 
 
 def _to_field(value: int) -> int:
@@ -55,58 +64,51 @@ def _from_field(field: int) -> int:
 def _int_result(value: int) -> Word:
     if not fits_small_integer(value):
         raise ArithmeticTrap(f"small integer overflow: {value}")
-    return Word.small_integer(value)
-
-
-def _numeric(word: Word) -> float:
-    if word.tag is Tag.SMALL_INTEGER or word.tag is Tag.FLOAT:
-        return word.value
-    raise TagMismatch(f"not a number: {word!r}")
-
-
-def _both_ints(a: Word, b: Word) -> bool:
-    return a.tag is Tag.SMALL_INTEGER and b.tag is Tag.SMALL_INTEGER
+    return small_integer_word(value)
 
 
 def _require_numbers(*words: Word) -> None:
     for word in words:
-        if word.tag not in (Tag.SMALL_INTEGER, Tag.FLOAT):
+        if word.tag not in _NUMBER_TAGS:
             raise TagMismatch(f"numeric unit got {word.tag.name}")
 
 
 def _require_ints(*words: Word) -> None:
     for word in words:
-        if word.tag is not Tag.SMALL_INTEGER:
+        if word.tag is not _INT:
             raise TagMismatch(f"integer unit got {word.tag.name}")
 
 
 # -- arithmetic ----------------------------------------------------------------
+#
+# The hot units test their common case (two small integers; two numbers
+# for the comparisons) first; otherwise _require_numbers raises the
+# TagMismatch that sends the machine down the method-call path.
 
 
 def unit_add(a: Word, b: Word) -> Word:
-    _require_numbers(a, b)
-    if _both_ints(a, b):
+    if a.tag is _INT and b.tag is _INT:
         return _int_result(a.value + b.value)
-    return Word.floating(_numeric(a) + _numeric(b))
+    _require_numbers(a, b)
+    return Word.floating(a.value + b.value)
 
 
 def unit_sub(a: Word, b: Word) -> Word:
-    _require_numbers(a, b)
-    if _both_ints(a, b):
+    if a.tag is _INT and b.tag is _INT:
         return _int_result(a.value - b.value)
-    return Word.floating(_numeric(a) - _numeric(b))
+    _require_numbers(a, b)
+    return Word.floating(a.value - b.value)
 
 
 def unit_mul(a: Word, b: Word) -> Word:
-    _require_numbers(a, b)
-    if _both_ints(a, b):
+    if a.tag is _INT and b.tag is _INT:
         return _int_result(a.value * b.value)
-    return Word.floating(_numeric(a) * _numeric(b))
+    _require_numbers(a, b)
+    return Word.floating(a.value * b.value)
 
 
 def unit_div(a: Word, b: Word) -> Word:
-    _require_numbers(a, b)
-    if _both_ints(a, b):
+    if a.tag is _INT and b.tag is _INT:
         if b.value == 0:
             raise ArithmeticTrap("integer division by zero")
         # Truncate toward zero, as hardware dividers do.
@@ -114,9 +116,10 @@ def unit_div(a: Word, b: Word) -> Word:
         if (a.value < 0) != (b.value < 0):
             quotient = -quotient
         return _int_result(quotient)
-    if _numeric(b) == 0.0:
+    _require_numbers(a, b)
+    if b.value == 0.0:
         raise ArithmeticTrap("float division by zero")
-    return Word.floating(_numeric(a) / _numeric(b))
+    return Word.floating(a.value / b.value)
 
 
 def unit_mod(a: Word, b: Word) -> Word:
@@ -129,7 +132,7 @@ def unit_mod(a: Word, b: Word) -> Word:
 
 def unit_neg(a: Word) -> Word:
     _require_numbers(a)
-    if a.tag is Tag.SMALL_INTEGER:
+    if a.tag is _INT:
         return _int_result(-a.value)
     return Word.floating(-a.value)
 
@@ -227,22 +230,25 @@ def unit_not(a: Word) -> Word:
 
 
 def unit_lt(a: Word, b: Word) -> Word:
-    _require_numbers(a, b)
-    return boolean_word(_numeric(a) < _numeric(b))
+    if a.tag not in _NUMBER_TAGS or b.tag not in _NUMBER_TAGS:
+        _require_numbers(a, b)  # raises
+    return TRUE if a.value < b.value else FALSE
 
 
 def unit_le(a: Word, b: Word) -> Word:
-    _require_numbers(a, b)
-    return boolean_word(_numeric(a) <= _numeric(b))
+    if a.tag not in _NUMBER_TAGS or b.tag not in _NUMBER_TAGS:
+        _require_numbers(a, b)  # raises
+    return TRUE if a.value <= b.value else FALSE
 
 
 def unit_eq(a: Word, b: Word) -> Word:
     # "=" is defined for small integer and floating point; atoms also
     # compare by identity which coincides with "==" for them.
     if a.tag is Tag.ATOM and b.tag is Tag.ATOM:
-        return boolean_word(a.value == b.value)
-    _require_numbers(a, b)
-    return boolean_word(_numeric(a) == _numeric(b))
+        return TRUE if a.value == b.value else FALSE
+    if a.tag not in _NUMBER_TAGS or b.tag not in _NUMBER_TAGS:
+        _require_numbers(a, b)  # raises
+    return TRUE if a.value == b.value else FALSE
 
 
 def unit_same(a: Word, b: Word) -> Word:
@@ -307,3 +313,17 @@ def execute_unit(name: str, operands: List[Word]) -> Word:
             f"unit {name} needs {arity} operands, got {count}"
         )
     return fn(*operands[:arity])
+
+
+def unit_function(name: str, count: int) -> Callable[..., Word]:
+    """The callable that runs unit ``name`` on ``count`` operand words.
+
+    ``unit_function(name, len(words))(*words)`` behaves exactly like
+    ``execute_unit(name, words)``.  The machine resolves it once, when an
+    ITLB miss fills an entry (the entry's key fixes the operand count),
+    and calls the unit directly on every hit.
+    """
+    spec = UNITS.get(name)
+    if spec is not None and spec[0] == count:
+        return spec[1]
+    return lambda *operands: execute_unit(name, list(operands))

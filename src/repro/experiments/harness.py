@@ -610,9 +610,16 @@ def _run_all_inner(specs, journal, done, stats, started, note, *,
         status = ("FAILED  " if failed
                   else "ok " if result.all_hold else "DIVERGES")
         note(f"  [{status}] {result.experiment}")
-    env = telemetry.environment_block()
-    numpy_note = (f"numpy {env['numpy']}" if env["numpy"]
-                  else "numpy absent")
+    # Name numpy only if this run loaded it: a run whose sweeps were
+    # all result-cache hits never imports it.
+    from repro.sweep import np_engine
+    numpy = sys.modules.get("numpy")
+    if numpy is not None:
+        numpy_note = f"numpy {getattr(numpy, '__version__', 'unknown')}"
+    elif np_engine.numpy_missing():
+        numpy_note = "numpy absent"
+    else:
+        numpy_note = "numpy not loaded"
     note(f"\n{held}/{total} paper claims reproduced "
          f"(jobs={jobs}, {time.time() - started:.1f}s wall).")
     note(f"robustness: {stats['retries']} retries, "

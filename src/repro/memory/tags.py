@@ -99,7 +99,7 @@ class Word:
         """A small integer word; the value must fit in 28 signed bits."""
         if not fits_small_integer(value):
             raise TagMismatch(f"{value} does not fit in a small integer")
-        return Word(Tag.SMALL_INTEGER, int(value))
+        return small_integer_word(value)
 
     @staticmethod
     def floating(value: float) -> "Word":
@@ -168,3 +168,19 @@ class Word:
 
 
 _UNINITIALIZED = Word(Tag.UNINITIALIZED)
+_SMALL_INTEGER_CLASS_TAG = Tag.SMALL_INTEGER.default_class_tag()
+
+
+def small_integer_word(value: int) -> Word:
+    """A small-integer word for a ``value`` the caller has range-checked.
+
+    The trusted constructor of the arithmetic hot paths: callers check
+    :func:`fits_small_integer` once (``Word.small_integer`` and the
+    function units do), and this skips the frozen dataclass's
+    ``__init__``/``__post_init__`` round trip, building the same word.
+    """
+    word = object.__new__(Word)
+    object.__setattr__(word, "__dict__", {
+        "tag": Tag.SMALL_INTEGER, "value": int(value),
+        "class_tag": _SMALL_INTEGER_CLASS_TAG})
+    return word

@@ -19,6 +19,7 @@ smartness.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -437,6 +438,121 @@ class _VMFrame:
     caller_wants_value: bool = True
 
 
+# -- primitives ------------------------------------------------------------
+#
+# A send first tries its selector's primitive handler.  A handler takes
+# (receiver, args) and returns the result word, or None when the
+# operands have no primitive meaning: the send then takes the method
+# lookup, as a COM instruction whose operand classes fit no primitive
+# takes the defined-method path.
+
+_INT = Tag.SMALL_INTEGER
+_NUMBERS = (Tag.SMALL_INTEGER, Tag.FLOAT)
+
+
+def _arithmetic(operation):
+    """``+ - *``: two small integers give a small integer (one past 28
+    bits raises, as ``Word.small_integer`` does); any other two numbers
+    give a float."""
+    def handler(receiver: Word, args: List[Word]) -> Optional[Word]:
+        if len(args) == 1:
+            arg = args[0]
+            if receiver.tag is _INT and arg.tag is _INT:
+                return Word.small_integer(
+                    operation(receiver.value, arg.value))
+            if receiver.tag in _NUMBERS and arg.tag in _NUMBERS:
+                return Word.floating(
+                    float(operation(receiver.value, arg.value)))
+        return None
+    return handler
+
+
+def _comparison(operation):
+    """``< <= > >=`` on two numbers."""
+    def handler(receiver: Word, args: List[Word]) -> Optional[Word]:
+        if (len(args) == 1 and receiver.tag in _NUMBERS
+                and args[0].tag in _NUMBERS):
+            return (_TRUE if operation(receiver.value, args[0].value)
+                    else _FALSE)
+        return None
+    return handler
+
+
+def _divide(receiver: Word, args: List[Word]) -> Optional[Word]:
+    if (len(args) == 1 and receiver.tag in _NUMBERS
+            and args[0].tag in _NUMBERS):
+        a, b = receiver.value, args[0].value
+        if b == 0:
+            raise FithError("division by zero")
+        if receiver.tag is _INT and args[0].tag is _INT:
+            # Truncate toward zero, as the COM's divide unit does.
+            quotient = abs(a) // abs(b)
+            return Word.small_integer(
+                -quotient if (a < 0) != (b < 0) else quotient)
+        return Word.floating(float(a / b))
+    return None
+
+
+def _modulo(receiver: Word, args: List[Word]) -> Optional[Word]:
+    """``\\\\`` is defined on two small integers only, like the COM's
+    mod unit: any other receiver takes the method lookup."""
+    if len(args) == 1 and receiver.tag is _INT and args[0].tag is _INT:
+        if args[0].value == 0:
+            raise FithError("modulo by zero")
+        return Word.small_integer(receiver.value % args[0].value)
+    return None
+
+
+def _equal(receiver: Word, args: List[Word]) -> Optional[Word]:
+    """``=``: numeric equality on two numbers, identity otherwise."""
+    if len(args) != 1:
+        return None
+    arg = args[0]
+    if receiver.tag in _NUMBERS and arg.tag in _NUMBERS:
+        return _TRUE if receiver.value == arg.value else _FALSE
+    return _TRUE if receiver.same_object_as(arg) else _FALSE
+
+
+def _identical(receiver: Word, args: List[Word]) -> Optional[Word]:
+    if len(args) == 1:
+        return _TRUE if receiver.same_object_as(args[0]) else _FALSE
+    return None
+
+
+def _not_identical(receiver: Word, args: List[Word]) -> Optional[Word]:
+    if len(args) == 1:
+        return _FALSE if receiver.same_object_as(args[0]) else _TRUE
+    return None
+
+
+def _negated(receiver: Word, args: List[Word]) -> Optional[Word]:
+    if not args:
+        if receiver.tag is _INT:
+            return Word.small_integer(-receiver.value)
+        if receiver.tag is Tag.FLOAT:
+            return Word.floating(-receiver.value)
+    return None
+
+
+#: Selector -> handler for the primitives that need no VM state
+#: (StackVM adds allocation and indexing).
+_PRIMITIVES = {
+    "+": _arithmetic(operator.add),
+    "-": _arithmetic(operator.sub),
+    "*": _arithmetic(operator.mul),
+    "/": _divide,
+    "\\\\": _modulo,
+    "<": _comparison(operator.lt),
+    "<=": _comparison(operator.le),
+    ">": _comparison(operator.gt),
+    ">=": _comparison(operator.ge),
+    "=": _equal,
+    "==": _identical,
+    "~=": _not_identical,
+    "negated": _negated,
+}
+
+
 class StackVM:
     """Executes stack bytecodes, counting instructions.
 
@@ -451,6 +567,9 @@ class StackVM:
         self.sends = 0
         self._objects: Dict[int, _StackObject] = {}
         self._next_oid = 1
+        self._primitives = dict(_PRIMITIVES)
+        self._primitives.update({"new": self._new, "new:": self._new_sized,
+                                 "at:": self._at, "at:put:": self._at_put})
 
     # -- heap ------------------------------------------------------------------
 
@@ -467,63 +586,26 @@ class StackVM:
             raise FithError(f"bad pointer {pointer!r}")
         return self._objects[pointer.value]
 
-    # -- primitives --------------------------------------------------------------
+    # -- heap primitives ---------------------------------------------------------
 
-    def _primitive(self, selector: str, receiver: Word,
-                   args: List[Word]) -> Optional[Word]:
-        """Try to satisfy a send with a primitive; None means lookup."""
-        if selector in ("+", "-", "*", "/", "<", "<=", ">", ">=", "=") \
-                and len(args) == 1 and receiver.is_number \
-                and args[0].is_number:
-            a, b = receiver.value, args[0].value
-            if selector == "+":
-                result = a + b
-            elif selector == "-":
-                result = a - b
-            elif selector == "*":
-                result = a * b
-            elif selector == "/":
-                if b == 0:
-                    raise FithError("division by zero")
-                result = (a / b if not (receiver.is_small_integer
-                                        and args[0].is_small_integer)
-                          else int(abs(a) // abs(b))
-                          * (-1 if (a < 0) != (b < 0) else 1))
-            elif selector == "<":
-                return _TRUE if a < b else _FALSE
-            elif selector == "<=":
-                return _TRUE if a <= b else _FALSE
-            elif selector == ">":
-                return _TRUE if a > b else _FALSE
-            elif selector == ">=":
-                return _TRUE if a >= b else _FALSE
-            else:
-                return _TRUE if a == b else _FALSE
-            if receiver.is_small_integer and args[0].is_small_integer \
-                    and isinstance(result, int):
-                return Word.small_integer(result)
-            return Word.floating(float(result))
-        if selector == "\\\\" and len(args) == 1:
-            return Word.small_integer(receiver.value % args[0].value)
-        if selector == "=" and len(args) == 1:
-            return _TRUE if receiver.same_object_as(args[0]) else _FALSE
-        if selector == "==" and len(args) == 1:
-            return _TRUE if receiver.same_object_as(args[0]) else _FALSE
-        if selector == "~=" and len(args) == 1:
-            return _FALSE if receiver.same_object_as(args[0]) else _TRUE
-        if selector == "negated" and not args and receiver.is_number:
-            if receiver.is_small_integer:
-                return Word.small_integer(-receiver.value)
-            return Word.floating(-receiver.value)
-        if selector == "new" and not args and receiver.tag is Tag.ATOM:
+    def _new(self, receiver: Word, args: List[Word]) -> Optional[Word]:
+        if not args and receiver.tag is Tag.ATOM:
             return self._allocate(self.registry.by_name(receiver.value))
-        if selector == "new:" and len(args) == 1 \
-                and receiver.tag is Tag.ATOM:
+        return None
+
+    def _new_sized(self, receiver: Word, args: List[Word]) -> Optional[Word]:
+        if len(args) == 1 and receiver.tag is Tag.ATOM:
             return self._allocate(self.registry.by_name(receiver.value),
                                   args[0].value)
-        if selector == "at:" and len(args) == 1 and receiver.is_pointer:
+        return None
+
+    def _at(self, receiver: Word, args: List[Word]) -> Optional[Word]:
+        if len(args) == 1 and receiver.is_pointer:
             return self._object(receiver).fields[args[0].value]
-        if selector == "at:put:" and len(args) == 2 and receiver.is_pointer:
+        return None
+
+    def _at_put(self, receiver: Word, args: List[Word]) -> Optional[Word]:
+        if len(args) == 2 and receiver.is_pointer:
             self._object(receiver).fields[args[0].value] = args[1]
             return args[1]
         return None
@@ -531,78 +613,118 @@ class StackVM:
     # -- execution ----------------------------------------------------------------
 
     def run_main(self, max_instructions: int = 5_000_000) -> Optional[Word]:
+        """Run the compiled main; returns its result word.
+
+        Register-style: the running frame's code, stack, temporaries
+        and pc live in locals and go back to the frame only when
+        control leaves it (a send to a defined method).
+        ``instructions`` and ``sends`` are written back on every exit,
+        the budget error included.  Ops are tested in order of their
+        dynamic frequency on the TAB-3ADDR programs.
+        """
         main = self.compiler.main
         if main is None:
             raise FithError("no compiled main")
-        frames = [_VMFrame(main, _NIL, [_NIL] * main.num_temps)]
+        (send, push_temp, push_lit, store_temp, jump_false, pop, dup,
+         jump, push_self, return_top, store_field, push_field,
+         halt) = (SOp.SEND, SOp.PUSH_TEMP, SOp.PUSH_LIT, SOp.STORE_TEMP,
+                  SOp.JUMP_FALSE, SOp.POP, SOp.DUP, SOp.JUMP,
+                  SOp.PUSH_SELF, SOp.RETURN_TOP, SOp.STORE_FIELD,
+                  SOp.PUSH_FIELD, SOp.HALT)
+        primitives = self._primitives
+        lookup = self.registry.lookup_by_tag
+        frame = _VMFrame(main, _NIL, [_NIL] * main.num_temps)
+        frames = [frame]
+        code, stack, temps, pc = main.code, frame.stack, frame.temps, 0
+        instructions = self.instructions
+        sends = self.sends
         result: Optional[Word] = None
-        while frames:
-            frame = frames[-1]
-            if frame.pc >= len(frame.method.code):
-                frames.pop()
-                continue
-            if self.instructions >= max_instructions:
-                raise FithError("instruction budget exceeded")
-            instr = frame.method.code[frame.pc]
-            frame.pc += 1
-            self.instructions += 1
-            op = instr.op
-            if op is SOp.PUSH_SELF:
-                frame.stack.append(frame.receiver)
-            elif op is SOp.PUSH_TEMP:
-                frame.stack.append(frame.temps[instr.arg])
-            elif op is SOp.PUSH_LIT:
-                frame.stack.append(instr.literal)
-            elif op is SOp.PUSH_FIELD:
-                frame.stack.append(
-                    self._object(frame.receiver).fields[instr.arg])
-            elif op is SOp.STORE_TEMP:
-                frame.temps[instr.arg] = frame.stack.pop()
-            elif op is SOp.STORE_FIELD:
-                self._object(frame.receiver).fields[instr.arg] = \
-                    frame.stack.pop()
-            elif op is SOp.POP:
-                frame.stack.pop()
-            elif op is SOp.DUP:
-                frame.stack.append(frame.stack[-1])
-            elif op is SOp.JUMP:
-                frame.pc = instr.arg
-            elif op is SOp.JUMP_FALSE:
-                if not frame.stack.pop().same_object_as(_TRUE):
-                    frame.pc = instr.arg
-            elif op is SOp.RETURN_TOP:
-                value = frame.stack.pop()
-                frames.pop()
-                if frames:
-                    frames[-1].stack.append(value)
-                else:
-                    result = value
-            elif op is SOp.HALT:
-                result = frame.stack[-1] if frame.stack else None
-                frames.clear()
-            elif op is SOp.SEND:
-                self.sends += 1
-                argc = instr.argc
-                args = frame.stack[len(frame.stack) - argc:]
-                del frame.stack[len(frame.stack) - argc:]
-                receiver = frame.stack.pop()
-                primitive = self._primitive(instr.selector, receiver, args)
-                if primitive is not None:
-                    frame.stack.append(primitive)
+        try:
+            while True:
+                if pc >= len(code):
+                    # Fell off the end of a method: no value returns.
+                    frames.pop()
+                    if not frames:
+                        break
+                    frame = frames[-1]
+                    code, stack, temps, pc = (frame.method.code, frame.stack,
+                                              frame.temps, frame.pc)
                     continue
-                lookup = self.registry.lookup_by_tag(
-                    instr.selector, receiver.class_tag)
-                method = lookup.method
-                if isinstance(method, PrimitiveMethod):
-                    raise FithError(
-                        f"unimplemented primitive {instr.selector!r}")
-                target: StackMethod = method.code
-                temps = [_NIL] * max(target.num_temps, argc)
-                for index, argument in enumerate(args):
-                    temps[index] = argument
-                frames.append(_VMFrame(target, receiver, temps))
-            else:  # pragma: no cover
-                raise FithError(f"unhandled stack op {op}")
+                if instructions >= max_instructions:
+                    raise FithError("instruction budget exceeded")
+                instr = code[pc]
+                pc += 1
+                instructions += 1
+                op = instr.op
+                if op is send:
+                    sends += 1
+                    argc = instr.argc
+                    if argc:
+                        args = stack[-argc:]
+                        del stack[-argc:]
+                    else:
+                        args = []
+                    receiver = stack.pop()
+                    handler = primitives.get(instr.selector)
+                    if handler is not None:
+                        value = handler(receiver, args)
+                        if value is not None:
+                            stack.append(value)
+                            continue
+                    method = lookup(instr.selector, receiver.class_tag).method
+                    if isinstance(method, PrimitiveMethod):
+                        raise FithError(
+                            f"unimplemented primitive {instr.selector!r}")
+                    target: StackMethod = method.code
+                    callee_temps = [_NIL] * max(target.num_temps, argc)
+                    callee_temps[:argc] = args
+                    frame.pc = pc
+                    frame = _VMFrame(target, receiver, callee_temps)
+                    frames.append(frame)
+                    code, stack, temps, pc = (target.code, frame.stack,
+                                              callee_temps, 0)
+                elif op is push_temp:
+                    stack.append(temps[instr.arg])
+                elif op is push_lit:
+                    stack.append(instr.literal)
+                elif op is store_temp:
+                    temps[instr.arg] = stack.pop()
+                elif op is jump_false:
+                    value = stack.pop()
+                    if value is not _TRUE and not value.same_object_as(_TRUE):
+                        pc = instr.arg
+                elif op is pop:
+                    stack.pop()
+                elif op is dup:
+                    stack.append(stack[-1])
+                elif op is jump:
+                    pc = instr.arg
+                elif op is push_self:
+                    stack.append(frame.receiver)
+                elif op is return_top:
+                    value = stack.pop()
+                    frames.pop()
+                    if not frames:
+                        result = value
+                        break
+                    frame = frames[-1]
+                    code, stack, temps, pc = (frame.method.code, frame.stack,
+                                              frame.temps, frame.pc)
+                    stack.append(value)
+                elif op is store_field:
+                    self._object(frame.receiver).fields[instr.arg] = \
+                        stack.pop()
+                elif op is push_field:
+                    stack.append(
+                        self._object(frame.receiver).fields[instr.arg])
+                elif op is halt:
+                    result = stack[-1] if stack else None
+                    break
+                else:  # pragma: no cover
+                    raise FithError(f"unhandled stack op {op}")
+        finally:
+            self.instructions = instructions
+            self.sends = sends
         return result
 
 

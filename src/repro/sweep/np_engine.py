@@ -29,11 +29,12 @@ backend"):
   ``reset_counts`` and ``start``/``stop`` sub-range replay match the
   incremental engine bit for bit.
 
-numpy is an *optional* extra (``pip install .[numpy]``): this module
-always imports; only constructing the engine (or forcing
-``engine="numpy"``) requires the library.  The runner checks
-:func:`numpy_available` and falls back to the pure-python engine
-when the import is missing.
+numpy is an *optional* extra (``pip install .[numpy]``), imported on
+first engine use: importing this module (or ``repro.sweep``) never
+imports it, :func:`numpy_available` and :func:`require_numpy` do, so a
+run whose sweeps are all result-cache hits never pays for it.  The
+runner checks :func:`numpy_available` and falls back to the
+pure-python engine when the import is missing.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # exercised by the sys.modules block in the tests
-    np = None  # type: ignore[assignment]
-
 from repro import telemetry
 from repro.errors import BackendUnavailable
+
+#: The numpy module, bound by :func:`numpy_available` on first engine
+#: use (None until then, and where numpy is not importable).
+np = None
+_numpy_checked = False
 
 #: Vector rounds of the chain resolver before it falls back to the
 #: path-compressed scalar walk (measured best on the paper trace).
@@ -55,13 +56,31 @@ _CHAIN_VECTOR_ROUNDS = 6
 
 
 def numpy_available() -> bool:
-    """Whether the vectorized backend can actually run here."""
+    """Whether the vectorized backend can actually run here.
+
+    The first call imports numpy; later calls reuse its answer.
+    """
+    global np, _numpy_checked
+    if not _numpy_checked:
+        _numpy_checked = True
+        try:
+            import numpy
+        except ImportError:  # exercised by the sys.modules block in the tests
+            pass
+        else:
+            np = numpy
     return np is not None
+
+
+def numpy_missing() -> bool:
+    """Whether an engine check has already found numpy not importable
+    (False while no :func:`numpy_available` call has run)."""
+    return _numpy_checked and np is None
 
 
 def require_numpy() -> None:
     """Raise the typed, actionable error if numpy is missing."""
-    if np is None:
+    if not numpy_available():
         raise BackendUnavailable(
             "the numpy sweep backend was requested but numpy is not "
             "importable; install the optional extra with "

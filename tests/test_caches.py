@@ -1,11 +1,14 @@
 """Tests for the cache substrate (repro.caches)."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.caches.icache import InstructionCache
 from repro.caches.itlb import ITLB, ITLBEntry
-from repro.caches.setassoc import MISS, SetAssociativeCache
+from repro.caches.setassoc import MISS, SetAssociativeCache, stable_hash
 from repro.caches.stats import AccessProfile, CacheStats
 from repro.errors import DoesNotUnderstandTrap
 from repro.objects.model import ClassRegistry, DefinedMethod, PrimitiveMethod
@@ -289,3 +292,170 @@ class TestInstructionCache:
                 direct.reference(address)
                 twoway.reference(address)
         assert direct.stats.hit_ratio < twoway.stats.hit_ratio
+
+
+# -- differential test against an independent model ----------------------
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+class _ListCache:
+    """Reference model: one list of [key, value] pairs per set, oldest
+    first.  Written independently of SetAssociativeCache; it shares only
+    the placement hash and the random policy's xorshift seed."""
+
+    def __init__(self, size, associativity, policy, modulo=False):
+        self.ways = size if associativity == "full" else associativity
+        self.sets = [[] for _ in range(size // self.ways)]
+        self.policy = policy
+        self.modulo = modulo
+        self.rand = 0x2545F491
+        self.reset_stats()
+
+    def reset_stats(self):
+        self.stats = dict.fromkeys(
+            ("hits", "misses", "fills", "evictions", "invalidations"), 0)
+
+    def _set(self, key):
+        placement = key if self.modulo else stable_hash(key)
+        return self.sets[placement % len(self.sets)]
+
+    def _find(self, entries, key):
+        """Index of ``key`` in its set, moved to MRU first under LRU."""
+        for i, pair in enumerate(entries):
+            if pair[0] == key:
+                if self.policy == "lru":
+                    entries.append(entries.pop(i))
+                    return len(entries) - 1
+                return i
+        return None
+
+    def probe(self, key):
+        entries = self._set(key)
+        i = self._find(entries, key)
+        self.stats["misses" if i is None else "hits"] += 1
+        return (False, None) if i is None else (True, entries[i][1])
+
+    def fill(self, key, value):
+        entries = self._set(key)
+        i = self._find(entries, key)
+        if i is not None:
+            entries[i][1] = value
+        else:
+            if len(entries) == self.ways:
+                victim = 0
+                if self.policy == "random":
+                    x = self.rand
+                    x ^= (x << 13) & _MASK64
+                    x ^= x >> 7
+                    x ^= (x << 17) & _MASK64
+                    self.rand = x
+                    victim = x % len(entries)
+                del entries[victim]
+                self.stats["evictions"] += 1
+            entries.append([key, value])
+        self.stats["fills"] += 1
+
+    def invalidate_where(self, doomed):
+        removed = 0
+        for entries in self.sets:
+            kept = [pair for pair in entries if not doomed(pair[0])]
+            removed += len(entries) - len(kept)
+            entries[:] = kept
+        self.stats["invalidations"] += removed
+        return removed
+
+    def keys(self):
+        return [pair[0] for entries in self.sets for pair in entries]
+
+
+_POLICIES = st.sampled_from(["lru", "fifo", "random"])
+_ASSOCIATIVITIES = st.sampled_from([1, 2, 4, "full"])
+#: ITLB operations: (name, opcode -- or class tag for invalidate_class --,
+#: operand class tags).
+_ITLB_OPS = st.lists(st.tuples(
+    st.sampled_from(3 * ["probe_fill", "translate", "reference"]
+                    + ["invalidate_selector", "invalidate_class",
+                       "flush", "reset_stats"]),
+    st.integers(0, 5),
+    st.lists(st.integers(0, 4), max_size=2).map(tuple)), max_size=120)
+#: Instruction-cache operations: (name, instruction address).
+_ICACHE_OPS = st.lists(st.tuples(
+    st.sampled_from(8 * ["reference"] + ["flush", "reset_stats"]),
+    st.integers(0, 63)), max_size=160)
+
+
+class TestCacheDifferential:
+    """The ITLB and the instruction cache against the list-per-set
+    model: the same hit/miss sequence, CacheStats counters and resident
+    keys (in replacement order) after every operation."""
+
+    @staticmethod
+    def _same_state(stats, cache, model):
+        assert dataclasses.asdict(stats) == model.stats
+        assert [key for key, _ in cache.items()] == model.keys()
+
+    @settings(max_examples=120, deadline=None)
+    @given(_POLICIES, _ASSOCIATIVITIES, _ITLB_OPS)
+    def test_itlb_matches_list_model(self, policy, associativity, ops):
+        itlb = ITLB(8, associativity, policy)
+        model = _ListCache(8, associativity, policy)
+        for name, opcode, tags in ops:
+            key = (opcode, tags)
+            method = PrimitiveMethod(f"op{opcode}", "move")
+            entry = ITLBEntry.from_method(method)
+            if name == "probe_fill":
+                hit, cached = model.probe(key)
+                assert itlb.probe(key) == (cached if hit else MISS)
+                if not hit:
+                    itlb.fill(key, entry)
+                    model.fill(key, entry)
+            elif name == "translate":
+                hit, cached = model.probe(key)
+                if not hit:
+                    cached = entry
+                    model.fill(key, entry)
+                outcome = itlb.translate(
+                    opcode, tags, lambda: SimpleNamespace(method=method))
+                assert (outcome.hit, outcome.entry) == (hit, cached)
+            elif name == "reference":
+                hit, _ = model.probe(key)
+                if not hit:
+                    model.fill(key, True)
+                assert itlb.reference(opcode, tags) is hit
+            elif name == "invalidate_selector":
+                assert itlb.invalidate_selector(opcode) == \
+                    model.invalidate_where(lambda k: k[0] == opcode)
+            elif name == "invalidate_class":
+                assert itlb.invalidate_class(opcode) == \
+                    model.invalidate_where(lambda k: opcode in k[1])
+            elif name == "flush":
+                itlb.flush()
+                model.invalidate_where(lambda k: True)
+            else:
+                itlb.reset_stats()
+                model.reset_stats()
+            self._same_state(itlb.stats, itlb._cache, model)
+
+    @settings(max_examples=120, deadline=None)
+    @given(_POLICIES, _ASSOCIATIVITIES, st.sampled_from([1, 2, 4]),
+           _ICACHE_OPS)
+    def test_icache_matches_list_model(self, policy, associativity,
+                                       line_words, ops):
+        icache = InstructionCache(16, associativity, line_words, policy)
+        model = _ListCache(16 // line_words, associativity, policy,
+                           modulo=True)
+        for name, address in ops:
+            if name == "reference":
+                line = address // line_words
+                hit, _ = model.probe(line)
+                if not hit:
+                    model.fill(line, True)
+                assert icache.reference(address) is hit
+            elif name == "flush":
+                icache.flush()
+                model.invalidate_where(lambda k: True)
+            else:
+                icache.reset_stats()
+                model.reset_stats()
+            self._same_state(icache.stats, icache._cache, model)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.caches.itlb import ITLBEntry
 from repro.core.assembler import load_program
 from repro.core.machine import COMMachine
 from repro.errors import (
@@ -12,6 +13,7 @@ from repro.errors import (
 )
 from repro.memory.physical import default_hierarchy
 from repro.memory.tags import Tag, Word
+from repro.smalltalk import compile_program
 
 
 def run(source: str, machine: COMMachine = None, budget: int = 100_000):
@@ -455,6 +457,65 @@ class TestMachineLifecycle:
         machine.start(main)
         with pytest.raises(SimulationLimitExceeded):
             machine.run(max_instructions=100)
+        # The budget exit leaves every executed instruction charged.
+        assert machine.cycles.instructions == 100
+
+    def test_step_executes_exactly_one_instruction(self):
+        source = """
+        SmallInteger >> twice
+            ^self + self
+        main
+            ^(3 twice) + 1
+        """
+        steps = {}
+        for predecode in (True, False):
+            machine = COMMachine(predecode=predecode)
+            main = compile_program(machine, source)
+            assert bool(machine.decoded) is predecode
+            trace = machine.enable_trace()
+            machine.start(main)
+            observed = []
+            while not machine.halted:
+                before = machine.cycles.instructions
+                machine.step()
+                assert machine.cycles.instructions == before + 1
+                observed.append((machine.cycles.snapshot(), len(trace),
+                                 trace[-1] if len(trace) else None))
+            assert machine.result().value == 7
+            with pytest.raises(MachineHalted):
+                machine.step()
+            steps[predecode] = observed
+        assert steps[True] == steps[False]
+
+    @pytest.mark.parametrize("fill", ["translate", "fill"])
+    def test_itlb_entry_filled_without_its_unit(self, fill):
+        # ITLB.translate and ITLBEntry.from_method's default leave a
+        # primitive entry's unit function unresolved; a hit on such an
+        # entry still runs the unit.
+        source = """
+        SmallInteger >> twice
+            ^self + self
+        main
+            ^(3 twice) + 1
+        """
+        machine = COMMachine()
+        main = compile_program(machine, source)
+        opcode = machine.opcodes.number_of("+")
+        tags = (Word.small_integer(0).class_tag,) * 2
+        lookup = machine.registry.lookup_by_tag("+", tags[0])
+        if fill == "translate":
+            machine.itlb.translate(opcode, tags, lambda: lookup)
+        else:
+            machine.itlb.fill((opcode, tags),
+                              ITLBEntry.from_method(lookup.method))
+        misses = machine.itlb.stats.misses
+        assert machine.run_program(main).value == 7
+        # Both additions hit the pre-filled entry: one miss fewer than
+        # on a cold ITLB.
+        cold = COMMachine()
+        assert cold.run_program(compile_program(cold, source)).value == 7
+        assert machine.itlb.stats.misses - misses == \
+            cold.itlb.stats.misses - 1
 
     def test_arguments_passed_to_main(self):
         machine = COMMachine()

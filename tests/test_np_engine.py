@@ -14,8 +14,11 @@ tests run everywhere).
 """
 
 import importlib
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -287,3 +290,68 @@ class TestNumpyAbsent:
         except ImportError:
             importable = False
         assert np_engine.numpy_available() == importable
+
+
+class TestLazyImport:
+    """numpy is imported on first engine use, never by importing the
+    package.  Each check runs in a fresh interpreter so ``sys.modules``
+    starts clean."""
+
+    @staticmethod
+    def _python(code):
+        src = Path(np_engine.__file__).resolve().parents[2]
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(src)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stdout + done.stderr
+        return done.stdout
+
+    def test_imports_leave_numpy_unloaded(self):
+        out = self._python(
+            "import sys\n"
+            "import repro.cli, repro.sweep\n"
+            "from repro.experiments import registry\n"
+            "registry.load_all()\n"
+            "print('numpy' in sys.modules)\n")
+        assert out.split() == ["False"]
+
+    @requires_numpy
+    def test_first_engine_check_imports_numpy(self):
+        out = self._python(
+            "import sys\n"
+            "from repro.sweep import numpy_available\n"
+            "before = 'numpy' in sys.modules\n"
+            "print(before, numpy_available(), 'numpy' in sys.modules)\n")
+        assert out.split() == ["False", "True", "True"]
+
+    def test_cache_served_run_never_loads_numpy(self, tmp_path):
+        argv = ["run", "--quick", "--trace-dir", str(tmp_path / "traces"),
+                "--run-dir", str(tmp_path / "runs")]
+        code = ("import sys\n"
+                "from repro.cli import main\n"
+                f"code = main({argv!r})\n"
+                "print('numpy loaded:', 'numpy' in sys.modules)\n"
+                "sys.exit(code)\n")
+        self._python(code)          # cold: fills the sweep-result cache
+        warm = self._python(code)   # warm: both figure sweeps are hits
+        assert "numpy loaded: False" in warm
+        summary = warm.rsplit("robustness:", 1)[1].splitlines()[0]
+        assert "numpy" in summary
+
+    def test_summary_names_numpy_absent_once_checked(self, tmp_path):
+        # With numpy blocked, a cold run's sweeps check for it, so the
+        # summary says it is absent rather than merely not loaded.
+        argv = ["run", "--quick", "--trace-dir", str(tmp_path / "traces"),
+                "--run-dir", str(tmp_path / "runs")]
+        out = self._python(
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from repro.sweep import np_engine\n"
+            "print('missing before:', np_engine.numpy_missing())\n"
+            "from repro.cli import main\n"
+            f"sys.exit(main({argv!r}))\n")
+        assert "missing before: False" in out
+        summary = out.rsplit("robustness:", 1)[1].splitlines()[0]
+        assert summary.endswith(", numpy absent")

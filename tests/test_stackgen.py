@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.machine import COMMachine
-from repro.errors import CompileError, FithError
+from repro.errors import CompileError, DoesNotUnderstandTrap, FithError
 from repro.smalltalk import compile_program
 from repro.smalltalk.stackgen import (
     SOp,
@@ -89,13 +89,34 @@ class TestStackExecution:
             run_stack_program("main\n    ^1 / 0")
 
     def test_instruction_budget(self):
-        with pytest.raises(FithError):
-            run_stack_program("""
-            main | i |
-                i := 0.
-                [true] whileTrue: [i := i + 1].
-                ^i
-            """, max_instructions=100)
+        compiler = StackCompiler()
+        compiler.compile_program("""
+        main | i |
+            i := 0.
+            [true] whileTrue: [i := i + 1].
+            ^i
+        """)
+        vm = StackVM(compiler)
+        with pytest.raises(FithError, match="budget"):
+            vm.run_main(max_instructions=100)
+        # The budget exit leaves the counters complete: two set-up
+        # instructions, then nine per loop pass with the send fifth, so
+        # the first 100 instructions hold 11 sends.
+        assert vm.instructions == 100
+        assert vm.sends == 11
+
+    def test_modulo(self):
+        result, _ = run_stack_program("main\n    ^17 \\\\ 5")
+        assert result.value == 2
+
+    def test_modulo_by_zero_is_typed(self):
+        with pytest.raises(FithError, match="modulo by zero"):
+            run_stack_program("main\n    ^7 \\\\ 0")
+
+    def test_modulo_of_non_integer_takes_method_lookup(self):
+        # As on the COM, an atom has no \\ method: doesNotUnderstand.
+        with pytest.raises(DoesNotUnderstandTrap):
+            run_stack_program("main\n    ^#foo \\\\ 2")
 
 
 class TestBackendAgreement:
