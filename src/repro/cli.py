@@ -33,12 +33,6 @@ Subcommands::
                  statistics, integrity audit (same as
                  `repro trace --verify`), index-litter sweep, and
                  flat-to-sharded layout migration
-    repro serve  [--host H] [--port P] [--queue-limit N]
-                 [--max-requests N] [--telemetry] [--run-dir DIR]
-                 serve batched sweep queries (JSON lines or HTTP)
-                 through the coalescing query planner: cache hits
-                 answered inline, replays behind a bounded
-                 admission gate
     repro bench  [pytest args ...]
                  run the benchmark suite (pytest-benchmark)
 
@@ -415,11 +409,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import serve_main
-    return serve_main(args)
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     import json
 
@@ -643,36 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
              "migrate: move legacy flat payloads into shards/")
     store_parser.add_argument("--trace-dir", type=str, default=None)
     store_parser.set_defaults(func=_cmd_store)
-
-    serve_parser = commands.add_parser(
-        "serve",
-        help="serve batched sweep queries (JSON lines / HTTP) through "
-             "the coalescing query planner")
-    serve_parser.add_argument("--host", type=str, default="127.0.0.1",
-                              help="bind address (default 127.0.0.1)")
-    serve_parser.add_argument("--port", type=int, default=0,
-                              help="listen port (default 0 = pick an "
-                                   "ephemeral port and print it)")
-    serve_parser.add_argument("--queue-limit", type=int, default=4,
-                              help="concurrent replaying requests "
-                                   "admitted before overload "
-                                   "rejection (default 4); cache "
-                                   "hits are always served inline")
-    serve_parser.add_argument("--max-requests", type=int, default=None,
-                              metavar="N",
-                              help="exit cleanly after N requests "
-                                   "(smoke tests / CI); default: "
-                                   "serve until interrupted")
-    serve_parser.add_argument("--telemetry", action="store_true",
-                              help="record spans/metrics under "
-                                   "<run-dir>/serve/ for "
-                                   "`repro report --run serve`")
-    serve_parser.add_argument("--run-dir", type=str, default=None,
-                              help="run-journal root for --telemetry "
-                                   "(default .repro_runs or "
-                                   "$REPRO_RUN_DIR)")
-    serve_parser.add_argument("--trace-dir", type=str, default=None)
-    serve_parser.set_defaults(func=_cmd_serve)
 
     # bench is dispatched before argparse (see main): REMAINDER cannot
     # forward leading pytest flags like `-k`.  Registered here only so

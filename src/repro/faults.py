@@ -19,10 +19,6 @@ Sites
                           key); a corrupt entry must be a clean miss
 ``worker.start``          a pool worker process initialized
 ``worker.task``           a pool task is about to run (key: experiment id)
-``serve.request``         a serve front-end request arrived (key: request
-                          sequence number); payload kinds mangle the raw
-                          request bytes, so corruption exercises the
-                          bad-request path, never a crash
 ========================  ==================================================
 
 Kinds
@@ -72,8 +68,7 @@ from repro.errors import (FaultInjected, InjectedIOError,
 
 #: The named injection sites the pipeline is instrumented with.
 SITES = ("store.read", "store.write", "store.manifest",
-         "store.result_cache", "worker.start", "worker.task",
-         "serve.request")
+         "store.result_cache", "worker.start", "worker.task")
 
 #: Supported fault kinds (see module docstring).
 KINDS = ("io-error", "corrupt", "truncate", "crash", "slow", "error")

@@ -265,34 +265,6 @@ def build_report(data: dict, top: int = 10) -> dict:
         "sweep_replays_by_labels": counter_by_labels(metrics,
                                                      "sweep.replay"),
     }
-    cache_hit_tiers = {"memory": 0.0, "disk": 0.0, "superset": 0.0}
-    for key, value in counters.items():
-        base, labels = split_metric_key(key)
-        if base == "planner.cache_hit":
-            tier = labels.get("tier", "memory")
-            cache_hit_tiers[tier] = cache_hit_tiers.get(tier, 0) + value
-    qpr = {key: hist
-           for key, hist in (metrics.get("histograms") or {}).items()
-           if split_metric_key(key)[0] == "planner.queries_per_replay"}
-    qpr_count = sum(hist.get("count", 0) for hist in qpr.values())
-    qpr_sum = sum(hist.get("sum", 0.0) for hist in qpr.values())
-    serving = {
-        "requests": counter_total(metrics, "serve.requests"),
-        "queries": counter_total(metrics, "serve.queries"),
-        "rejected": counter_total(metrics, "serve.rejected"),
-        "request_errors": counter_total(metrics, "serve.errors"),
-        "planner_queries": counter_total(metrics, "planner.queries"),
-        "replays": counter_total(metrics, "planner.replays"),
-        "coalesced": counter_total(metrics, "planner.coalesced"),
-        "fallbacks": counter_total(metrics, "planner.fallback"),
-        "singleflight_shared": counter_total(
-            metrics, "planner.singleflight_shared"),
-        "cache_hits_memory": cache_hit_tiers["memory"],
-        "cache_hits_disk": cache_hit_tiers["disk"],
-        "cache_hits_superset": cache_hit_tiers["superset"],
-        "queries_per_replay": (round(qpr_sum / qpr_count, 4)
-                               if qpr_count else None),
-    }
     robustness = {
         "retries": counter_total(metrics, "harness.retries"),
         "timeouts": counter_total(metrics, "harness.timeouts"),
@@ -320,7 +292,6 @@ def build_report(data: dict, top: int = 10) -> dict:
         "slowest_tasks": slowest,
         "store": store,
         "result_cache": result_cache,
-        "serving": serving,
         "robustness": robustness,
         "counters": counters,
         "gauges": metrics.get("gauges") or {},
@@ -403,28 +374,6 @@ def render(report: dict) -> str:
         lines.append(f"  engine replays {cache['sweep_replays']:.0f}, "
                      f"experiments served inline from cache "
                      f"{cache['cache_served_experiments']:.0f}")
-    serving = report.get("serving") or {}
-    if serving.get("requests") or serving.get("planner_queries"):
-        lines.append("")
-        lines.append("query planner / serving:")
-        lines.append(f"  {serving['requests']:.0f} request(s), "
-                     f"{serving['queries']:.0f} wire quer(ies), "
-                     f"{serving['rejected']:.0f} rejected overloaded, "
-                     f"{serving['request_errors']:.0f} bad")
-        qpr = serving.get("queries_per_replay")
-        lines.append(f"  planner: {serving['planner_queries']:.0f} "
-                     f"quer(ies) -> {serving['replays']:.0f} "
-                     f"replay(s) ({serving['coalesced']:.0f} "
-                     f"coalesced, {serving['fallbacks']:.0f} "
-                     f"fallback(s)"
-                     + (f", {qpr:.1f} queries/replay" if qpr else "")
-                     + ")")
-        lines.append(f"  cache hits: "
-                     f"memory {serving['cache_hits_memory']:.0f}, "
-                     f"disk {serving['cache_hits_disk']:.0f}, "
-                     f"superset {serving['cache_hits_superset']:.0f}; "
-                     f"single-flight shared "
-                     f"{serving['singleflight_shared']:.0f}")
     robustness = report["robustness"]
     lines.append("")
     lines.append("robustness ledger:")
