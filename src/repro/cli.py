@@ -399,8 +399,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                                  if level.semantics == "paper"
                                  else (counterpart, surface))
                 print(semantics_delta_table(paper_s, v2_s))
-    cache_hits = batch.memory_hits + batch.disk_hits \
-        + batch.superset_hits
+    cache_hits = batch.disk_hits + batch.superset_hits
     print()
     print(f"[planner: {batch.queries} "
           f"quer{'y' if batch.queries == 1 else 'ies'} -> "

@@ -40,9 +40,6 @@ from repro.sweep.planner import (
     BatchReport,
     BatchResult,
     Query,
-    SurfaceCache,
-    default_surface_cache,
-    query_from_request,
     run_batch,
 )
 from repro.sweep.runner import (
@@ -76,13 +73,10 @@ __all__ = [
     "Query",
     "ResultSurface",
     "SEMANTICS",
-    "SurfaceCache",
     "SweepSpec",
-    "default_surface_cache",
     "next_use_times",
     "numpy_available",
     "paper_hierarchy",
-    "query_from_request",
     "result_cache_key",
     "run_batch",
     "run_hierarchy",
