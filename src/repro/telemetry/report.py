@@ -246,8 +246,6 @@ def build_report(data: dict, top: int = 10) -> dict:
         "memo_hit_rate": (round((hits + memo) / (lookups + memo), 4)
                           if lookups + memo else None),
         "mmap_opens": counter_total(metrics, "store.mmap_open"),
-        "manifest_rebuilds": counter_total(metrics,
-                                           "store.manifest_rebuilt"),
     }
     cache_hits = counter_total(metrics, "result_cache.hit")
     cache_misses = counter_total(metrics, "result_cache.miss")
@@ -359,8 +357,7 @@ def render(report: dict) -> str:
                  f"memo hits {store['memo_hits']:.0f}, "
                  f"generated {store['generated']:.0f}, "
                  f"quarantined {store['quarantined']:.0f}")
-    lines.append(f"  mmap opens {store['mmap_opens']:.0f}, "
-                 f"manifest rebuilds {store['manifest_rebuilds']:.0f}")
+    lines.append(f"  mmap opens {store['mmap_opens']:.0f}")
     cache = report.get("result_cache") or {}
     if cache:
         cache_rate = ("n/a" if cache["hit_rate"] is None

@@ -10,11 +10,10 @@ argument) in the columnar binary format of
 :mod:`repro.trace.columnar`.
 
 Layout (see :mod:`repro.workloads.library`): payloads live sharded
-under ``shards/<key[:2]>/``, with per-shard catalogs and a top-level
-``manifest.json`` -- both regenerable indexes, never authoritative.
-Legacy *flat* payloads at the store root keep working unmigrated
-(reads check the shard first, then the root); ``repro store migrate``
-adopts them.  Sweep results are memoized under ``results/`` by the
+under ``shards/<key[:2]>/``; the payload files are the only index.  A
+payload in an older layout (a flat file at the store root) is a cache
+miss: the trace regenerates into its shard and the old file is left
+alone.  Sweep results are memoized under ``results/`` by the
 :class:`~repro.workloads.library.ResultCache`.
 
 Load path: on a little-endian host with no fault plan armed, a hit is
@@ -135,22 +134,11 @@ class TraceStore:
 
     def path_for(self, spec: WorkloadSpec,
                  params: Mapping[str, object]) -> Path:
-        """The canonical (sharded) location of one trace payload."""
-        key = self.key_for(spec, params)
-        return self.library.shard_path(f"{spec.name}-{key}.trace", key)
+        """The (sharded) location of one trace payload."""
+        return self._payload_path(spec.name, self.key_for(spec, params))
 
-    def _locate(self, name: str, key: str) -> Path:
-        """Where to read a payload: the shard when present, a legacy
-        flat file when one exists unmigrated, the shard otherwise
-        (the canonical home a fresh write will create)."""
-        filename = f"{name}-{key}.trace"
-        sharded = self.library.shard_path(filename, key)
-        if sharded.exists():
-            return sharded
-        flat = self.root / filename
-        if flat.exists():
-            return flat
-        return sharded
+    def _payload_path(self, name: str, key: str) -> Path:
+        return self.library.shard_path(f"{name}-{key}.trace", key)
 
     # -- load / materialize ---------------------------------------------
 
@@ -187,10 +175,9 @@ class TraceStore:
                 else get_spec(name_or_spec))
         params = spec.resolve(quick=quick, scale=scale,
                               overrides=overrides)
-        key = self.key_for(spec, params)
         before = self.generated
         self._load_resolved(spec, params)
-        return self._locate(spec.name, key), self.generated == before
+        return self.path_for(spec, params), self.generated == before
 
     def _load_resolved(self, spec: WorkloadSpec,
                        params: Mapping[str, object]) -> Trace:
@@ -199,7 +186,7 @@ class TraceStore:
         if memo is not None:
             telemetry.inc("store.memo_hit")
             return memo
-        path = self._locate(spec.name, key)
+        path = self._payload_path(spec.name, key)
         with telemetry.span("store.load", workload=spec.name) as sp:
             events = self._read(path)
             if events is not None:
@@ -216,10 +203,7 @@ class TraceStore:
                 telemetry.inc("store.miss")
                 telemetry.inc("store.generated")
                 events = as_trace(spec.generate(params))
-                # Writes always land in the shard: the store adopts
-                # the new layout one (re)generated payload at a time.
-                path = self.path_for(spec, params)
-                self._write(path, spec, params, events, key)
+                self._write(path, spec, params, events)
                 sp.set(outcome="generated", events=len(events))
         events.store_key = key
         events.store_root = str(self.root)
@@ -356,8 +340,6 @@ class TraceStore:
                 indent=2, sort_keys=True) + "\n")
         except OSError:
             pass
-        from repro.workloads.library import key_of_payload
-        self.library.forget_entry(key_of_payload(path))
         return destination
 
     def _sidecar_mismatch(self, path: Path) -> Optional[str]:
@@ -432,8 +414,7 @@ class TraceStore:
         return report
 
     def _write(self, path: Path, spec: WorkloadSpec,
-               params: Mapping[str, object], events: Trace,
-               key: str) -> None:
+               params: Mapping[str, object], events: Trace) -> None:
         try:
             with telemetry.span("store.write", file=path.name) as sp:
                 path.parent.mkdir(parents=True, exist_ok=True)
@@ -455,7 +436,6 @@ class TraceStore:
                     raise
             self._write_sidecar(path, self._sidecar_meta(
                 spec.name, spec.version, params, events))
-            self.library.record_entry(path, key)
         except OSError:
             # The store is a cache: failing to persist must never fail
             # the run that produced the trace.
@@ -530,8 +510,7 @@ class TraceStore:
     def entries(self) -> List[dict]:
         """Sidecar metadata for every materialized trace.
 
-        Enumerates the binary payloads (sharded and legacy flat), not
-        the sidecars: a trace whose sidecar is missing or corrupt is
+        Enumerates the binary payloads, not the sidecars: a trace whose sidecar is missing or corrupt is
         still listed, with its metadata reconstructed from the
         payload (workload name from the file name, event counts from
         the columns; the generator version and parameters are

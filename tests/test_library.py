@@ -2,10 +2,10 @@
 
 Pins the tentpole and its satellites end to end:
 
-* sharded layout -- writes land under ``shards/<key[:2]>/``, legacy
-  flat payloads stay readable unmigrated, ``migrate`` adopts them
-  byte-identically, and a torn/corrupt/version-skewed manifest is
-  never fatal (rebuilt from the payloads, which are the truth);
+* sharded layout -- writes land under ``shards/<key[:2]>/``, a
+  payload in the older flat layout is a miss (regenerated into its
+  shard, the flat file left alone), and ``gc`` sweeps litter,
+  including the index files older stores kept, never a payload;
 * sidecar audit -- ``store.verify()`` REPORTS params/key mismatches
   (stale metadata) without quarantining the healthy payload;
 * mmap zero-copy loading -- loads are views over the mapped payload,
@@ -17,8 +17,8 @@ Pins the tentpole and its satellites end to end:
   treats corruption as a clean miss, evicts LRU by byte budget, can
   be disabled by environment, and lets a repeated harness run replay
   zero references;
-* the new fault-injection sites (``store.manifest``,
-  ``store.result_cache``) degrade cleanly under chaos.
+* the ``store.result_cache`` fault-injection site degrades cleanly
+  under chaos.
 """
 
 import io
@@ -35,12 +35,7 @@ from repro.sweep import SweepSpec, result_cache_key, run_sweep
 from repro.sweep.runner import _RESULT_CACHES
 from repro.trace.columnar import MappedTrace, Trace, TraceBuilder
 from repro.trace.events import TraceEvent
-from repro.workloads.library import (
-    MANIFEST_NAME,
-    SHARDS_DIR,
-    ResultCache,
-    TraceLibrary,
-)
+from repro.workloads.library import SHARDS_DIR, ResultCache
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.store import QUARANTINE_DIR, TraceStore
 
@@ -73,10 +68,10 @@ def _spec(counter, name="synthetic"):
                         build=build, defaults={"length": 64})
 
 
-# -- sharded layout / manifest --------------------------------------------
+# -- sharded layout -------------------------------------------------------
 
 class TestShardedLayout:
-    def test_write_lands_in_shard_with_manifest(self, tmp_path):
+    def test_write_lands_in_shard_with_sidecar(self, tmp_path):
         counter = {"runs": 0}
         store = TraceStore(tmp_path)
         spec = _spec(counter)
@@ -86,74 +81,29 @@ class TestShardedLayout:
             f"synthetic-{key}.trace"
         assert payload.is_file()
         assert payload.with_suffix(".json").is_file()
-        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
-        assert key in manifest["entries"]
-        entry = manifest["entries"][key]
-        assert entry["bytes"] == payload.stat().st_size
-        assert entry["shard"] == key[:2]
-        catalog = store.library.read_catalog(key[:2])
-        assert key in catalog["entries"]
 
-    def test_flat_legacy_payload_reads_without_migration(self, tmp_path):
+    def test_flat_legacy_payload_is_a_miss(self, tmp_path):
         counter = {"runs": 0}
         spec = _spec(counter)
         sharded = TraceStore(tmp_path)
         events = sharded.load(spec)
         key = sharded.trace_key(spec)
-        # Demote the payload to the PR-5 flat layout by hand.
+        # Demote the payload to the older flat layout by hand.
         src = sharded.path_for(spec, spec.resolve())
         flat = tmp_path / src.name
         os.replace(src, flat)
         os.replace(src.with_suffix(".json"), flat.with_suffix(".json"))
+        flat_bytes = flat.read_bytes()
+        flat_sidecar = flat.with_suffix(".json").read_bytes()
 
         store = TraceStore(tmp_path)
         loaded = store.load(spec)
-        assert counter["runs"] == 1  # read, not regenerated
+        assert counter["runs"] == 2  # regenerated, not read
         assert loaded == events
         assert loaded.store_key == key
-
-    def test_migrate_adopts_flat_files_byte_identically(self, tmp_path):
-        counter = {"runs": 0}
-        spec = _spec(counter)
-        store = TraceStore(tmp_path)
-        store.load(spec)
-        src = store.path_for(spec, spec.resolve())
-        flat = tmp_path / src.name
-        os.replace(src, flat)
-        blob = flat.read_bytes()
-
-        library = TraceLibrary(tmp_path)
-        report = library.migrate()
-        assert report["migrated"] == [flat.name]
-        assert not report["failed"]
-        assert not flat.exists()
-        assert src.read_bytes() == blob
-        # A second migrate is a no-op that counts the sharded entry.
-        again = library.migrate()
-        assert again["migrated"] == []
-        assert again["already_sharded"] == 1
-
-    @pytest.mark.parametrize("damage", [
-        lambda p: p.write_text("{torn"),
-        lambda p: p.write_text(json.dumps({"manifest_version": 99,
-                                           "entries": {}})),
-        lambda p: p.write_text(json.dumps({"no": "entries"})),
-        lambda p: p.unlink(),
-    ], ids=["torn", "version-skew", "shape", "missing"])
-    def test_bad_manifest_is_rebuilt_not_fatal(self, tmp_path, damage):
-        counter = {"runs": 0}
-        spec = _spec(counter)
-        store = TraceStore(tmp_path)
-        events = store.load(spec)
-        key = store.trace_key(spec)
-        damage(tmp_path / MANIFEST_NAME)
-        library = TraceLibrary(tmp_path)
-        assert library.read_manifest() is None
-        document = library.manifest()  # heals from the payloads
-        assert key in document["entries"]
-        # And loading still works off the payload regardless.
-        assert TraceStore(tmp_path).load(spec) == events
-        assert counter["runs"] == 1
+        assert src.is_file()         # back in its shard
+        assert flat.read_bytes() == flat_bytes
+        assert flat.with_suffix(".json").read_bytes() == flat_sidecar
 
     def test_gc_sweeps_litter_only(self, tmp_path):
         counter = {"runs": 0}
@@ -173,15 +123,45 @@ class TestShardedLayout:
         assert payload.exists()
         assert payload.with_suffix(".json").exists()
 
+    def test_gc_removes_an_older_stores_indexes(self, tmp_path, capsys):
+        counter = {"runs": 0}
+        store = TraceStore(tmp_path)
+        for length in (64, 80):
+            store.load(_spec(counter), length=length)
+        files = sorted(path for path in tmp_path.rglob("*")
+                       if path.is_file())
+        before = {path: path.read_bytes() for path in files}
+        # The manifest and per-shard catalog an older store wrote.
+        entries = {path.stem.rsplit("-", 1)[1]: {
+            "file": path.name, "shard": path.parent.name,
+            "bytes": path.stat().st_size}
+            for path in store.library.payload_paths()}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"manifest_version": 1, "payload_format": 3,
+             "entries": entries}, indent=2, sort_keys=True) + "\n")
+        shard = next(store.library.payload_paths()).parent
+        catalog = shard / "catalog.json"
+        catalog.write_text(json.dumps(
+            {"catalog_version": 1, "entries": {
+                key: entry for key, entry in entries.items()
+                if entry["shard"] == shard.name}},
+            indent=2, sort_keys=True) + "\n")
+
+        assert cli_main(["store", "gc",
+                         "--trace-dir", str(tmp_path)]) == 0
+        assert "orphan sidecars removed: 2" in capsys.readouterr().out
+        assert not manifest.exists()
+        assert not catalog.exists()
+        assert {path: path.read_bytes() for path in files} == before
+
     def test_stats_counts_layout(self, tmp_path):
         counter = {"runs": 0}
         store = TraceStore(tmp_path)
         store.load(_spec(counter))
         stats = store.stats()
-        assert stats["payloads"] == stats["sharded"] == 1
-        assert stats["flat"] == 0
+        assert stats["payloads"] == stats["shards"] == 1
         assert stats["payload_bytes"] > 0
-        assert stats["manifest"] is True
         assert stats["result_cache"]["entries"] == 0
 
 
@@ -525,25 +505,9 @@ class TestResultCache:
         assert os.stat(cache.path_for(key)).st_mtime > past + 500
 
 
-# -- the new fault sites --------------------------------------------------
+# -- fault sites ----------------------------------------------------------
 
 class TestNewFaultSites:
-    def test_manifest_corruption_heals_by_rebuild(self, tmp_path):
-        counter = {"runs": 0}
-        spec = _spec(counter)
-        store = TraceStore(tmp_path)
-        events = store.load(spec)
-        plan = FaultPlan.parse("store.manifest:corrupt:times=1", seed=7)
-        faults.install(plan)
-        try:
-            library = TraceLibrary(tmp_path)
-            assert library.read_manifest() is None  # injected tear
-            document = library.manifest()           # heals
-        finally:
-            faults.install(None)
-        assert document["entries"]
-        assert TraceStore(tmp_path).load(spec) == events
-
     def test_result_cache_corruption_is_a_miss_under_chaos(
             self, tmp_path):
         store, events, _ = _store_trace(tmp_path)
@@ -575,7 +539,7 @@ class TestNewFaultSites:
 # -- CLI ------------------------------------------------------------------
 
 class TestStoreCli:
-    def test_stats_and_gc_and_migrate(self, tmp_path, capsys):
+    def test_stats_and_gc(self, tmp_path, capsys):
         counter = {"runs": 0}
         store = TraceStore(tmp_path)
         store.load(_spec(counter))
@@ -584,14 +548,6 @@ class TestStoreCli:
         out = capsys.readouterr().out
         assert "payloads:     1" in out
         assert "result cache:" in out
-
-        payload = next(store.library.payload_paths())
-        flat = tmp_path / payload.name
-        os.replace(payload, flat)
-        assert cli_main(["store", "migrate",
-                         "--trace-dir", str(tmp_path)]) == 0
-        assert "migrated:        1" in capsys.readouterr().out
-        assert not flat.exists()
 
         (tmp_path / "junk.tmp").write_text("x")
         assert cli_main(["store", "gc",
