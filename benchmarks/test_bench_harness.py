@@ -1,7 +1,7 @@
 """Harness wall-clock: registry engine, serial vs parallel.
 
 Runs the full quick suite twice -- ``--jobs 1`` (in-process) and
-``--jobs 2`` (ProcessPoolExecutor with sweep shards) -- against a
+``--jobs 2`` (ProcessPoolExecutor, one task per experiment) -- against a
 warm trace store, and records both wall-clocks in
 ``BENCH_throughput.json`` so the parallel engine's behaviour is
 tracked across PRs alongside ops/sec.
@@ -10,8 +10,7 @@ The speedup assertion is deliberately one-sided: on a single-core
 runner process parallelism cannot win (the expected ratio is ~1.0
 minus pool overhead), so we only require that parallel execution
 produces the identical claim verdicts and stays within 2x of serial.
-Multi-core hosts should see jobs=2 land well under serial (FIG-10/11
-split into one task per associativity).
+Multi-core hosts should see jobs=2 land well under serial.
 """
 
 import io

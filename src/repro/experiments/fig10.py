@@ -142,9 +142,6 @@ def _sweeps(ctx):
     return [("paper", figure_spec())]
 
 
-# The per-associativity shards this spec used to declare are gone: the
-# single-pass engine computes the whole grid in one replay, so under
-# --jobs the figure is one (fast) pool task instead of three slow ones.
 register(ExperimentSpec(
     id="FIG-10",
     figure="figure 10",

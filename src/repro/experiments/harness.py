@@ -17,11 +17,10 @@ module calls.  Workload traces are pre-materialized once into the
 on-disk trace store (:mod:`repro.workloads.store`) -- a second run
 loads them without re-executing the Fith interpreter.
 
-``--jobs N`` executes the suite in a ``ProcessPoolExecutor``.  Specs
-may declare ``shards`` to split one experiment into several pool
-tasks.  Workers share nothing but the immutable trace files: every
-machine is rebuilt per process, so per-experiment state stays
-isolated.
+``--jobs N`` executes the suite in a ``ProcessPoolExecutor``, one
+task per experiment.  Workers share nothing but the immutable trace
+files: every machine is rebuilt per process, so per-experiment state
+stays isolated.
 
 Failure model (see DESIGN.md, "Failure model"):
 
@@ -124,7 +123,7 @@ def _split_cache_served(specs: Sequence[ExperimentSpec],
     pooled: List[ExperimentSpec] = []
     for spec in specs:
         declared = None
-        if spec.sweeps is not None and not spec.shards:
+        if spec.sweeps is not None:
             try:
                 declared = list(spec.sweeps(ctx))
             except Exception:
@@ -165,13 +164,9 @@ def _failure_result(spec: ExperimentSpec, error: BaseException
     return result
 
 
-def _task_key(exp_id: str, shard) -> str:
-    return exp_id if shard == _WHOLE else f"{exp_id}/{shard}"
-
-
-def _serial_task(exp_id: str, shard, ctx: RunContext, budget: int,
+def _serial_task(exp_id: str, ctx: RunContext, budget: int,
                  backoff: float, stats: dict, note):
-    """Run one task in-process with a bounded retry loop.
+    """Run one experiment in-process with a bounded retry loop.
 
     Raises :class:`RetryExhausted` when every attempt failed;
     KeyboardInterrupt/SystemExit always propagate.
@@ -180,32 +175,27 @@ def _serial_task(exp_id: str, shard, ctx: RunContext, budget: int,
     attempt = 0
     while True:
         try:
-            with telemetry.span("harness.task",
-                                task=_task_key(exp_id, shard),
+            with telemetry.span("harness.task", task=exp_id,
                                 attempt=attempt + 1, mode="serial"):
                 telemetry.inc("harness.tasks")
-                faults.inject("worker.task",
-                              key=_task_key(exp_id, shard))
-                if shard == _WHOLE:
-                    return spec.runner(ctx)
-                return spec.shard_runner(ctx, shard)
+                faults.inject("worker.task", key=exp_id)
+                return spec.runner(ctx)
         except Exception as error:
             stats["task_failures"] += 1
             attempt += 1
             if attempt > budget:
                 raise RetryExhausted(
-                    f"{_task_key(exp_id, shard)} failed {attempt} "
+                    f"{exp_id} failed {attempt} "
                     f"time{'s' if attempt != 1 else ''}: "
                     f"{type(error).__name__}: {error}",
-                    task=_task_key(exp_id, shard), attempts=attempt,
+                    task=exp_id, attempts=attempt,
                     last_error=error) from error
             delay = backoff * (2 ** (attempt - 1))
             stats["retries"] += 1
-            telemetry.event("harness.retry",
-                            task=_task_key(exp_id, shard),
+            telemetry.event("harness.retry", task=exp_id,
                             attempt=attempt,
                             error=type(error).__name__)
-            note(f"! {_task_key(exp_id, shard)}: "
+            note(f"! {exp_id}: "
                  f"{type(error).__name__}: {error} -- retrying "
                  f"(attempt {attempt}/{budget}, backoff {delay:.2f}s)")
             if delay:
@@ -222,8 +212,8 @@ def _run_sequential(specs: Sequence[ExperimentSpec], ctx: RunContext,
     for spec in specs:
         start = time.time()
         try:
-            result = _serial_task(spec.id, _WHOLE, ctx, retries,
-                                  backoff, stats, note)
+            result = _serial_task(spec.id, ctx, retries, backoff,
+                                  stats, note)
         except Exception as error:
             result = _failure_result(spec, error)
         results.append(result)
@@ -248,7 +238,7 @@ def _pool_init(fault_plan: Optional[str]) -> None:
     faults.inject("worker.start")
 
 
-def _pool_run(exp_id: str, shard, ctx_args: dict):
+def _pool_run(exp_id: str, ctx_args: dict):
     """Top-level pool task (must be picklable by reference)."""
     registry.load_all()
     ctx = RunContext(**ctx_args)
@@ -256,29 +246,19 @@ def _pool_run(exp_id: str, shard, ctx_args: dict):
     faults.ensure(ctx.fault_plan)
     telemetry.ensure(ctx.telemetry_dir)
     try:
-        with telemetry.span("harness.task",
-                            task=_task_key(exp_id, shard),
-                            mode="pool"):
+        with telemetry.span("harness.task", task=exp_id, mode="pool"):
             telemetry.inc("harness.tasks")
-            faults.inject("worker.task", key=_task_key(exp_id, shard))
+            faults.inject("worker.task", key=exp_id)
             cached = _WORKER_STORES.get(ctx.trace_dir)
             if cached is None:
                 _WORKER_STORES[ctx.trace_dir] = ctx.store
             else:
                 ctx._store = cached
-            spec = registry.get(exp_id)
-            if shard == _WHOLE:
-                return spec.runner(ctx)
-            return spec.shard_runner(ctx, shard)
+            return registry.get(exp_id).runner(ctx)
     finally:
         # Flush the worker's metric shard after every task: a later
         # crash in this process loses at most one task's counts.
         telemetry.flush()
-
-
-#: Sentinel shard key meaning "run the whole experiment in one task".
-#: Compared by equality: it crosses process boundaries by pickle.
-_WHOLE = "__whole__"
 
 
 def _abandon_pool(pool: ProcessPoolExecutor) -> None:
@@ -309,34 +289,30 @@ def _run_parallel(specs: Sequence[ExperimentSpec], ctx: RunContext,
     pools, and degrade to serial rather than give up."""
     stats = stats if stats is not None else _new_stats()
     ctx_args = ctx.pool_args()
-    tasks: List[Tuple[str, object]] = []
-    for spec in specs:
-        for shard in (spec.shards or (_WHOLE,)):
-            tasks.append((spec.id, shard))
-    attempts: Dict[Tuple[str, object], int] = {t: 0 for t in tasks}
-    payloads: Dict[Tuple[str, object], object] = {}
-    failures: Dict[Tuple[str, object], BaseException] = {}
-    pending = list(tasks)
+    attempts: Dict[str, int] = {spec.id: 0 for spec in specs}
+    payloads: Dict[str, ExperimentResult] = {}
+    failures: Dict[str, BaseException] = {}
+    pending = [spec.id for spec in specs]
 
     def charge(task, error) -> None:
         """One failed attempt for *task*: requeue or give up."""
         attempts[task] += 1
         if attempts[task] > retries:
             failures[task] = RetryExhausted(
-                f"{_task_key(*task)} failed {attempts[task]} "
+                f"{task} failed {attempts[task]} "
                 f"time{'s' if attempts[task] != 1 else ''}: "
                 f"{type(error).__name__}: {error}",
-                task=_task_key(*task), attempts=attempts[task],
+                task=task, attempts=attempts[task],
                 last_error=error)
-            note(f"! {_task_key(*task)}: {type(error).__name__}: "
+            note(f"! {task}: {type(error).__name__}: "
                  f"{error} -- retry budget exhausted")
         else:
             delay = backoff * (2 ** (attempts[task] - 1))
             stats["retries"] += 1
-            telemetry.event("harness.retry", task=_task_key(*task),
+            telemetry.event("harness.retry", task=task,
                             attempt=attempts[task],
                             error=type(error).__name__)
-            note(f"! {_task_key(*task)}: {type(error).__name__}: "
+            note(f"! {task}: {type(error).__name__}: "
                  f"{error} -- will retry (attempt "
                  f"{attempts[task]}/{retries}, backoff {delay:.2f}s)")
             if delay:
@@ -356,8 +332,7 @@ def _run_parallel(specs: Sequence[ExperimentSpec], ctx: RunContext,
                 budget = max(0, retries - attempts[task])
                 try:
                     payloads[task] = _serial_task(
-                        task[0], task[1], ctx, budget, backoff,
-                        stats, note)
+                        task, ctx, budget, backoff, stats, note)
                 except Exception as error:
                     failures[task] = error
             pending = []
@@ -366,11 +341,10 @@ def _run_parallel(specs: Sequence[ExperimentSpec], ctx: RunContext,
         pool = ProcessPoolExecutor(max_workers=jobs,
                                    initializer=_pool_init,
                                    initargs=(ctx.fault_plan,))
-        requeue: List[Tuple[str, object]] = []
+        requeue: List[str] = []
         abandoned = False
         try:
-            futures = [(task, pool.submit(_pool_run, task[0], task[1],
-                                          ctx_args))
+            futures = [(task, pool.submit(_pool_run, task, ctx_args))
                        for task in pending]
         except BrokenProcessPool as error:
             stats["pool_breaks"] += 1
@@ -398,22 +372,20 @@ def _run_parallel(specs: Sequence[ExperimentSpec], ctx: RunContext,
             except PoolTimeout:
                 stats["timeouts"] += 1
                 stats["pool_breaks"] += 1
-                telemetry.event("harness.timeout",
-                                task=_task_key(*task),
+                telemetry.event("harness.timeout", task=task,
                                 timeout=task_timeout)
-                note(f"! {_task_key(*task)}: no result within "
+                note(f"! {task}: no result within "
                      f"--task-timeout={task_timeout}s; terminating "
                      f"the pool (worker presumed hung)")
                 charge(task, TaskTimeout(
                     f"no result within {task_timeout}s",
-                    task=_task_key(*task), timeout=task_timeout))
+                    task=task, timeout=task_timeout))
                 _abandon_pool(pool)
                 abandoned = True
             except BrokenProcessPool as error:
                 stats["pool_breaks"] += 1
-                telemetry.event("harness.pool_break",
-                                task=_task_key(*task))
-                note(f"! worker pool broke at {_task_key(*task)}; "
+                telemetry.event("harness.pool_break", task=task)
+                note(f"! worker pool broke at {task}; "
                      f"harvesting finished results and re-submitting "
                      f"the rest into a fresh pool")
                 requeue.append(task)  # pool-level: no retry penalty
@@ -437,16 +409,10 @@ def _run_parallel(specs: Sequence[ExperimentSpec], ctx: RunContext,
 
     results: List[ExperimentResult] = []
     for spec in specs:
-        spec_tasks = [(spec.id, shard)
-                      for shard in (spec.shards or (_WHOLE,))]
-        errors = [failures[t] for t in spec_tasks if t in failures]
-        if errors:
-            result = _failure_result(spec, errors[0])
-        elif spec.shards:
-            result = spec.merger(ctx, {shard: payloads[(spec.id, shard)]
-                                       for shard in spec.shards})
+        if spec.id in failures:
+            result = _failure_result(spec, failures[spec.id])
         else:
-            result = payloads[(spec.id, _WHOLE)]
+            result = payloads[spec.id]
         results.append(result)
         note(result.report())
         if on_result is not None:

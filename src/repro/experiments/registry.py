@@ -5,19 +5,9 @@ figure/table, description, the workloads it replays, and a runner --
 at import time; :func:`load_all` imports the whole suite in DESIGN.md
 order.  The harness (:mod:`repro.experiments.harness`) drives the
 registry: ``--only``/``--skip`` select specs, ``--jobs N`` runs them
-in a :class:`~concurrent.futures.ProcessPoolExecutor`.
-
-Two execution grains:
-
-* **monolithic** -- ``spec.runner(ctx)`` produces the finished
-  :class:`~repro.experiments.common.ExperimentResult`;
-* **sharded** (optional) -- a spec may name ``shards`` plus
-  ``shard_runner``/``merger``; the pool executes one task per shard
-  (each a picklable payload) and the parent merges.  The figure
-  sweeps used this (one shard per associativity) until the
-  single-pass stack-distance engine (:mod:`repro.sweep`) made each
-  whole grid a single cheap replay; the mechanism remains for future
-  experiments whose work genuinely splits.
+in a :class:`~concurrent.futures.ProcessPoolExecutor`, one task per
+experiment; ``spec.runner(ctx)`` produces the finished
+:class:`~repro.experiments.common.ExperimentResult`.
 
 A :class:`RunContext` carries the run-wide knobs (scale, quick, the
 trace-store root).  It deliberately holds no live machine: every
@@ -101,10 +91,7 @@ class ExperimentSpec:
     """One registered experiment.
 
     ``runner(ctx)`` must return a picklable
-    :class:`ExperimentResult`.  When ``shards`` is non-empty,
-    ``shard_runner(ctx, key)`` computes one shard's payload and
-    ``merger(ctx, {key: payload})`` assembles the result; both must
-    be module-level functions (the pool pickles them by reference).
+    :class:`ExperimentResult`.
     """
 
     id: str
@@ -117,9 +104,6 @@ class ExperimentSpec:
     #: experiment modules in arbitrary orders.
     order: int = 1000
     workloads: Tuple[str, ...] = ()
-    shards: Tuple[object, ...] = ()
-    shard_runner: Optional[Callable] = None
-    merger: Optional[Callable] = None
     #: Optional declaration of the sweeps the runner will replay:
     #: ``sweeps(ctx)`` yields ``(workload_name, SweepSpec)`` pairs.
     #: The harness probes the on-disk sweep-result cache with these
@@ -128,11 +112,6 @@ class ExperimentSpec:
     #: cache hit costs milliseconds; a worker process does not).
     #: Must be a module-level function (pickled by reference).
     sweeps: Optional[Callable] = None
-
-    def __post_init__(self) -> None:
-        if self.shards and not (self.shard_runner and self.merger):
-            raise ValueError(
-                f"{self.id}: shards declared without runner/merger")
 
 
 _REGISTRY: Dict[str, ExperimentSpec] = {}

@@ -7,7 +7,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.experiments import registry
 from repro.experiments.harness import list_experiments, run_all
-from repro.experiments.registry import ExperimentSpec, RunContext
+from repro.experiments.registry import RunContext
 
 #: The seed harness's stage list, in order.  Registry-driven runs must
 #: keep reproducing exactly this suite.
@@ -25,17 +25,6 @@ class TestRegistry:
     def test_figure_experiments_declare_their_workload(self):
         assert registry.get("FIG-10").workloads == ("paper",)
         assert registry.get("FIG-11").workloads == ("paper",)
-
-    def test_sharded_specs_are_complete(self):
-        for spec in registry.load_all():
-            if spec.shards:
-                assert spec.shard_runner and spec.merger
-
-    def test_shards_without_merger_rejected(self):
-        with pytest.raises(ValueError, match="shards"):
-            ExperimentSpec(id="X", figure="f", title="t",
-                           description="d", runner=lambda ctx: None,
-                           shards=(1, 2))
 
     def test_select_only_and_skip(self):
         only = registry.select(only=["tab-addr", "FIG-10"])

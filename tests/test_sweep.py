@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main as cli_main
 from repro.experiments import fig10, fig11
-from repro.experiments.registry import get as get_experiment
 from repro.sweep import (
     HierarchySpec,
     PAPER_SIZES,
@@ -509,10 +508,6 @@ class TestExperimentIntegration:
         result = fig11.run(events=events, plot=False)
         assert result.data["engine"] in ("single-pass", "numpy")
         assert result.data["trace_passes"] == 2
-
-    def test_figure_specs_are_unsharded_single_tasks(self):
-        assert get_experiment("FIG-10").shards == ()
-        assert get_experiment("FIG-11").shards == ()
 
     def test_figures_record_semantics(self, events):
         assert fig10.run(events=events,
