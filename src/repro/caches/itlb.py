@@ -11,11 +11,11 @@ tags).  On a miss the instruction descriptor is pulled in from the
 appropriate message dictionary via the standard method lookup, then
 cached.  The simulation of section 5 measures exactly this structure's
 hit ratio; :meth:`ITLB.reference` provides the trace-driven interface
-the cache simulator uses, and :meth:`ITLB.translate` the full
-functional path (probe, lookup on a miss, fill) in one call.  The
-machine's fetch loop probes with ``ITLB.probe`` and fills after its
-own lookup, so that it can attach the resolved function unit
-(``ITLBEntry.function``) to the entry.
+the cache simulator uses.  The machine's fetch loop probes with
+``ITLB.probe``, does the method lookup itself on a miss and fills
+with ``ITLB.fill``, so that it can attach the resolved function unit
+(``ITLBEntry.function``) to the entry.  A failed lookup
+(doesNotUnderstand) raises before the fill, so it is never cached.
 """
 
 from __future__ import annotations
@@ -58,15 +58,6 @@ class ITLBEntry:
         return ITLBEntry(False, method)
 
 
-@dataclass
-class TranslateOutcome:
-    """Result of one functional ITLB translation."""
-
-    entry: ITLBEntry
-    hit: bool
-    lookup: Optional[object] = None   # the LookupResult, set on misses
-
-
 class ITLB:
     """A set-associative cache of (opcode, classes) -> method entries."""
 
@@ -80,9 +71,8 @@ class ITLB:
             SetAssociativeCache(size, associativity, policy)
         )
         #: Probe and fill on a whole :data:`ITLBKey`; ``probe`` returns
-        #: the entry or the cache's ``MISS`` sentinel.  With the same
-        #: statistics as :meth:`translate`, they let a caller do the miss
-        #: lookup itself: the machine's fetch loop forms the key, so its
+        #: the entry or the cache's ``MISS`` sentinel and counts the hit
+        #: or miss.  The machine's fetch loop forms the key, so its
         #: probe is one call.
         self.probe = self._cache.probe
         self.fill = self._cache.fill
@@ -102,31 +92,6 @@ class ITLB:
     @staticmethod
     def key(opcode: int, class_tags: Tuple[int, ...]) -> ITLBKey:
         return (opcode, tuple(class_tags))
-
-    # -- functional path ------------------------------------------------------
-
-    def translate(
-        self,
-        opcode: int,
-        class_tags: Tuple[int, ...],
-        miss_handler: Callable[[], object],
-    ) -> TranslateOutcome:
-        """Resolve an abstract instruction to its method.
-
-        ``miss_handler`` performs the full method lookup (walking the
-        receiver's class hierarchy); its result is cached.  Lookup
-        failures (doesNotUnderstand) propagate out of the handler and
-        are *not* cached, as in the real machine where the trap handler
-        runs instead.
-        """
-        key = self.key(opcode, class_tags)
-        entry = self._cache.lookup(key)
-        if entry is not None:
-            return TranslateOutcome(entry, True)
-        lookup = miss_handler()
-        entry = ITLBEntry.from_method(lookup.method)
-        self._cache.fill(key, entry)
-        return TranslateOutcome(entry, False, lookup)
 
     # -- trace-driven path (the section-5 simulator) ----------------------------
 

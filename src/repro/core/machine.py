@@ -886,8 +886,8 @@ class COMMachine:
                 continue
             function = entry.function
             if function is None and entry.unit not in machine_units:
-                # An entry filled without its unit resolved (through
-                # ITLB.translate or ITLB.fill): resolve it here.
+                # An entry filled without its unit resolved (ITLB.fill
+                # with ITLBEntry.from_method's default): resolve it here.
                 function = unit_function(entry.unit, count)
             try:
                 if function is None:

@@ -1,7 +1,6 @@
 """Tests for the cache substrate (repro.caches)."""
 
 import dataclasses
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +9,7 @@ from repro.caches.icache import InstructionCache
 from repro.caches.itlb import ITLB, ITLBEntry
 from repro.caches.setassoc import MISS, SetAssociativeCache, stable_hash
 from repro.caches.stats import AccessProfile, CacheStats
-from repro.errors import DoesNotUnderstandTrap
-from repro.objects.model import ClassRegistry, DefinedMethod, PrimitiveMethod
+from repro.objects.model import DefinedMethod, PrimitiveMethod
 
 
 class TestCacheStats:
@@ -197,41 +195,6 @@ class TestCapacityInvariants:
 
 
 class TestITLB:
-    def _registry(self):
-        registry = ClassRegistry()
-        cls = registry.by_name("SmallInteger")
-        cls.define_primitive("+", "arith.add")
-        return registry, cls
-
-    def test_translate_miss_then_hit(self):
-        registry, cls = self._registry()
-        itlb = ITLB(8, 2)
-        calls = []
-
-        def miss():
-            calls.append(1)
-            return registry.lookup("+", cls)
-
-        first = itlb.translate(5, (cls.class_tag,), miss)
-        assert first.hit is False
-        assert first.entry.primitive is True
-        assert first.entry.unit == "arith.add"
-        second = itlb.translate(5, (cls.class_tag,), miss)
-        assert second.hit is True
-        assert len(calls) == 1
-
-    def test_lookup_failure_not_cached(self):
-        registry, cls = self._registry()
-        itlb = ITLB(8, 2)
-
-        def miss():
-            return registry.lookup("nope", cls)
-
-        for _ in range(2):
-            with pytest.raises(DoesNotUnderstandTrap):
-                itlb.translate(9, (cls.class_tag,), miss)
-        assert len(itlb) == 0
-
     def test_entry_from_defined_method(self):
         method = DefinedMethod("foo", code=object(), argument_count=1)
         entry = ITLBEntry.from_method(method)
@@ -374,7 +337,7 @@ _ASSOCIATIVITIES = st.sampled_from([1, 2, 4, "full"])
 #: ITLB operations: (name, opcode -- or class tag for invalidate_class --,
 #: operand class tags).
 _ITLB_OPS = st.lists(st.tuples(
-    st.sampled_from(3 * ["probe_fill", "translate", "reference"]
+    st.sampled_from(3 * ["probe_fill", "reference"]
                     + ["invalidate_selector", "invalidate_class",
                        "flush", "reset_stats"]),
     st.integers(0, 5),
@@ -402,22 +365,14 @@ class TestCacheDifferential:
         model = _ListCache(8, associativity, policy)
         for name, opcode, tags in ops:
             key = (opcode, tags)
-            method = PrimitiveMethod(f"op{opcode}", "move")
-            entry = ITLBEntry.from_method(method)
+            entry = ITLBEntry.from_method(
+                PrimitiveMethod(f"op{opcode}", "move"))
             if name == "probe_fill":
                 hit, cached = model.probe(key)
                 assert itlb.probe(key) == (cached if hit else MISS)
                 if not hit:
                     itlb.fill(key, entry)
                     model.fill(key, entry)
-            elif name == "translate":
-                hit, cached = model.probe(key)
-                if not hit:
-                    cached = entry
-                    model.fill(key, entry)
-                outcome = itlb.translate(
-                    opcode, tags, lambda: SimpleNamespace(method=method))
-                assert (outcome.hit, outcome.entry) == (hit, cached)
             elif name == "reference":
                 hit, _ = model.probe(key)
                 if not hit:

@@ -240,6 +240,26 @@ class TestMethodCalls:
         with pytest.raises(DoesNotUnderstandTrap):
             machine.run()
 
+    def test_lookup_failure_not_cached(self):
+        # A failed lookup raises before the ITLB fill, as in the real
+        # machine where the trap handler runs instead: the same send
+        # misses again.
+        machine = COMMachine()
+        main = load_program(machine, """
+        main
+            c2 = 1 zorble 2
+            halt
+        """)
+        key = (machine.opcodes.number_of("zorble"),
+               (Word.small_integer(0).class_tag,) * 2)
+        for sends in (1, 2):
+            machine.start(main)
+            with pytest.raises(DoesNotUnderstandTrap):
+                machine.run()
+            assert machine.itlb.stats.misses == sends
+        assert key not in [resident for resident, _
+                           in machine.itlb._cache.items()]
+
     def test_redefinition_invalidates_itlb(self):
         machine = COMMachine()
         main = load_program(machine, """
@@ -487,11 +507,10 @@ class TestMachineLifecycle:
             steps[predecode] = observed
         assert steps[True] == steps[False]
 
-    @pytest.mark.parametrize("fill", ["translate", "fill"])
-    def test_itlb_entry_filled_without_its_unit(self, fill):
-        # ITLB.translate and ITLBEntry.from_method's default leave a
-        # primitive entry's unit function unresolved; a hit on such an
-        # entry still runs the unit.
+    def test_itlb_entry_filled_without_its_unit(self):
+        # ITLBEntry.from_method's default leaves a primitive entry's
+        # unit function unresolved; a hit on such an entry still runs
+        # the unit.
         source = """
         SmallInteger >> twice
             ^self + self
@@ -503,11 +522,8 @@ class TestMachineLifecycle:
         opcode = machine.opcodes.number_of("+")
         tags = (Word.small_integer(0).class_tag,) * 2
         lookup = machine.registry.lookup_by_tag("+", tags[0])
-        if fill == "translate":
-            machine.itlb.translate(opcode, tags, lambda: lookup)
-        else:
-            machine.itlb.fill((opcode, tags),
-                              ITLBEntry.from_method(lookup.method))
+        machine.itlb.fill((opcode, tags),
+                          ITLBEntry.from_method(lookup.method))
         misses = machine.itlb.stats.misses
         assert machine.run_program(main).value == 7
         # Both additions hit the pre-filled entry: one miss fewer than
