@@ -3,9 +3,8 @@
 The pipeline's fault tolerance is proven by *injecting* faults, not
 by waiting for them.  This module is the reproduction's chaos layer:
 a registry of named **injection sites** threaded through the store
-and the harness, and a :class:`FaultPlan`
-(seed + per-site specs) that decides -- deterministically -- which
-calls fail and how.
+and the harness, and a :class:`FaultPlan` (seed + per-site specs)
+that decides -- deterministically -- which calls fail and how.
 
 Sites
 -----
@@ -57,6 +56,7 @@ import hashlib
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -323,6 +323,26 @@ def _flip_bit(payload: bytes, roll: float) -> bytes:
     return bytes(mutated)
 
 
+@contextmanager
+def _termination_deferred():
+    """Hold off SIGTERM while a pool worker records a fired fault.
+
+    A broken pool terminates its surviving workers; one caught between
+    the event write and the counter flush would leave the fired log
+    and the counters disagreeing.  Deferred, the signal lands right
+    after both are on disk.
+    """
+    import signal  # here, not at import: only a fired fault needs it
+    if not _IN_WORKER or not hasattr(signal, "pthread_sigmask"):
+        yield
+        return
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
 def inject(site: str, key: str = "", payload: Optional[bytes] = None):
     """Maybe inject a fault at *site* for *key*.
 
@@ -339,10 +359,11 @@ def inject(site: str, key: str = "", payload: Optional[bytes] = None):
     # The fired log goes to telemetry BEFORE the fault acts: a
     # ``crash`` kind ``os._exit``s immediately, so the event (flushed
     # per record) and the flushed counters are all that survive it.
-    telemetry.event("fault.fired", site=site, kind=spec.kind, key=key,
-                    epoch=active.epoch)
-    telemetry.inc("faults.fired", site=site, kind=spec.kind)
-    telemetry.flush()
+    with _termination_deferred():
+        telemetry.event("fault.fired", site=site, kind=spec.kind,
+                        key=key, epoch=active.epoch)
+        telemetry.inc("faults.fired", site=site, kind=spec.kind)
+        telemetry.flush()
     label = f"injected {spec.kind} at {site}" + (f" [{key}]" if key else "")
     if spec.kind == "io-error":
         raise InjectedIOError(label)
