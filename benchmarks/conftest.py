@@ -11,8 +11,8 @@ At session end, every pytest-benchmark result is written to
 ``BENCH_throughput.json`` at the repository root (ops/sec per
 benchmark) so the performance trajectory is tracked across PRs.
 Wall-clock measurements recorded via the ``wallclock_records``
-fixture (the harness parallelism and sweep benches) land in the same
-file.  The file is written deterministically -- keys sorted at every
+fixture (the sweep, store, trace and telemetry benches) land in the
+same file.  The file is written deterministically -- keys sorted at every
 level, a ``_environment`` stamp identifying the host class the
 numbers came from, and no rewrite at all when the merged content is
 byte-identical -- so bench-only commits stop churning the whole file.

@@ -33,7 +33,7 @@ def _claims(results):
 
 
 def test_disabled_span_fast_path(wallclock_records, monkeypatch):
-    monkeypatch.delenv(telemetry.ENV_DIR, raising=False)
+    monkeypatch.setattr(telemetry, "_RECORDER", None)
     assert not telemetry.enabled()
 
     def seam():

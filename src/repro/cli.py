@@ -2,11 +2,11 @@
 
 Subcommands::
 
-    repro run    [--quick] [--jobs N] [--only/--skip IDs] [--list]
-                 [--retries N] [--task-timeout S] [--resume]
+    repro run    [--quick] [--only/--skip IDs] [--list]
+                 [--retries N] [--resume]
                  [--faults PLAN] [--fault-seed N] ...
                  run the experiment suite (the registry-driven
-                 harness, with retry/timeout/resume fault tolerance)
+                 harness, with retry/resume fault tolerance)
     repro sweep  [WORKLOAD] [--cache itlb|icache|both] [--sizes CSV]
                  [--assoc CSV] [--opt] [--full] [--warmup F] ...
                  single-pass cache sweep over a registered workload

@@ -9,8 +9,8 @@ its defaults -- and :func:`make_com` / :func:`make_fith` are the only
 constructors the rest of the repository should use.
 
 ``SimConfig`` is a frozen dataclass: configurations hash, compare and
-``dataclasses.replace`` cleanly, which the parallel experiment engine
-relies on (a config travels to worker processes by value).
+``dataclasses.replace`` cleanly, so a study can derive variants of
+one configuration without touching the original.
 
 Quickstart::
 

@@ -132,13 +132,13 @@ class SimulationLimitExceeded(ReproError):
 #
 # Every failure the fault-tolerant experiment pipeline handles is
 # typed, so the harness can count, log and route each path (retry vs
-# quarantine vs degrade) instead of pattern-matching on messages.
+# quarantine) instead of pattern-matching on messages.
 
 
 class PipelineError(ReproError):
     """Base class for failures of the experiment pipeline itself
-    (store integrity, worker management, retry budgets) as opposed to
-    simulated-machine conditions."""
+    (store integrity, retry budgets) as opposed to simulated-machine
+    conditions."""
 
 
 class PayloadFormatError(PipelineError, ValueError):
@@ -183,30 +183,6 @@ class MappedBufferClosed(PipelineError):
     (:meth:`~repro.trace.columnar.Trace.copy`).  Typed so callers see
     a clean lifetime error instead of an interpreter crash or an
     opaque ``ValueError`` from a released memoryview.
-    """
-
-
-class TaskTimeout(PipelineError):
-    """A pool task exceeded the per-task wall-clock budget.
-
-    The worker may be hung; the harness abandons the pool (hung
-    workers are terminated) and accounts the attempt against the
-    task's retry budget.
-    """
-
-    def __init__(self, message: str, *, task=None, timeout=None):
-        super().__init__(message)
-        self.task = task
-        self.timeout = timeout
-
-
-class WorkerCrash(PipelineError):
-    """A worker process died (or an injected crash fired serially).
-
-    In pool mode this surfaces as ``BrokenProcessPool``; the harness
-    re-submits unfinished tasks into a fresh pool.  In serial mode an
-    injected ``crash`` fault raises this directly so the retry path
-    stays testable without killing the parent process.
     """
 
 

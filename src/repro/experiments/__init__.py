@@ -15,7 +15,7 @@ TAB-3ADDR   stack vs three-address counts      (:mod:`.stack_vs_3addr`)
 Every module registers an :class:`~repro.experiments.registry
 .ExperimentSpec`; ``python -m repro run`` (or ``python -m
 repro.experiments.harness``) drives the registry, with
-``--only/--skip/--list`` selection and ``--jobs N`` parallelism.
+``--only/--skip/--list`` selection.
 """
 
 from repro.experiments.common import ClaimCheck, ExperimentResult

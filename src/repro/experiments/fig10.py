@@ -36,13 +36,8 @@ from repro.trace.workloads import paper_trace
 def figure_spec(sizes: Sequence[int] = PAPER_SIZES,
                 associativities: Sequence = PAPER_ASSOCIATIVITIES,
                 semantics: str = "paper") -> SweepSpec:
-    """The exact sweep FIG-10 replays.
-
-    Shared between :func:`run` (which executes it) and the registry's
-    ``sweeps`` declaration (which the harness uses to probe the
-    sweep-result cache): one definition, so the probe key can never
-    drift from what the runner actually computes.
-    """
+    """The exact sweep FIG-10 replays: the ITLB grid under the
+    paper's double warm-up methodology."""
     return SweepSpec(cache="itlb", sizes=tuple(sizes),
                      associativities=tuple(associativities),
                      double_pass=True, semantics=semantics)
@@ -138,10 +133,6 @@ def _run(ctx) -> ExperimentResult:
     return run(ctx.scale, events=ctx.events("paper"))
 
 
-def _sweeps(ctx):
-    return [("paper", figure_spec())]
-
-
 register(ExperimentSpec(
     id="FIG-10",
     figure="figure 10",
@@ -151,7 +142,6 @@ register(ExperimentSpec(
                 "measurement trace (single-pass stack-distance engine)",
     runner=_run,
     workloads=("paper",),
-    sweeps=_sweeps,
 ))
 
 

@@ -29,9 +29,8 @@ from repro.trace.workloads import paper_trace
 def figure_spec(sizes: Sequence[int] = PAPER_SIZES,
                 associativities: Sequence = PAPER_ASSOCIATIVITIES,
                 semantics: str = "paper") -> SweepSpec:
-    """The exact sweep FIG-11 replays (see
-    :func:`repro.experiments.fig10.figure_spec` for why this is one
-    shared definition rather than inline construction)."""
+    """The exact sweep FIG-11 replays: the instruction-cache twin of
+    :func:`repro.experiments.fig10.figure_spec`."""
     return SweepSpec(cache="icache", sizes=tuple(sizes),
                      associativities=tuple(associativities),
                      double_pass=True, semantics=semantics)
@@ -121,13 +120,6 @@ def _run(ctx) -> ExperimentResult:
     return run(ctx.scale, events=ctx.events("paper"))
 
 
-def _sweeps(ctx):
-    return [("paper", figure_spec())]
-
-
-# Formerly sharded per associativity for the parallel harness; the
-# single-pass engine replays the trace once for the whole grid, so
-# the experiment is a single task (and no longer dominates the suite).
 register(ExperimentSpec(
     id="FIG-11",
     figure="figure 11",
@@ -138,7 +130,6 @@ register(ExperimentSpec(
                 "stack-distance engine)",
     runner=_run,
     workloads=("paper",),
-    sweeps=_sweeps,
 ))
 
 

@@ -3,9 +3,9 @@
 Usage::
 
     python -m repro.experiments.harness [--scale N] [--quick]
-        [--jobs N] [--only ID[,ID...]] [--skip ID[,ID...]] [--list]
-        [--trace-dir DIR] [--retries N] [--task-timeout SECONDS]
-        [--resume] [--faults PLAN] [--fault-seed N]
+        [--only ID[,ID...]] [--skip ID[,ID...]] [--list]
+        [--trace-dir DIR] [--retries N] [--resume]
+        [--faults PLAN] [--fault-seed N]
 
 (``python -m repro run`` is the same engine behind the package CLI.)
 
@@ -15,12 +15,9 @@ an :class:`~repro.experiments.registry.ExperimentSpec`, and the
 harness selects, orders and executes specs instead of hard-wiring
 module calls.  Workload traces are pre-materialized once into the
 on-disk trace store (:mod:`repro.workloads.store`) -- a second run
-loads them without re-executing the Fith interpreter.
-
-``--jobs N`` executes the suite in a ``ProcessPoolExecutor``, one
-task per experiment.  Workers share nothing but the immutable trace
-files: every machine is rebuilt per process, so per-experiment state
-stays isolated.
+loads them without re-executing the Fith interpreter.  The
+experiments then run one after another in this process; each builds
+its own machines, so no simulator state leaks between them.
 
 Failure model (see DESIGN.md, "Failure model"):
 
@@ -28,16 +25,6 @@ Failure model (see DESIGN.md, "Failure model"):
   ``--retries`` attempts; past the budget the experiment is recorded
   as a typed :class:`~repro.errors.RetryExhausted` failure and the
   rest of the suite still completes;
-* a *crashed worker* (``BrokenProcessPool``) breaks only the pool,
-  not the run: completed results are harvested and unfinished tasks
-  are re-submitted into a fresh pool (no retry penalty -- the crash
-  may not have been theirs);
-* a *hung worker* is bounded by ``--task-timeout``: the pool is
-  abandoned (hung processes terminated) and the timed-out task
-  charged one attempt;
-* after repeated pool failures the harness **degrades to serial
-  execution** for the remaining tasks -- slower, but it always
-  terminates with results;
 * every completed experiment is journaled atomically under
   ``.repro_runs/`` (:mod:`repro.experiments.journal`);
   ``--resume`` serves journaled results and runs only the rest.
@@ -51,22 +38,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as PoolTimeout
-from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro import faults, telemetry
-from repro.errors import RetryExhausted, TaskTimeout
+from repro.errors import RetryExhausted
 from repro.experiments import registry
 from repro.experiments.common import ExperimentResult
 from repro.experiments.journal import RunJournal, run_key
 from repro.experiments.registry import ExperimentSpec, RunContext
 from repro.faults import FaultPlan
-
-#: Pool-level failures (worker crash, hung worker) tolerated before
-#: the harness stops rebuilding pools and degrades to serial.
-MAX_POOL_BREAKS = 2
 
 #: Default per-failure retry budget and backoff base (seconds; the
 #: n-th retry of a task waits ``backoff * 2**(n-1)``).
@@ -97,59 +77,6 @@ def _materialize_workloads(specs: Sequence[ExperimentSpec],
         note("")
 
 
-def _split_cache_served(specs: Sequence[ExperimentSpec],
-                        ctx: RunContext
-                        ) -> Tuple[List[ExperimentSpec],
-                                   List[ExperimentSpec]]:
-    """Partition specs into (cache-served, pooled).
-
-    An experiment that declares its sweeps (``spec.sweeps``) and whose
-    every declared sweep already has an entry in the on-disk
-    sweep-result cache is *cache-served*: its runner will only read
-    cached surfaces, which costs milliseconds, so shipping it to a
-    worker process buys nothing and the harness runs it inline in the
-    parent.  The probe is existence-only (``ResultCache.contains``):
-    no payload is read here, and a cached entry that later fails to
-    decode simply replays in the parent -- correctness never depends
-    on the probe being right.
-    """
-    from repro.sweep import result_cache_key
-    from repro.workloads.library import ResultCache
-
-    if not ResultCache.enabled():
-        return [], list(specs)
-    cache = ctx.store.result_cache()
-    served: List[ExperimentSpec] = []
-    pooled: List[ExperimentSpec] = []
-    for spec in specs:
-        declared = None
-        if spec.sweeps is not None:
-            try:
-                declared = list(spec.sweeps(ctx))
-            except Exception:
-                declared = None  # a broken declaration is no declaration
-        if not declared:
-            pooled.append(spec)
-            continue
-        cached = all(
-            cache.contains(result_cache_key(
-                sweep_spec,
-                ctx.store.trace_key(workload, quick=ctx.quick,
-                                    scale=ctx.scale)))
-            for workload, sweep_spec in declared)
-        if cached:
-            served.append(spec)
-            telemetry.inc("harness.cache_served")
-        else:
-            pooled.append(spec)
-    return served, pooled
-
-
-def _new_stats() -> Dict[str, object]:
-    return {"retries": 0, "timeouts": 0, "pool_breaks": 0,
-            "task_failures": 0, "degraded": False, "resumed": 0}
-
-
 def _failure_result(spec: ExperimentSpec, error: BaseException
                     ) -> ExperimentResult:
     """The typed placeholder a permanently-failed experiment leaves
@@ -176,7 +103,7 @@ def _serial_task(exp_id: str, ctx: RunContext, budget: int,
     while True:
         try:
             with telemetry.span("harness.task", task=exp_id,
-                                attempt=attempt + 1, mode="serial"):
+                                attempt=attempt + 1):
                 telemetry.inc("harness.tasks")
                 faults.inject("worker.task", key=exp_id)
                 return spec.runner(ctx)
@@ -202,231 +129,11 @@ def _serial_task(exp_id: str, ctx: RunContext, budget: int,
                 time.sleep(delay)
 
 
-def _run_sequential(specs: Sequence[ExperimentSpec], ctx: RunContext,
-                    note, *, retries: int = DEFAULT_RETRIES,
-                    backoff: float = DEFAULT_BACKOFF,
-                    stats: Optional[dict] = None,
-                    on_result=None) -> List[ExperimentResult]:
-    stats = stats if stats is not None else _new_stats()
-    results: List[ExperimentResult] = []
-    for spec in specs:
-        start = time.time()
-        try:
-            result = _serial_task(spec.id, ctx, retries, backoff,
-                                  stats, note)
-        except Exception as error:
-            result = _failure_result(spec, error)
-        results.append(result)
-        note(result.report())
-        note(f"({spec.id} took {time.time() - start:.1f}s)\n")
-        if on_result is not None:
-            on_result(spec.id, result)
-    return results
-
-
-#: Per-worker trace stores, keyed by trace dir: tasks that land on the
-#: same worker share one in-memory memo instead of re-deserializing
-#: the trace file per task.
-_WORKER_STORES: Dict[Optional[str], object] = {}
-
-
-def _pool_init(fault_plan: Optional[str]) -> None:
-    """Worker-process initializer: arm fault injection, then give the
-    ``worker.start`` site its chance to misbehave."""
-    faults.mark_worker()
-    faults.ensure(fault_plan)
-    faults.inject("worker.start")
-
-
-def _pool_run(exp_id: str, ctx_args: dict):
-    """Top-level pool task (must be picklable by reference)."""
-    registry.load_all()
-    ctx = RunContext(**ctx_args)
-    faults.mark_worker()
-    faults.ensure(ctx.fault_plan)
-    telemetry.ensure(ctx.telemetry_dir)
-    try:
-        with telemetry.span("harness.task", task=exp_id, mode="pool"):
-            telemetry.inc("harness.tasks")
-            faults.inject("worker.task", key=exp_id)
-            cached = _WORKER_STORES.get(ctx.trace_dir)
-            if cached is None:
-                _WORKER_STORES[ctx.trace_dir] = ctx.store
-            else:
-                ctx._store = cached
-            return registry.get(exp_id).runner(ctx)
-    finally:
-        # Flush the worker's metric shard after every task: a later
-        # crash in this process loses at most one task's counts.
-        telemetry.flush()
-
-
-def _abandon_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear down a pool that may contain hung workers.
-
-    ``shutdown(wait=True)`` would block on a hung worker forever, so
-    the workers are terminated first (via the executor's process
-    table; there is no public kill API) and the shutdown is
-    non-blocking.
-    """
-    for process in list(getattr(pool, "_processes", {}).values()):
-        try:
-            process.terminate()
-        except Exception:
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _run_parallel(specs: Sequence[ExperimentSpec], ctx: RunContext,
-                  jobs: int, note, *,
-                  retries: int = DEFAULT_RETRIES,
-                  task_timeout: Optional[float] = None,
-                  backoff: float = DEFAULT_BACKOFF,
-                  stats: Optional[dict] = None,
-                  on_result=None) -> List[ExperimentResult]:
-    """The resilient pool driver (see the module docstring's failure
-    model): harvest what completed, retry what failed, rebuild broken
-    pools, and degrade to serial rather than give up."""
-    stats = stats if stats is not None else _new_stats()
-    ctx_args = ctx.pool_args()
-    attempts: Dict[str, int] = {spec.id: 0 for spec in specs}
-    payloads: Dict[str, ExperimentResult] = {}
-    failures: Dict[str, BaseException] = {}
-    pending = [spec.id for spec in specs]
-
-    def charge(task, error) -> None:
-        """One failed attempt for *task*: requeue or give up."""
-        attempts[task] += 1
-        if attempts[task] > retries:
-            failures[task] = RetryExhausted(
-                f"{task} failed {attempts[task]} "
-                f"time{'s' if attempts[task] != 1 else ''}: "
-                f"{type(error).__name__}: {error}",
-                task=task, attempts=attempts[task],
-                last_error=error)
-            note(f"! {task}: {type(error).__name__}: "
-                 f"{error} -- retry budget exhausted")
-        else:
-            delay = backoff * (2 ** (attempts[task] - 1))
-            stats["retries"] += 1
-            telemetry.event("harness.retry", task=task,
-                            attempt=attempts[task],
-                            error=type(error).__name__)
-            note(f"! {task}: {type(error).__name__}: "
-                 f"{error} -- will retry (attempt "
-                 f"{attempts[task]}/{retries}, backoff {delay:.2f}s)")
-            if delay:
-                time.sleep(delay)
-            requeue.append(task)
-
-    while pending:
-        if stats["pool_breaks"] >= MAX_POOL_BREAKS:
-            note(f"! process pool failed {stats['pool_breaks']} times; "
-                 f"degrading to serial execution for the remaining "
-                 f"{len(pending)} task(s)")
-            stats["degraded"] = True
-            telemetry.event("harness.degraded",
-                            remaining=len(pending))
-            faults.advance_epoch()
-            for task in pending:
-                budget = max(0, retries - attempts[task])
-                try:
-                    payloads[task] = _serial_task(
-                        task, ctx, budget, backoff, stats, note)
-                except Exception as error:
-                    failures[task] = error
-            pending = []
-            break
-
-        pool = ProcessPoolExecutor(max_workers=jobs,
-                                   initializer=_pool_init,
-                                   initargs=(ctx.fault_plan,))
-        requeue: List[str] = []
-        abandoned = False
-        try:
-            futures = [(task, pool.submit(_pool_run, task, ctx_args))
-                       for task in pending]
-        except BrokenProcessPool as error:
-            stats["pool_breaks"] += 1
-            note(f"! worker pool broke during submission ({error}); "
-                 f"rebuilding")
-            _abandon_pool(pool)
-            faults.advance_epoch()
-            continue
-        for task, future in futures:
-            if abandoned:
-                # The pool is gone: harvest finished results, requeue
-                # the rest with no retry penalty (they were victims,
-                # not causes).
-                try:
-                    if future.done() and future.exception(timeout=0) \
-                            is None:
-                        payloads[task] = future.result(timeout=0)
-                    else:
-                        requeue.append(task)
-                except Exception:
-                    requeue.append(task)
-                continue
-            try:
-                payloads[task] = future.result(timeout=task_timeout)
-            except PoolTimeout:
-                stats["timeouts"] += 1
-                stats["pool_breaks"] += 1
-                telemetry.event("harness.timeout", task=task,
-                                timeout=task_timeout)
-                note(f"! {task}: no result within "
-                     f"--task-timeout={task_timeout}s; terminating "
-                     f"the pool (worker presumed hung)")
-                charge(task, TaskTimeout(
-                    f"no result within {task_timeout}s",
-                    task=task, timeout=task_timeout))
-                _abandon_pool(pool)
-                abandoned = True
-            except BrokenProcessPool as error:
-                stats["pool_breaks"] += 1
-                telemetry.event("harness.pool_break", task=task)
-                note(f"! worker pool broke at {task}; "
-                     f"harvesting finished results and re-submitting "
-                     f"the rest into a fresh pool")
-                requeue.append(task)  # pool-level: no retry penalty
-                _abandon_pool(pool)
-                abandoned = True
-            except (KeyboardInterrupt, SystemExit):
-                _abandon_pool(pool)
-                raise
-            except Exception as error:
-                # The task itself raised (a real or injected task
-                # failure): charge its retry budget; the pool is fine.
-                stats["task_failures"] += 1
-                charge(task, error)
-        if not abandoned:
-            pool.shutdown(wait=True)
-        pending = requeue
-        if pending:
-            # Fresh rolls for the retry round: a deterministic fault
-            # plan must not re-fire identically forever.
-            faults.advance_epoch()
-
-    results: List[ExperimentResult] = []
-    for spec in specs:
-        if spec.id in failures:
-            result = _failure_result(spec, failures[spec.id])
-        else:
-            result = payloads[spec.id]
-        results.append(result)
-        note(result.report())
-        if on_result is not None:
-            on_result(spec.id, result)
-    return results
-
-
 def run_all(scale: int = 1, quick: bool = False, stream=None,
             only: Optional[List[str]] = None,
             skip: Optional[List[str]] = None,
-            jobs: int = 1,
             trace_dir: Optional[str] = None, *,
             retries: int = DEFAULT_RETRIES,
-            task_timeout: Optional[float] = None,
             backoff: float = DEFAULT_BACKOFF,
             resume: bool = False,
             run_dir: Optional[str] = None,
@@ -437,8 +144,7 @@ def run_all(scale: int = 1, quick: bool = False, stream=None,
 
     ``fault_plan`` may be a :class:`repro.faults.FaultPlan`, a plan
     string (CLI syntax or JSON), or None.  The plan is armed for the
-    duration of the run (exported to pool workers) and disarmed
-    afterwards.
+    duration of the run and disarmed afterwards.
 
     ``with_telemetry`` arms :mod:`repro.telemetry` into the run's
     journal directory (``.repro_runs/<run-key>/telemetry/``) for the
@@ -455,21 +161,20 @@ def run_all(scale: int = 1, quick: bool = False, stream=None,
                 else FaultPlan.parse(str(fault_plan), seed=fault_seed))
         faults.install(plan)
     try:
-        return _run_all(scale, quick, note, only, skip, jobs,
-                        trace_dir, retries=retries,
-                        task_timeout=task_timeout, backoff=backoff,
-                        resume=resume, run_dir=run_dir, plan=plan,
+        return _run_all(scale, quick, note, only, skip, trace_dir,
+                        retries=retries, backoff=backoff, resume=resume,
+                        run_dir=run_dir, plan=plan,
                         with_telemetry=with_telemetry)
     finally:
         if plan is not None:
             faults.install(None)
 
 
-def _run_all(scale, quick, note, only, skip, jobs, trace_dir, *,
-             retries, task_timeout, backoff, resume, run_dir,
+def _run_all(scale, quick, note, only, skip, trace_dir, *,
+             retries, backoff, resume, run_dir,
              plan, with_telemetry=False) -> List[ExperimentResult]:
     specs = registry.select(only, skip)
-    stats = _new_stats()
+    stats = {"retries": 0, "task_failures": 0, "resumed": 0}
     started = time.time()
 
     journal = RunJournal(
@@ -479,7 +184,7 @@ def _run_all(scale, quick, note, only, skip, jobs, trace_dir, *,
         root=run_dir,
         manifest={"scale": scale, "quick": quick,
                   "suite": [spec.id for spec in specs],
-                  "trace_dir": trace_dir, "jobs": jobs})
+                  "trace_dir": trace_dir})
     telemetry_armed = False
     if with_telemetry and resume:
         # Arm before the journal replays records so the resume is
@@ -494,8 +199,7 @@ def _run_all(scale, quick, note, only, skip, jobs, trace_dir, *,
     try:
         return _run_all_inner(
             specs, journal, done, stats, started, note, scale=scale,
-            quick=quick, jobs=jobs, trace_dir=trace_dir,
-            retries=retries, task_timeout=task_timeout,
+            quick=quick, trace_dir=trace_dir, retries=retries,
             backoff=backoff, resume=resume, plan=plan)
     finally:
         if telemetry_armed:
@@ -503,13 +207,16 @@ def _run_all(scale, quick, note, only, skip, jobs, trace_dir, *,
             telemetry.install(None)
 
 
+def _failed(result: ExperimentResult) -> bool:
+    """Whether *result* is a :func:`_failure_result` placeholder."""
+    return isinstance(result.data, dict) \
+        and bool(result.data.get("failure"))
+
+
 def _run_all_inner(specs, journal, done, stats, started, note, *,
-                   scale, quick, jobs, trace_dir, retries,
-                   task_timeout, backoff, resume,
+                   scale, quick, trace_dir, retries, backoff, resume,
                    plan) -> List[ExperimentResult]:
-    ctx = RunContext(scale=scale, quick=quick, trace_dir=trace_dir,
-                     fault_plan=plan.to_json() if plan else None,
-                     telemetry_dir=telemetry.active_directory())
+    ctx = RunContext(scale=scale, quick=quick, trace_dir=trace_dir)
     done = {exp_id: result for exp_id, result in done.items()
             if any(spec.id == exp_id for spec in specs)}
     stats["resumed"] = len(done)
@@ -520,47 +227,26 @@ def _run_all_inner(specs, journal, done, stats, started, note, *,
             note(f"  journaled: {exp_id}")
         note("")
     pending_specs = [spec for spec in specs if spec.id not in done]
-
-    def on_result(exp_id: str, result: ExperimentResult) -> None:
-        # Failure placeholders are not journaled: a resumed run must
-        # retry what never actually completed.
-        if not (isinstance(result.data, dict)
-                and result.data.get("failure")):
-            journal.record(exp_id, result)
+    by_id: Dict[str, ExperimentResult] = dict(done)
 
     with telemetry.span("harness.run", scale=scale, quick=quick,
-                        jobs=jobs, experiments=len(specs),
-                        resumed=len(done)):
+                        experiments=len(specs), resumed=len(done)):
         _materialize_workloads(pending_specs, ctx, note)
-        by_id: Dict[str, ExperimentResult] = {}
-        if jobs > 1:
-            served, pooled = _split_cache_served(pending_specs, ctx)
-            if served:
-                note(f"result cache: {len(served)} experiment(s) fully "
-                     f"cached; running inline instead of scheduling "
-                     f"pool tasks "
-                     f"({', '.join(spec.id for spec in served)})\n")
-                inline = _run_sequential(served, ctx, note,
-                                         retries=retries,
-                                         backoff=backoff, stats=stats,
-                                         on_result=on_result)
-                by_id.update({spec.id: result for spec, result
-                              in zip(served, inline)})
-            fresh = _run_parallel(pooled, ctx, jobs, note,
-                                  retries=retries,
-                                  task_timeout=task_timeout,
-                                  backoff=backoff, stats=stats,
-                                  on_result=on_result)
-            by_id.update({spec.id: result
-                          for spec, result in zip(pooled, fresh)})
-        else:
-            fresh = _run_sequential(pending_specs, ctx, note,
-                                    retries=retries, backoff=backoff,
-                                    stats=stats, on_result=on_result)
-            by_id.update({spec.id: result
-                          for spec, result in zip(pending_specs, fresh)})
-    results = [done.get(spec.id, by_id.get(spec.id))
-               for spec in specs]
+        for spec in pending_specs:
+            start = time.time()
+            try:
+                result = _serial_task(spec.id, ctx, retries, backoff,
+                                      stats, note)
+            except Exception as error:
+                result = _failure_result(spec, error)
+            by_id[spec.id] = result
+            note(result.report())
+            note(f"({spec.id} took {time.time() - start:.1f}s)\n")
+            # Failure placeholders are not journaled: a resumed run
+            # must retry what never actually completed.
+            if not _failed(result):
+                journal.record(spec.id, result)
+    results = [by_id[spec.id] for spec in specs]
 
     note("=" * 64)
     note("SUMMARY")
@@ -571,9 +257,7 @@ def _run_all_inner(specs, journal, done, stats, started, note, *,
         for claim in result.claims:
             total += 1
             held += claim.holds
-        failed = isinstance(result.data, dict) \
-            and bool(result.data.get("failure"))
-        status = ("FAILED  " if failed
+        status = ("FAILED  " if _failed(result)
                   else "ok " if result.all_hold else "DIVERGES")
         note(f"  [{status}] {result.experiment}")
     # Name numpy only if this run loaded it: a run whose sweeps were
@@ -587,29 +271,21 @@ def _run_all_inner(specs, journal, done, stats, started, note, *,
     else:
         numpy_note = "numpy not loaded"
     note(f"\n{held}/{total} paper claims reproduced "
-         f"(jobs={jobs}, {time.time() - started:.1f}s wall).")
+         f"({time.time() - started:.1f}s wall).")
     note(f"robustness: {stats['retries']} retries, "
-         f"{stats['timeouts']} timeouts, "
-         f"{stats['pool_breaks']} pool breaks, "
          f"{ctx.store.quarantined} quarantined payloads"
-         + (", degraded to serial" if stats["degraded"] else "")
          + (f", {stats['resumed']} resumed from journal"
             if resume else "")
-         + (f", {faults.fired_count()} faults injected (parent)"
+         + (f", {faults.fired_count()} faults injected"
             if plan is not None else "")
          + f", {numpy_note}")
     if telemetry.enabled():
         telemetry.inc("harness.experiments", len(specs))
         telemetry.inc("harness.claims_total", total)
         telemetry.inc("harness.claims_held", held)
-        for key in ("retries", "timeouts", "pool_breaks",
-                    "task_failures"):
+        for key in ("retries", "task_failures", "resumed"):
             if stats[key]:
                 telemetry.inc(f"harness.{key}", stats[key])
-        if stats["degraded"]:
-            telemetry.inc("harness.degraded")
-        if stats["resumed"]:
-            telemetry.inc("harness.resumed", stats["resumed"])
         telemetry.gauge("harness.wall_seconds",
                         round(time.time() - started, 3))
         telemetry.flush()
@@ -642,8 +318,6 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="workload scale factor (default 1)")
     parser.add_argument("--quick", action="store_true",
                         help="shrink trace workloads for a fast pass")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (default 1: in-process)")
     parser.add_argument("--only", type=str, default=None,
                         help="comma-separated experiment ids to run")
     parser.add_argument("--skip", type=str, default=None,
@@ -654,11 +328,6 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--retries", type=int, default=DEFAULT_RETRIES,
                         help="retry budget per failing task "
                              f"(default {DEFAULT_RETRIES})")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="bound each pool task's result wait; a "
-                             "hung worker is terminated and the task "
-                             "retried (default: no timeout)")
     parser.add_argument("--retry-backoff", type=float,
                         default=DEFAULT_BACKOFF, metavar="SECONDS",
                         help="exponential backoff base between "
@@ -672,8 +341,8 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--faults", type=str, default=None,
                         metavar="PLAN",
                         help="arm a deterministic fault-injection "
-                             "plan: site:kind[:p=0.5][:times=2]"
-                             "[:delay=1.5][,...] or a JSON plan "
+                             "plan: site:kind[:p=0.5][:times=2][,...] "
+                             "or a JSON plan "
                              "(sites: " + ", ".join(faults.SITES)
                              + "; kinds: " + ", ".join(faults.KINDS)
                              + ")")
@@ -693,10 +362,9 @@ def run_from_args(args: argparse.Namespace) -> int:
         list_experiments()
         return 0
     results = run_all(args.scale, args.quick, only=_csv(args.only),
-                      skip=_csv(args.skip), jobs=args.jobs,
+                      skip=_csv(args.skip),
                       trace_dir=args.trace_dir,
                       retries=args.retries,
-                      task_timeout=args.task_timeout,
                       backoff=args.retry_backoff,
                       resume=args.resume, run_dir=args.run_dir,
                       fault_plan=args.faults,

@@ -1,6 +1,6 @@
 """Crash-safe run journal: atomic per-experiment result records.
 
-A harness run that dies halfway (worker crash, OOM, ^C) used to lose
+A harness run that dies halfway (crash, OOM, ^C) used to lose
 every completed result.  The journal writes one record per finished
 experiment under ``.repro_runs/<run-key>/`` (override the root with
 ``REPRO_RUN_DIR`` or the ``--run-dir`` flag) the moment it completes,

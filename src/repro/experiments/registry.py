@@ -4,17 +4,16 @@ Each experiment module registers an :class:`ExperimentSpec` -- id,
 figure/table, description, the workloads it replays, and a runner --
 at import time; :func:`load_all` imports the whole suite in DESIGN.md
 order.  The harness (:mod:`repro.experiments.harness`) drives the
-registry: ``--only``/``--skip`` select specs, ``--jobs N`` runs them
-in a :class:`~concurrent.futures.ProcessPoolExecutor`, one task per
-experiment; ``spec.runner(ctx)`` produces the finished
+registry: ``--only``/``--skip`` select specs, and each selected
+spec's ``spec.runner(ctx)`` produces the finished
 :class:`~repro.experiments.common.ExperimentResult`.
 
 A :class:`RunContext` carries the run-wide knobs (scale, quick, the
 trace-store root).  It deliberately holds no live machine: every
-worker process builds its own machines from scratch (via
+experiment builds its own machines from scratch (via
 :mod:`repro.config` factories) and shares *only* the immutable traces
-through the on-disk store, so parallel experiments cannot alias
-mutable simulator state.
+through the store, so experiments cannot alias mutable simulator
+state.
 """
 
 from __future__ import annotations
@@ -41,22 +40,11 @@ _MODULES = (
 
 @dataclass
 class RunContext:
-    """Run-wide parameters, cheap to pickle into worker processes."""
+    """Run-wide parameters shared by every experiment of a run."""
 
     scale: int = 1
     quick: bool = False
     trace_dir: Optional[str] = None
-    #: Canonical JSON of the armed :class:`repro.faults.FaultPlan`,
-    #: or None.  Pool children normally inherit the plan through the
-    #: environment (``REPRO_FAULTS``); carrying it in the context too
-    #: keeps worker re-arming explicit and covers exotic spawn setups
-    #: that scrub the environment.
-    fault_plan: Optional[str] = None
-    #: Directory of the run's telemetry sink, or None when telemetry
-    #: is off.  Like ``fault_plan`` this normally reaches pool
-    #: children through the environment (``REPRO_TELEMETRY``); the
-    #: context copy makes worker re-attachment explicit.
-    telemetry_dir: Optional[str] = None
     _store: Optional[TraceStore] = field(default=None, repr=False,
                                          compare=False)
 
@@ -67,23 +55,10 @@ class RunContext:
         return self._store
 
     def events(self, workload: str, **overrides) -> Trace:
-        """The named workload's trace at this run's scale/quick mode.
-
-        Loads go through the content-keyed store: what crosses a
-        process boundary is the workload *name* (in ``pool_args`` /
-        task arguments), never an event list -- each worker
-        re-attaches to the store and maps the columnar payload
-        straight into arrays.
-        """
+        """The named workload's trace at this run's scale/quick mode,
+        loaded through the content-keyed store."""
         return self.store.load(workload, quick=self.quick,
                                scale=self.scale, **overrides)
-
-    def pool_args(self) -> dict:
-        """Constructor kwargs for rebuilding this context in a worker."""
-        return {"scale": self.scale, "quick": self.quick,
-                "trace_dir": self.trace_dir,
-                "fault_plan": self.fault_plan,
-                "telemetry_dir": self.telemetry_dir}
 
 
 @dataclass(frozen=True)
@@ -91,7 +66,7 @@ class ExperimentSpec:
     """One registered experiment.
 
     ``runner(ctx)`` must return a picklable
-    :class:`ExperimentResult`.
+    :class:`ExperimentResult` (the run journal stores it).
     """
 
     id: str
@@ -104,14 +79,6 @@ class ExperimentSpec:
     #: experiment modules in arbitrary orders.
     order: int = 1000
     workloads: Tuple[str, ...] = ()
-    #: Optional declaration of the sweeps the runner will replay:
-    #: ``sweeps(ctx)`` yields ``(workload_name, SweepSpec)`` pairs.
-    #: The harness probes the on-disk sweep-result cache with these
-    #: before scheduling pool tasks -- an experiment whose every
-    #: declared sweep is already cached runs inline in the parent (a
-    #: cache hit costs milliseconds; a worker process does not).
-    #: Must be a module-level function (pickled by reference).
-    sweeps: Optional[Callable] = None
 
 
 _REGISTRY: Dict[str, ExperimentSpec] = {}

@@ -10,26 +10,23 @@ layer: **spans** (nested, monotonic-clock timed trace sections),
 no-op fast path so the instrumented seams cost one dict lookup when
 telemetry is off.
 
-Arming and the process model
-----------------------------
+Arming and shards
+-----------------
 
-``install(directory)`` arms recording in this process and exports the
-sink directory through the ``REPRO_TELEMETRY`` environment variable
--- the same hand-off discipline as :mod:`repro.faults` -- so pool
-worker processes arm themselves lazily on their first span.  Every
-process writes its own shard files (no cross-process locking, ever):
+``install(directory)`` arms recording in this process (the harness
+does so for the length of a ``--telemetry`` run).  Each recorder
+writes its own shard files:
 
 * ``spans-<pid>-<token>.jsonl`` -- one JSON record per finished span
-  or event, appended and flushed immediately (a crashed worker keeps
+  or event, appended and flushed immediately (a run that dies keeps
   everything it completed);
-* ``metrics-<pid>-<token>.json`` -- the process-local registry,
-  rewritten atomically on :func:`flush` (the harness flushes after
-  every pool task, so a later crash loses at most one task's counts).
+* ``metrics-<pid>-<token>.json`` -- the recorder's registry,
+  rewritten atomically on :func:`flush`.
 
-The ``<token>`` is per-process-unique, so a recycled PID (e.g. across
-a crashed run and its ``--resume``) can never overwrite another
-process's shard.  :func:`finalize` -- called once by the parent at
-run end -- merges every shard into the canonical ``spans.jsonl`` /
+The ``<token>`` is per-recorder-unique, so a recycled PID (e.g.
+across a crashed run and its ``--resume``) can never overwrite
+another run's shard.  :func:`finalize` -- called once at run end --
+merges every shard into the canonical ``spans.jsonl`` /
 ``metrics.json`` / ``environment.json`` and deletes the shards;
 merging dedupes span records by id, so a resume (or a finalize retry)
 never double-counts.  ``repro report`` reads the merged files *and*
@@ -38,7 +35,7 @@ finalizing is still reportable.
 
 With telemetry disabled nothing is ever opened or created: the
 disabled :func:`span` returns a shared no-op context manager and the
-metric calls return after one environment lookup.
+metric calls return after one global lookup.
 """
 
 from __future__ import annotations
@@ -53,10 +50,6 @@ import time
 import uuid
 from pathlib import Path
 from typing import Dict, Optional
-
-#: Environment variable carrying the telemetry sink directory to
-#: child processes (the same discipline as ``REPRO_FAULTS``).
-ENV_DIR = "REPRO_TELEMETRY"
 
 #: Canonical (merged) sink files under the telemetry directory.
 SPANS_FILE = "spans.jsonl"
@@ -198,7 +191,7 @@ class _Recorder:
     def __init__(self, directory: os.PathLike) -> None:
         self.directory = Path(directory)
         self.pid = os.getpid()
-        #: Per-process-unique shard discriminator: a recycled PID
+        #: Per-recorder-unique shard discriminator: a recycled PID
         #: (crash + resume) must never clobber another shard.
         self.token = uuid.uuid4().hex[:8]
         self.stack = []
@@ -216,9 +209,9 @@ class _Recorder:
     # -- span sink -------------------------------------------------------
 
     def write(self, record: dict) -> None:
-        """Append one JSONL record, flushed through to the OS so a
-        later ``os._exit`` (crash fault) cannot lose it.  IO failures
-        are swallowed: telemetry must never fail the run."""
+        """Append one JSONL record, flushed through to the OS so a run
+        that dies later cannot lose it.  IO failures are swallowed:
+        telemetry must never fail the run."""
         try:
             if self._file is None:
                 self.directory.mkdir(parents=True, exist_ok=True)
@@ -256,7 +249,7 @@ class _Recorder:
         self._metrics_dirty = True
 
     def flush_metrics(self) -> None:
-        """Atomically persist this process's registry shard."""
+        """Atomically persist this recorder's registry shard."""
         if not self._metrics_dirty:
             return
         try:
@@ -279,85 +272,44 @@ class _Recorder:
             self._file = None
 
 
-#: The armed recorder and the environment value it was built from --
-#: a changed environment (a pool child arming itself, a test's
-#: monkeypatch) rebuilds lazily, exactly like ``repro.faults``.
+#: The armed recorder, or None.
 _RECORDER: Optional[_Recorder] = None
-_SOURCE: Optional[str] = None
-
-
-def _current() -> Optional[_Recorder]:
-    global _RECORDER, _SOURCE
-    source = os.environ.get(ENV_DIR)
-    if not source:
-        if _SOURCE is not None:  # disarmed externally
-            _RECORDER = None
-            _SOURCE = None
-        return _RECORDER
-    if (source != _SOURCE or _RECORDER is None
-            or _RECORDER.pid != os.getpid()):
-        # The pid check catches fork-started pool workers: the child
-        # inherits the parent's recorder, and writing through it would
-        # reuse the parent's shard and collide with its span ids (the
-        # merge dedup would then silently drop records).  Every
-        # process gets its own shard.  (The inherited handle is
-        # per-record flushed, so abandoning it loses nothing.)
-        _RECORDER = _Recorder(source)
-        _SOURCE = source
-    return _RECORDER
 
 
 def enabled() -> bool:
     """Whether telemetry is armed in this process."""
-    return _current() is not None
+    return _RECORDER is not None
 
 
 def active_directory() -> Optional[str]:
-    """The armed sink directory (for explicit worker hand-off)."""
-    recorder = _current()
-    return str(recorder.directory) if recorder is not None else None
+    """The armed sink directory, or None."""
+    return str(_RECORDER.directory) if _RECORDER is not None else None
 
 
 def install(directory: Optional[os.PathLike], *,
             fresh: bool = False) -> None:
-    """Arm telemetry into *directory* and export it to children.
+    """Arm telemetry into *directory*.
 
     ``fresh=True`` wipes any previous telemetry under the directory
     first (a non-resume run must not inherit stale shards).
-    ``install(None)`` disarms and clears the environment.
+    ``install(None)`` closes the recorder and disarms.
     """
-    global _RECORDER, _SOURCE
+    global _RECORDER
+    if _RECORDER is not None:
+        _RECORDER.close()
     if directory is None:
-        if _RECORDER is not None:
-            _RECORDER.close()
         _RECORDER = None
-        _SOURCE = None
-        os.environ.pop(ENV_DIR, None)
         return
     directory = Path(directory)
     if fresh and directory.exists():
         shutil.rmtree(directory, ignore_errors=True)
     directory.mkdir(parents=True, exist_ok=True)
-    os.environ[ENV_DIR] = str(directory)
     _RECORDER = _Recorder(directory)
-    _SOURCE = str(directory)
-
-
-def ensure(directory: Optional[str]) -> None:
-    """Arm from an explicit directory unless already armed.
-
-    Pool workers call this with the directory threaded through the
-    run context: normally the inherited ``REPRO_TELEMETRY``
-    environment has already armed it, but a scrubbed environment
-    still gets the sink.
-    """
-    if directory and _current() is None:
-        install(directory)
 
 
 def span(name: str, **attrs):
     """A timed context manager; the no-op singleton when disabled."""
-    recorder = _current()
+    recorder = _RECORDER
     if recorder is None:
         return _NOOP
     return Span(recorder, name, attrs)
@@ -365,7 +317,7 @@ def span(name: str, **attrs):
 
 def event(name: str, **attrs) -> None:
     """Record a point-in-time marker (written and flushed at once)."""
-    recorder = _current()
+    recorder = _RECORDER
     if recorder is None:
         return
     record = {"kind": "event", "name": name,
@@ -378,7 +330,7 @@ def event(name: str, **attrs) -> None:
 
 def inc(name: str, n=1, **labels) -> None:
     """Add *n* to a counter (labels flatten into the metric key)."""
-    recorder = _current()
+    recorder = _RECORDER
     if recorder is None:
         return
     recorder.inc(name, n, labels)
@@ -386,7 +338,7 @@ def inc(name: str, n=1, **labels) -> None:
 
 def gauge(name: str, value, **labels) -> None:
     """Set a gauge to its latest value."""
-    recorder = _current()
+    recorder = _RECORDER
     if recorder is None:
         return
     recorder.gauge_set(name, value, labels)
@@ -394,16 +346,16 @@ def gauge(name: str, value, **labels) -> None:
 
 def observe(name: str, value, **labels) -> None:
     """Record one sample into a histogram (count/sum/min/max)."""
-    recorder = _current()
+    recorder = _RECORDER
     if recorder is None:
         return
     recorder.observe(name, value, labels)
 
 
 def flush() -> None:
-    """Persist this process's metric registry shard (spans are
+    """Persist the recorder's metric registry shard (spans are
     already flushed per record)."""
-    recorder = _current()
+    recorder = _RECORDER
     if recorder is not None:
         recorder.flush_metrics()
 
@@ -509,14 +461,14 @@ def merge_directory(directory: os.PathLike) -> dict:
 
 
 def finalize() -> Optional[dict]:
-    """Flush this process and merge all shards (parent, at run end).
+    """Flush the recorder and merge all shards (at run end).
 
     Returns the merged metrics registry, or None when disabled.  The
     recorder stays armed: spans recorded afterwards open a fresh
     shard and are picked up by the next merge (or by ``repro
     report``, which also reads unmerged shards).
     """
-    recorder = _current()
+    recorder = _RECORDER
     if recorder is None:
         return None
     recorder.close()
@@ -549,8 +501,8 @@ def _flush_at_exit() -> None:  # pragma: no cover - exit-path safety net
 
 
 __all__ = [
-    "ENV_DIR", "SPANS_FILE", "METRICS_FILE", "ENVIRONMENT_FILE",
-    "Span", "enabled", "active_directory", "install", "ensure",
+    "SPANS_FILE", "METRICS_FILE", "ENVIRONMENT_FILE",
+    "Span", "enabled", "active_directory", "install",
     "span", "event", "inc", "gauge", "observe", "flush",
     "merge_metrics", "merge_directory", "finalize",
     "environment_block", "split_metric_key",

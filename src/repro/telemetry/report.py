@@ -10,14 +10,14 @@ The report answers the post-hoc questions the raw JSONL cannot:
   worst first, with wall and CPU seconds;
 * **store hit rates** -- disk hits / misses / generator executions /
   memo hits / quarantines from the metrics counters;
-* **robustness ledger** -- retries, timeouts, pool breaks, task
-  failures, resumed experiments and every fault that fired;
+* **robustness ledger** -- retries, task failures, resumed
+  experiments and every fault that fired;
 * the merged **counters / gauges / histograms** verbatim, for CI
   consumption via ``--format json``.
 
 Loading is non-destructive: the merged ``spans.jsonl`` /
 ``metrics.json`` are combined with any *unmerged* per-process shards
-(a run that crashed before finalizing is still reportable), with
+(a run that died before finalizing is still reportable), with
 span records deduplicated by id.
 """
 
@@ -228,7 +228,6 @@ def build_report(data: dict, top: int = 10) -> dict:
         "cpu_seconds": round(span.get("cpu", 0.0), 6),
         "pid": span.get("pid"),
         "status": span.get("status", "ok"),
-        "mode": (span.get("attrs") or {}).get("mode"),
     } for span in tasks[:top]]
 
     counters = metrics.get("counters") or {}
@@ -257,18 +256,13 @@ def build_report(data: dict, top: int = 10) -> dict:
         "evictions": counter_total(metrics, "result_cache.evict"),
         "hit_rate": (round(cache_hits / cache_lookups, 4)
                      if cache_lookups else None),
-        "cache_served_experiments": counter_total(
-            metrics, "harness.cache_served"),
         "sweep_replays": counter_total(metrics, "sweep.replay"),
         "sweep_replays_by_labels": counter_by_labels(metrics,
                                                      "sweep.replay"),
     }
     robustness = {
         "retries": counter_total(metrics, "harness.retries"),
-        "timeouts": counter_total(metrics, "harness.timeouts"),
-        "pool_breaks": counter_total(metrics, "harness.pool_breaks"),
         "task_failures": counter_total(metrics, "harness.task_failures"),
-        "degraded": counter_total(metrics, "harness.degraded"),
         "resumed": counter_total(metrics, "harness.resumed"),
         "faults_fired": counter_total(metrics, "faults.fired"),
         "faults_by_site": counter_by_labels(metrics, "faults.fired"),
@@ -309,7 +303,7 @@ def render(report: dict) -> str:
     lines.append(f"run:        {report['run']}")
     if manifest:
         knobs = ", ".join(f"{key}={manifest[key]}"
-                          for key in ("scale", "quick", "jobs")
+                          for key in ("scale", "quick")
                           if key in manifest)
         if knobs:
             lines.append(f"manifest:   {knobs}")
@@ -368,18 +362,13 @@ def render(report: dict) -> str:
                      f"{cache['misses']:.0f} (hit rate {cache_rate}), "
                      f"puts {cache['puts']:.0f}, "
                      f"evictions {cache['evictions']:.0f}")
-        lines.append(f"  engine replays {cache['sweep_replays']:.0f}, "
-                     f"experiments served inline from cache "
-                     f"{cache['cache_served_experiments']:.0f}")
+        lines.append(f"  engine replays {cache['sweep_replays']:.0f}")
     robustness = report["robustness"]
     lines.append("")
     lines.append("robustness ledger:")
     lines.append(f"  {robustness['retries']:.0f} retries, "
-                 f"{robustness['timeouts']:.0f} timeouts, "
-                 f"{robustness['pool_breaks']:.0f} pool breaks, "
                  f"{robustness['task_failures']:.0f} task failures, "
-                 f"{robustness['resumed']:.0f} resumed, "
-                 f"degraded {robustness['degraded']:.0f}")
+                 f"{robustness['resumed']:.0f} resumed")
     if robustness["faults_by_site"]:
         fired = ", ".join(f"{label}: {count:.0f}" for label, count
                           in sorted(robustness["faults_by_site"].items()))

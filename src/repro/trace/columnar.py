@@ -35,9 +35,6 @@ Three types:
   any kind.  A recognized payload that fails a check raises
   :class:`~repro.errors.StoreCorruption`; bytes in a legacy or
   foreign layout raise :class:`~repro.errors.PayloadFormatError`.
-
-Pickling a :class:`Trace` round-trips through the same payload, so
-handing a trace to a worker process costs O(columns), not O(events).
 """
 
 from __future__ import annotations
@@ -510,21 +507,6 @@ class Trace(_ColumnarSequence):
         duplicate.store_key = self.store_key
         duplicate.store_root = self.store_root
         return duplicate
-
-    def __reduce__(self):
-        # O(columns) pickling: a worker handoff ships four buffers,
-        # never a list of event objects.  The store stamp rides along
-        # so a worker-side sweep still finds its result-cache entry.
-        return (_unpickle_trace,
-                (self.to_bytes(), self.store_key, self.store_root))
-
-
-def _unpickle_trace(blob: bytes, store_key, store_root) -> "Trace":
-    """Pickle helper: a stored-payload round-trip plus store stamp."""
-    trace = Trace.from_bytes(blob)
-    trace.store_key = store_key
-    trace.store_root = store_root
-    return trace
 
 
 class MappedTrace(Trace):

@@ -16,8 +16,9 @@ composes:
     content key (trace key + spec hash + semantics + engine version;
     see :func:`repro.sweep.runner.result_cache_key` -- this module
     never imports the sweep layer).  Entries are JSON documents under
-    ``results/<key[:2]>/``, written atomically, read through the
-    ``store.result_cache`` injection site (a corrupt entry is a clean
+    ``results/<key[:2]>/``, each behind a CRC32 header line, written
+    atomically, read through the ``store.result_cache`` injection site
+    (an entry that fails its checksum or does not parse is a clean
     miss, never an error), and evicted LRU by a byte budget
     (``REPRO_RESULT_CACHE_BYTES``, default 256 MiB) where "recently
     used" is the file mtime, refreshed on every hit.  Disable
@@ -29,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zlib
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
@@ -46,8 +48,16 @@ DEFAULT_RESULT_BUDGET = 256 * 1024 * 1024
 ENV_RESULT_CACHE = "REPRO_RESULT_CACHE"
 ENV_RESULT_BUDGET = "REPRO_RESULT_CACHE_BYTES"
 
+#: A result-cache entry starts with the CRC32 of the rest of the file
+#: as eight lowercase hex digits and a newline.
+_HEADER_BYTES = 9
 
-def _atomic_write(path: Path, text: str) -> bool:
+
+def _crc_header(body: bytes) -> bytes:
+    return b"%08x\n" % zlib.crc32(body)
+
+
+def _atomic_write(path: Path, blob: bytes) -> bool:
     """tmp + ``os.replace`` under the target's directory; False on
     any OS failure (cache writes are best-effort)."""
     try:
@@ -55,8 +65,8 @@ def _atomic_write(path: Path, text: str) -> bool:
         fd, tmp = tempfile.mkstemp(dir=str(path.parent),
                                    prefix=path.stem, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(blob)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -73,7 +83,7 @@ class TraceLibrary:
     """The sharded layout of one store root.
 
     Stateless between calls: every method works off the directory
-    tree, so concurrent writers (pool workers racing on the same
+    tree, so concurrent writers (two runs racing on the same
     generation) can interleave harmlessly.
     """
 
@@ -195,26 +205,33 @@ class ResultCache:
     def contains(self, key: str) -> bool:
         """Existence probe -- no read, no counters, no injection.
 
-        The harness uses this to decide scheduling; only a real
-        :meth:`get` counts as a hit or a miss.
+        The query planner, its only caller, uses this to tell a
+        cached superset surface from a replay in its batch report;
+        only a real :meth:`get` counts as a hit or a miss (and an
+        entry that fails its checksum probes True here, then misses).
         """
         return self.path_for(key).is_file()
 
     def get(self, key: str) -> Optional[dict]:
         """The cached payload for *key*, or None on a miss.
 
-        Any failure -- missing file, injected or real IO error, torn
-        or corrupt JSON -- is a clean miss: the caller replays the
-        sweep and overwrites the entry.  A hit refreshes the entry's
-        mtime, which is the LRU clock eviction sorts by.
+        Any failure -- missing file, injected or real IO error, a
+        header that does not match the CRC32 of the JSON bytes (a
+        flipped bit, a torn write, an entry from before the checksum),
+        JSON that does not parse -- is a clean miss: the caller
+        replays the sweep and overwrites the entry.  A hit refreshes
+        the entry's mtime, which is the LRU clock eviction sorts by.
         """
         path = self.path_for(key)
         try:
             blob = path.read_bytes()
             blob = faults.inject("store.result_cache", key=key,
                                  payload=blob)
-            document = json.loads(blob.decode("utf-8"))
-        except (OSError, ValueError, UnicodeDecodeError):
+            header, body = blob[:_HEADER_BYTES], blob[_HEADER_BYTES:]
+            if header != _crc_header(body):
+                raise ValueError("result-cache entry failed its CRC32")
+            document = json.loads(body.decode("utf-8"))
+        except (OSError, ValueError):
             self.misses += 1
             telemetry.inc("result_cache.miss")
             return None
@@ -233,10 +250,9 @@ class ResultCache:
     def put(self, key: str, payload: dict) -> None:
         """Store *payload* under *key* (atomic, best-effort), then
         enforce the byte budget."""
-        if not _atomic_write(
-                self.path_for(key),
-                json.dumps(payload, sort_keys=True,
-                           separators=(",", ":")) + "\n"):
+        body = (json.dumps(payload, sort_keys=True, separators=(",", ":"))
+                + "\n").encode("utf-8")
+        if not _atomic_write(self.path_for(key), _crc_header(body) + body):
             return
         telemetry.inc("result_cache.put")
         self.evict()

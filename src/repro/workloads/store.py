@@ -38,9 +38,9 @@ Cache rules:
   (:data:`repro.trace.columnar.FORMAT_VERSION`), so a layout change
   invalidates by missing, never by misreading.
 * **write** -- to a temp file in the same directory then
-  ``os.replace``, so concurrent writers (the parallel harness's
-  workers) can race harmlessly: last atomic rename wins and both
-  contents are identical by construction.
+  ``os.replace``, so concurrent writers (two runs sharing a store)
+  can race harmlessly: last atomic rename wins and both contents are
+  identical by construction.
 * **read** -- a file in a *legacy or foreign format* (wrong magic,
   old payload version) is a clean miss and regenerated in place.  A
   file in the *current* format that fails its integrity check (length

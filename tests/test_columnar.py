@@ -14,7 +14,6 @@ Three layers of guarantees:
   trace and a >1M-event trace.
 """
 
-import pickle
 from array import array
 
 import pytest
@@ -132,14 +131,6 @@ class TestSequenceContract:
         builder.record(99, 9, 9, True)   # same trailing byte, set bit
         assert snap.to_bytes() == before
         assert snap == [TraceEvent(i, 1, 1, False) for i in range(5)]
-
-    def test_pickle_round_trips_through_columns(self):
-        trace = Trace.from_events(_pattern_events())
-        clone = pickle.loads(pickle.dumps(trace))
-        assert isinstance(clone, Trace)
-        assert clone == trace
-        view = trace[17:99]
-        assert pickle.loads(pickle.dumps(view)) == view
 
     def test_stats_summary(self):
         events = _pattern_events()

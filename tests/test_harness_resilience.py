@@ -1,8 +1,7 @@
-"""Harness fault tolerance: retries, timeouts, crash recovery,
-serial degradation, and the crash-safe run journal / --resume."""
+"""Harness fault tolerance: retries with backoff, quarantine of
+corrupt store reads, and the crash-safe run journal / --resume."""
 
 import io
-import time
 
 import pytest
 
@@ -17,10 +16,7 @@ LIGHT = ["TAB-CCACHE", "TAB-ADDR"]
 
 @pytest.fixture(autouse=True)
 def _clean_fault_state(monkeypatch):
-    monkeypatch.delenv(faults.ENV_PLAN, raising=False)
-    monkeypatch.delenv(faults.ENV_EPOCH, raising=False)
     monkeypatch.setattr(faults, "_ACTIVE", None)
-    monkeypatch.setattr(faults, "_ACTIVE_SOURCE", None)
     yield
     faults.install(None)
 
@@ -32,7 +28,7 @@ def _claims(results):
 class TestChaosEquivalence:
     """The acceptance pin: under a seeded fault plan the suite must
     complete with results byte-identical to the fault-free run, via
-    the retry / rebuild / degrade paths."""
+    the retry and quarantine paths."""
 
     def test_injected_task_errors_retry_to_identical_results(
             self, tmp_path):
@@ -47,22 +43,6 @@ class TestChaosEquivalence:
                           fault_seed=5)
         assert _claims(chaotic) == _claims(baseline)
         assert all(r.all_hold for r in chaotic)
-
-    def test_worker_crashes_rebuild_then_degrade_to_identical_results(
-            self, tmp_path):
-        stream = io.StringIO()
-        baseline = run_all(stream=io.StringIO(), only=LIGHT,
-                           trace_dir=str(tmp_path / "t"),
-                           run_dir=str(tmp_path / "r"))
-        chaotic = run_all(stream=stream, only=LIGHT, jobs=2,
-                          trace_dir=str(tmp_path / "t"),
-                          run_dir=str(tmp_path / "r2"),
-                          retries=3, backoff=0.0,
-                          fault_plan="worker.task:crash:times=1",
-                          fault_seed=5)
-        assert _claims(chaotic) == _claims(baseline)
-        output = stream.getvalue()
-        assert "pool broke" in output or "degrading to serial" in output
 
     def test_same_seed_reproduces_the_same_injection_log(
             self, tmp_path):
@@ -128,53 +108,13 @@ class TestRetryBudget:
         assert journal.completed() == {}
 
 
-class TestTimeout:
-    def test_hung_worker_is_bounded_by_task_timeout(self, tmp_path):
-        """A 60s-hang fault must not block the run: the pool is torn
-        down at --task-timeout and the task charged, so the whole
-        suite ends in a few seconds."""
-        stream = io.StringIO()
-        start = time.time()
-        results = run_all(stream=stream, only=["TAB-ADDR"], jobs=2,
-                          trace_dir=str(tmp_path / "t"),
-                          run_dir=str(tmp_path / "r"),
-                          retries=0, backoff=0.0, task_timeout=1.0,
-                          fault_plan="worker.task:slow:delay=60",
-                          fault_seed=5)
-        elapsed = time.time() - start
-        assert elapsed < 30, f"hung worker not bounded ({elapsed:.0f}s)"
-        (result,) = results
-        assert result.data["failure"]["error"] == "RetryExhausted"
-        assert "task-timeout" in stream.getvalue()
-
-    def test_slow_but_under_timeout_succeeds(self, tmp_path):
-        results = run_all(stream=io.StringIO(), only=["TAB-ADDR"],
-                          jobs=2, trace_dir=str(tmp_path / "t"),
-                          run_dir=str(tmp_path / "r"),
-                          task_timeout=60.0,
-                          fault_plan="worker.task:slow:delay=0.1",
-                          fault_seed=5)
-        assert all(r.all_hold for r in results)
-
-
 class TestSerialResilience:
-    def test_serial_crash_fault_is_retried_without_killing_parent(
-            self, tmp_path):
-        stream = io.StringIO()
-        results = run_all(stream=stream, only=["TAB-ADDR"],
-                          trace_dir=str(tmp_path / "t"),
-                          run_dir=str(tmp_path / "r"),
-                          retries=2, backoff=0.0,
-                          fault_plan="worker.task:crash:times=1")
-        assert all(r.all_hold for r in results)
-        assert "WorkerCrash" in stream.getvalue()
-
     def test_plan_is_disarmed_after_the_run(self, tmp_path):
         run_all(stream=io.StringIO(), only=["TAB-ADDR"],
                 trace_dir=str(tmp_path / "t"),
                 run_dir=str(tmp_path / "r"),
                 retries=2, backoff=0.0,
-                fault_plan="worker.task:crash:times=1")
+                fault_plan="worker.task:error:times=1")
         assert faults.active_plan() is None
 
 
@@ -269,7 +209,6 @@ class TestCliFlags:
                          "--trace-dir", str(tmp_path / "t"),
                          "--run-dir", str(tmp_path / "r"),
                          "--retries", "2", "--retry-backoff", "0",
-                         "--task-timeout", "120",
                          "--faults", "worker.task:error:times=1",
                          "--fault-seed", "9"]) == 0
         out = capsys.readouterr().out

@@ -42,16 +42,11 @@ from repro.workloads.store import QUARANTINE_DIR, TraceStore
 
 @pytest.fixture(autouse=True)
 def _clean_state(monkeypatch):
-    monkeypatch.delenv(faults.ENV_PLAN, raising=False)
-    monkeypatch.delenv(faults.ENV_EPOCH, raising=False)
-    monkeypatch.delenv(telemetry.ENV_DIR, raising=False)
     monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
     monkeypatch.delenv("REPRO_RESULT_CACHE_BYTES", raising=False)
     monkeypatch.delenv("REPRO_STORE_MMAP", raising=False)
     monkeypatch.setattr(faults, "_ACTIVE", None)
-    monkeypatch.setattr(faults, "_ACTIVE_SOURCE", None)
     monkeypatch.setattr(telemetry, "_RECORDER", None)
-    monkeypatch.setattr(telemetry, "_SOURCE", None)
     _RESULT_CACHES.clear()
     yield
     faults.install(None)
@@ -426,7 +421,38 @@ class TestResultCache:
         path.write_text("{nope")
         warm = run_sweep(SWEEP, events)  # miss -> replay -> re-put
         assert warm.counts == cold.counts
-        assert json.loads(path.read_text())["surface"] == 1
+        assert store.result_cache().get(key)["surface"] == 1
+
+    def test_every_single_bit_flip_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "ab" * 12
+        document = {"surface": 1, "counts": [[512, 2, 9876, 10000]],
+                    "meta": {"engine": "pure", "trace_passes": 2}}
+        cache.put(key, document)
+        path = cache.path_for(key)
+        blob = path.read_bytes()
+        assert cache.get(key) == document
+        for bit in range(len(blob) * 8):
+            flipped = bytearray(blob)
+            flipped[bit >> 3] ^= 1 << (bit & 7)
+            path.write_bytes(bytes(flipped))
+            assert cache.get(key) is None, f"bit {bit} was served"
+
+    def test_unchecksummed_entry_is_a_miss_and_rewritten(self, tmp_path):
+        store, events, _ = _store_trace(tmp_path)
+        cold = run_sweep(SWEEP, events)
+        cache = store.result_cache()
+        key = result_cache_key(SWEEP, events.store_key)
+        path = cache.path_for(key)
+        document = cache.get(key)
+        # An entry written before entries carried a checksum: the
+        # bare JSON line.
+        path.write_text(json.dumps(document, sort_keys=True,
+                                   separators=(",", ":")) + "\n")
+        assert cache.get(key) is None
+        warm = run_sweep(SWEEP, events)  # miss -> replay -> re-put
+        assert warm.counts == cold.counts
+        assert cache.get(key) == document
 
     def test_unstamped_trace_bypasses_the_cache(self, tmp_path):
         store, events, _ = _store_trace(tmp_path)
@@ -580,7 +606,7 @@ class TestRepeatedRunReplaysNothing:
         from repro.telemetry import report as telemetry_report
 
         common = dict(stream=io.StringIO(), only=["FIG-10"],
-                      quick=True, jobs=2,
+                      quick=True,
                       trace_dir=str(tmp_path / "traces"),
                       with_telemetry=True)
         cold = run_all(run_dir=str(tmp_path / "r1"), **common)
@@ -597,5 +623,3 @@ class TestRepeatedRunReplaysNothing:
             metrics, "sweep.replay") == 0
         assert telemetry_report.counter_total(
             metrics, "result_cache.hit") >= 1
-        assert telemetry_report.counter_total(
-            metrics, "harness.cache_served") == 1

@@ -42,15 +42,10 @@ from repro.workloads.store import TraceStore
 
 @pytest.fixture(autouse=True)
 def _clean_state(monkeypatch):
-    monkeypatch.delenv(faults.ENV_PLAN, raising=False)
-    monkeypatch.delenv(faults.ENV_EPOCH, raising=False)
-    monkeypatch.delenv(telemetry.ENV_DIR, raising=False)
     monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
     monkeypatch.delenv("REPRO_RESULT_CACHE_BYTES", raising=False)
     monkeypatch.setattr(faults, "_ACTIVE", None)
-    monkeypatch.setattr(faults, "_ACTIVE_SOURCE", None)
     monkeypatch.setattr(telemetry, "_RECORDER", None)
-    monkeypatch.setattr(telemetry, "_SOURCE", None)
     _RESULT_CACHES.clear()
     yield
     faults.install(None)

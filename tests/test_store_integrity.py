@@ -16,7 +16,7 @@ import pytest
 from repro import faults
 from repro.errors import PayloadFormatError, StoreCorruption
 from repro.faults import FaultPlan
-from repro.trace.columnar import FORMAT_VERSION, Trace
+from repro.trace.columnar import FORMAT_VERSION
 from repro.trace.events import TraceEvent
 from repro.workloads.library import SHARDS_DIR
 from repro.workloads.spec import WorkloadSpec
@@ -25,10 +25,7 @@ from repro.workloads.store import QUARANTINE_DIR, TraceStore
 
 @pytest.fixture(autouse=True)
 def _clean_fault_state(monkeypatch):
-    monkeypatch.delenv(faults.ENV_PLAN, raising=False)
-    monkeypatch.delenv(faults.ENV_EPOCH, raising=False)
     monkeypatch.setattr(faults, "_ACTIVE", None)
-    monkeypatch.setattr(faults, "_ACTIVE_SOURCE", None)
     yield
     faults.install(None)
 
@@ -300,10 +297,3 @@ class TestInjectionSites:
         assert counter["runs"] == 2
         assert recovered == events
 
-
-class TestPickleStillWorks:
-    def test_trace_pickle_round_trip_checksummed(self):
-        import pickle
-        trace = Trace.from_events(_events())
-        clone = pickle.loads(pickle.dumps(trace))
-        assert clone == trace

@@ -2,8 +2,8 @@
 
 Pins the observability acceptance criteria: armed runs produce a
 merged, reconcilable sink; disabled runs produce *zero* files and
-identical results; chaos (worker crashes, retries, resume) neither
-breaks telemetry nor is misrepresented by it.
+identical results; chaos (injected task failures, retries, resume)
+neither breaks telemetry nor is misrepresented by it.
 """
 
 import io
@@ -21,13 +21,8 @@ LIGHT = ["TAB-CCACHE", "TAB-ADDR"]
 
 @pytest.fixture(autouse=True)
 def _clean_state(monkeypatch):
-    monkeypatch.delenv(telemetry.ENV_DIR, raising=False)
-    monkeypatch.delenv(faults.ENV_PLAN, raising=False)
-    monkeypatch.delenv(faults.ENV_EPOCH, raising=False)
     monkeypatch.setattr(telemetry, "_RECORDER", None)
-    monkeypatch.setattr(telemetry, "_SOURCE", None)
     monkeypatch.setattr(faults, "_ACTIVE", None)
-    monkeypatch.setattr(faults, "_ACTIVE_SOURCE", None)
     yield
     telemetry.install(None)
     faults.install(None)
@@ -140,32 +135,6 @@ class TestDisabledRun:
 
 
 class TestChaos:
-    def test_worker_crash_pool_rebuild_keeps_telemetry_consistent(
-            self, tmp_path):
-        baseline = run_all(stream=io.StringIO(), only=LIGHT,
-                           trace_dir=str(tmp_path / "t"),
-                           run_dir=str(tmp_path / "r"))
-        chaotic = run_all(stream=io.StringIO(), only=LIGHT, jobs=2,
-                          trace_dir=str(tmp_path / "t"),
-                          run_dir=str(tmp_path / "r2"),
-                          retries=3, backoff=0.0,
-                          fault_plan="worker.task:crash:times=1",
-                          fault_seed=5, with_telemetry=True)
-        assert _claims(chaotic) == _claims(baseline)
-        data = _load(tmp_path / "r2")
-        # The crash fault's fired log survived the os._exit (event
-        # and counters are flushed *before* the fault acts) and the
-        # counters agree with the event log.
-        fired_events = [e for e in data["events"]
-                        if e.get("name") == "fault.fired"]
-        assert fired_events
-        assert telemetry_report.counter_total(
-            data["metrics"], "faults.fired") == len(fired_events)
-        # Span ids stay unique across parent + workers + rebuilt
-        # pools (the fork-aware recorder never reuses a shard).
-        ids = [s["id"] for s in data["spans"]]
-        assert len(ids) == len(set(ids))
-
     def test_injected_error_counters_match_the_fired_log(
             self, tmp_path):
         run_all(stream=io.StringIO(), only=LIGHT,
