@@ -39,10 +39,12 @@ Three types:
 
 from __future__ import annotations
 
+import operator
 import sys
 import zlib
 from array import array
 from collections.abc import Sequence
+from itertools import compress, islice, repeat
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import (MappedBufferClosed, PayloadFormatError,
@@ -74,9 +76,49 @@ _HEADER = len(_MAGIC) + 1 + 4
 #: so it is host-byte-order independent like the payload itself.
 _CRC_BYTES = 4
 
-#: byte value -> the bit positions set in it, for bitset scans.
-_BITS_IN = tuple(tuple(j for j in range(8) if value >> j & 1)
-                 for value in range(256))
+#: ``bytes.translate`` tables moving a 0/1 flag byte to bit ``j``,
+#: and bit ``j`` of a byte to a 0/1 flag byte.
+_FLAG_TO_BIT = tuple(bytes((value & 1) << j for value in range(256))
+                     for j in range(8))
+_BIT_TO_FLAG = tuple(bytes(value >> j & 1 for value in range(256))
+                     for j in range(8))
+
+try:
+    _popcount = int.bit_count
+except AttributeError:  # Python < 3.10
+    def _popcount(value: int) -> int:
+        return bin(value).count("1")
+
+
+def _bits_as_int(bits, start: int, stop: int) -> int:
+    """Bits ``start``..``stop`` of an LSB-first bitset as one int
+    (bit 0 is event ``start``); a bulk read, no per-event work."""
+    if stop <= start:
+        return 0
+    value = int.from_bytes(bits[start >> 3:(stop + 7) >> 3], "little")
+    return value >> (start & 7) & ((1 << (stop - start)) - 1)
+
+
+def _pack_flags(flags: bytes) -> int:
+    """The int whose bit ``k`` is ``flags[k]`` (one 0/1 byte per
+    event): eight strided slices, each moved to its bit and OR-ed."""
+    packed = 0
+    for j in range(8):
+        packed |= int.from_bytes(flags[j::8].translate(_FLAG_TO_BIT[j]),
+                                 "little")
+    return packed
+
+
+def _unpack_flags(bits, start: int, stop: int) -> bytearray:
+    """One 0/1 byte per event of bits ``start``..``stop``: the inverse
+    of :func:`_pack_flags`, bit ``j`` of every byte spread into the
+    flags' ``j::8`` slice."""
+    n = stop - start
+    packed = _bits_as_int(bits, start, stop).to_bytes((n + 7) >> 3, "little")
+    flags = bytearray(n)
+    for j in range(min(8, n)):
+        flags[j::8] = packed.translate(_BIT_TO_FLAG[j])[:(n - j + 7) >> 3]
+    return flags
 
 
 class _ColumnarSequence(Sequence):
@@ -91,6 +133,11 @@ class _ColumnarSequence(Sequence):
 
     def _bounds(self) -> Tuple[int, int]:
         raise NotImplementedError
+
+    def _bitset(self):
+        """The dispatched bitset, for bulk reads (a mapped trace checks
+        the bitset's CRC first)."""
+        return self._bits
 
     def __len__(self) -> int:
         start, stop = self._bounds()
@@ -189,42 +236,24 @@ class _ColumnarSequence(Sequence):
 
         The view every dispatched-only hot loop iterates instead of
         filtering event objects; computed once and cached on
-        immutable views.
+        immutable views.  Built in bulk: the bitset is unpacked to one
+        flag byte per event and ``itertools.compress`` picks the
+        indices.
         """
         start, stop = self._bounds()
-        bits = self._bits
-        indices = array(_INT)
-        append = indices.append
-        if start & 7:
-            # Unaligned view: walk bits until the next byte boundary.
-            head = min(stop, (start | 7) + 1)
-            for i in range(start, head):
-                if bits[i >> 3] & (1 << (i & 7)):
-                    append(i - start)
-            lo = head
-        else:
-            lo = start
-        base = lo - start
-        for byte in bits[lo >> 3:(stop + 7) >> 3]:
-            if byte:
-                for j in _BITS_IN[byte]:
-                    index = base + j
-                    if index >= stop - start:
-                        break
-                    append(index)
-            base += 8
-        return indices
+        flags = _unpack_flags(self._bitset(), start, stop)
+        return array(_INT, compress(range(stop - start), flags))
 
     def dispatched_count(self, stop: Optional[int] = None) -> int:
         """How many of the first ``stop`` events are dispatched.
 
-        ``stop=None`` counts the whole view.
+        ``stop=None`` counts the whole view.  Counts the bits of the
+        bitset directly; no index array is built.
         """
-        indices = self.dispatched_indices()
-        if stop is None:
-            return len(indices)
-        from bisect import bisect_left
-        return bisect_left(indices, stop)
+        start, end = self._bounds()
+        if stop is not None:
+            end = start + min(max(stop, 0), end - start)
+        return _popcount(_bits_as_int(self._bitset(), start, end))
 
     # -- aggregate statistics ---------------------------------------------
 
@@ -278,20 +307,12 @@ class _ColumnarSequence(Sequence):
                 column = column[:]  # don't mutate the live column
                 column.byteswap()
             blocks.append(column.tobytes())
-        if start & 7 or not isinstance(
-                self._bits, (bytes, bytearray, memoryview)):
-            bits = bytearray((n + 7) >> 3)
-            for index in self.dispatched_indices():
-                bits[index >> 3] |= 1 << (index & 7)
-        else:
-            bits = bytearray(self._bits[start >> 3:(start + n + 7) >> 3])
-            if n & 7:
-                # Mask stray bits belonging to events past the view's
-                # stop (a sliced view, or a builder that kept
-                # recording after a snapshot): the payload of a trace
-                # depends only on its own events.
-                bits[-1] &= (1 << (n & 7)) - 1
-        blocks.append(bytes(bits))
+        # The bit slice drops stray bits of events past the view's stop
+        # (a sliced view, or a builder that kept recording after a
+        # snapshot): the payload of a trace depends only on its own
+        # events.
+        blocks.append(_bits_as_int(self._bitset(), start, stop).to_bytes(
+            (n + 7) >> 3, "little"))
         header = _MAGIC + bytes([FORMAT_VERSION]) + n.to_bytes(4, "little")
         parts = [header]
         for block in blocks:
@@ -500,9 +521,8 @@ class Trace(_ColumnarSequence):
             column = array(_INT)
             column.frombytes(bytes(view))
             columns.append(column)
-        bits = bytearray((n + 7) >> 3)
-        for index in self.dispatched_indices():
-            bits[index >> 3] |= 1 << (index & 7)
+        bits = bytearray(_bits_as_int(self._bitset(), start, stop).to_bytes(
+            (n + 7) >> 3, "little"))
         duplicate = Trace(columns[0], columns[1], columns[2], bits)
         duplicate.store_key = self.store_key
         duplicate.store_root = self.store_root
@@ -621,9 +641,9 @@ class MappedTrace(Trace):
         self._verify("receiver-class")
         return super().receiver_classes()
 
-    def dispatched_indices(self):
+    def _bitset(self):
         self._verify("dispatched-bitset")
-        return super().dispatched_indices()
+        return self._bits
 
     def dispatched_flag(self, index: int) -> bool:
         self._verify("dispatched-bitset")
@@ -655,8 +675,10 @@ class MappedTrace(Trace):
 class TraceBuilder(_ColumnarSequence):
     """The columnar recorder the instrumented interpreters append to.
 
-    :meth:`record` is the hot emitter -- four column appends and a
-    bit set, no object construction.  The builder is itself a
+    :meth:`record` appends one event -- three column appends and a
+    bit set, no object construction; :meth:`partial_recorders` and
+    :meth:`complete` record an event with two appends and fill the
+    rest of a run's events in bulk.  The builder is itself a
     ``Sequence[TraceEvent]`` so legacy callers can read
     ``machine.trace`` directly; :meth:`snapshot` produces an
     immutable :class:`Trace` sharing the same arrays (no copy --
@@ -697,41 +719,84 @@ class TraceBuilder(_ColumnarSequence):
     def extend(self, events, address_offset: int = 0) -> None:
         """Append a whole trace, optionally rebasing its addresses.
 
-        Columnar sources extend column-to-column (bulk array extends
-        plus bitset merging via the dispatched-index view); other
-        iterables fall back to per-event appends.
+        Columnar sources extend column-to-column: bulk array extends
+        (a rebase maps ``operator.add`` over a zero-copy view of the
+        address column) and the source's bits, read as one int, merged
+        into the bitset.  Other iterables fall back to per-event
+        appends.
         """
-        if isinstance(events, _ColumnarSequence):
-            if isinstance(events, MappedTrace):
-                # The bulk column extends below read events._columns
-                # directly; force the deferred CRC checks first so a
-                # corrupt mapped block cannot be copied silently.
-                events._verify_all()
-            start, stop = events._bounds()
-            added = stop - start
-            if not added:
-                return
-            n0 = self._count
-            if address_offset:
-                self._addresses.extend(
-                    value + address_offset for value in events.addresses())
-            else:
-                self._addresses.extend(events._addresses[start:stop])
-            self._opcodes.extend(events._opcodes[start:stop])
-            self._classes.extend(events._classes[start:stop])
-            total = n0 + added
-            need = (total + 7) >> 3
-            if len(self._bits) < need:
-                self._bits.extend(bytes(need - len(self._bits)))
-            bits = self._bits
-            for index in events.dispatched_indices():
-                i = n0 + index
-                bits[i >> 3] |= 1 << (i & 7)
-            self._count = total
-        else:
+        if not isinstance(events, _ColumnarSequence):
             for event in events:
                 self.record(event.address + address_offset, event.opcode,
                             event.receiver_class, event.dispatched)
+            return
+        if isinstance(events, MappedTrace):
+            # The bulk column extends below read events._columns
+            # directly; force the deferred CRC checks first so a
+            # corrupt mapped block cannot be copied silently.
+            events._verify_all()
+        start, stop = events._bounds()
+        if stop == start:
+            return
+        n0 = self._count
+        if address_offset:
+            # Rebase through a zero-copy view of the source column.
+            with memoryview(events._addresses) as column, \
+                    column[start:stop] as view:
+                self._addresses.extend(map(operator.add, view,
+                                           repeat(address_offset)))
+        else:
+            self._addresses.extend(events._addresses[start:stop])
+        self._opcodes.extend(events._opcodes[start:stop])
+        self._classes.extend(events._classes[start:stop])
+        self._merge_bits(n0, _bits_as_int(events._bits, start, stop),
+                         stop - start)
+
+    def partial_recorders(self):
+        """``(address append, receiver-class append)``: the emitter for
+        machines whose opcode and dispatched flag are functions of the
+        instruction address (the Fith interpreter: each address names
+        one plan entry).
+
+        Events appended through these two calls join the builder when
+        :meth:`complete` fills in their opcodes and dispatched bits.
+        """
+        return self._addresses.append, self._classes.append
+
+    def complete(self, opcode_at, dispatched_at) -> None:
+        """Finish the events appended through :meth:`partial_recorders`
+        since the last call, in bulk: each event's opcode is
+        ``opcode_at[address]`` and its dispatched bit
+        ``dispatched_at[address]`` (0 or 1).
+
+        An event is complete once its receiver class is appended; an
+        address appended without one is dropped.
+        """
+        n0 = self._count
+        count = len(self._classes)
+        del self._addresses[count:]
+        if count == n0:
+            return
+        addresses = self._addresses
+        self._opcodes.extend(map(opcode_at.__getitem__,
+                                 islice(addresses, n0, None)))
+        flags = bytes(map(dispatched_at.__getitem__,
+                          islice(addresses, n0, None)))
+        self._merge_bits(n0, _pack_flags(flags), count - n0)
+
+    def _merge_bits(self, n0: int, value: int, added: int) -> None:
+        """Place ``added`` dispatched bits (``value``, bit 0 first) at
+        event ``n0`` and count the events in.  The builder's last byte
+        may be partly filled: the new bits shift up past its
+        ``n0 & 7`` used bits."""
+        lo = n0 >> 3
+        shift = n0 & 7
+        bits = self._bits
+        if shift:
+            value = value << shift | bits[lo]
+        total = n0 + added
+        bits[lo:] = value.to_bytes(((total + 7) >> 3) - lo, "little")
+        self._count = total
 
     def snapshot(self) -> Trace:
         """An immutable Trace over the columns recorded so far."""

@@ -17,6 +17,7 @@ Three layers of guarantees:
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.trace.events as events_module
 from repro.trace.columnar import _INT, Trace, TraceBuilder, as_trace
@@ -146,6 +147,80 @@ class TestSequenceContract:
             len({e.address for e in events})
         assert stats["address_min"] == min(e.address for e in events)
         assert stats["address_max"] == max(e.address for e in events)
+
+
+_EVENT = st.tuples(st.integers(0, 1 << 20), st.integers(0, 400),
+                   st.integers(-1, 60), st.booleans())
+
+
+def _recorded(events, address_offset=0):
+    builder = TraceBuilder()
+    for address, opcode, receiver, dispatched in events:
+        builder.record(address + address_offset, opcode, receiver,
+                       dispatched)
+    return builder
+
+
+class TestBulkBuilderOperations:
+    """The builder's bulk paths (column extends, bitset merges at any
+    bit offset, the address-keyed completion of partly recorded events,
+    bit-counting) against per-event ``record``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(prefix=st.lists(_EVENT, max_size=20),
+           source=st.lists(_EVENT, max_size=40),
+           cut=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+           address_offset=st.integers(0, 1 << 20),
+           kind=st.sampled_from(["slice", "mapped", "mapped-slice",
+                                 "builder"]))
+    def test_extend_equals_per_event_record(self, prefix, source, cut,
+                                            address_offset, kind):
+        lo, hi = sorted(min(bound, len(source)) for bound in cut)
+        full = _recorded(source)
+        if kind == "builder":
+            view, lo, hi = full, 0, len(source)
+        elif kind == "mapped":
+            view, lo, hi = Trace.from_buffer(full.to_bytes()), 0, len(source)
+        elif kind == "mapped-slice":
+            view = Trace.from_buffer(full.to_bytes())[lo:hi]
+        else:
+            view = full.snapshot()[lo:hi]
+        builder = _recorded(prefix)   # last bitset byte partly filled
+        builder.extend(view, address_offset=address_offset)
+        expected = _recorded(prefix + [
+            (address + address_offset, opcode, receiver, dispatched)
+            for address, opcode, receiver, dispatched in source[lo:hi]])
+        assert len(builder) == len(expected)
+        assert builder.to_bytes() == expected.to_bytes()
+        for trace in (view, builder, builder.snapshot(),
+                      builder.snapshot()[len(prefix) // 2:]):
+            assert trace.dispatched_count() == \
+                len(trace.dispatched_indices())
+        assert list(builder.dispatched_indices()) == \
+            [i for i, event in enumerate(expected) if event.dispatched]
+
+    @settings(max_examples=150, deadline=None)
+    @given(epochs=st.lists(st.lists(st.integers(0, 63), max_size=30),
+                           min_size=1, max_size=4),
+           opcodes=st.lists(st.integers(0, 400), min_size=64, max_size=64),
+           flags=st.lists(st.booleans(), min_size=64, max_size=64))
+    def test_complete_equals_per_event_record(self, epochs, opcodes,
+                                              flags):
+        builder = TraceBuilder()
+        expected = TraceBuilder()
+        dispatched_at = [int(flag) for flag in flags]
+        for epoch in epochs:
+            record_address, record_class = builder.partial_recorders()
+            for step, address in enumerate(epoch):
+                record_address(address)
+                record_class(step % 7 - 1)
+                expected.record(address, opcodes[address], step % 7 - 1,
+                                flags[address])
+            builder.complete(opcodes, dispatched_at)
+            assert builder.to_bytes() == expected.to_bytes()
+        assert builder.dispatched_count() == \
+            len(builder.dispatched_indices()) == \
+            expected.dispatched_count()
 
 
 class TestWarmupCutOwnership:
