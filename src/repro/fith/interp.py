@@ -23,17 +23,26 @@ repeat``, ``do loop`` with ``i``/``j``, ``exit``.
 The interpreter records one trace record per instruction when tracing
 is enabled -- instruction address, opcode number and the class of the
 top of stack, the exact record of section 5 -- into a columnar
-:class:`~repro.trace.columnar.TraceBuilder` (four packed ints per
-event, no object construction on the hot path).
+:class:`~repro.trace.columnar.TraceBuilder`.  Each step appends only
+the address and the receiver class; the opcode and the dispatched bit
+are functions of the address and are filled in bulk when the run ends.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import FithError
-from repro.memory.tags import Tag, Word, fits_small_integer
+from repro.memory.tags import (
+    SMALL_INTEGER_MAX,
+    SMALL_INTEGER_MIN,
+    Tag,
+    Word,
+    fits_small_integer,
+    small_integer_word,
+)
 from repro.objects.model import ClassRegistry, ObjectClass, PrimitiveMethod
 from repro.core.isa import OpcodeTable
 from repro.fith.code import (
@@ -65,12 +74,6 @@ class FithObject:
 
     class_tag: int
     fields: List[Word]
-
-
-@dataclass
-class _Frame:
-    word: CompiledWord
-    pc: int = 0
 
 
 @dataclass
@@ -108,9 +111,17 @@ class FithMachine:
         self._primitives: Dict[str, Callable[["FithMachine"], None]] = {}
         #: Send-translation memo, the Fith analogue of the COM's ITLB
         #: ("the instruction translation mechanisms of the two machines
-        #: are identical"): (opcode, receiver tag) -> resolved action.
-        #: Cleared whenever definitions can change (load, define_class).
-        self._send_memo: Dict[Tuple[int, int], tuple] = {}
+        #: are identical"): ``opcode << 16 | receiver tag`` -> resolved
+        #: action (see :meth:`_translate`).  Cleared whenever
+        #: definitions can change (load, define_class).
+        self._send_memo: Dict[int, tuple] = {}
+        #: Address -> trace opcode and dispatched flag (0/1) of the plan
+        #: entry at that address, filled as plans are built.  Each
+        #: address names one entry (``_next_address`` never reuses
+        #: one), so a traced run records only addresses and receiver
+        #: classes and completes its events from these at exit.
+        self._opcode_at: List[int] = []
+        self._dispatched_at: List[int] = []
         self._install_primitives()
 
     # ------------------------------------------------------------------
@@ -161,9 +172,6 @@ class FithMachine:
         if not word.is_small_integer:
             raise FithError(f"expected a small integer, got {word!r}")
         return word.value
-
-    def _tos_class(self) -> int:
-        return self.stack[-1].class_tag if self.stack else -1
 
     # ------------------------------------------------------------------
     # primitive vocabulary
@@ -463,57 +471,99 @@ class FithMachine:
         """Predecode a word's instructions into plan tuples.
 
         Each entry is ``(code, literal, displacement, selector,
-        trace_opcode, dispatched)``: the integer opcode replaces enum
-        identity chains, and the trace opcode -- which the seed
-        re-derived from the opcode table on every traced step -- is
-        resolved once.  The plan is cached on the word; compiled words
-        are immutable after :meth:`load` returns.
+        send_key)``: the integer opcode replaces enum identity chains,
+        and ``send_key`` is a send's trace opcode shifted left 16
+        bits, ready to OR with the receiver tag into its memo key.
+        The trace opcode and dispatched flag of each entry go into the
+        machine's address tables.  The plan is cached on the word;
+        compiled words are immutable after :meth:`load` returns.
         """
         plan = []
+        opcode_at = self._opcode_at
+        dispatched_at = self._dispatched_at
+        missing = word.base_address + len(word.instructions) \
+            - len(opcode_at)
+        if missing > 0:
+            opcode_at.extend([0] * missing)
+            dispatched_at.extend([0] * missing)
+        address = word.base_address
         for inst in word.instructions:
             op = inst.op
             dispatched = op is FithOp.SEND
             trace_opcode = (self.opcodes.number_of(inst.selector)
                             if dispatched else self._machine_opcode[op])
             plan.append((_CODE_OF[op], inst.literal, inst.displacement,
-                         inst.selector, trace_opcode, dispatched))
+                         inst.selector,
+                         trace_opcode << 16 if dispatched else 0))
+            opcode_at[address] = trace_opcode
+            dispatched_at[address] = int(dispatched)
+            address += 1
         word.plan = plan
         return plan
+
+    def _translate(self, selector: str, key: int, receiver_tag: int):
+        """Resolve a send the memo misses and memoize it under ``key``.
+
+        The action is ``(fast, handler, callee, fn, depth)``:
+        ``fast`` names the run loop's inline fast path for the
+        primitive (0 for none), ``fn`` its operator and ``depth`` the
+        stack depth it needs; ``handler`` is the primitive's handler,
+        which the fast path falls back to for any other operand mix;
+        ``callee`` is a compiled method's word.
+        """
+        method = self.registry.lookup_by_tag(selector, receiver_tag).method
+        if isinstance(method, PrimitiveMethod):
+            fast, fn = _FAST_PATHS.get(method.unit, (0, None))
+            action = (fast, self._primitives[method.unit], None, fn,
+                      _FAST_DEPTH[fast])
+        else:
+            action = (0, None, method.code, None, 0)
+        self._send_memo[key] = action
+        return action
 
     def run(self, max_steps: int = 5_000_000) -> None:
         """Execute the main word compiled by :meth:`load`.
 
         The interpreter runs each word's predecoded plan in a tight
         inner loop with a local program counter; the hottest operations
-        (push, send, branches, dup) are inlined and the rest dispatch
-        through the ``_HANDLERS`` table, replacing the seed's long
-        if/elif ladder.  Trace events, step counts and error messages
-        are identical to the seed interpreter.
+        (push, send, branches, dup, swap, drop) are inlined and the
+        rest dispatch through the ``_HANDLERS`` table.  Sends of the
+        hottest primitives run inline on the local stack when their
+        operands are small integers or object pointers, falling back to
+        the primitive's handler otherwise.  A traced step appends its
+        address and receiver class; the run completes those events in
+        bulk when it exits, normally or by an error.  Trace events,
+        step counts and error messages are identical to the seed
+        interpreter.
         """
         main = getattr(self, "_main", None)
         if main is None:
             raise FithError("no main code loaded")
-        frames: List[_Frame] = [_Frame(main)]
+        # Suspended callers as (word, return pc); returning to the
+        # bottom entry's None word ends the run.
+        frames: List[Tuple[Optional[CompiledWord], int]] = [(None, 0)]
+        word = main
+        pc = 0
         loops: List[_LoopFrame] = []
         stack = self.stack
-        registry = self.registry
-        primitives = self._primitives
+        objects = self._objects
         send_memo = self._send_memo
-        trace = self.trace
+        translate = self._translate
         handlers = _HANDLERS
         object_tag = self.object_class.class_tag
         steps = self.steps
+        trace = self.trace
+        recording = trace is not None
+        if recording:
+            record_address, record_class = trace.partial_recorders()
         try:
-            while frames:
+            while word is not None:
                 if steps >= max_steps:
                     raise FithError(f"exceeded step budget {max_steps}")
-                frame = frames[-1]
-                word = frame.word
                 plan = word.plan
                 if plan is None:
                     plan = self._plan_of(word)
                 base = word.base_address
-                pc = frame.pc
                 limit = len(plan)
                 while pc < limit:
                     if steps >= max_steps:
@@ -521,11 +571,9 @@ class FithMachine:
                             f"exceeded step budget {max_steps}")
                     entry = plan[pc]
                     steps += 1
-                    if trace is not None:
-                        trace.record(
-                            base + pc, entry[4],
-                            stack[-1].class_tag if stack else -1,
-                            entry[5])
+                    if recording:
+                        record_address(base + pc)
+                        record_class(stack[-1].class_tag if stack else -1)
                     pc += 1
                     code = entry[0]
                     if code == _PUSH:
@@ -533,62 +581,121 @@ class FithMachine:
                     elif code == _SEND:
                         receiver_tag = (stack[-1].class_tag if stack
                                         else object_tag)
-                        key = (entry[4], receiver_tag)
+                        key = entry[4] | receiver_tag
                         action = send_memo.get(key)
                         if action is None:
-                            method = registry.lookup_by_tag(
-                                entry[3], receiver_tag).method
-                            if isinstance(method, PrimitiveMethod):
-                                action = (primitives[method.unit], None)
-                            else:
-                                action = (None, method.code)
-                            send_memo[key] = action
-                        handler, callee = action
+                            action = translate(entry[3], key, receiver_tag)
+                        fast = action[0]
+                        if fast and len(stack) >= action[4]:
+                            if fast == _F_ARITH:
+                                b = stack[-1]
+                                a = stack[-2]
+                                if a.tag is _SMALL and b.tag is _SMALL:
+                                    result = action[3](a.value, b.value)
+                                    if _MIN <= result <= _MAX:
+                                        stack.pop()
+                                        stack[-1] = _int_word(result)
+                                        continue
+                            elif fast == _F_FETCH:
+                                pointer = stack[-1]
+                                if pointer.tag is _POINTER:
+                                    obj = objects.get(pointer.value)
+                                    if obj is not None and obj.fields:
+                                        stack[-1] = obj.fields[0]
+                                        continue
+                            elif fast == _F_AT:
+                                index = stack[-1]
+                                pointer = stack[-2]
+                                if index.tag is _SMALL \
+                                        and pointer.tag is _POINTER:
+                                    obj = objects.get(pointer.value)
+                                    if obj is not None and 0 <= \
+                                            index.value < len(obj.fields):
+                                        stack.pop()
+                                        stack[-1] = obj.fields[index.value]
+                                        continue
+                            elif fast == _F_COMPARE:
+                                b = stack[-1]
+                                a = stack[-2]
+                                if a.tag is _SMALL and b.tag is _SMALL:
+                                    stack.pop()
+                                    stack[-1] = (
+                                        _TRUE if action[3](a.value, b.value)
+                                        else _FALSE)
+                                    continue
+                            elif fast == _F_PUT:
+                                index = stack[-2]
+                                pointer = stack[-3]
+                                if index.tag is _SMALL \
+                                        and pointer.tag is _POINTER:
+                                    obj = objects.get(pointer.value)
+                                    if obj is not None and 0 <= \
+                                            index.value < len(obj.fields):
+                                        obj.fields[index.value] = stack[-1]
+                                        del stack[-3:]
+                                        continue
+                            elif fast == _F_MOD:
+                                b = stack[-1]
+                                a = stack[-2]
+                                if a.tag is _SMALL and b.tag is _SMALL \
+                                        and b.value:
+                                    stack.pop()
+                                    stack[-1] = _int_word(a.value % b.value)
+                                    continue
+                            elif fast == _F_STORE:
+                                pointer = stack[-1]
+                                if pointer.tag is _POINTER:
+                                    obj = objects.get(pointer.value)
+                                    if obj is not None and obj.fields:
+                                        obj.fields[0] = stack[-2]
+                                        del stack[-2:]
+                                        continue
+                        handler = action[1]
                         if handler is not None:
                             handler(self)
                         else:
-                            frame.pc = pc
-                            frames.append(_Frame(callee))
+                            frames.append((word, pc))
+                            word = action[2]
+                            pc = 0
                             break
-                    elif code == _BRANCH_IF_FALSE:
-                        try:
-                            top = stack.pop()
-                        except IndexError:
-                            raise FithError("stack underflow") from None
-                        if not _is_true(top):
-                            pc += entry[2]
+                    elif code == _RETURN or code == _EXIT:
+                        word, pc = frames.pop()
+                        break
                     elif code == _DUP:
                         if not stack:
                             raise FithError("dup on empty stack")
                         stack.append(stack[-1])
+                    elif code == _SWAP:
+                        if len(stack) >= 2:
+                            stack[-1], stack[-2] = stack[-2], stack[-1]
+                        else:
+                            _op_swap(self, entry, pc, stack, loops)
+                    elif code == _BRANCH_IF_FALSE:
+                        if not stack:
+                            raise FithError("stack underflow")
+                        top = stack.pop()
+                        if top is _FALSE or (top is not _TRUE
+                                             and not _is_true(top)):
+                            pc += entry[2]
+                    elif code == _DROP:
+                        if not stack:
+                            raise FithError("stack underflow")
+                        stack.pop()
                     elif code == _BRANCH:
                         pc += entry[2]
-                    elif code == _RETURN or code == _EXIT:
-                        frames.pop()
-                        break
                     elif code == _HALT:
-                        frames.clear()
+                        word = None
                         break
                     else:
                         pc = handlers[code](self, entry, pc, stack, loops)
                 else:
                     # Ran off the end of the word with no explicit
                     # return: the frame simply pops.
-                    frames.pop()
+                    word, pc = frames.pop()
         finally:
             self.steps = steps
-
-    def _send(self, selector: str, frames: List[_Frame]) -> None:
-        # With an empty stack there is no receiver class; dispatch falls
-        # back to Object (zero-argument words like 'setup' still work).
-        receiver_tag = (self.stack[-1].class_tag if self.stack
-                        else self.object_class.class_tag)
-        lookup = self.registry.lookup_by_tag(selector, receiver_tag)
-        method = lookup.method
-        if isinstance(method, PrimitiveMethod):
-            self._primitives[method.unit](self)
-        else:
-            frames.append(_Frame(method.code))
+            if recording:
+                trace.complete(self._opcode_at, self._dispatched_at)
 
     # -- conveniences -----------------------------------------------------
 
@@ -617,14 +724,6 @@ _CODE_OF = {
     FithOp.LOOP_J: _LOOP_J, FithOp.RETURN: _RETURN, FithOp.EXIT: _EXIT,
     FithOp.SEND: _SEND, FithOp.HALT: _HALT,
 }
-
-
-def _op_drop(machine, entry, pc, stack, loops):
-    try:
-        stack.pop()
-    except IndexError:
-        raise FithError("stack underflow") from None
-    return pc
 
 
 def _op_swap(machine, entry, pc, stack, loops):
@@ -691,8 +790,8 @@ def _op_loop_j(machine, entry, pc, stack, loops):
 _HANDLERS = [
     None,          # PUSH (inline)
     None,          # DUP (inline)
-    _op_drop,
-    _op_swap,
+    None,          # DROP (inline)
+    None,          # SWAP (inline)
     _op_over,
     _op_rot,
     None,          # BRANCH (inline)
@@ -706,6 +805,43 @@ _HANDLERS = [
     None,          # SEND (inline)
     None,          # HALT (inline)
 ]
+
+
+#: Inline fast paths for sends of the hottest primitives (see
+#: FithMachine.run): SmallInteger arithmetic and comparisons, array
+#: ``at``/``put`` and the cell words ``@``/``!``.  Each takes the
+#: operands straight off the local stack when they are small integers
+#: or live object pointers in range, and otherwise leaves the stack
+#: alone and falls back to the primitive's handler, which raises the
+#: same errors as before.
+(_F_ARITH, _F_FETCH, _F_AT, _F_COMPARE, _F_PUT, _F_MOD,
+ _F_STORE) = range(1, 8)
+
+#: Stack depth each fast path needs (index 0: no fast path).
+_FAST_DEPTH = (0, 2, 1, 2, 2, 3, 2, 2)
+
+#: primitive unit -> (fast path, operator)
+_FAST_PATHS = {
+    "fith.SmallInteger.+": (_F_ARITH, operator.add),
+    "fith.SmallInteger.-": (_F_ARITH, operator.sub),
+    "fith.SmallInteger.*": (_F_ARITH, operator.mul),
+    "fith.SmallInteger.mod": (_F_MOD, None),
+    "fith.SmallInteger.<": (_F_COMPARE, operator.lt),
+    "fith.SmallInteger.<=": (_F_COMPARE, operator.le),
+    "fith.SmallInteger.>": (_F_COMPARE, operator.gt),
+    "fith.SmallInteger.>=": (_F_COMPARE, operator.ge),
+    "fith.Object.=": (_F_COMPARE, operator.eq),
+    "fith.SmallInteger.at": (_F_AT, None),
+    "fith.Object.put": (_F_PUT, None),
+    "fith.Object.@": (_F_FETCH, None),
+    "fith.Object.!": (_F_STORE, None),
+}
+
+_SMALL = Tag.SMALL_INTEGER
+_POINTER = Tag.OBJECT_POINTER
+_MIN = SMALL_INTEGER_MIN
+_MAX = SMALL_INTEGER_MAX
+_int_word = small_integer_word
 
 
 def _pop_control(control: List[Tuple[str, int]], expected: str,

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import DoesNotUnderstandTrap, FithError
 from repro.fith.code import FithOp, MACHINE_OP_SELECTORS
 from repro.fith.interp import FithMachine
+from repro.trace.columnar import TraceBuilder
 from repro.fith.programs import (
     CORPUS,
     combined_trace,
@@ -226,6 +227,102 @@ class TestTracing:
         machine = run_fith(": f 1 drop ; f")
         first_send = next(e for e in machine.trace if e.dispatched)
         assert first_send.receiver_class == -1
+
+
+def _event_tuples(trace):
+    return [(e.address, e.opcode, e.receiver_class, e.dispatched)
+            for e in trace]
+
+
+class TestDeferredRecording:
+    """A traced run appends each step's address and receiver class and
+    fills in the opcodes and dispatched bits when it exits, normally or
+    by an error.  The expected events below were recorded by the
+    per-event recorder this replaced: ``(address, opcode, receiver
+    class, dispatched)``."""
+
+    ABORTED = [
+        pytest.param(
+            ": step 1 + ; 0 begin step dup 100 > until .", 13,
+            FithError, "exceeded step budget 13",
+            [(3, 64, -1, False), (4, 100, 1, True), (0, 64, 1, False),
+             (1, 1, 1, True), (2, 76, 1, False), (5, 65, 1, False),
+             (6, 64, 1, False), (7, 79, 1, True), (8, 71, 3, False),
+             (4, 100, 1, True), (0, 64, 1, False), (1, 1, 1, True),
+             (2, 76, 1, False)],
+            id="step-budget"),
+        pytest.param(
+            ": half 2 / ; : boom 0 / ; 9 half 7 boom .", 1000,
+            FithError, "division by zero",
+            [(6, 64, -1, False), (7, 100, 1, True), (0, 64, 1, False),
+             (1, 4, 1, True), (2, 76, 1, False), (8, 64, 1, False),
+             (9, 101, 1, True), (3, 64, 1, False), (4, 4, 1, True)],
+            id="primitive-error"),
+        pytest.param(
+            ": f dup frobnicate ; 2 3 f", 1000,
+            DoesNotUnderstandTrap, "does not understand 'frobnicate'",
+            [(3, 64, -1, False), (4, 64, 1, False), (5, 101, 1, True),
+             (0, 65, 1, False), (1, 100, 1, True)],
+            id="not-understood"),
+    ]
+
+    @pytest.mark.parametrize("source, max_steps, error, message, expected",
+                             ABORTED)
+    def test_aborted_run_keeps_every_event(self, source, max_steps, error,
+                                           message, expected):
+        machine = FithMachine(trace=True)
+        with pytest.raises(error, match=message):
+            machine.run_source(source, max_steps=max_steps)
+        assert _event_tuples(machine.trace) == expected
+        assert len(machine.trace) == machine.steps
+
+    @staticmethod
+    def _per_event_reference(machine, words):
+        """Re-record the machine's trace event by event, with each
+        opcode and dispatched flag derived from the compiled
+        instruction at the event's address."""
+        at = {}
+        for word in words:
+            for offset, inst in enumerate(word.instructions):
+                at[word.base_address + offset] = inst
+        reference = TraceBuilder()
+        for address, receiver in zip(machine.trace.addresses(),
+                                     machine.trace.receiver_classes()):
+            inst = at[address]
+            sent = inst.op is FithOp.SEND
+            opcode = machine.opcodes.number_of(
+                inst.selector if sent else MACHINE_OP_SELECTORS[inst.op])
+            reference.record(address, opcode, receiver, sent)
+        return reference
+
+    def test_epochs_match_per_event_recording(self):
+        # Each load/run epoch appends a count of events that is not a
+        # multiple of 8, so every later epoch starts mid-byte in the
+        # dispatched bitset; the third epoch dies in a primitive.
+        machine = FithMachine(trace=True)
+        epochs = [
+            ": tick 1 + ; variable n 0 n ! 5 0 do n @ tick n ! loop",
+            ": tick 2 * ; n @ tick tick .",
+            ": tick 0 mod ; 3 tick",
+            ": tick dup 1 + swap drop ; n @ tick tick tick .",
+        ]
+        words = []
+        counts = []
+        for source in epochs:
+            before = len(machine.trace)
+            try:
+                machine.run_source(source)
+            except FithError:
+                pass
+            words.extend(machine._words.values())
+            words.append(machine._main)
+            counts.append(len(machine.trace) - before)
+        assert all(count % 8 for count in counts), counts
+        assert len(machine.trace) == machine.steps
+        reference = self._per_event_reference(machine, words)
+        assert machine.trace.to_bytes() == reference.to_bytes()
+        assert machine.trace.dispatched_count() == \
+            reference.dispatched_count()
 
 
 class TestCorpus:
