@@ -592,9 +592,10 @@ class FithMachine:
                                 a = stack[-2]
                                 if a.tag is _SMALL and b.tag is _SMALL:
                                     result = action[3](a.value, b.value)
-                                    if _MIN <= result <= _MAX:
+                                    if SMALL_INTEGER_MIN <= result \
+                                            <= SMALL_INTEGER_MAX:
                                         stack.pop()
-                                        stack[-1] = _int_word(result)
+                                        stack[-1] = small_integer_word(result)
                                         continue
                             elif fast == _F_FETCH:
                                 pointer = stack[-1]
@@ -640,7 +641,8 @@ class FithMachine:
                                 if a.tag is _SMALL and b.tag is _SMALL \
                                         and b.value:
                                     stack.pop()
-                                    stack[-1] = _int_word(a.value % b.value)
+                                    stack[-1] = small_integer_word(
+                                        a.value % b.value)
                                     continue
                             elif fast == _F_STORE:
                                 pointer = stack[-1]
@@ -839,9 +841,6 @@ _FAST_PATHS = {
 
 _SMALL = Tag.SMALL_INTEGER
 _POINTER = Tag.OBJECT_POINTER
-_MIN = SMALL_INTEGER_MIN
-_MAX = SMALL_INTEGER_MAX
-_int_word = small_integer_word
 
 
 def _pop_control(control: List[Tuple[str, int]], expected: str,
