@@ -194,8 +194,11 @@ class TestBulkBuilderOperations:
         assert builder.to_bytes() == expected.to_bytes()
         for trace in (view, builder, builder.snapshot(),
                       builder.snapshot()[len(prefix) // 2:]):
-            assert trace.dispatched_count() == \
-                len(trace.dispatched_indices())
+            indices = list(trace.dispatched_indices())
+            assert trace.dispatched_count() == len(indices)
+            for stop in (-1, 0, 3, len(trace) // 2, len(trace) + 9):
+                assert trace.dispatched_count(stop) == \
+                    sum(1 for index in indices if index < stop)
         assert list(builder.dispatched_indices()) == \
             [i for i, event in enumerate(expected) if event.dispatched]
 

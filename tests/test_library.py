@@ -326,6 +326,24 @@ class TestMappedLifetime:
         with pytest.raises(StoreCorruption):
             mapped.addresses()  # stays corrupt on re-touch
 
+    @pytest.mark.parametrize("read", [
+        lambda trace: trace.dispatched_count(),
+        lambda trace: trace.dispatched_count(100),
+        lambda trace: trace.dispatched_indices(),
+        lambda trace: trace.to_bytes(),
+        lambda trace: trace.copy(),
+        lambda trace: TraceBuilder().extend(trace, address_offset=64),
+    ], ids=["count", "count-stop", "indices", "to_bytes", "copy",
+            "extend"])
+    def test_corrupt_bitset_fails_every_bulk_read(self, read):
+        blob = bytearray(_builder_events(256).to_bytes())
+        blob[-5] ^= 0x01   # last byte of the bitset, before its CRC
+        mapped = Trace.from_buffer(memoryview(bytes(blob)))
+        if not isinstance(mapped, MappedTrace):
+            pytest.skip("big-endian host copies eagerly")
+        with pytest.raises(StoreCorruption, match="dispatched-bitset"):
+            read(mapped)
+
 
 # -- satellite: big-endian bitset discipline ------------------------------
 
