@@ -740,11 +740,8 @@ class TraceBuilder(_ColumnarSequence):
             return
         n0 = self._count
         if address_offset:
-            # Rebase through a zero-copy view of the source column.
-            with memoryview(events._addresses) as column, \
-                    column[start:stop] as view:
-                self._addresses.extend(map(operator.add, view,
-                                           repeat(address_offset)))
+            self._addresses.extend(map(operator.add, events.addresses(),
+                                       repeat(address_offset)))
         else:
             self._addresses.extend(events._addresses[start:stop])
         self._opcodes.extend(events._opcodes[start:stop])
