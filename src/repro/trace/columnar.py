@@ -44,7 +44,7 @@ import sys
 import zlib
 from array import array
 from collections.abc import Sequence
-from itertools import compress, islice, repeat
+from itertools import islice, repeat
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import (MappedBufferClosed, PayloadFormatError,
@@ -76,11 +76,11 @@ _HEADER = len(_MAGIC) + 1 + 4
 #: so it is host-byte-order independent like the payload itself.
 _CRC_BYTES = 4
 
-#: ``bytes.translate`` tables moving a 0/1 flag byte to bit ``j``,
-#: and bit ``j`` of a byte to a 0/1 flag byte.
+#: byte value -> the bit positions set in it, for bitset scans.
+_BITS_IN = tuple(tuple(j for j in range(8) if value >> j & 1)
+                 for value in range(256))
+#: ``bytes.translate`` tables moving a 0/1 flag byte to bit ``j``.
 _FLAG_TO_BIT = tuple(bytes((value & 1) << j for value in range(256))
-                     for j in range(8))
-_BIT_TO_FLAG = tuple(bytes(value >> j & 1 for value in range(256))
                      for j in range(8))
 
 try:
@@ -108,17 +108,6 @@ def _pack_flags(flags: bytes) -> int:
                                  "little")
     return packed
 
-
-def _unpack_flags(bits, start: int, stop: int) -> bytearray:
-    """One 0/1 byte per event of bits ``start``..``stop``: the inverse
-    of :func:`_pack_flags`, bit ``j`` of every byte spread into the
-    flags' ``j::8`` slice."""
-    n = stop - start
-    packed = _bits_as_int(bits, start, stop).to_bytes((n + 7) >> 3, "little")
-    flags = bytearray(n)
-    for j in range(min(8, n)):
-        flags[j::8] = packed.translate(_BIT_TO_FLAG[j])[:(n - j + 7) >> 3]
-    return flags
 
 
 class _ColumnarSequence(Sequence):
@@ -236,13 +225,31 @@ class _ColumnarSequence(Sequence):
 
         The view every dispatched-only hot loop iterates instead of
         filtering event objects; computed once and cached on
-        immutable views.  Built in bulk: the bitset is unpacked to one
-        flag byte per event and ``itertools.compress`` picks the
-        indices.
+        immutable views.
         """
         start, stop = self._bounds()
-        flags = _unpack_flags(self._bitset(), start, stop)
-        return array(_INT, compress(range(stop - start), flags))
+        bits = self._bitset()
+        indices = array(_INT)
+        append = indices.append
+        if start & 7:
+            # Unaligned view: walk bits until the next byte boundary.
+            head = min(stop, (start | 7) + 1)
+            for i in range(start, head):
+                if bits[i >> 3] & (1 << (i & 7)):
+                    append(i - start)
+            lo = head
+        else:
+            lo = start
+        base = lo - start
+        for byte in bits[lo >> 3:(stop + 7) >> 3]:
+            if byte:
+                for j in _BITS_IN[byte]:
+                    index = base + j
+                    if index >= stop - start:
+                        break
+                    append(index)
+            base += 8
+        return indices
 
     def dispatched_count(self, stop: Optional[int] = None) -> int:
         """How many of the first ``stop`` events are dispatched.
