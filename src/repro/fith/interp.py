@@ -640,6 +640,8 @@ class FithMachine:
                                 a = stack[-2]
                                 if a.tag is _SMALL and b.tag is _SMALL \
                                         and b.value:
+                                    # A remainder is smaller than its
+                                    # small-integer divisor: it fits.
                                     stack.pop()
                                     stack[-1] = small_integer_word(
                                         a.value % b.value)
@@ -814,8 +816,8 @@ _HANDLERS = [
 #: ``at``/``put`` and the cell words ``@``/``!``.  Each takes the
 #: operands straight off the local stack when they are small integers
 #: or live object pointers in range, and otherwise leaves the stack
-#: alone and falls back to the primitive's handler, which raises the
-#: same errors as before.
+#: alone and falls back to the primitive's handler, so every error and
+#: its message is the handler's.
 (_F_ARITH, _F_FETCH, _F_AT, _F_COMPARE, _F_PUT, _F_MOD,
  _F_STORE) = range(1, 8)
 

@@ -109,7 +109,6 @@ def _pack_flags(flags: bytes) -> int:
     return packed
 
 
-
 class _ColumnarSequence(Sequence):
     """Sequence[TraceEvent] behaviour shared by Trace and TraceBuilder.
 

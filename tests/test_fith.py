@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DoesNotUnderstandTrap, FithError
+from repro.errors import DoesNotUnderstandTrap, FithError, TagMismatch
 from repro.fith.code import FithOp, MACHINE_OP_SELECTORS
 from repro.fith.interp import FithMachine
 from repro.trace.columnar import TraceBuilder
@@ -232,6 +232,60 @@ class TestTracing:
 def _event_tuples(trace):
     return [(e.address, e.opcode, e.receiver_class, e.dispatched)
             for e in trace]
+
+
+class TestFastPathFallbacks:
+    """Sends of the hot primitives run inline when their operands are
+    small integers or live object pointers in range; any other operand
+    mix must reach the primitive's handler with the stack untouched, so
+    results, errors, messages and the stack left behind are the
+    handler's.  Expected values were recorded before the fast paths."""
+
+    CASES = [
+        ("1 134217727 +", (TagMismatch,
+                           "134217728 does not fit in a small integer"), []),
+        ("-134217728 1 -", (TagMismatch,
+                            "-134217729 does not fit in a small integer"),
+         []),
+        ("99999 99999 *", (TagMismatch,
+                           "9999800001 does not fit in a small integer"), []),
+        ("1.5 2 +", None, [("FLOAT", 3.5)]),
+        ("1.5 2 <", None, [("ATOM", "true")]),
+        ("7 0 mod", (FithError, "modulo by zero"), []),
+        ("-7 2 mod", None, [("SMALL_INTEGER", 1)]),
+        ("#foo 3 =", None, [("ATOM", "false")]),
+        ("#SmallInteger new 1 +", (FithError, "numeric word applied to "
+                                   "<ptr 0x1 class=1>, <small_integer 1>"),
+         []),
+        ("3 array 5 at", (FithError, "index 5 out of bounds"), []),
+        ("3 array -1 at", (FithError, "index -1 out of bounds"), []),
+        ("5 2 at", (FithError, "not an object pointer: <small_integer 5>"),
+         []),
+        ("3 array dup 1 #x put 1 at", None, [("ATOM", "x")]),
+        ("3 array 7 9 put", (FithError, "index 7 out of bounds"), []),
+        ("0 array @", (FithError, "@ on empty object"), []),
+        ("5 @", (FithError, "not an object pointer: <small_integer 5>"), []),
+        ("1 0 array !", (FithError, "! on empty object"), []),
+        ("1 !", (FithError, "stack underflow"), []),
+        ("@", (FithError, "stack underflow"), []),
+        ("1 swap", (FithError, "stack underflow"), []),
+        ("drop", (FithError, "stack underflow"), []),
+        ("#true if 1 else 2 then", None, [("SMALL_INTEGER", 1)]),
+        ("nil if 1 else 2 then", None, [("SMALL_INTEGER", 2)]),
+    ]
+
+    @pytest.mark.parametrize("source, error, stack", CASES,
+                             ids=[case[0] for case in CASES])
+    def test_other_operands_reach_the_handler(self, source, error, stack):
+        machine = FithMachine(trace=True)
+        if error is None:
+            machine.run_source(source)
+        else:
+            with pytest.raises(error[0]) as raised:
+                machine.run_source(source)
+            assert str(raised.value) == error[1]
+        assert [(w.tag.name, w.value) for w in machine.stack] == stack
+        assert len(machine.trace) == machine.steps
 
 
 class TestDeferredRecording:
