@@ -39,10 +39,10 @@ from repro.config import DEFAULT_CONFIG, SimConfig, make_com, make_fith
 from repro.core.assembler import Assembler, load_program
 from repro.core.encoding import Instruction
 from repro.core.isa import Op, OpcodeTable
-from repro.core.machine import COMMachine, CompiledMethod, TraceEvent
+from repro.core.machine import COMMachine, CompiledMethod
 from repro.core.operands import Operand
 from repro.core.pipeline import CycleParams, pipeline_diagram
-from repro.trace.columnar import Trace, TraceBuilder, as_trace
+from repro.trace.columnar import Trace, TraceBuilder
 from repro.memory.fpa import AddressFormat, FPAddress, address_format
 from repro.memory.mmu import MMU
 from repro.memory.tags import Tag, Word
@@ -66,10 +66,8 @@ __all__ = [
     "Tag",
     "Trace",
     "TraceBuilder",
-    "TraceEvent",
     "Word",
     "address_format",
-    "as_trace",
     "load_program",
     "make_com",
     "make_fith",

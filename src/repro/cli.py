@@ -209,7 +209,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                              **overrides)
     events = store.load(spec, quick=args.quick, scale=args.scale,
                         **overrides)
-    # Everything below reads the columns; no TraceEvent is built.
+    # Everything below reads the columns.
     print(f"workload:   {spec.name} (generator v{spec.version})")
     print(f"params:     {params}")
     print(f"state:      {'cache hit' if hit else 'generated'}")

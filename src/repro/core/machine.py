@@ -80,7 +80,6 @@ from repro.core.pipeline import CycleAccountant, CycleParams
 from repro.core.primitives import execute_unit, unit_function
 from repro.core.registers import RegisterFile
 from repro.trace.columnar import TraceBuilder
-from repro.trace.events import TraceEvent  # noqa: F401 (re-exported)
 
 
 @dataclass
@@ -333,11 +332,8 @@ class COMMachine:
     # ------------------------------------------------------------------
 
     def enable_trace(self) -> TraceBuilder:
-        """Start recording (address, opcode, receiver class) events.
-
-        The recorder is columnar (struct-of-arrays) but still quacks
-        like a ``Sequence[TraceEvent]`` for inspection.
-        """
+        """Start recording (address, opcode, receiver class) events
+        into a columnar :class:`~repro.trace.columnar.TraceBuilder`."""
         self.trace = TraceBuilder()
         return self.trace
 

@@ -29,7 +29,7 @@ from repro.trace.cachesim import (
     SweepResult,
     ascii_plot,
 )
-from repro.trace.columnar import Trace, as_trace
+from repro.trace.columnar import Trace
 from repro.trace.workloads import paper_trace
 
 
@@ -62,7 +62,8 @@ def run(scale: int = 1, events: Optional[Trace] = None,
     delta table over the quirk-exposed fraction warm-up window, so the
     cost of each warm-up quirk is quantified rather than buried.
     """
-    events = paper_trace(scale) if events is None else as_trace(events)
+    if events is None:
+        events = paper_trace(scale)
     if sweep is None:
         sweep = run_sweep(figure_spec(sizes, associativities, semantics),
                           events).to_sweep_result()

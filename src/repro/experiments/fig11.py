@@ -22,7 +22,7 @@ from repro.trace.cachesim import (
     SweepResult,
     ascii_plot,
 )
-from repro.trace.columnar import Trace, as_trace
+from repro.trace.columnar import Trace
 from repro.trace.workloads import paper_trace
 
 
@@ -50,7 +50,8 @@ def run(scale: int = 1, events: Optional[Trace] = None,
     claims are re-checked against it either way.  ``semantics`` and
     ``compare_semantics`` behave as in :func:`repro.experiments.fig10.run`.
     """
-    events = paper_trace(scale) if events is None else as_trace(events)
+    if events is None:
+        events = paper_trace(scale)
     if sweep is None:
         sweep = run_sweep(figure_spec(sizes, associativities, semantics),
                           events).to_sweep_result()

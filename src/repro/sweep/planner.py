@@ -51,7 +51,7 @@ from repro import telemetry
 from repro.sweep.runner import _result_cache, result_cache_key, run_sweep
 from repro.sweep.spec import SweepSpec
 from repro.sweep.surface import ResultSurface
-from repro.trace.columnar import as_trace
+from repro.trace.columnar import Trace
 from repro.workloads.library import ResultCache
 
 Assoc = Union[int, str]
@@ -186,7 +186,7 @@ class BatchResult:
     report: BatchReport = field(default_factory=BatchReport)
 
 
-def run_batch(queries: Sequence[Query], events) -> BatchResult:
+def run_batch(queries: Sequence[Query], events: Trace) -> BatchResult:
     """Answer every query over one trace with as few replays as the
     grouping rules allow.  See the module docstring for the pipeline;
     the returned surfaces are bitwise-identical to per-query
@@ -194,9 +194,8 @@ def run_batch(queries: Sequence[Query], events) -> BatchResult:
     tests/test_planner.py).
     """
     queries = list(queries)
-    events = as_trace(events)
-    trace_key = getattr(events, "store_key", None)
-    store_root = getattr(events, "store_root", None)
+    trace_key = events.store_key
+    store_root = events.store_root
     disk = _result_cache(store_root) \
         if trace_key and store_root and ResultCache.enabled() else None
 

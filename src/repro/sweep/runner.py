@@ -54,7 +54,7 @@ from repro.sweep.engine import MultiConfigLRU, OptStack, next_use_times
 from repro.sweep.spec import HierarchySpec, SweepSpec
 from repro.sweep.surface import Cell, ResultSurface
 from repro.trace.cachesim import simulate_icache, simulate_itlb
-from repro.trace.columnar import Trace, as_trace
+from repro.trace.columnar import Trace
 from repro.trace.semantics import reset_index
 from repro.workloads.library import ResultCache
 
@@ -89,7 +89,7 @@ def result_cache_key(spec: SweepSpec, trace_key: str) -> str:
 
 
 #: store root -> ResultCache, so repeated sweeps share hit/miss
-#: counters and skip re-reading the environment.
+#: counters.
 _RESULT_CACHES: Dict[str, ResultCache] = {}
 
 
@@ -147,7 +147,7 @@ def _icache_ref_columns(trace: Trace, line_words: int) -> RefColumns:
     return blocks, blocks
 
 
-def _reset_touch(spec: SweepSpec, events: Sequence,
+def _reset_touch(spec: SweepSpec, trace: Trace,
                  n_refs: int) -> Optional[int]:
     """Where in the *reference* stream the warm-up stats reset lands.
 
@@ -155,7 +155,7 @@ def _reset_touch(spec: SweepSpec, events: Sequence,
     driver and the ``simulate_*`` loops agree reference-for-reference
     under either semantics version.
     """
-    return reset_index(spec.semantics, spec.cache, events, n_refs,
+    return reset_index(spec.semantics, spec.cache, trace, n_refs,
                        warmup_fraction=spec.warmup_fraction,
                        dispatched_only=spec.dispatched_only)
 
@@ -178,9 +178,8 @@ def _geometry(spec: SweepSpec) -> Tuple[Dict[int, int], int]:
     return level_caps, full_cap
 
 
-def _run_single_pass(spec: SweepSpec, events: Sequence,
+def _run_single_pass(spec: SweepSpec, trace: Trace,
                      use_numpy: bool = False) -> ResultSurface:
-    trace = as_trace(events)
     blocks, placements = (_itlb_ref_columns(trace, spec.dispatched_only)
                           if spec.cache == "itlb"
                           else _icache_ref_columns(trace, spec.line_words))
@@ -269,24 +268,23 @@ def _run_single_pass(spec: SweepSpec, events: Sequence,
 
 # -- the per-configuration grid path ---------------------------------------
 
-def _simulate_cell(spec: SweepSpec, events: Sequence,
+def _simulate_cell(spec: SweepSpec, trace: Trace,
                    size: int, assoc) -> Cell:
     kwargs = dict(policy=spec.policy,
                   warmup_fraction=spec.warmup_fraction,
                   double_pass=spec.double_pass,
                   semantics=spec.semantics)
     if spec.cache == "itlb":
-        stats = simulate_itlb(events, size, assoc,
+        stats = simulate_itlb(trace, size, assoc,
                               dispatched_only=spec.dispatched_only,
                               **kwargs)
     else:
-        stats = simulate_icache(events, size, assoc,
+        stats = simulate_icache(trace, size, assoc,
                                 line_words=spec.line_words, **kwargs)
     return stats.hits, stats.misses
 
 
-def _run_grid(spec: SweepSpec,
-              events: Sequence) -> ResultSurface:
+def _run_grid(spec: SweepSpec, trace: Trace) -> ResultSurface:
     per_sim = 2 if spec.double_pass else 1
     passes = 0
     counts: Dict[object, Dict[int, Cell]] = {}
@@ -296,7 +294,7 @@ def _run_grid(spec: SweepSpec,
     for assoc in columns:
         row: Dict[int, Cell] = {}
         for size in spec.sizes:
-            row[size] = _simulate_cell(spec, events, size, assoc)
+            row[size] = _simulate_cell(spec, trace, size, assoc)
             passes += per_sim
         counts[assoc] = row
 
@@ -314,7 +312,7 @@ def _run_grid(spec: SweepSpec,
             dispatched_only=spec.dispatched_only,
             include_opt=True, engine="single-pass",
             semantics=spec.semantics)
-        opt_surface = _run_single_pass(opt_spec, events)
+        opt_surface = _run_single_pass(opt_spec, trace)
         opt_counts = opt_surface.opt_counts
         passes += 2 if spec.double_pass else 1
         aux = opt_surface.meta["aux_passes"]
@@ -323,21 +321,16 @@ def _run_grid(spec: SweepSpec,
         "semantics": spec.semantics,
         "trace_passes": passes,
         "aux_passes": aux,
-        "events": len(events),
+        "events": len(trace),
         "configurations": sum(len(row) for row in counts.values()),
     })
 
 
 # -- public entry points ---------------------------------------------------
 
-def run_sweep(spec: SweepSpec,
-              events: Sequence) -> ResultSurface:
-    """Execute one sweep over a trace, choosing the engine per spec.
-
-    ``events`` may be a columnar :class:`~repro.trace.columnar.Trace`
-    (the store's native type; iterated column-wise throughout) or a
-    legacy ``TraceEvent`` sequence, which is packed into columns once
-    up front.
+def run_sweep(spec: SweepSpec, events: Trace) -> ResultSurface:
+    """Execute one sweep over a columnar trace, choosing the engine
+    per spec.
 
     Store-backed traces (those carrying a ``store_key`` stamp) are
     memoized through the on-disk result cache: a repeated query
@@ -348,11 +341,9 @@ def run_sweep(spec: SweepSpec,
     increments only when an engine actually ran, which is how "a
     repeated run performs zero replays" is asserted.
     """
-    events = as_trace(events)
     cache = key = None
-    trace_key = getattr(events, "store_key", None)
-    if trace_key and getattr(events, "store_root", None) \
-            and ResultCache.enabled():
+    trace_key = events.store_key
+    if trace_key and events.store_root and ResultCache.enabled():
         cache = _result_cache(events.store_root)
         key = result_cache_key(spec, trace_key)
         payload = cache.get(key)
@@ -388,7 +379,7 @@ def run_sweep(spec: SweepSpec,
     return surface
 
 
-def _dispatch(spec: SweepSpec, events: Sequence) -> ResultSurface:
+def _dispatch(spec: SweepSpec, events: Trace) -> ResultSurface:
     """Engine selection (see :func:`run_sweep`)."""
     if spec.engine == "grid":
         return _run_grid(spec, events)
@@ -416,7 +407,7 @@ def _dispatch(spec: SweepSpec, events: Sequence) -> ResultSurface:
 
 
 def run_hierarchy(hierarchy: HierarchySpec,
-                  events: Sequence) -> Tuple[ResultSurface, ...]:
+                  events: Trace) -> Tuple[ResultSurface, ...]:
     """Run every level of a hierarchy over one trace, in order.
 
     Routed through the batch planner
@@ -428,17 +419,16 @@ def run_hierarchy(hierarchy: HierarchySpec,
     return run_hierarchy_planned(hierarchy, events)[0]
 
 
-def run_hierarchy_planned(hierarchy: HierarchySpec, events: Sequence):
+def run_hierarchy_planned(hierarchy: HierarchySpec, events: Trace):
     """(level surfaces, :class:`~repro.sweep.planner.BatchReport`)."""
     from repro.sweep.planner import Query, run_batch
-    events = as_trace(events)
     batch = run_batch([Query(spec=level) for level in hierarchy.levels],
                       events)
     return tuple(batch.surfaces), batch.report
 
 
 def run_semantics_delta(
-    spec: SweepSpec, events: Sequence,
+    spec: SweepSpec, events: Trace,
 ) -> Tuple[ResultSurface, ResultSurface, Dict[object, Dict[int, float]]]:
     """One spec under both semantics: (paper, v2, v2 - paper ratios).
 

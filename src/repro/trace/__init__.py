@@ -1,4 +1,4 @@
-"""Trace records and the trace-driven cache simulator of section 5."""
+"""Columnar traces and the trace-driven cache simulator of section 5."""
 
 from repro.trace.cachesim import (
     PAPER_ASSOCIATIVITIES,
@@ -7,11 +7,8 @@ from repro.trace.cachesim import (
     ascii_plot,
     simulate_icache,
     simulate_itlb,
-    sweep_icache,
-    sweep_itlb,
 )
-from repro.trace.columnar import Trace, TraceBuilder, as_trace
-from repro.trace.events import TraceEvent, addresses, dispatched_only, split_warmup
+from repro.trace.columnar import Trace, TraceBuilder
 from repro.trace.semantics import (
     DEFAULT_SEMANTICS,
     SEMANTICS,
@@ -24,10 +21,8 @@ from repro.trace.workloads import interleaved_trace, monomorphic_trace, paper_tr
 
 __all__ = [
     "DEFAULT_SEMANTICS", "PAPER_ASSOCIATIVITIES", "PAPER_SIZES",
-    "SEMANTICS", "SweepResult", "Trace", "TraceBuilder", "TraceEvent",
-    "addresses", "as_trace", "ascii_plot", "dispatched_only",
+    "SEMANTICS", "SweepResult", "Trace", "TraceBuilder", "ascii_plot",
     "interleaved_trace", "monomorphic_trace", "paper_trace",
-    "reset_index", "simulate_icache", "simulate_itlb", "split_warmup",
-    "sweep_icache", "sweep_itlb", "validate_semantics",
-    "validate_warmup_fraction", "warmup_cut",
+    "reset_index", "simulate_icache", "simulate_itlb",
+    "validate_semantics", "validate_warmup_fraction", "warmup_cut",
 ]

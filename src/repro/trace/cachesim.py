@@ -7,23 +7,25 @@ trace, the instruction cache hit ratio and ITLB hit ratio was recorded
 for several cache sizes and associativities.  A warmup trace was run
 before the measurement trace to avoid biasing the results."
 
-This module is that cache simulator: it replays
-:class:`~repro.trace.events.TraceEvent` streams against ITLB and
-instruction-cache models, with a warm-up prefix excluded from the
-recorded statistics, and sweeps size x associativity grids to
-regenerate figures 10 and 11.
+This module is that cache simulator: it replays columnar
+:class:`~repro.trace.columnar.Trace` streams against ITLB and
+instruction-cache models, one configuration per call, with a warm-up
+prefix excluded from the recorded statistics.  These per-configuration
+replays are the grid oracle every faster sweep engine
+(:mod:`repro.sweep`) is checked against; figures 10 and 11 come from
+:func:`repro.sweep.run_sweep`, whose surfaces convert to the
+:class:`SweepResult` grids rendered here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from repro.caches.icache import InstructionCache
 from repro.caches.itlb import ITLB
 from repro.caches.stats import CacheStats
-from repro.trace.columnar import as_trace
-from repro.trace.events import TraceEvent
+from repro.trace.columnar import Trace
 from repro.trace.semantics import DEFAULT_SEMANTICS, reset_index
 
 #: The paper's sweep: sizes 8..4096 (log2 = 3..12).
@@ -33,7 +35,7 @@ PAPER_ASSOCIATIVITIES = (1, 2, 4)
 
 
 def simulate_itlb(
-    events: Sequence[TraceEvent],
+    trace: Trace,
     size: int,
     associativity: Union[int, str] = 2,
     *,
@@ -58,12 +60,10 @@ def simulate_itlb(
     chosen ``semantics`` version (``"paper"`` reproduces the
     historical quirks bit-for-bit; ``"v2"`` fixes them).
 
-    The replay iterates the packed opcode/class columns of a columnar
-    :class:`~repro.trace.columnar.Trace` (legacy event lists are
-    packed once up front); no per-event objects are touched.
+    The replay iterates the packed opcode/class columns of the trace;
+    no per-event objects are built.
     """
     itlb = ITLB(size, associativity, policy)
-    trace = as_trace(events)
     opcodes = trace.opcodes()
     classes = trace.receiver_classes()
     indices = (trace.dispatched_indices() if dispatched_only
@@ -92,7 +92,7 @@ def simulate_itlb(
 
 
 def simulate_icache(
-    events: Sequence[TraceEvent],
+    trace: Trace,
     size: int,
     associativity: Union[int, str] = 2,
     *,
@@ -107,7 +107,6 @@ def simulate_icache(
     See :func:`simulate_itlb` for the warm-up semantics.
     """
     icache = InstructionCache(size, associativity, line_words, policy)
-    trace = as_trace(events)
     addresses = trace.addresses()
     reference = icache.reference
     if double_pass:
@@ -168,46 +167,6 @@ class SweepResult:
                 row += f"{self.ratios[associativity][size]:10.4f}"
             lines.append(row)
         return "\n".join(lines)
-
-
-def sweep_itlb(
-    events: Sequence[TraceEvent],
-    sizes: Sequence[int] = PAPER_SIZES,
-    associativities: Sequence[Union[int, str]] = PAPER_ASSOCIATIVITIES,
-    **kwargs,
-) -> SweepResult:
-    """Figure 10's grid: ITLB hit ratio for each size/associativity.
-
-    Routed through the sweep subsystem (:mod:`repro.sweep`): LRU
-    grids with power-of-two set counts are computed by the
-    single-pass stack-distance engine (one trace replay for the whole
-    grid) and other specs by per-configuration simulation; both paths
-    return bitwise-identical ratios.  Keyword arguments become
-    :class:`~repro.sweep.spec.SweepSpec` fields (``policy``,
-    ``warmup_fraction``, ``double_pass``, ``dispatched_only``,
-    ``engine``, ...).
-    """
-    from repro.sweep import SweepSpec, run_sweep
-    spec = SweepSpec(cache="itlb", sizes=tuple(sizes),
-                     associativities=tuple(associativities), **kwargs)
-    return run_sweep(spec, events).to_sweep_result()
-
-
-def sweep_icache(
-    events: Sequence[TraceEvent],
-    sizes: Sequence[int] = PAPER_SIZES,
-    associativities: Sequence[Union[int, str]] = PAPER_ASSOCIATIVITIES,
-    **kwargs,
-) -> SweepResult:
-    """Figure 11's grid: instruction-cache hit ratio per configuration.
-
-    See :func:`sweep_itlb`; the icache spec additionally takes
-    ``line_words``.
-    """
-    from repro.sweep import SweepSpec, run_sweep
-    spec = SweepSpec(cache="icache", sizes=tuple(sizes),
-                     associativities=tuple(associativities), **kwargs)
-    return run_sweep(spec, events).to_sweep_result()
 
 
 def ascii_plot(result: SweepResult, width: int = 60,

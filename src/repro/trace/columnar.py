@@ -1,31 +1,29 @@
 """Columnar (struct-of-arrays) trace storage.
 
-The section-5 experiments are entirely trace-driven, and every hot
-path -- the cache simulator, the sweep engines, the store -- used to
-iterate traces one frozen :class:`~repro.trace.events.TraceEvent`
-dataclass at a time.  This module keeps a trace as four parallel
-columns instead:
+Section 5 records three things for each interpreted instruction: its
+address, its opcode and the class on top of the stack.  Every producer
+(the Fith interpreter, the COM, the workload generators, the store)
+records exactly that, plus whether the instruction went through
+translation, as four parallel columns:
 
 * ``address``, ``opcode``, ``receiver_class`` -- one ``array('i')``
-  each (4-byte signed words; every TraceEvent field fits);
+  each (4-byte signed words; every event field fits);
 * ``dispatched`` -- a bitset (one bit per event, LSB-first within
   each byte).
 
 Three types:
 
-* :class:`Trace` -- an immutable columnar view.  It still quacks like
-  a ``Sequence[TraceEvent]`` (indexing materializes one event lazily,
-  iteration yields events, ``==`` compares against event lists), but
-  the columns are directly exposed for hot loops, slicing with step 1
-  is a zero-copy view onto the same arrays, and the dispatched-index
-  view (:meth:`Trace.dispatched_indices`) is computed once per view
-  and cached.
+* :class:`Trace` -- an immutable columnar view.  Consumers read the
+  columns directly (:meth:`Trace.addresses`, :meth:`Trace.opcodes`,
+  :meth:`Trace.receiver_classes`) and the dispatched views
+  (:meth:`Trace.dispatched_indices`, computed once per view and
+  cached, and :meth:`Trace.dispatched_count`).  Slicing with step 1
+  is a zero-copy view onto the same arrays; two traces are equal when
+  their payloads are.
 * :class:`TraceBuilder` -- the mutable emitter the interpreters
   record into: :meth:`TraceBuilder.record` appends four ints, no
-  object construction.  A builder is also a ``Sequence[TraceEvent]``
-  so legacy callers can inspect ``machine.trace`` directly;
-  :meth:`TraceBuilder.snapshot` hands the columns to a :class:`Trace`
-  without copying.
+  object construction; :meth:`TraceBuilder.snapshot` hands the
+  columns to a :class:`Trace` without copying.
 * the **binary payload** (:meth:`Trace.to_bytes` /
   :meth:`Trace.from_bytes`) -- the trace store's on-disk format,
   version 3.  The payload is the columns, verbatim: header, then the
@@ -43,15 +41,13 @@ import operator
 import sys
 import zlib
 from array import array
-from collections.abc import Sequence
 from itertools import islice, repeat
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from repro.errors import (MappedBufferClosed, PayloadFormatError,
                           StoreCorruption)
-from repro.trace import events as _events
 
-#: 4-byte signed column words (every TraceEvent field fits); fall
+#: 4-byte signed column words (every event field fits); fall
 #: back to 'l' on platforms where 'i' is not 4 bytes.
 _INT = "i" if array("i").itemsize == 4 else "l"
 #: The on-disk byte order is little-endian regardless of host (the
@@ -109,8 +105,8 @@ def _pack_flags(flags: bytes) -> int:
     return packed
 
 
-class _ColumnarSequence(Sequence):
-    """Sequence[TraceEvent] behaviour shared by Trace and TraceBuilder.
+class _Columns:
+    """Column access shared by Trace and TraceBuilder.
 
     Subclasses provide ``_addresses``/``_opcodes``/``_classes``
     (int arrays), ``_bits`` (the bitset) and ``_bounds() ->
@@ -132,7 +128,7 @@ class _ColumnarSequence(Sequence):
         return stop - start
 
     def dispatched_flag(self, index: int) -> bool:
-        """The dispatched bit of one event, without materializing it."""
+        """The dispatched bit of one event."""
         start, stop = self._bounds()
         if index < 0:
             index += stop - start
@@ -141,60 +137,24 @@ class _ColumnarSequence(Sequence):
         i = start + index
         return bool(self._bits[i >> 3] & (1 << (i & 7)))
 
-    def _event(self, i: int) -> "_events.TraceEvent":
-        """Materialize the event at *absolute* column index ``i``."""
-        return _events.TraceEvent(
-            self._addresses[i], self._opcodes[i], self._classes[i],
-            bool(self._bits[i >> 3] & (1 << (i & 7))))
+    def __getitem__(self, index) -> "Trace":
+        """A zero-copy view of a step-1 slice of the events.
 
-    def __getitem__(self, index):
+        Single events are not addressable: read the columns instead.
+        """
+        if not isinstance(index, slice) or index.step not in (None, 1):
+            raise TypeError("a trace takes only step-1 slices; read "
+                            "events through its column accessors")
         start, stop = self._bounds()
-        n = stop - start
-        if isinstance(index, slice):
-            lo, hi, step = index.indices(n)
-            if step == 1:
-                return Trace(self._addresses, self._opcodes,
-                             self._classes, self._bits,
-                             start + lo, start + max(lo, hi))
-            return [self._event(start + i) for i in range(lo, hi, step)]
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("trace index out of range")
-        return self._event(start + index)
-
-    def __iter__(self) -> Iterator["_events.TraceEvent"]:
-        start, stop = self._bounds()
-        event = self._event
-        for i in range(start, stop):
-            yield event(i)
-
-    # -- equality ---------------------------------------------------------
+        lo, hi, _ = index.indices(stop - start)
+        return Trace(self._addresses, self._opcodes, self._classes,
+                     self._bits, start + lo, start + max(lo, hi))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, _ColumnarSequence):
-            if len(self) != len(other):
-                return False
-            return self.to_bytes() == other.to_bytes()
-        if isinstance(other, (list, tuple)):
-            if len(self) != len(other):
-                return False
-            start, _ = self._bounds()
-            addresses, opcodes, classes, bits = (
-                self._addresses, self._opcodes, self._classes, self._bits)
-            try:
-                for index, event in enumerate(other):
-                    i = start + index
-                    if (addresses[i] != event.address
-                            or opcodes[i] != event.opcode
-                            or classes[i] != event.receiver_class
-                            or bool(bits[i >> 3] & (1 << (i & 7)))
-                            != bool(event.dispatched)):
-                        return False
-            except AttributeError:
-                return NotImplemented
-            return True
-        return NotImplemented
+        if not isinstance(other, _Columns):
+            return NotImplemented
+        return len(self) == len(other) \
+            and self.to_bytes() == other.to_bytes()
 
     __hash__ = None
 
@@ -222,9 +182,8 @@ class _ColumnarSequence(Sequence):
     def dispatched_indices(self):
         """Indices (into this view) of the dispatched events, sorted.
 
-        The view every dispatched-only hot loop iterates instead of
-        filtering event objects; computed once and cached on
-        immutable views.
+        The view every dispatched-only hot loop iterates; computed
+        once and cached on immutable views.
         """
         start, stop = self._bounds()
         bits = self._bitset()
@@ -276,7 +235,7 @@ class _ColumnarSequence(Sequence):
         return len(set(self.addresses()))
 
     def stats(self) -> dict:
-        """Column-level summary; materializes no event objects.
+        """Column-level summary.
 
         This walks every column; callers that need one figure should
         use the targeted accessors (:meth:`dispatched_count`,
@@ -327,13 +286,13 @@ class _ColumnarSequence(Sequence):
         return b"".join(parts)
 
 
-class Trace(_ColumnarSequence):
+class Trace(_Columns):
     """An immutable columnar trace view.
 
     Constructed from columns directly, from a stored payload
-    (:meth:`from_bytes`), from legacy event sequences
-    (:meth:`from_events`), or by slicing another trace/builder (a
-    zero-copy view onto the same column arrays).
+    (:meth:`from_bytes`, :meth:`from_buffer`), by a builder's
+    :meth:`~TraceBuilder.snapshot`, or by slicing another
+    trace/builder (a zero-copy view onto the same column arrays).
     """
 
     __slots__ = ("_addresses", "_opcodes", "_classes", "_bits",
@@ -372,19 +331,6 @@ class Trace(_ColumnarSequence):
         return cached
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_events(cls, events: Iterable["_events.TraceEvent"]) -> "Trace":
-        """Pack any iterable of TraceEvents into columns (one pass)."""
-        if isinstance(events, Trace):
-            return events
-        if isinstance(events, TraceBuilder):
-            return events.snapshot()
-        builder = TraceBuilder()
-        for event in events:
-            builder.record(event.address, event.opcode,
-                           event.receiver_class, event.dispatched)
-        return builder.snapshot()
 
     @staticmethod
     def _check_structure(blob) -> int:
@@ -625,7 +571,7 @@ class MappedTrace(Trace):
 
     def _bounds(self) -> Tuple[int, int]:
         # The single choke point every read path goes through (len,
-        # iteration, indexing, accessors, to_bytes): the typed
+        # slicing, accessors, to_bytes): the typed
         # lifetime error instead of a released-memoryview ValueError.
         if self._closed:
             raise MappedBufferClosed(
@@ -655,38 +601,26 @@ class MappedTrace(Trace):
         self._verify("dispatched-bitset")
         return super().dispatched_flag(index)
 
-    def _event(self, i: int):
+    def __getitem__(self, index) -> Trace:
+        # A slice hands out a plain Trace sharing these column views;
+        # it carries no _pending hooks, so verify everything before it
+        # escapes.
         self._verify_all()
-        return super()._event(i)
-
-    def __getitem__(self, index):
-        # A step-1 slice hands out a plain Trace sharing these column
-        # views; it carries no _pending hooks, so verify everything
-        # before it escapes.
-        if isinstance(index, slice):
-            self._verify_all()
         return super().__getitem__(index)
-
-    def __eq__(self, other) -> bool:
-        self._verify_all()
-        return super().__eq__(other)
-
-    __hash__ = None
 
     def to_bytes(self) -> bytes:
         self._verify_all()
         return super().to_bytes()
 
 
-class TraceBuilder(_ColumnarSequence):
+class TraceBuilder(_Columns):
     """The columnar recorder the instrumented interpreters append to.
 
     :meth:`record` appends one event -- three column appends and a
     bit set, no object construction; :meth:`partial_recorders` and
     :meth:`complete` record an event with two appends and fill the
-    rest of a run's events in bulk.  The builder is itself a
-    ``Sequence[TraceEvent]`` so legacy callers can read
-    ``machine.trace`` directly; :meth:`snapshot` produces an
+    rest of a run's events in bulk.  The builder reads like a trace
+    (the same column accessors); :meth:`snapshot` produces an
     immutable :class:`Trace` sharing the same arrays (no copy --
     later appends extend the arrays past the snapshot's bounds
     without disturbing it).
@@ -717,25 +651,15 @@ class TraceBuilder(_ColumnarSequence):
         self._classes.append(receiver_class)
         self._count = n + 1
 
-    def append(self, event: "_events.TraceEvent") -> None:
-        """Legacy emitter compatibility: append one TraceEvent."""
-        self.record(event.address, event.opcode, event.receiver_class,
-                    event.dispatched)
+    def extend(self, events: _Columns, address_offset: int = 0) -> None:
+        """Append a whole trace (or builder), optionally rebasing its
+        addresses.
 
-    def extend(self, events, address_offset: int = 0) -> None:
-        """Append a whole trace, optionally rebasing its addresses.
-
-        Columnar sources extend column-to-column: bulk array extends
-        (a rebase maps ``operator.add`` over a zero-copy view of the
-        address column) and the source's bits, read as one int, merged
-        into the bitset.  Other iterables fall back to per-event
-        appends.
+        Column-to-column: bulk array extends (a rebase maps
+        ``operator.add`` over a zero-copy view of the address column)
+        and the source's bits, read as one int, merged into the
+        bitset.
         """
-        if not isinstance(events, _ColumnarSequence):
-            for event in events:
-                self.record(event.address + address_offset, event.opcode,
-                            event.receiver_class, event.dispatched)
-            return
         if isinstance(events, MappedTrace):
             # The bulk column extends below read events._columns
             # directly; force the deferred CRC checks first so a
@@ -806,21 +730,3 @@ class TraceBuilder(_ColumnarSequence):
         return Trace(self._addresses, self._opcodes, self._classes,
                      self._bits, 0, self._count)
 
-
-def as_trace(events) -> Trace:
-    """Coerce any event source to a columnar :class:`Trace`.
-
-    A Trace passes through untouched; a builder snapshots (no copy);
-    anything else (a legacy event list, a generator) is packed in one
-    pass.
-    """
-    if isinstance(events, Trace):
-        return events
-    if isinstance(events, TraceBuilder):
-        return events.snapshot()
-    return Trace.from_events(events)
-
-
-#: Convenience alias for annotations at call sites that accept both.
-EventSource = Union[Trace, TraceBuilder, List["_events.TraceEvent"],
-                    Sequence]

@@ -39,7 +39,9 @@ behaviours cannot drift apart layer by layer.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
+
+from repro.trace.columnar import Trace
 
 #: Known measurement-semantics versions, in historical order.
 SEMANTICS: Tuple[str, ...] = ("paper", "v2")
@@ -99,9 +101,8 @@ def warmup_cut(semantics: str, n: int, warmup_fraction: float) -> int:
     semantics version -- the versions differ in **which** stream the
     cut is taken over (raw events vs observed references) and in how
     the reset fires, which is :func:`reset_index`'s business, not in
-    the arithmetic itself.  :func:`repro.trace.events.split_warmup`
-    and :func:`reset_index` both route through here so a second cut
-    implementation cannot creep back in.
+    the arithmetic itself.  :func:`reset_index` routes through here
+    so a second cut implementation cannot creep back in.
     """
     validate_semantics(semantics)
     return int(n * warmup_fraction)
@@ -110,7 +111,7 @@ def warmup_cut(semantics: str, n: int, warmup_fraction: float) -> int:
 def reset_index(
     semantics: str,
     cache: str,
-    events: Sequence,
+    trace: Trace,
     n_refs: int,
     *,
     warmup_fraction: float,
@@ -118,7 +119,7 @@ def reset_index(
 ) -> Optional[int]:
     """Where in the *reference* stream the warm-up stats reset lands.
 
-    ``events`` is the raw trace; ``n_refs`` the length of the
+    ``trace`` is the raw trace; ``n_refs`` the length of the
     reference stream the cache observes (the dispatched subset for a
     filtered ITLB, every event otherwise).  The return value is an
     index into that reference stream: ``0 <= i < n_refs`` resets just
@@ -134,7 +135,8 @@ def reset_index(
     if semantics == "v2":
         cut = warmup_cut(semantics, n_refs, warmup_fraction)
         return min(max(cut, 0), n_refs)
-    cut = warmup_cut(semantics, len(events), warmup_fraction)
+    n = len(trace)
+    cut = warmup_cut(semantics, n, warmup_fraction)
     if cut < 0:
         # A negative cut never matched a loop index in the historical
         # simulate_* loops: the reset never fires.
@@ -142,19 +144,11 @@ def reset_index(
     if cache == "icache":
         # simulate_icache resets iff the loop reaches index == cut;
         # there is no end-of-trace reset.
-        return cut if cut < len(events) else None
-    if cut >= len(events):
+        return cut if cut < n else None
+    if cut >= n:
         return n_refs  # simulate_itlb's trailing reset
     if not dispatched_only:
         return cut
-    # Columnar traces answer "is the cut event dispatched?" and "how
-    # many dispatched references precede it?" from the bitset; event
-    # lists walk objects as the historical loops did.
-    flag = getattr(events, "dispatched_flag", None)
-    if flag is not None:
-        if not flag(cut):
-            return None    # the cut event is filtered out: never resets
-        return events.dispatched_count(cut)
-    if not events[cut].dispatched:
-        return None        # the cut event is filtered out: never resets
-    return sum(1 for event in events[:cut] if event.dispatched)
+    if not trace.dispatched_flag(cut):
+        return None    # the cut event is filtered out: never resets
+    return trace.dispatched_count(cut)

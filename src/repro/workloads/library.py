@@ -19,10 +19,10 @@ composes:
     ``results/<key[:2]>/``, each behind a CRC32 header line, written
     atomically, read through the ``store.result_cache`` injection site
     (an entry that fails its checksum or does not parse is a clean
-    miss, never an error), and evicted LRU by a byte budget
-    (``REPRO_RESULT_CACHE_BYTES``, default 256 MiB) where "recently
-    used" is the file mtime, refreshed on every hit.  Disable
-    entirely with ``REPRO_RESULT_CACHE=0``.
+    miss, never an error), and evicted LRU by a byte budget (a
+    constructor argument, default 256 MiB) where "recently used" is
+    the file mtime, refreshed on every hit.  Disable entirely with
+    ``REPRO_RESULT_CACHE=0``.
 """
 
 from __future__ import annotations
@@ -40,13 +40,11 @@ from repro import faults, telemetry
 SHARDS_DIR = "shards"
 RESULTS_DIR = "results"
 
-#: Result-cache byte budget when ``REPRO_RESULT_CACHE_BYTES`` is
-#: unset: enough for ~10^4 paper-grid surfaces, small next to one
-#: full-scale trace payload.
+#: The result cache's default byte budget: enough for ~10^4
+#: paper-grid surfaces, small next to one full-scale trace payload.
 DEFAULT_RESULT_BUDGET = 256 * 1024 * 1024
 
 ENV_RESULT_CACHE = "REPRO_RESULT_CACHE"
-ENV_RESULT_BUDGET = "REPRO_RESULT_CACHE_BYTES"
 
 #: A result-cache entry starts with the CRC32 of the rest of the file
 #: as eight lowercase hex digits and a newline.
@@ -178,16 +176,9 @@ class ResultCache:
     """
 
     def __init__(self, root: os.PathLike,
-                 budget_bytes: Optional[int] = None) -> None:
+                 budget_bytes: int = DEFAULT_RESULT_BUDGET) -> None:
         self.root = Path(root) / RESULTS_DIR
-        if budget_bytes is None:
-            try:
-                budget_bytes = int(
-                    os.environ.get(ENV_RESULT_BUDGET,
-                                   str(DEFAULT_RESULT_BUDGET)))
-            except ValueError:
-                budget_bytes = DEFAULT_RESULT_BUDGET
-        self.budget_bytes = max(0, budget_bytes)
+        self.budget_bytes = budget_bytes
         self.hits = 0
         self.misses = 0
         self.evicted = 0

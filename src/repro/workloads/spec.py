@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Tuple
 
-from repro.trace.columnar import Trace, as_trace
+from repro.trace.columnar import Trace
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,9 @@ class WorkloadSpec:
         return params
 
     def generate(self, params: Mapping[str, object]) -> Trace:
-        """Run the generator, coercing its output to a columnar Trace.
-
-        Registered generators already emit columns; the coercion is
-        a pass-through for them and a one-time packing for ad-hoc
-        specs that still build ``TraceEvent`` lists.
-        """
-        return as_trace(self.build(**params))
+        """Run the generator: the columnar Trace of one
+        parameterization."""
+        return self.build(**params)
 
 
 _REGISTRY: Dict[str, WorkloadSpec] = {}

@@ -25,9 +25,10 @@ first touch.  The store owns every mapping it opens;
 raise the typed :class:`~repro.errors.MappedBufferClosed`; use
 :meth:`~repro.trace.columnar.Trace.copy` first to keep data).  The
 copying ``read -> from_bytes`` path remains for big-endian hosts,
-for ``REPRO_STORE_MMAP=0``, and whenever a fault plan is armed --
-payload-mutating chaos needs the byte stream, and this keeps
-injection sequences identical to the pre-mmap store.
+for a store whose :meth:`TraceStore.deserialize` is overridden, and
+whenever a fault plan is armed -- payload-mutating chaos needs the
+byte stream, and this keeps injection sequences identical to the
+pre-mmap store.
 
 Cache rules:
 
@@ -79,17 +80,12 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro import faults, telemetry
 from repro.errors import PayloadFormatError, StoreCorruption
-from repro.trace.columnar import (FORMAT_VERSION, MappedTrace, Trace,
-                                  as_trace)
+from repro.trace.columnar import FORMAT_VERSION, MappedTrace, Trace
 from repro.workloads.library import ResultCache, TraceLibrary
 from repro.workloads.spec import WorkloadSpec, get as get_spec
 
 #: Subdirectory (under the store root) corrupt payloads are moved to.
 QUARANTINE_DIR = "quarantine"
-
-#: ``REPRO_STORE_MMAP=0`` forces the copying read path everywhere
-#: (debugging aid; also useful on filesystems where mapping is slow).
-ENV_MMAP = "REPRO_STORE_MMAP"
 
 
 def default_root() -> Path:
@@ -202,7 +198,7 @@ class TraceStore:
                 self.generated += 1
                 telemetry.inc("store.miss")
                 telemetry.inc("store.generated")
-                events = as_trace(spec.generate(params))
+                events = spec.generate(params)
                 self._write(path, spec, params, events)
                 sp.set(outcome="generated", events=len(events))
         events.store_key = key
@@ -213,13 +209,8 @@ class TraceStore:
     # -- binary format --------------------------------------------------
 
     @staticmethod
-    def serialize(events) -> bytes:
-        """The columnar payload of a trace (or legacy event list)."""
-        return as_trace(events).to_bytes()
-
-    @staticmethod
     def deserialize(blob: bytes) -> Trace:
-        """Columns straight from the payload; zero TraceEvent objects."""
+        """Columns straight from the payload."""
         return Trace.from_bytes(blob)
 
     def _mmap_enabled(self) -> bool:
@@ -227,9 +218,6 @@ class TraceStore:
         stream: chaos plans mutate payload bytes in flight, so any
         armed plan routes reads through the legacy path (keeping
         injection sequences identical to the pre-mmap store)."""
-        if os.environ.get(ENV_MMAP, "1").strip().lower() in (
-                "0", "off", "false", "no"):
-            return False
         if self.deserialize is not _DEFAULT_DESERIALIZE:
             # A subclass (or a test) replaced the payload decoder;
             # the zero-copy path would bypass it, so honor the
@@ -418,7 +406,7 @@ class TraceStore:
         try:
             with telemetry.span("store.write", file=path.name) as sp:
                 path.parent.mkdir(parents=True, exist_ok=True)
-                blob = self.serialize(events)
+                blob = events.to_bytes()
                 blob = faults.inject("store.write", key=path.name,
                                      payload=blob)
                 sp.set(bytes=len(blob))
@@ -473,8 +461,7 @@ class TraceStore:
     @staticmethod
     def _sidecar_meta(name: str, version,
                       params: Optional[Mapping[str, object]],
-                      events) -> dict:
-        trace = as_trace(events)
+                      trace: Trace) -> dict:
         return {
             "workload": name,
             "version": version,

@@ -2,16 +2,14 @@
 
 Three layers of guarantees:
 
-* **sequence contract** -- a :class:`~repro.trace.columnar.Trace`
-  still quacks like a ``Sequence[TraceEvent]``: indexing, zero-copy
-  slicing, iteration, equality against event lists;
-* **equivalence** -- for every registered workload, the columnar path
-  yields the same events, the same itlb/icache statistics (under both
-  measurement-semantics versions) and the same sweep surfaces as the
-  legacy dataclass path;
-* **zero-object loads** -- deserializing a stored trace constructs no
-  ``TraceEvent`` at all, and store round-trips hold for the empty
-  trace and a >1M-event trace.
+* **trace contract** -- a :class:`~repro.trace.columnar.Trace` is
+  read through its columns: step-1 slices are zero-copy views, the
+  dispatched views agree with the recorded bits, two traces are equal
+  when their payloads are, and single events are not addressable;
+* **bulk builder operations** -- column extends and bitset merges at
+  any bit offset equal per-event ``record``;
+* **store round-trips** -- for the empty trace and a >1M-event trace,
+  and a legacy payload is a miss, never a misread.
 """
 
 from array import array
@@ -19,109 +17,95 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.trace.events as events_module
-from repro.trace.columnar import _INT, Trace, TraceBuilder, as_trace
-from repro.trace.events import TraceEvent, split_warmup
-from repro.trace.cachesim import simulate_icache, simulate_itlb
-from repro.trace.semantics import SEMANTICS, warmup_cut
-from repro.workloads import names
+from repro.trace.columnar import _INT, Trace, TraceBuilder
+from repro.trace.semantics import SEMANTICS, reset_index, warmup_cut
 from repro.workloads.store import TraceStore
+from trace_helpers import trace_of
 
 
-def _pattern_events(length=200):
-    return [TraceEvent(i * 7 % 97, i % 11, i % 5 - 1, bool(i % 3))
+def _pattern_rows(length=200):
+    return [(i * 7 % 97, i % 11, i % 5 - 1, bool(i % 3))
             for i in range(length)]
 
 
-@pytest.fixture(scope="module")
-def shared_store(tmp_path_factory):
-    """One on-disk store for the whole module: each workload's quick
-    trace is generated once and shared by every equivalence pin."""
-    return TraceStore(tmp_path_factory.mktemp("columnar-traces"))
-
-
 class TestSequenceContract:
-    def test_indexing_materializes_events_lazily(self):
-        events = _pattern_events()
-        trace = Trace.from_events(events)
-        assert isinstance(trace[0], TraceEvent)
-        assert trace[5] == events[5]
-        assert trace[-1] == events[-1]
-        with pytest.raises(IndexError):
-            trace[len(events)]
-
     def test_iteration_and_equality(self):
-        events = _pattern_events()
-        trace = Trace.from_events(events)
-        assert list(trace) == events
-        assert trace == events
-        assert not (trace == events[:-1])
-        assert trace != events[:-1] + [TraceEvent(0, 0, 0)]
+        rows = _pattern_rows()
+        trace = trace_of(rows)
+        # Equality is by payload, against another trace or a builder.
+        assert trace == trace_of(rows)
+        assert not (trace == trace_of(rows[:-1]))
+        assert trace != trace_of(rows[:-1] + [(0, 0, 0)])
+        # There is no event-sequence protocol: no iteration, no
+        # single-event indexing, no equality against a list.
+        with pytest.raises(TypeError):
+            list(trace)
+        with pytest.raises(TypeError):
+            trace[0]
+        assert trace != rows
 
     def test_slicing_is_a_zero_copy_view(self):
-        trace = Trace.from_events(_pattern_events())
+        rows = _pattern_rows()
+        trace = trace_of(rows)
         view = trace[40:160]
         assert isinstance(view, Trace)
         # Shares the parent's column arrays: no copying happened.
         assert view._addresses is trace._addresses
-        assert list(view) == list(trace)[40:160]
+        assert view == trace_of(rows[40:160])
         nested = view[10:20]
         assert nested._addresses is trace._addresses
-        assert list(nested) == list(trace)[50:60]
-        # Extended slicing has no zero-copy representation; it
-        # materializes a list like any other fancy indexing.
-        assert trace[::13] == [e for i, e in enumerate(trace) if not i % 13]
+        assert nested == trace_of(rows[50:60])
+        assert list(nested.addresses()) == [row[0] for row in rows[50:60]]
+        # Extended slicing has no zero-copy representation.
+        with pytest.raises(TypeError):
+            trace[::13]
 
     def test_dispatched_views(self):
-        events = _pattern_events()
-        trace = Trace.from_events(events)
-        expected = [i for i, e in enumerate(events) if e.dispatched]
+        rows = _pattern_rows()
+        trace = trace_of(rows)
+        expected = [i for i, row in enumerate(rows) if row[3]]
         assert list(trace.dispatched_indices()) == expected
         assert trace.dispatched_count() == len(expected)
         assert trace.dispatched_count(37) == \
-            sum(1 for e in events[:37] if e.dispatched)
+            sum(1 for row in rows[:37] if row[3])
         view = trace[33:154]
         assert list(view.dispatched_indices()) == \
-            [i for i, e in enumerate(events[33:154]) if e.dispatched]
-        assert view.dispatched_flag(0) == events[33].dispatched
+            [i for i, row in enumerate(rows[33:154]) if row[3]]
+        assert view.dispatched_flag(0) == rows[33][3]
 
-    def test_builder_quacks_like_a_sequence(self):
+    def test_builder_reads_like_a_trace(self):
+        rows = _pattern_rows(50)
         builder = TraceBuilder()
-        events = _pattern_events(50)
-        for event in events[:25]:
-            builder.record(event.address, event.opcode,
-                           event.receiver_class, event.dispatched)
-        for event in events[25:]:
-            builder.append(event)   # legacy emitter compatibility
+        for row in rows:
+            builder.record(*row)
         assert len(builder) == 50
-        assert list(builder) == events
-        assert builder == events
-        assert builder.snapshot() == events
+        assert list(builder.opcodes()) == [row[1] for row in rows]
+        assert list(builder.receiver_classes()) == [row[2] for row in rows]
+        assert builder == trace_of(rows)
+        assert builder.snapshot() == builder
 
     def test_builder_extend_rebases_columns(self):
-        events = _pattern_events(30)
-        part = Trace.from_events(events)
+        rows = _pattern_rows(30)
+        part = trace_of(rows)
         builder = TraceBuilder()
         builder.extend(part, address_offset=1000)
         builder.extend(part[5:12])
-        expected = [TraceEvent(e.address + 1000, e.opcode,
-                               e.receiver_class, e.dispatched)
-                    for e in events] + events[5:12]
-        assert builder == expected
+        expected = [(address + 1000, opcode, receiver, dispatched)
+                    for address, opcode, receiver, dispatched in rows]
+        assert builder == trace_of(expected + rows[5:12])
 
     def test_aligned_view_payload_masks_trailing_bits(self):
         # A byte-aligned view whose stop is mid-byte must not leak
         # the dispatched bits of events past its end into the
         # payload: equality and serialization depend only on the
         # view's own events.
-        events = [TraceEvent(i, 1, 1, dispatched=(i >= 5))
-                  for i in range(8)]
-        full = Trace.from_events(events)
+        rows = [(i, 1, 1, i >= 5) for i in range(8)]
+        full = trace_of(rows)
         view = full[:5]
-        clean = Trace.from_events(events[:5])
+        clean = trace_of(rows[:5])
         assert view.to_bytes() == clean.to_bytes()
         assert view == clean and clean == view
-        assert Trace.from_bytes(view.to_bytes()) == events[:5]
+        assert Trace.from_bytes(view.to_bytes()) == clean
 
     def test_snapshot_payload_ignores_later_records(self):
         builder = TraceBuilder()
@@ -131,22 +115,20 @@ class TestSequenceContract:
         before = snap.to_bytes()
         builder.record(99, 9, 9, True)   # same trailing byte, set bit
         assert snap.to_bytes() == before
-        assert snap == [TraceEvent(i, 1, 1, False) for i in range(5)]
+        assert snap == trace_of((i, 1, 1, False) for i in range(5))
 
     def test_stats_summary(self):
-        events = _pattern_events()
-        stats = Trace.from_events(events).stats()
-        assert stats["events"] == len(events)
-        assert stats["dispatched"] == sum(e.dispatched for e in events)
-        assert stats["unique_opcodes"] == len({e.opcode for e in events})
-        assert stats["unique_classes"] == \
-            len({e.receiver_class for e in events})
+        rows = _pattern_rows()
+        stats = trace_of(rows).stats()
+        assert stats["events"] == len(rows)
+        assert stats["dispatched"] == sum(row[3] for row in rows)
+        assert stats["unique_opcodes"] == len({row[1] for row in rows})
+        assert stats["unique_classes"] == len({row[2] for row in rows})
         assert stats["unique_itlb_keys"] == \
-            len({e.itlb_key for e in events if e.dispatched})
-        assert stats["unique_addresses"] == \
-            len({e.address for e in events})
-        assert stats["address_min"] == min(e.address for e in events)
-        assert stats["address_max"] == max(e.address for e in events)
+            len({(row[1], row[2]) for row in rows if row[3]})
+        assert stats["unique_addresses"] == len({row[0] for row in rows})
+        assert stats["address_min"] == min(row[0] for row in rows)
+        assert stats["address_max"] == max(row[0] for row in rows)
 
 
 _EVENT = st.tuples(st.integers(0, 1 << 20), st.integers(0, 400),
@@ -200,7 +182,7 @@ class TestBulkBuilderOperations:
                 assert trace.dispatched_count(stop) == \
                     sum(1 for index in indices if index < stop)
         assert list(builder.dispatched_indices()) == \
-            [i for i, event in enumerate(expected) if event.dispatched]
+            [i for i, row in enumerate(prefix + source[lo:hi]) if row[3]]
 
     @settings(max_examples=150, deadline=None)
     @given(epochs=st.lists(st.lists(st.integers(0, 63), max_size=30),
@@ -227,100 +209,50 @@ class TestBulkBuilderOperations:
 
 
 class TestWarmupCutOwnership:
-    """split_warmup routes through the semantics module (PR-4's single
-    audited home of the cut), and the default stays bit-for-bit
-    paper."""
+    """warmup_cut is the single audited home of the warm-up cut
+    arithmetic: reset_index takes its raw-index cut from it, and the
+    default stays bit-for-bit paper."""
 
     @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.25, 0.33, 0.999])
     def test_default_cut_is_paper_bit_for_bit(self, fraction):
-        events = _pattern_events(173)
-        warm, measure = split_warmup(events, fraction)
-        cut = int(len(events) * fraction)   # the historical arithmetic
-        assert warm == events[:cut] and measure == events[cut:]
-        assert warmup_cut("paper", len(events), fraction) == cut
+        trace = trace_of((i, 1, 1) for i in range(173))
+        cut = int(len(trace) * fraction)   # the historical arithmetic
+        assert warmup_cut("paper", len(trace), fraction) == cut
+        assert reset_index("paper", "icache", trace, len(trace),
+                           warmup_fraction=fraction) == cut
+        assert reset_index("paper", "itlb", trace, len(trace),
+                           warmup_fraction=fraction) == cut
 
     @pytest.mark.parametrize("semantics", SEMANTICS)
     def test_semantics_kwarg_accepted(self, semantics):
-        events = _pattern_events(80)
-        warm, measure = split_warmup(events, 0.25, semantics=semantics)
-        assert len(warm) + len(measure) == len(events)
+        # The versions differ in which stream the cut is taken over,
+        # never in the arithmetic.
+        assert warmup_cut(semantics, 80, 0.25) == 20
+        assert warmup_cut(semantics, 7, 0.5) == 3
 
     def test_unknown_semantics_rejected(self):
         with pytest.raises(ValueError, match="unknown measurement"):
-            split_warmup(_pattern_events(8), 0.25, semantics="v9")
+            warmup_cut("v9", 8, 0.25)
 
     def test_columnar_split_returns_views(self):
-        trace = Trace.from_events(_pattern_events())
-        warm, measure = split_warmup(trace, 0.25)
+        trace = trace_of(_pattern_rows())
+        cut = warmup_cut("paper", len(trace), 0.25)
+        warm, measure = trace[:cut], trace[cut:]
         assert isinstance(warm, Trace) and isinstance(measure, Trace)
         assert warm._addresses is trace._addresses
         assert len(warm) == int(len(trace) * 0.25)
-        assert list(warm) + list(measure) == list(trace)
-
-
-def _workload_cases():
-    return sorted(names())
-
-
-class TestColumnarObjectEquivalence:
-    """The tentpole pin: for every registered workload the columnar
-    view is indistinguishable from the dataclass path."""
-
-    @pytest.mark.parametrize("workload", _workload_cases())
-    def test_events_identical(self, workload, shared_store):
-        trace = shared_store.load(workload, quick=True)
-        assert isinstance(trace, Trace)
-        objects = list(trace)   # the fully materialized legacy form
-        assert all(isinstance(e, TraceEvent) for e in objects[:3])
-        assert trace == objects
-        assert as_trace(objects) == trace
-
-    @pytest.mark.parametrize("semantics", SEMANTICS)
-    @pytest.mark.parametrize("workload", _workload_cases())
-    def test_cache_simulation_identical(self, workload, semantics,
-                                        shared_store):
-        trace = shared_store.load(workload, quick=True)
-        objects = list(trace)
-        for kwargs in ({"warmup_fraction": 0.25},
-                       {"double_pass": True}):
-            columnar = simulate_itlb(trace, 64, 2, semantics=semantics,
-                                     **kwargs)
-            materialized = simulate_itlb(objects, 64, 2,
-                                         semantics=semantics, **kwargs)
-            assert columnar == materialized
-            columnar = simulate_icache(trace, 256, 2,
-                                       semantics=semantics, **kwargs)
-            materialized = simulate_icache(objects, 256, 2,
-                                           semantics=semantics, **kwargs)
-            assert columnar == materialized
-
-    @pytest.mark.parametrize("semantics", SEMANTICS)
-    @pytest.mark.parametrize("workload", _workload_cases())
-    def test_sweep_surfaces_identical(self, workload, semantics,
-                                      shared_store):
-        from repro.sweep import SweepSpec, run_sweep
-        trace = shared_store.load(workload, quick=True)
-        objects = list(trace)
-        for cache, sizes in (("itlb", (16, 64)), ("icache", (64, 256))):
-            spec = SweepSpec(cache=cache, sizes=sizes,
-                             associativities=(1, 2),
-                             warmup_fraction=0.25,
-                             include_full=True, include_opt=True,
-                             semantics=semantics)
-            columnar = run_sweep(spec, trace)
-            materialized = run_sweep(spec, objects)
-            assert columnar.counts == materialized.counts
-            assert columnar.opt_counts == materialized.opt_counts
+        joined = TraceBuilder()
+        joined.extend(warm)
+        joined.extend(measure)
+        assert joined == trace
 
 
 class TestStoreRoundTrips:
     def test_empty_trace_round_trips(self):
         empty = TraceBuilder().snapshot()
-        blob = TraceStore.serialize(empty)
-        back = TraceStore.deserialize(blob)
+        back = TraceStore.deserialize(empty.to_bytes())
         assert len(back) == 0
         assert back == empty
-        assert back == []
         assert list(back.dispatched_indices()) == []
 
     def test_million_event_trace_round_trips(self):
@@ -331,48 +263,22 @@ class TestStoreRoundTrips:
         bits = bytearray(b"\xb6" * ((n + 7) >> 3))
         trace = Trace(addresses, opcodes, classes, bits)
         assert len(trace) > 1_000_000
-        blob = TraceStore.serialize(trace)
-        back = TraceStore.deserialize(blob)
+        back = TraceStore.deserialize(trace.to_bytes())
         assert back == trace
-        # Spot-check materialization at both ends and the middle.
+        # Spot-check the columns at both ends and the middle.
         for i in (0, 1, n // 2, n - 2, n - 1):
-            assert back[i] == trace[i]
+            assert back.addresses()[i] == addresses[i]
+            assert back.opcodes()[i] == opcodes[i]
+            assert back.receiver_classes()[i] == classes[i]
+            assert back.dispatched_flag(i) == trace.dispatched_flag(i)
         assert back.dispatched_count() == trace.dispatched_count()
-
-    def test_load_constructs_zero_trace_events(self, tmp_path,
-                                               monkeypatch):
-        # Materialize once (generation may build whatever it likes)...
-        warm = TraceStore(tmp_path)
-        warm.load("monomorphic", quick=True)
-        # ...then count every TraceEvent constructed during a cold
-        # load from disk.  The columnar payload maps straight onto
-        # the arrays, so the count must be exactly zero.
-        constructed = []
-        real = events_module.TraceEvent
-
-        class CountingEvent(real):
-            def __new__(cls, *args, **kwargs):
-                constructed.append(1)
-                return super().__new__(cls)
-
-        monkeypatch.setattr(events_module, "TraceEvent", CountingEvent)
-        store = TraceStore(tmp_path)
-        trace = store.load("monomorphic", quick=True)
-        assert store.hits == 1 and store.generated == 0
-        assert len(trace) == 5000
-        assert trace.dispatched_count() == 5000
-        assert trace.stats()["unique_addresses"] == 64
-        assert constructed == []
-        # Sanity: materializing one event does go through the class.
-        event = trace[0]
-        assert constructed and isinstance(event, real)
 
     def test_v1_payload_is_a_miss_not_a_misread(self, tmp_path):
         counter = {"runs": 0}
 
         def build(length=16):
             counter["runs"] += 1
-            return [TraceEvent(i, 1, 1) for i in range(length)]
+            return trace_of((i, 1, 1) for i in range(length))
 
         from repro.workloads.spec import WorkloadSpec
         spec = WorkloadSpec(name="v1-relic", description="test-only",
@@ -399,7 +305,7 @@ class TestEmittersAreColumnar:
         machine.run_source("1 2 + drop")
         assert isinstance(machine.trace, TraceBuilder)
         assert len(machine.trace) == machine.steps
-        assert machine.trace[2].dispatched is True   # the send of +
+        assert machine.trace.dispatched_flag(2) is True   # the send of +
 
     def test_com_machine_records_into_a_builder(self):
         from repro.core.machine import COMMachine
@@ -408,6 +314,6 @@ class TestEmittersAreColumnar:
         assert isinstance(trace, TraceBuilder)
         assert machine.trace is trace
 
-    def test_registered_generators_return_traces(self, shared_store):
-        trace = shared_store.load("interleaved", quick=True)
+    def test_registered_generators_return_traces(self, tmp_path):
+        trace = TraceStore(tmp_path).load("interleaved", quick=True)
         assert isinstance(trace, Trace)

@@ -12,6 +12,7 @@ from repro.fith.programs import (
     polymorphic_workload,
     trace_for,
 )
+from trace_helpers import trace_of
 
 
 def run_fith(source: str, max_steps: int = 2_000_000) -> FithMachine:
@@ -200,18 +201,16 @@ class TestTracing:
         machine = run_fith("1 2 + .")
         events = machine.trace
         assert len(events) == 5   # push, push, send +, send ., halt
-        assert events[0].dispatched is False          # push
-        assert events[2].dispatched is True           # +
-        add = events[2]
-        assert machine.opcodes.selector_of(add.opcode) == "+"
+        assert events.dispatched_flag(0) is False     # push
+        assert events.dispatched_flag(2) is True      # +
+        assert machine.opcodes.selector_of(events.opcodes()[2]) == "+"
         # TOS at dispatch of + was the 2 (a SmallInteger).
-        assert add.receiver_class == \
+        assert events.receiver_classes()[2] == \
             machine.registry.by_name("SmallInteger").class_tag
 
     def test_addresses_disjoint_across_words(self):
         machine = run_fith(": f 1 ; : g 2 ; 0 f drop 0 g drop")
-        addresses = {event.address for event in machine.trace}
-        assert len(addresses) > 4
+        assert len(set(machine.trace.addresses())) > 4
 
     def test_trace_disabled_by_default(self):
         machine = FithMachine()
@@ -220,18 +219,14 @@ class TestTracing:
 
     def test_machine_ops_have_opcodes(self):
         machine = run_fith("1 drop")
-        for event in machine.trace:
-            assert event.opcode is not None
+        selectors = [machine.opcodes.selector_of(opcode)
+                     for opcode in machine.trace.opcodes()]
+        assert selectors == ["(push)", "(drop)", "(halt)"]
 
     def test_empty_stack_receiver_class(self):
         machine = run_fith(": f 1 drop ; f")
-        first_send = next(e for e in machine.trace if e.dispatched)
-        assert first_send.receiver_class == -1
-
-
-def _event_tuples(trace):
-    return [(e.address, e.opcode, e.receiver_class, e.dispatched)
-            for e in trace]
+        first_send = machine.trace.dispatched_indices()[0]
+        assert machine.trace.receiver_classes()[first_send] == -1
 
 
 class TestFastPathFallbacks:
@@ -327,7 +322,7 @@ class TestDeferredRecording:
         machine = FithMachine(trace=True)
         with pytest.raises(error, match=message):
             machine.run_source(source, max_steps=max_steps)
-        assert _event_tuples(machine.trace) == expected
+        assert machine.trace == trace_of(expected)
         assert len(machine.trace) == machine.steps
 
     @staticmethod
@@ -392,7 +387,7 @@ class TestCorpus:
     def test_runs_and_traces(self, name):
         events = trace_for(name, scale=1)
         assert len(events) > 1000
-        assert any(event.dispatched for event in events)
+        assert events.dispatched_count()
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))
     def test_golden_outputs(self, name):
@@ -411,8 +406,8 @@ class TestCorpus:
         fib_only = trace_for("fib", 1)
         assert len(events) > len(fib_only)
         # Addresses from the two programs do not collide.
-        assert len({e.address for e in events}) >= \
-            len({e.address for e in fib_only})
+        assert len(set(events.addresses())) >= \
+            len(set(fib_only.addresses()))
 
     def test_polymorphic_workload_deterministic(self):
         assert polymorphic_workload(seed=5) == polymorphic_workload(seed=5)
@@ -423,5 +418,4 @@ class TestCorpus:
         machine.run_source(polymorphic_workload(classes=4, selectors=6,
                                                 rounds=50),
                            max_steps=2_000_000)
-        keys = {e.itlb_key for e in machine.trace if e.dispatched}
-        assert len(keys) > 10
+        assert machine.trace.unique_itlb_key_count() > 10

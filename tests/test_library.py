@@ -34,17 +34,15 @@ from repro.faults import FaultPlan
 from repro.sweep import SweepSpec, result_cache_key, run_sweep
 from repro.sweep.runner import _RESULT_CACHES
 from repro.trace.columnar import MappedTrace, Trace, TraceBuilder
-from repro.trace.events import TraceEvent
 from repro.workloads.library import SHARDS_DIR, ResultCache
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.store import QUARANTINE_DIR, TraceStore
+from trace_helpers import trace_of
 
 
 @pytest.fixture(autouse=True)
 def _clean_state(monkeypatch):
     monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_RESULT_CACHE_BYTES", raising=False)
-    monkeypatch.delenv("REPRO_STORE_MMAP", raising=False)
     monkeypatch.setattr(faults, "_ACTIVE", None)
     monkeypatch.setattr(telemetry, "_RECORDER", None)
     _RESULT_CACHES.clear()
@@ -57,8 +55,8 @@ def _clean_state(monkeypatch):
 def _spec(counter, name="synthetic"):
     def build(length=64):
         counter["runs"] += 1
-        return [TraceEvent((i * 37) % 251 - 17, 1 + i % 7, i % 5,
-                           bool(i % 2)) for i in range(length)]
+        return trace_of(((i * 37) % 251 - 17, 1 + i % 7, i % 5,
+                         bool(i % 2)) for i in range(length))
     return WorkloadSpec(name=name, description="test-only",
                         build=build, defaults={"length": 64})
 
@@ -210,10 +208,8 @@ class TestSidecarAudit:
 # -- mmap zero-copy loading -----------------------------------------------
 
 def _builder_events(n):
-    builder = TraceBuilder()
-    for i in range(n):
-        builder.record((i * 13) % 4093, 1 + i % 11, i % 7, bool(i % 3))
-    return builder.snapshot()
+    return trace_of(((i * 13) % 4093, 1 + i % 11, i % 7, bool(i % 3))
+                    for i in range(n))
 
 
 class TestMappedLifetime:
@@ -240,11 +236,11 @@ class TestMappedLifetime:
         assert len(events) == 64
         store.close()
         assert events.closed
-        for touch in (lambda: len(events), lambda: events[0],
+        for touch in (lambda: len(events), lambda: events[:1],
                       lambda: events.addresses(),
                       lambda: events.dispatched_indices(),
                       lambda: events.to_bytes(),
-                      lambda: list(events)):
+                      lambda: events.copy()):
             with pytest.raises(MappedBufferClosed):
                 touch()
         store.close()  # idempotent
@@ -268,12 +264,6 @@ class TestMappedLifetime:
         assert len(duplicate) == 64
         assert not isinstance(duplicate, MappedTrace)
         assert duplicate == TraceStore(tmp_path).load(spec)
-
-    def test_env_var_disables_mmap(self, tmp_path, monkeypatch):
-        store, spec = self._mapped_store(tmp_path)
-        monkeypatch.setenv("REPRO_STORE_MMAP", "0")
-        events = store.load(spec)
-        assert not isinstance(events, MappedTrace)
 
     def test_mapped_corruption_still_quarantines(self, tmp_path):
         counter = {"runs": 0}
@@ -348,15 +338,13 @@ class TestMappedLifetime:
 # -- satellite: big-endian bitset discipline ------------------------------
 
 class TestBigEndianBitset:
-    EVENTS = [TraceEvent(12345, 7, -1, False),
-              TraceEvent(0, 0, 0, True),
-              TraceEvent(-70000, 255, 4, True),
-              TraceEvent(81, 3, 2, False)]
+    ROWS = [(12345, 7, -1, False), (0, 0, 0, True),
+            (-70000, 255, 4, True), (81, 3, 2, False)]
 
     def test_from_bytes_never_swaps_the_dispatched_bitset(
             self, monkeypatch):
         import repro.trace.columnar as columnar_module
-        blob = Trace.from_events(self.EVENTS).to_bytes()
+        blob = trace_of(self.ROWS).to_bytes()
         native = Trace.from_bytes(blob)
         # Simulate a big-endian reader of a little-endian payload:
         # the int columns byteswap, the bitset must not.
@@ -365,12 +353,12 @@ class TestBigEndianBitset:
         assert list(swapped.dispatched_indices()) == \
             list(native.dispatched_indices()) == [1, 2]
         assert [swapped.dispatched_flag(i) for i in range(4)] == \
-            [event.dispatched for event in self.EVENTS]
+            [row[3] for row in self.ROWS]
 
     def test_from_buffer_big_endian_falls_back_through_from_bytes(
             self, monkeypatch):
         import repro.trace.columnar as columnar_module
-        blob = Trace.from_events(self.EVENTS).to_bytes()
+        blob = trace_of(self.ROWS).to_bytes()
         monkeypatch.setattr(columnar_module, "_SWAP", True)
         trace = Trace.from_buffer(memoryview(blob))
         # The fallback copies: no mapped lifetime to manage ...

@@ -500,7 +500,7 @@ class TestMachineLifecycle:
                 machine.step()
                 assert machine.cycles.instructions == before + 1
                 observed.append((machine.cycles.snapshot(), len(trace),
-                                 trace[-1] if len(trace) else None))
+                                 trace[-1:].to_bytes()))
             assert machine.result().value == 7
             with pytest.raises(MachineHalted):
                 machine.step()
@@ -579,10 +579,11 @@ class TestTraceRecording:
             halt
         """, machine=machine)
         assert len(trace) >= 3
-        add_events = [e for e in trace
-                      if machine.opcodes.selector_of(e.opcode) == "+"]
-        assert add_events
-        assert add_events[0].receiver_class == int(Tag.SMALL_INTEGER)
+        opcodes = trace.opcodes()
+        adds = [i for i in range(len(trace))
+                if machine.opcodes.selector_of(opcodes[i]) == "+"]
+        assert adds
+        assert trace.receiver_classes()[adds[0]] == int(Tag.SMALL_INTEGER)
 
     def test_trace_addresses_distinct_per_instruction(self):
         machine = COMMachine()
@@ -595,7 +596,7 @@ class TestTraceRecording:
             c0 = c4
             halt
         """, machine=machine)
-        addresses = [e.address for e in trace]
+        addresses = list(trace.addresses())
         assert len(set(addresses)) == len(addresses)
 
 

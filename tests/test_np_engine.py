@@ -25,31 +25,16 @@ import pytest
 from repro.errors import BackendUnavailable
 from repro.sweep import SweepSpec, np_engine, run_sweep
 from repro.sweep.engine import MultiConfigLRU, OptStack, next_use_times
-from repro.trace.events import TraceEvent
+from trace_helpers import mixed_trace
 
 requires_numpy = pytest.mark.skipif(
     not np_engine.numpy_available(),
     reason="numpy is not installed (pure-python fallback leg)")
 
 
-def _mixed_trace(n=2500, seed=7):
-    """Phased locality + random stragglers + a non-dispatched mix."""
-    rnd = random.Random(seed)
-    events = []
-    for i in range(n):
-        if rnd.random() < 0.3:
-            address = rnd.randrange(600)
-        else:
-            address = (i * 7) % 97 + (i // 500) * 64
-        events.append(TraceEvent(address, rnd.randrange(60),
-                                 rnd.randrange(5),
-                                 dispatched=rnd.random() < 0.7))
-    return events
-
-
 @pytest.fixture(scope="module")
 def events():
-    return _mixed_trace()
+    return mixed_trace(2500, seed=7)
 
 
 def _random_case(seed):

@@ -14,7 +14,6 @@ and the interplay with the disk result cache.
 """
 
 import json
-import random
 from dataclasses import replace
 
 import pytest
@@ -35,15 +34,14 @@ from repro.sweep import (
 )
 from repro.sweep import np_engine
 from repro.sweep.runner import _RESULT_CACHES
-from repro.trace.events import TraceEvent
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.store import TraceStore
+from trace_helpers import mixed_trace, trace_of
 
 
 @pytest.fixture(autouse=True)
 def _clean_state(monkeypatch):
     monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_RESULT_CACHE_BYTES", raising=False)
     monkeypatch.setattr(faults, "_ACTIVE", None)
     monkeypatch.setattr(telemetry, "_RECORDER", None)
     _RESULT_CACHES.clear()
@@ -53,30 +51,15 @@ def _clean_state(monkeypatch):
     _RESULT_CACHES.clear()
 
 
-def _mixed_trace(n=3000, seed=11):
-    """Phased locality + random stragglers + a non-dispatched mix."""
-    rnd = random.Random(seed)
-    events = []
-    for i in range(n):
-        if rnd.random() < 0.3:
-            address = rnd.randrange(600)
-        else:
-            address = (i * 7) % 97 + (i // 500) * 64
-        events.append(TraceEvent(address, rnd.randrange(60),
-                                 rnd.randrange(5),
-                                 dispatched=rnd.random() < 0.7))
-    return events
-
-
 @pytest.fixture(scope="module")
 def events():
-    return _mixed_trace()
+    return mixed_trace(3000, seed=11)
 
 
 def _store_trace(tmp_path, length=512):
     def build(length=length):
-        return [TraceEvent((i * 37) % 251 - 17, 1 + i % 7, i % 5,
-                           bool(i % 2)) for i in range(length)]
+        return trace_of(((i * 37) % 251 - 17, 1 + i % 7, i % 5,
+                         bool(i % 2)) for i in range(length))
     spec = WorkloadSpec(name="synthetic", description="test-only",
                         build=build, defaults={"length": length})
     store = TraceStore(tmp_path)

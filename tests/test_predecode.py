@@ -161,8 +161,7 @@ class TestFithPlans:
         assert len(word.plan) == len(word.instructions)
         assert len(machine.trace) == machine.steps
         # Every traced event carries the predecoded opcode/dispatch bit.
-        sends = [event for event in machine.trace if event.dispatched]
-        assert sends
+        assert machine.trace.dispatched_count()
 
     def test_send_memo_cleared_on_reload(self):
         machine = FithMachine()

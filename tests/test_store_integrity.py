@@ -17,10 +17,10 @@ from repro import faults
 from repro.errors import PayloadFormatError, StoreCorruption
 from repro.faults import FaultPlan
 from repro.trace.columnar import FORMAT_VERSION
-from repro.trace.events import TraceEvent
 from repro.workloads.library import SHARDS_DIR
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.store import QUARANTINE_DIR, TraceStore
+from trace_helpers import trace_of
 
 
 @pytest.fixture(autouse=True)
@@ -31,15 +31,15 @@ def _clean_fault_state(monkeypatch):
 
 
 def _events(n=17):
-    return [TraceEvent((i * 37) % 251 - 17, i % 9, (i * 5) % 11,
-                       bool(i % 3)) for i in range(n)]
+    return trace_of(((i * 37) % 251 - 17, i % 9, (i * 5) % 11,
+                     bool(i % 3)) for i in range(n))
 
 
 def _spec(counter, name="synthetic"):
     def build(length=32):
         counter["runs"] += 1
-        return [TraceEvent(i % 8, 1 + i % 3, i % 5, bool(i % 2))
-                for i in range(length)]
+        return trace_of((i % 8, 1 + i % 3, i % 5, bool(i % 2))
+                        for i in range(length))
     return WorkloadSpec(name=name, description="test-only",
                         build=build, defaults={"length": 32})
 
@@ -49,12 +49,12 @@ class TestPayloadFuzz:
 
     def test_clean_round_trip(self):
         events = _events()
-        blob = TraceStore.serialize(events)
+        blob = events.to_bytes()
         assert blob[4] == FORMAT_VERSION == 3
         assert TraceStore.deserialize(blob) == events
 
     def test_every_single_bit_flip_is_detected(self):
-        blob = bytearray(TraceStore.serialize(_events()))
+        blob = bytearray(_events().to_bytes())
         for offset in range(len(blob)):
             for bit in range(8):
                 blob[offset] ^= 1 << bit
@@ -64,19 +64,19 @@ class TestPayloadFuzz:
                 blob[offset] ^= 1 << bit  # restore
 
     def test_every_truncation_is_detected(self):
-        blob = TraceStore.serialize(_events())
+        blob = _events().to_bytes()
         for length in range(len(blob)):
             with pytest.raises((PayloadFormatError, StoreCorruption)):
                 TraceStore.deserialize(blob[:length])
 
     def test_every_extension_is_detected(self):
-        blob = TraceStore.serialize(_events())
+        blob = _events().to_bytes()
         for extra in (b"\x00", b"junk", blob):
             with pytest.raises(StoreCorruption):
                 TraceStore.deserialize(blob + extra)
 
     def test_empty_trace_round_trips_and_fuzzes_clean(self):
-        blob = bytearray(TraceStore.serialize([]))
+        blob = bytearray(trace_of([]).to_bytes())
         assert len(TraceStore.deserialize(bytes(blob))) == 0
         for offset in range(len(blob)):
             blob[offset] ^= 0xFF
@@ -268,7 +268,7 @@ class TestInjectionSites:
         # quarantined, and the trace regenerated byte-identically.
         assert fresh.quarantined == 1
         assert counter["runs"] == 2
-        assert TraceStore.serialize(events) == clean
+        assert events.to_bytes() == clean
 
     def test_injected_read_io_error_is_a_miss(self, tmp_path):
         counter = {"runs": 0}

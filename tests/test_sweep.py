@@ -28,28 +28,17 @@ from repro.sweep import (
     run_hierarchy,
     run_sweep,
 )
-from repro.trace.cachesim import simulate_icache, simulate_itlb
-from repro.trace.events import TraceEvent
-
-
-def _mixed_trace(n=4000, seed=7):
-    """Phased locality + random stragglers + a non-dispatched mix."""
-    rnd = random.Random(seed)
-    events = []
-    for i in range(n):
-        if rnd.random() < 0.3:
-            address = rnd.randrange(600)
-        else:
-            address = (i * 7) % 97 + (i // 500) * 64
-        events.append(TraceEvent(address, rnd.randrange(60),
-                                 rnd.randrange(5),
-                                 dispatched=rnd.random() < 0.7))
-    return events
+from repro.trace.cachesim import (
+    PAPER_ASSOCIATIVITIES,
+    simulate_icache,
+    simulate_itlb,
+)
+from trace_helpers import mixed_trace, trace_of
 
 
 @pytest.fixture(scope="module")
 def events():
-    return _mixed_trace()
+    return mixed_trace(4000, seed=7)
 
 
 GRID = dict(sizes=PAPER_SIZES, associativities=(1, 2, 4, "full"))
@@ -162,8 +151,7 @@ class TestSinglePassGridEquivalence:
                                                           semantics):
         # Paper: the never-resetting warm-up quirk must carry over
         # exactly.  v2: the always-firing fix must carry over too.
-        events = [TraceEvent(i % 9, i % 4, 1, dispatched=(i != 10))
-                  for i in range(20)]
+        events = trace_of((i % 9, i % 4, 1, i != 10) for i in range(20))
         spec = SweepSpec("itlb", sizes=(8, 16), associativities=(1, 2),
                          warmup_fraction=0.5, engine="single-pass",
                          semantics=semantics)
@@ -193,8 +181,8 @@ class TestSinglePassGridEquivalence:
                             {"warmup_fraction": 0.33}]),
            st.sampled_from(SEMANTICS))
     def test_property_equivalence(self, rows, window, semantics):
-        events = [TraceEvent(address, opcode, opcode % 3, dispatched)
-                  for address, opcode, dispatched in rows]
+        events = trace_of((address, opcode, opcode % 3, dispatched)
+                          for address, opcode, dispatched in rows)
         spec = SweepSpec("icache", sizes=(8, 32, 128),
                          associativities=(1, 2, "full"),
                          engine="single-pass", semantics=semantics,
@@ -264,8 +252,7 @@ class TestSemanticsV2:
         # 50 ITLB references, not "the references inside the first 25
         # raw events" (which the paper cut would give: 13 minus the
         # filtered boundary... see the quirk tests in test_tracesim).
-        events = [TraceEvent(i, i % 3, 1, dispatched=(i % 2 == 0))
-                  for i in range(100)]
+        events = trace_of((i, i % 3, 1, i % 2 == 0) for i in range(100))
         stats = simulate_itlb(events, 16, 2, warmup_fraction=0.25,
                               semantics="v2")
         assert stats.accesses == 50 - 12  # int(50 * 0.25) == 12 warmed
@@ -274,8 +261,7 @@ class TestSemanticsV2:
         # The paper quirk: cut at raw index 10 lands on the one
         # non-dispatched event, so the reset never fires and all 19
         # references are measured.  v2 resets regardless.
-        events = [TraceEvent(i, i % 3, 1, dispatched=(i != 10))
-                  for i in range(20)]
+        events = trace_of((i, i % 3, 1, i != 10) for i in range(20))
         paper = simulate_itlb(events, 16, 2, warmup_fraction=0.5)
         v2 = simulate_itlb(events, 16, 2, warmup_fraction=0.5,
                            semantics="v2")
@@ -287,7 +273,7 @@ class TestSemanticsV2:
         # the spec/CLI layers reject fraction 1.0): paper zeroes the
         # ITLB but measures the whole trace on the icache; v2 measures
         # nothing on either.
-        events = [TraceEvent(i % 7, i % 5, 1) for i in range(40)]
+        events = trace_of((i % 7, i % 5, 1) for i in range(40))
         assert simulate_itlb(events, 16, 2, warmup_fraction=1.0,
                              semantics="v2").accesses == 0
         assert simulate_icache(events, 16, 2, warmup_fraction=1.0,
@@ -391,13 +377,13 @@ class TestReferenceCurves:
     def test_opt_matches_brute_force_belady(self):
         rnd = random.Random(3)
         for _ in range(10):
-            events = [TraceEvent(rnd.randrange(24), 1, 1)
+            blocks = [rnd.randrange(24)
                       for _ in range(rnd.randrange(50, 300))]
+            events = trace_of((block, 1, 1) for block in blocks)
             spec = SweepSpec("icache", sizes=(1, 2, 4, 8, 16, 32),
                              associativities=(1,), warmup_fraction=0.0,
                              include_opt=True, engine="single-pass")
             surface = run_sweep(spec, events)
-            blocks = [event.address for event in events]
             for size in spec.sizes:
                 hits, _ = surface.opt_counts[size]
                 assert hits == self._belady_hits(blocks, size)
@@ -437,7 +423,7 @@ class TestResultSurface:
             SweepSpec("itlb", sizes=(8, 32, 128),
                       associativities=(1, 2), double_pass=True,
                       include_opt=True),
-            _mixed_trace(1500, seed=11))
+            mixed_trace(1500, seed=11))
 
     def test_grid_iteration(self, surface):
         cells = list(surface.grid())
@@ -485,17 +471,19 @@ class TestHierarchy:
         assert itlb.meta["trace_passes"] == 2
         assert icache.meta["trace_passes"] == 2
 
-    def test_figures_match_legacy_sweep_helpers(self, events):
-        from repro.trace.cachesim import sweep_icache, sweep_itlb
+    def test_hierarchy_matches_individual_figure_sweeps(self, events):
         itlb, icache = run_hierarchy(paper_hierarchy(), events)
-        legacy_itlb = sweep_itlb(events, double_pass=True)
-        legacy_icache = sweep_icache(events, double_pass=True)
-        for assoc in (1, 2, 4):
+        alone = {cache: run_sweep(SweepSpec(
+                     cache, sizes=PAPER_SIZES,
+                     associativities=PAPER_ASSOCIATIVITIES,
+                     double_pass=True), events)
+                 for cache in ("itlb", "icache")}
+        for assoc in PAPER_ASSOCIATIVITIES:
             for size in PAPER_SIZES:
                 assert itlb.ratio(assoc, size) == \
-                    legacy_itlb.ratio(assoc, size)
+                    alone["itlb"].ratio(assoc, size)
                 assert icache.ratio(assoc, size) == \
-                    legacy_icache.ratio(assoc, size)
+                    alone["icache"].ratio(assoc, size)
 
 
 class TestExperimentIntegration:

@@ -3,20 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sweep import SweepSpec, run_sweep
 from repro.trace.cachesim import (
     PAPER_ASSOCIATIVITIES,
     PAPER_SIZES,
     ascii_plot,
     simulate_icache,
     simulate_itlb,
-    sweep_icache,
-    sweep_itlb,
-)
-from repro.trace.events import (
-    TraceEvent,
-    addresses,
-    dispatched_only,
-    split_warmup,
 )
 from repro.trace.semantics import (
     DEFAULT_SEMANTICS,
@@ -27,40 +20,32 @@ from repro.trace.semantics import (
     validate_warmup_fraction,
 )
 from repro.trace.workloads import monomorphic_trace
+from trace_helpers import trace_of
 
 
 def _synthetic(keys, repeat=10):
     """A trace touching the given (opcode, class) keys round-robin."""
-    events = []
-    for r in range(repeat):
-        for index, (opcode, cls) in enumerate(keys):
-            events.append(TraceEvent(index, opcode, cls))
-    return events
+    return trace_of((index, opcode, cls) for _ in range(repeat)
+                    for index, (opcode, cls) in enumerate(keys))
 
 
-class TestTraceEvents:
-    def test_itlb_key(self):
-        event = TraceEvent(10, 5, 7)
-        assert event.itlb_key == (5, (7,))
+def _sweep(cache, trace, sizes=PAPER_SIZES,
+           associativities=PAPER_ASSOCIATIVITIES, **kwargs):
+    """A figure-style grid through the sweep subsystem."""
+    spec = SweepSpec(cache=cache, sizes=tuple(sizes),
+                     associativities=tuple(associativities), **kwargs)
+    return run_sweep(spec, trace).to_sweep_result()
 
-    def test_split_warmup(self):
-        events = [TraceEvent(i, 1, 1) for i in range(100)]
-        warm, measure = split_warmup(events, 0.25)
-        assert len(warm) == 25
-        assert len(measure) == 75
 
-    def test_split_warmup_validation(self):
-        with pytest.raises(ValueError):
-            split_warmup([], 1.5)
-
+class TestTraceColumns:
     def test_dispatched_only(self):
-        events = [TraceEvent(0, 1, 1, dispatched=True),
-                  TraceEvent(1, 2, 1, dispatched=False)]
-        assert [e.opcode for e in dispatched_only(events)] == [1]
+        trace = trace_of([(0, 1, 1, True), (1, 2, 1, False)])
+        opcodes = trace.opcodes()
+        assert [opcodes[i] for i in trace.dispatched_indices()] == [1]
 
     def test_addresses(self):
-        events = [TraceEvent(3, 1, 1), TraceEvent(9, 1, 1)]
-        assert list(addresses(events)) == [3, 9]
+        trace = trace_of([(3, 1, 1), (9, 1, 1)])
+        assert list(trace.addresses()) == [3, 9]
 
 
 class TestSimulateITLB:
@@ -85,30 +70,29 @@ class TestSimulateITLB:
         assert single.hit_ratio < 1.0
 
     def test_dispatched_filter(self):
-        events = [TraceEvent(i, 1, 1, dispatched=(i % 2 == 0))
-                  for i in range(100)]
+        events = trace_of((i, 1, 1, i % 2 == 0) for i in range(100))
         stats = simulate_itlb(events, 8, 2, warmup_fraction=0.0)
         assert stats.accesses == 50
 
     def test_warmup_excluded_from_stats(self):
-        events = [TraceEvent(i, i, 1) for i in range(100)]
+        events = trace_of((i, i, 1) for i in range(100))
         stats = simulate_itlb(events, 256, 2, warmup_fraction=0.5)
         assert stats.accesses == 50
 
 
 class TestSimulateICache:
     def test_loop_reuse(self):
-        events = [TraceEvent(i % 16, 1, 1) for i in range(1000)]
+        events = trace_of((i % 16, 1, 1) for i in range(1000))
         stats = simulate_icache(events, 64, 2, warmup_fraction=0.1)
         assert stats.hit_ratio == 1.0
 
     def test_streaming_never_hits(self):
-        events = [TraceEvent(i, 1, 1) for i in range(1000)]
+        events = trace_of((i, 1, 1) for i in range(1000))
         stats = simulate_icache(events, 64, 2, warmup_fraction=0.0)
         assert stats.hit_ratio == 0.0
 
     def test_line_words_capture_spatial_locality(self):
-        events = [TraceEvent(i, 1, 1) for i in range(1024)]
+        events = trace_of((i, 1, 1) for i in range(1024))
         no_lines = simulate_icache(events, 64, 2, line_words=1,
                                    warmup_fraction=0.0)
         lines = simulate_icache(events, 64, 2, line_words=8,
@@ -122,41 +106,39 @@ class TestSweeps:
         return _synthetic(keys, repeat=4)
 
     def test_sweep_shape(self):
-        result = sweep_itlb(self._events(), sizes=(8, 32, 128),
-                            associativities=(1, 2))
+        result = _sweep("itlb", self._events(), sizes=(8, 32, 128),
+                        associativities=(1, 2))
         assert set(result.ratios) == {1, 2}
         assert set(result.ratios[1]) == {8, 32, 128}
 
     def test_hit_ratio_monotone_in_size_full_assoc(self):
         events = self._events()
-        result = sweep_itlb(events, sizes=(8, 16, 32, 64, 128),
-                            associativities=("full",),
-                            warmup_fraction=0.0)
+        result = _sweep("itlb", events, sizes=(8, 16, 32, 64, 128),
+                        associativities=("full",), warmup_fraction=0.0)
         ratios = [result.ratio("full", s) for s in (8, 16, 32, 64, 128)]
         assert ratios == sorted(ratios)
 
     def test_smallest_size_reaching(self):
         events = _synthetic([(op, 1) for op in range(4)], repeat=20)
-        result = sweep_itlb(events, sizes=(8, 128),
-                            associativities=(2,), double_pass=True)
+        result = _sweep("itlb", events, sizes=(8, 128),
+                        associativities=(2,), double_pass=True)
         assert result.smallest_size_reaching(0.99, 2) == 8
         assert result.smallest_size_reaching(1.1, 2) is None
 
     def test_table_renders(self):
-        result = sweep_itlb(self._events(), sizes=(8, 16),
-                            associativities=(1, 2))
+        result = _sweep("itlb", self._events(), sizes=(8, 16),
+                        associativities=(1, 2))
         table = result.table()
         assert "1-way" in table and "2-way" in table
         assert "16" in table
 
     def test_icache_sweep(self):
-        result = sweep_icache(self._events(), sizes=(8, 64),
-                              associativities=(1,))
+        result = _sweep("icache", self._events(), sizes=(8, 64),
+                        associativities=(1,))
         assert 0.0 <= result.ratio(1, 8) <= 1.0
 
     def test_ascii_plot(self):
-        result = sweep_itlb(self._events(), sizes=PAPER_SIZES,
-                            associativities=PAPER_ASSOCIATIVITIES)
+        result = _sweep("itlb", self._events())
         plot = ascii_plot(result)
         assert "legend" in plot
         assert plot.count("\n") > 10
@@ -169,7 +151,7 @@ class TestWarmupEdgeCases:
     characterization tests, not aspirations."""
 
     def _events(self, n=40):
-        return [TraceEvent(i % 7, i % 5, 1) for i in range(n)]
+        return trace_of((i % 7, i % 5, 1) for i in range(n))
 
     def test_zero_warmup_measures_everything(self):
         events = self._events()
@@ -207,13 +189,12 @@ class TestWarmupEdgeCases:
         # The dispatched filter is applied before the cut check, so a
         # warm-up boundary landing on a non-dispatched event means the
         # reset never happens and every dispatched event is measured.
-        events = [TraceEvent(i, i % 3, 1, dispatched=(i != 10))
-                  for i in range(20)]
+        events = trace_of((i, i % 3, 1, i != 10) for i in range(20))
         stats = simulate_itlb(events, 16, 2, warmup_fraction=0.5)
         assert stats.accesses == 19  # all dispatched, warm-up included
 
     def test_cut_on_dispatched_event_excludes_warmup(self):
-        events = [TraceEvent(i, i % 3, 1) for i in range(20)]
+        events = trace_of((i, i % 3, 1) for i in range(20))
         stats = simulate_itlb(events, 16, 2, warmup_fraction=0.5)
         assert stats.accesses == 10
 
@@ -222,15 +203,14 @@ class TestWarmupEdgeCases:
         # double-pass flag is exactly a doubled trace whose first half
         # is the warm-up (the boundary event is dispatched here, so
         # the mid-trace reset fires).
-        events = [TraceEvent(i % 11, i % 6, i % 3) for i in range(60)]
+        rows = [(i % 11, i % 6, i % 3) for i in range(60)]
+        events, doubled = trace_of(rows), trace_of(rows + rows)
         double = simulate_itlb(events, 16, 2, double_pass=True)
-        manual = simulate_itlb(events + events, 16, 2,
-                               warmup_fraction=0.5)
+        manual = simulate_itlb(doubled, 16, 2, warmup_fraction=0.5)
         assert (double.hits, double.misses) == (manual.hits,
                                                 manual.misses)
         double = simulate_icache(events, 16, 2, double_pass=True)
-        manual = simulate_icache(events + events, 16, 2,
-                                 warmup_fraction=0.5)
+        manual = simulate_icache(doubled, 16, 2, warmup_fraction=0.5)
         assert (double.hits, double.misses) == (manual.hits,
                                                 manual.misses)
 
@@ -250,8 +230,7 @@ class TestSemanticsModule:
     truth."""
 
     def _events(self, n=20, hole=10):
-        return [TraceEvent(i, i % 3, 1, dispatched=(i != hole))
-                for i in range(n)]
+        return trace_of((i, i % 3, 1, i != hole) for i in range(n))
 
     def test_registry_and_validation(self):
         assert DEFAULT_SEMANTICS == "paper"
@@ -307,8 +286,8 @@ class TestSemanticsModule:
     def test_paper_negative_fraction_never_resets(self):
         # The historical loops compared a negative cut against
         # non-negative loop indices: no reset, everything measured.
-        # (reset_index must not let Python's negative indexing probe
-        # events[cut] and invent a mid-trace reset.)
+        # (reset_index must not let dispatched_flag's negative indexing
+        # probe events[cut] and invent a mid-trace reset.)
         events = self._events()
         assert reset_index("paper", "itlb", events, 19,
                            warmup_fraction=-0.5) is None
@@ -355,6 +334,6 @@ class TestDeterminism:
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(0, 100), min_size=10, max_size=300))
     def test_infinite_cache_misses_equal_footprint(self, address_list):
-        events = [TraceEvent(a, 1, 1) for a in address_list]
+        events = trace_of((a, 1, 1) for a in address_list)
         stats = simulate_icache(events, 4096, "full", warmup_fraction=0.0)
         assert stats.misses == len(set(address_list))

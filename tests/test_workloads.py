@@ -4,10 +4,10 @@ import dataclasses
 
 import pytest
 
-from repro.trace.events import TraceEvent
 from repro.workloads import get, load_events, names, specs
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.store import TraceStore
+from trace_helpers import trace_of
 
 #: The scenarios this PR added beyond the ported seed traces.
 NEW_SCENARIOS = ("gc-churn", "megamorphic", "deep-calls",
@@ -18,8 +18,8 @@ def _counting_spec(counter, *, version=1, name="synthetic"):
     """A tiny deterministic workload that counts generator runs."""
     def build(length=32):
         counter["runs"] += 1
-        return [TraceEvent(i % 8, 1 + i % 3, i % 5, bool(i % 2))
-                for i in range(length)]
+        return trace_of((i % 8, 1 + i % 3, i % 5, bool(i % 2))
+                        for i in range(length))
     return WorkloadSpec(name=name, description="test-only",
                         build=build, defaults={"length": 32},
                         version=version)
@@ -75,8 +75,8 @@ class TestStore:
     def test_same_params_byte_identical(self, tmp_path):
         counter = {"runs": 0}
         spec = _counting_spec(counter)
-        blob_a = TraceStore.serialize(spec.generate(spec.resolve()))
-        blob_b = TraceStore.serialize(spec.generate(spec.resolve()))
+        blob_a = spec.generate(spec.resolve()).to_bytes()
+        blob_b = spec.generate(spec.resolve()).to_bytes()
         assert blob_a == blob_b
 
     def test_params_change_key(self, tmp_path):
@@ -98,10 +98,8 @@ class TestStore:
         assert path_v1.exists() and path_v2.exists()
 
     def test_roundtrip_preserves_events(self):
-        events = [TraceEvent(12345, 7, -1, False),
-                  TraceEvent(0, 0, 0, True)]
-        assert TraceStore.deserialize(
-            TraceStore.serialize(events)) == events
+        events = trace_of([(12345, 7, -1, False), (0, 0, 0, True)])
+        assert TraceStore.deserialize(events.to_bytes()) == events
 
     def test_corrupt_file_regenerates(self, tmp_path):
         counter = {"runs": 0}
@@ -221,21 +219,20 @@ class TestByteSwap:
     native blob -- exactly the transformation that makes a real
     big-endian host land on the little-endian disk layout."""
 
-    EVENTS = [TraceEvent(12345, 7, -1, False),
-              TraceEvent(0, 0, 0, True),
-              TraceEvent(-70000, 255, 4, True)]
+    EVENTS = trace_of([(12345, 7, -1, False), (0, 0, 0, True),
+                       (-70000, 255, 4, True)])
 
     def _blob(self, monkeypatch, swap):
         import repro.trace.columnar as columnar_module
         monkeypatch.setattr(columnar_module, "_SWAP", swap)
-        return TraceStore.serialize(self.EVENTS)
+        return self.EVENTS.to_bytes()
 
     @pytest.mark.parametrize("swap", [False, True],
                              ids=["native", "swapped"])
     def test_roundtrip_both_ways(self, monkeypatch, swap):
         import repro.trace.columnar as columnar_module
         monkeypatch.setattr(columnar_module, "_SWAP", swap)
-        blob = TraceStore.serialize(self.EVENTS)
+        blob = self.EVENTS.to_bytes()
         assert TraceStore.deserialize(blob) == self.EVENTS
 
     def test_swapped_writer_flips_column_words_only(self, monkeypatch):
@@ -299,22 +296,22 @@ class TestScenarios:
         events = load_events(name, quick=True,
                              store=TraceStore(tmp_path))
         assert len(events) > 1_000
-        dispatched = [e for e in events if e.dispatched]
-        assert dispatched, f"{name} never dispatched"
-        assert len({e.address for e in events}) > 10
+        assert events.dispatched_count(), f"{name} never dispatched"
+        assert len(set(events.addresses())) > 10
 
     def test_scenarios_are_deterministic(self, tmp_path):
         for name in NEW_SCENARIOS:
             spec = get(name)
             params = spec.resolve(quick=True)
-            assert TraceStore.serialize(spec.generate(params)) == \
-                TraceStore.serialize(spec.generate(params)), name
+            assert spec.generate(params).to_bytes() == \
+                spec.generate(params).to_bytes(), name
 
     def test_megamorphic_is_megamorphic(self, tmp_path):
         spec = get("megamorphic")
         events = spec.generate(spec.resolve(overrides={"scale": 1}))
         poke = spec.build.__module__  # noqa: F841 (documentation only)
-        classes = {e.receiver_class for e in events if e.dispatched}
+        receivers = events.receiver_classes()
+        classes = {receivers[i] for i in events.dispatched_indices()}
         # One instance per class cycles through a single call site.
         assert len(classes) >= 26
 
@@ -324,13 +321,12 @@ class TestScenarios:
         many = spec.generate(spec.resolve(overrides={"epochs": 4}))
         # Each epoch compiles its redefined methods at fresh
         # addresses, so more epochs widen the address working set.
-        assert len({e.address for e in many}) > \
-            len({e.address for e in few})
+        assert len(set(many.addresses())) > len(set(few.addresses()))
 
     def test_deep_calls_outruns_the_context_cache(self):
         spec = get("deep-calls")
         events = spec.generate(spec.resolve(overrides={"depth": 100}))
-        sends = sum(1 for e in events if e.dispatched)
+        sends = events.dispatched_count()
         # Call-dominated: at least a quarter of the stream dispatches.
         assert sends / len(events) > 0.25
 
