@@ -22,12 +22,22 @@ backend"):
   previous-occurrence links directly, and depths 2..cap are resolved
   in *run space* -- maximal same-block stretches -- where the tiny
   depth cap (4 on the paper grid) bounds the work per reference.
+* The single-set (fully-associative) level has no useful depth cap,
+  so its depths come from an offline rank count instead: with
+  ``p = prev[i]``, depth(i) = #{k < i : prev[k] < p} - (p + 1), which
+  one bitwise prefix-rank pass answers for every reference at once
+  (:func:`_full_depth_counts`), clamped at ``full_cap``.
 * Stack state between segments is carried as one global MRU-ordered
   list of distinct ``(block, placement)`` pairs; replaying that list
   as a synthetic prefix regenerates every level's per-set stacks
   exactly, which is what makes warm-up cuts, mid-trace
   ``reset_counts`` and ``start``/``stop`` sub-range replay match the
-  incremental engine bit for bit.
+  incremental engine bit for bit.  The fully-associative stack is the
+  carry's first ``full_cap`` entries, so it keeps no state of its own.
+
+:func:`np_itlb_ref_columns` builds the ITLB reference stream with
+array operations, hashing each distinct key once, for the runner when
+the resolved engine is numpy.
 
 numpy is an *optional* extra (``pip install .[numpy]``), imported on
 first engine use: importing this module (or ``repro.sweep``) never
@@ -39,10 +49,12 @@ pure-python engine when the import is missing.
 
 from __future__ import annotations
 
+from array import array
 from itertools import accumulate
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro import telemetry
+from repro.caches.setassoc import stable_hash
 from repro.errors import BackendUnavailable
 
 #: The numpy module, bound by :func:`numpy_available` on first engine
@@ -278,6 +290,74 @@ def _depth4_chain(rank_i, r_start, cpr1, LF, nxr, nxr2, counts, cap):
         r_prev = rj[hitj]
 
 
+def _full_depth_counts(prev, cap):
+    """Fully-associative LRU depth counts of a linked reference stream.
+
+    ``prev[i]`` is the index of the previous reference to reference
+    i's block, -1 for a first reference.  Returns ``counts`` with
+    ``counts[d]`` the references at depth d < cap and ``counts[cap]``
+    the first references plus every depth >= cap (misses in a
+    ``cap``-entry cache).
+
+    The depth of a re-reference i with ``p = prev[i]`` is the number
+    of distinct blocks touched strictly between p and i: the k in
+    (p, i) whose own previous reference lies before p.  Every k <= p
+    has ``prev[k] < k <= p``, so
+
+        depth(i) = #{k < i : prev[k] < p} - (p + 1),
+
+    a prefix-rank count that one bitwise pass answers for every i at
+    once (a wavelet matrix over ``v = prev + 1``; Mattson et al. 1970,
+    Bennett & Kruskal 1975).  First references have the smallest key,
+    so a prefix sum counts them and only re-references enter the pass.
+    Level b, most significant bit first, stably partitions the current
+    order by bit b.  References that agree on the bits above b stay
+    contiguous and in stream order, so for a reference with bit b set,
+    the zero bits between its group's start and itself are exactly the
+    earlier references that agree above b and are smaller at b.  Each
+    level is one cumsum, one gather of group starts and the partition;
+    no level sorts.
+    """
+    n = len(prev)
+    first = prev < 0
+    # every earlier first reference ranks below a re-reference
+    rank = np.cumsum(first, dtype=np.int32)
+    rank -= first
+    again = ~first
+    rank = rank[again]
+    val = prev[again]
+    val += np.int32(1)
+    m = len(val)
+    # start[j]: position of the first reference of j's group;
+    # zeros[j]: zero bits among the first j references of the level
+    start = np.zeros(m, np.int32)
+    zeros = np.zeros(m + 1, np.int32)
+    bit = np.empty(m, bool)
+    scratch = np.empty(m, np.int32)
+    for b in reversed(range(int(val.max()).bit_length() if m else 0)):
+        np.bitwise_and(val, np.int32(1 << b), out=scratch)
+        np.not_equal(scratch, 0, out=bit)
+        zero = ~bit
+        np.cumsum(zero, dtype=np.int32, out=zeros[1:])
+        group_zeros = zeros[start]
+        smaller = zeros[:-1] - group_zeros
+        smaller *= bit
+        rank += smaller
+        # the next level's groups: a group's zero-bit members start at
+        # the zeros before it, its one-bit members after all zeros, at
+        # the ones before it
+        start = np.where(bit, start - group_zeros + zeros[m], group_zeros)
+        order = np.concatenate((np.flatnonzero(zero), np.flatnonzero(bit)))
+        val = val[order]
+        rank = rank[order]
+        start = start[order]
+    rank -= val
+    np.minimum(rank, cap, out=rank)
+    counts = np.bincount(rank, minlength=cap + 1)
+    counts[cap] += n - m
+    return counts
+
+
 class NumpyMultiConfigLRU:
     """Bitwise-identical numpy replacement for ``MultiConfigLRU``.
 
@@ -302,11 +382,8 @@ class NumpyMultiConfigLRU:
         self._hists = [np.zeros(cap + 1, np.int64) for _, cap in self.levels]
         self._carry_b = np.empty(0, np.int64)
         self._carry_p = np.empty(0, np.uint64)
-        self._full = None
-        self._full_hist: List[int] = []
-        if full_cap:
-            self._full_hist = [0] * (full_cap + 1)
-            self._full = ([], full_cap, self._full_hist)
+        self._full_cap = full_cap
+        self._full_hist: List[int] = [0] * (full_cap + 1) if full_cap else []
         self.total = 0
         self._seg_cache: List[_SegmentStructs] = []
         self._cum_by_k: Optional[Dict[int, List[int]]] = None
@@ -349,7 +426,10 @@ class NumpyMultiConfigLRU:
         seg = self._segment(blocks, placements, start, stop)
         P = len(self._carry_b)
         if count:
-            self._count_levels(seg, P)
+            bid, prev, pvals = self._links(seg, P)
+            self._count_levels(bid, prev, pvals, P)
+            if self._full_cap:
+                self._replay_full(prev, P)
             self.total += seg.m
             self._cum_by_k = None
             self._full_cum = None
@@ -377,21 +457,13 @@ class NumpyMultiConfigLRU:
         else:
             self._carry_b = new_b
             self._carry_p = new_p
-
-        if self._full is not None:
-            if count:
-                self._replay_full(blocks, placements, start, stop, count)
-            else:
-                # the fully-associative stack is the MRU-ordered distinct
-                # blocks truncated to capacity, which is exactly the
-                # carry prefix just rebuilt above
-                stack, fcap, _ = self._full
-                stack[:] = self._carry_b[:fcap].tolist()
         # One registry bump per bulk replay (never per reference).
         telemetry.inc("sweep.refs_replayed", stop - start,
                       engine="numpy")
 
-    def _count_levels(self, seg, P):
+    def _links(self, seg, P):
+        """(block ids, previous-occurrence links, per-block placements)
+        over the carry prefix (LRU first) followed by the segment."""
         m = seg.m
         n = P + m
         U = len(seg.uniq_vals)
@@ -419,7 +491,10 @@ class NumpyMultiConfigLRU:
             bid = seg.bid
             prev = seg.prev
             pvals = seg.uniq_pvals
+        return bid, prev, pvals
 
+    def _count_levels(self, bid, prev, pvals, P):
+        n = len(prev)
         idx_bits = max(1, int(n - 1).bit_length()) if n > 1 else 1
         kmax = int(self.levels[-1][0]).bit_length() if self.levels else 0
         use64 = kmax + idx_bits > 32
@@ -565,33 +640,29 @@ class NumpyMultiConfigLRU:
                 hist[c] += counts[c - 1] - counts[c]
             hist[cap] += comp_c + counts[cap - 1]
 
-    def _replay_full(self, blocks, placements, start, stop, count):
-        # The single-set level is depth-unbounded in practice (its cap
-        # is the largest swept capacity), so the fixed-depth vector
-        # formulation does not apply; the sequential update is kept.
-        stack, fcap, fhist = self._full
-        for index in range(start, stop):
-            block = blocks[index]
-            try:
-                depth = stack.index(block)
-            except ValueError:
-                depth = fcap
-                stack.insert(0, block)
-                if len(stack) > fcap:
-                    del stack[fcap]
-            else:
-                if depth:
-                    del stack[depth]
-                    stack.insert(0, block)
-            if count:
-                fhist[depth] += 1
+    def _replay_full(self, prev, P):
+        """Count the fully-associative column of one counted segment.
+
+        ``prev`` links the carry prefix (P distinct blocks, LRU first)
+        followed by the segment, so a segment reference's previous
+        occurrence may lie in the prefix and its depth counts every
+        distinct block the carry orders above it.  Depths at or past
+        ``full_cap`` clamp to the miss bucket, which is exact: a
+        ``full_cap``-entry stack has evicted such a block, even though
+        the carry, which is never truncated, still ranks it.  The
+        prefix positions are first references and are not counted.
+        """
+        counts = _full_depth_counts(prev, self._full_cap)
+        counts[-1] -= P
+        self._full_hist[:] = [
+            total + new for total, new in zip(self._full_hist,
+                                              counts.tolist())]
 
     def reset_counts(self) -> None:
         """Zero every histogram and the access counter; keep stacks."""
         for h in self._hists:
             h[:] = 0
-        if self._full is not None:
-            self._full_hist[:] = [0] * len(self._full_hist)
+        self._full_hist[:] = [0] * len(self._full_hist)
         self.total = 0
         self._cum_by_k = None
         self._full_cum = None
@@ -610,7 +681,7 @@ class NumpyMultiConfigLRU:
 
     def full_hits(self, entries: int) -> int:
         """Measured hits of a one-set LRU cache with that many entries."""
-        if self._full is None:
+        if not self._full_cap:
             raise ValueError("single-set level was not enabled")
         cum = self._full_cum
         if cum is None:
@@ -632,7 +703,8 @@ class NumpyMultiConfigLRU:
         mapping of set index to the MRU-first block list; plus the
         single-set stack when enabled.  The carry is the global
         MRU-ordered distinct-block list, so each set's stack is its
-        per-set filtration truncated at the level's depth cap.
+        per-set filtration truncated at the level's depth cap, and the
+        single-set stack is the carry's first ``full_cap`` blocks.
         """
         carry_b = self._carry_b.tolist()
         carry_p = self._carry_p.tolist()
@@ -645,8 +717,8 @@ class NumpyMultiConfigLRU:
                     lst.append(block)
             levels[k] = sets
         state = {"levels": levels, "full": None}
-        if self._full is not None:
-            state["full"] = list(self._full[0])
+        if self._full_cap:
+            state["full"] = carry_b[:self._full_cap]
         return state
 
 
@@ -667,3 +739,37 @@ def np_next_use_times(blocks: Sequence) -> List[float]:
         same = bs[1:] == bs[:-1]
         result[order[:-1][same]] = order[1:][same]
     return result.tolist()
+
+
+def np_itlb_ref_columns(opcodes: Sequence[int], classes: Sequence[int],
+                        indices: Optional[Sequence[int]]):
+    """Vectorized ITLB reference build: the ``array('q')`` keys and
+    ``array('Q')`` placements of the pure loop in
+    :func:`repro.sweep.runner._itlb_ref_columns`, byte for byte.
+
+    The opcode and receiver-class columns are gathered at ``indices``
+    (every event when None) and packed into the same injective int
+    keys.  :func:`~repro.caches.setassoc.stable_hash` runs once per
+    distinct key, on the ``(opcode, (receiver,))`` tuple the real ITLB
+    hashes, and a gather spreads the hashes back over the stream.
+    """
+    require_numpy()
+    op = np.asarray(opcodes)
+    cls = np.asarray(classes)
+    if indices is not None:
+        at = np.asarray(indices)
+        op = op[at]
+        cls = cls[at]
+    keys = op.astype(np.int64)
+    keys <<= 32
+    keys ^= cls.astype(np.int64) & 0xFFFFFFFF
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    hashes = np.array(
+        [stable_hash((opcode, (receiver,))) for opcode, receiver
+         in zip(op[first].tolist(), cls[first].tolist())], np.uint64)
+    blocks = array("q")
+    blocks.frombytes(keys.tobytes())
+    placements = array("Q")
+    placements.frombytes(hashes[inverse].tobytes())
+    return blocks, placements

@@ -102,18 +102,26 @@ def _result_cache(root: str) -> ResultCache:
 
 # -- reference streams ----------------------------------------------------
 
-def _itlb_ref_columns(trace: Trace, dispatched_only: bool) -> RefColumns:
+def _itlb_ref_columns(trace: Trace, dispatched_only: bool,
+                      use_numpy: bool = False) -> RefColumns:
     """The (key, stable hash) columns the ITLB sees.
 
     Block identities are the opcode/class pair packed into one int
     (injective for the 32-bit column values), so the hot replay loop
     never builds a key tuple; the placement hash -- which must stay
     bitwise-identical to the set placement the real ITLB computes --
-    is memoized per distinct key, so the tuple it hashes is built
-    once per key instead of once per reference.
+    is computed once per distinct key.  With ``use_numpy`` (the
+    resolved engine is numpy) the keys are packed with array
+    operations and the hashes gathered back over the stream
+    (:func:`~repro.sweep.np_engine.np_itlb_ref_columns`); the loop
+    below is the numpy-free path and returns the same bytes.
     """
     opcodes = trace.opcodes()
     classes = trace.receiver_classes()
+    if use_numpy:
+        return np_engine.np_itlb_ref_columns(
+            opcodes, classes,
+            trace.dispatched_indices() if dispatched_only else None)
     indices = (trace.dispatched_indices() if dispatched_only
                else range(len(trace)))
     blocks = array("q")
@@ -180,9 +188,10 @@ def _geometry(spec: SweepSpec) -> Tuple[Dict[int, int], int]:
 
 def _run_single_pass(spec: SweepSpec, trace: Trace,
                      use_numpy: bool = False) -> ResultSurface:
-    blocks, placements = (_itlb_ref_columns(trace, spec.dispatched_only)
-                          if spec.cache == "itlb"
-                          else _icache_ref_columns(trace, spec.line_words))
+    blocks, placements = (
+        _itlb_ref_columns(trace, spec.dispatched_only, use_numpy)
+        if spec.cache == "itlb"
+        else _icache_ref_columns(trace, spec.line_words))
     n_refs = len(blocks)
     level_caps, full_cap = _geometry(spec)
     if use_numpy:

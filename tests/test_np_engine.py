@@ -25,7 +25,10 @@ import pytest
 from repro.errors import BackendUnavailable
 from repro.sweep import SweepSpec, np_engine, run_sweep
 from repro.sweep.engine import MultiConfigLRU, OptStack, next_use_times
-from trace_helpers import mixed_trace
+from repro.sweep.runner import _itlb_ref_columns
+from repro.trace.cachesim import simulate_icache
+from repro.workloads import names, specs
+from trace_helpers import mixed_trace, trace_of
 
 requires_numpy = pytest.mark.skipif(
     not np_engine.numpy_available(),
@@ -135,6 +138,44 @@ class TestRandomizedEquivalence:
         _assert_engines_equal(pure, fast, {1: 2, 3: 4}, 8)
         assert bulk.stack_state() == pure.stack_state()
 
+    def test_deep_full_column_equivalence(self):
+        # A deep, wide single-set level: ~6,000 blocks behind a
+        # 4096-entry stack, with a cold quarter of the stream reused
+        # ~24,000 references apart, so depths run past full_cap and
+        # the clamp fires.  The counted segment plus its carry prefix
+        # exceeds 2**16 positions, so the rank key needs 17 bits.
+        rng = random.Random(1985)
+        nblocks, full_cap = 6_000, 4096
+        blocks = [rng.randrange(300) if rng.random() < 0.75
+                  else rng.randrange(nblocks) for _ in range(80_000)]
+        pmap = {block: rng.getrandbits(16) for block in range(nblocks)}
+        placements = [pmap[block] for block in blocks]
+        level_caps = {3: 4}
+        pure = MultiConfigLRU(dict(level_caps), full_cap)
+        fast = np_engine.NumpyMultiConfigLRU(dict(level_caps), full_cap)
+        for engine in (pure, fast):
+            engine.replay_columns(blocks, placements, 0, 6_000, False)
+            engine.replay_columns(blocks, placements, 6_000, 76_000, True)
+        # more misses than first references: some depths clamped
+        first_refs = len(set(blocks[6_000:76_000]) - set(blocks[:6_000]))
+        assert pure._full_hist[full_cap] > first_refs
+        assert sum(pure._full_hist[full_cap // 2:full_cap]) > 0
+        _assert_engines_equal(pure, fast, level_caps, full_cap)
+        for engine in (pure, fast):
+            engine.reset_counts()
+            engine.replay_columns(blocks, placements, 76_000, 80_000, True)
+        _assert_engines_equal(pure, fast, level_caps, full_cap)
+
+        # the one-set grid oracle, under the double-pass warm-up
+        trace = trace_of((block, 0, 0) for block in blocks)
+        warm = np_engine.NumpyMultiConfigLRU({}, full_cap)
+        warm.replay_columns(blocks, blocks, count=False)
+        warm.replay_columns(blocks, blocks, count=True)
+        for size in (512, full_cap):
+            stats = simulate_icache(trace, size, "full", double_pass=True)
+            assert (warm.full_hits(size), warm.total - warm.full_hits(size)) \
+                == (stats.hits, stats.misses)
+
     def test_next_use_times_equivalence(self):
         rng = random.Random(5)
         blocks = [rng.randrange(40) for _ in range(500)]
@@ -181,6 +222,45 @@ class TestSweepEquivalence:
         with pytest.raises(ValueError, match="eligible"):
             run_sweep(SweepSpec("itlb", policy="fifo", engine="numpy"),
                       events)
+
+
+@pytest.fixture(scope="module")
+def quick_traces():
+    return {spec.name: spec.generate(spec.resolve(quick=True))
+            for spec in specs()}
+
+
+@requires_numpy
+class TestItlbReferenceBuild:
+    """The numpy ITLB reference build returns the pure loop's
+    ``array('q')`` keys and ``array('Q')`` placements byte for byte."""
+
+    @staticmethod
+    def _assert_same_build(trace, dispatched_only):
+        pure = _itlb_ref_columns(trace, dispatched_only)
+        fast = _itlb_ref_columns(trace, dispatched_only, use_numpy=True)
+        assert [column.typecode for column in fast] == ["q", "Q"]
+        assert [column.tobytes() for column in fast] == \
+            [column.tobytes() for column in pure]
+
+    @pytest.mark.parametrize("dispatched_only", [True, False])
+    @pytest.mark.parametrize("name", names())
+    def test_scenario_build_parity(self, name, dispatched_only,
+                                   quick_traces):
+        self._assert_same_build(quick_traces[name], dispatched_only)
+
+    @pytest.mark.parametrize("dispatched_only", [True, False])
+    def test_mixed_and_odd_offset_build_parity(self, dispatched_only,
+                                               events):
+        self._assert_same_build(events, dispatched_only)
+        self._assert_same_build(events[3:2001], dispatched_only)
+
+    @pytest.mark.parametrize("dispatched_only", [True, False])
+    def test_zero_operand_dispatch_build_parity(self, dispatched_only):
+        # a dispatch with no operand records receiver class -1
+        trace = trace_of([(10, 5, -1), (11, 5, 3), (12, 5, -1),
+                          (13, 7, -1, False), (14, 9, 2)])
+        self._assert_same_build(trace, dispatched_only)
 
 
 @requires_numpy
