@@ -3,17 +3,17 @@
 Writes a Fith program (Forth syntax, Smalltalk semantics), traces its
 execution -- recording, per instruction: address, opcode and the class
 of the top of stack -- and replays the trace through the single-pass
-sweep engine (repro.sweep): one declared hierarchy (ITLB level +
-instruction-cache level) yields the full size x associativity
-hit-ratio surface per level, with fully-associative LRU and
-OPT/Belady reference columns, from a single replay of the trace per
-level instead of one per configuration.
+sweep engine (repro.sweep): one sweep per cache (the ITLB and the
+instruction cache) yields the full size x associativity hit-ratio
+surface, with fully-associative LRU and OPT/Belady reference columns,
+from a single replay of the trace per cache instead of one per
+configuration.
 
 Run:  python examples/fith_cache_study.py
 """
 
 from repro import make_fith
-from repro.sweep import HierarchySpec, SweepSpec, run_hierarchy
+from repro.sweep import SweepSpec, run_sweep
 from repro.trace.cachesim import ascii_plot
 
 PROGRAM = """
@@ -57,17 +57,10 @@ def main() -> None:
           f"{stats['unique_addresses']} distinct addresses")
 
     sizes = tuple(1 << k for k in range(3, 11))
-    study = HierarchySpec(
-        name="fith-cache-study",
-        description="section-5 methodology on one polymorphic program",
-        levels=(
-            SweepSpec(cache="itlb", sizes=sizes, double_pass=True,
-                      include_full=True, include_opt=True),
-            SweepSpec(cache="icache", sizes=sizes, double_pass=True,
-                      include_full=True, include_opt=True),
-        ),
-    )
-    itlb, icache = run_hierarchy(study, events)
+    itlb, icache = (
+        run_sweep(SweepSpec(cache=cache, sizes=sizes, double_pass=True,
+                            include_full=True, include_opt=True), events)
+        for cache in ("itlb", "icache"))
 
     print()
     print(itlb.table())
@@ -75,7 +68,7 @@ def main() -> None:
           f"{itlb.meta['trace_passes']} simulation passes for "
           f"{len(sizes) * 3 + len(sizes)} LRU configurations)")
     print()
-    print(ascii_plot(itlb.to_sweep_result(), width=48, height=12))
+    print(ascii_plot(itlb, width=48, height=12))
 
     print()
     print(icache.table())

@@ -187,6 +187,15 @@ def _cmd_trace_verify(args: argparse.Namespace) -> int:
     return 1 if report["corrupt"] else 0
 
 
+def _usage_error(error: Exception) -> int:
+    """Report a bad workload name, parameter or sweep geometry as
+    ``error: ...`` on stderr; the exit status is 2."""
+    # str(KeyError) quotes its message; print the message itself.
+    message = error.args[0] if isinstance(error, KeyError) else error
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.workloads import get
     from repro.workloads.store import TraceStore
@@ -197,11 +206,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print("error: a workload name is required unless --verify "
               "is given", file=sys.stderr)
         return 2
-    spec = get(args.name)
-    store = TraceStore(args.trace_dir)
     overrides = dict(args.set or [])
-    params = spec.resolve(quick=args.quick, scale=args.scale,
-                          overrides=overrides)
+    try:
+        spec = get(args.name)
+        params = spec.resolve(quick=args.quick, scale=args.scale,
+                              overrides=overrides)
+    except KeyError as error:
+        return _usage_error(error)
+    store = TraceStore(args.trace_dir)
     path = store.path_for(spec, params)
     if args.force and path.exists():
         path.unlink()
@@ -311,16 +323,13 @@ def _csv_assocs(text: str):
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from repro.sweep import (HierarchySpec, SweepSpec,
-                             run_hierarchy_planned, run_sweep,
+    from repro.sweep import (Query, SweepSpec, run_batch, run_sweep,
                              semantics_delta_table)
     from repro.trace.cachesim import ascii_plot
+    from repro.workloads import get
     from repro.workloads.store import TraceStore
 
-    store = TraceStore(args.trace_dir)
     overrides = dict(args.set or [])
-    events = store.load(args.workload, quick=args.quick,
-                        scale=args.scale, **overrides)
     caches = (("itlb", "icache") if args.cache == "both"
               else (args.cache,))
     common = dict(warmup_fraction=(args.warmup if args.warmup is not None
@@ -335,26 +344,34 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         common["sizes"] = args.sizes
     if args.assoc is not None:
         common["associativities"] = args.assoc
-    levels = tuple(
-        SweepSpec(cache=cache,
-                  line_words=(args.line_words if cache == "icache" else 1),
-                  **common)
-        for cache in caches)
-    hierarchy = HierarchySpec(name=f"sweep:{args.workload}",
-                              levels=levels)
+    # Every lookup and spec check before any generation or replay.
+    try:
+        workload = get(args.workload)
+        workload.resolve(quick=args.quick, scale=args.scale,
+                         overrides=overrides)
+        specs = [SweepSpec(cache=cache,
+                           line_words=(args.line_words
+                                       if cache == "icache" else 1),
+                           **common)
+                 for cache in caches]
+    except (KeyError, ValueError) as error:
+        return _usage_error(error)
+    store = TraceStore(args.trace_dir)
+    events = store.load(workload, quick=args.quick, scale=args.scale,
+                        **overrides)
     print(f"workload: {args.workload} ({len(events)} events, "
           f"{events.dispatched_count()} dispatched)")
     print(f"warm-up:  "
           f"{'double pass' if args.warmup is None else f'fraction {args.warmup}'}"
           f" (semantics: {args.semantics})")
-    surfaces, batch = run_hierarchy_planned(hierarchy, events)
-    for level, surface in zip(hierarchy.levels, surfaces):
+    batch = run_batch([Query(spec=spec) for spec in specs], events)
+    for spec, surface in zip(specs, batch.surfaces):
         meta = surface.meta
         print()
         print(surface.table())
         if args.plot:
             print()
-            print(ascii_plot(surface.to_sweep_result()))
+            print(ascii_plot(surface))
         thresholds = ", ".join(
             f"{'full' if assoc == 'full' else f'{assoc}-way'}: "
             f"{size if size is not None else '>max'}"
@@ -367,26 +384,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"trace]")
         if args.compare_semantics:
             print()
-            if level.double_pass:
+            if spec.double_pass:
                 print(f"[{surface.label}: double-pass warm-up is "
                       f"quirk-free; paper and v2 semantics agree "
                       f"bitwise]")
             else:
                 # The args.semantics side is already in hand; only
                 # the counterpart costs another replay.
-                other = "v2" if level.semantics == "paper" else "paper"
+                other = "v2" if spec.semantics == "paper" else "paper"
                 counterpart = run_sweep(
-                    replace(level, semantics=other), events)
+                    replace(spec, semantics=other), events)
                 paper_s, v2_s = ((surface, counterpart)
-                                 if level.semantics == "paper"
+                                 if spec.semantics == "paper"
                                  else (counterpart, surface))
                 print(semantics_delta_table(paper_s, v2_s))
-    cache_hits = batch.disk_hits + batch.superset_hits
+    report = batch.report
     print()
-    print(f"[planner: {batch.queries} "
-          f"quer{'y' if batch.queries == 1 else 'ies'} -> "
-          f"{batch.replays} replay(s), {batch.coalesced} coalesced, "
-          f"{cache_hits} cache hit(s), {batch.fallbacks} fallback(s)]")
+    print(f"[planner: {report.queries} "
+          f"quer{'y' if report.queries == 1 else 'ies'} -> "
+          f"{report.replays} replay(s), "
+          f"{report.disk_hits} cache hit(s)]")
     return 0
 
 

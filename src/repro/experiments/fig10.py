@@ -26,7 +26,6 @@ from repro.sweep import SweepSpec, run_sweep
 from repro.trace.cachesim import (
     PAPER_ASSOCIATIVITIES,
     PAPER_SIZES,
-    SweepResult,
     ascii_plot,
 )
 from repro.trace.columnar import Trace
@@ -47,16 +46,15 @@ def run(scale: int = 1, events: Optional[Trace] = None,
         sizes: Sequence[int] = PAPER_SIZES,
         associativities: Sequence = PAPER_ASSOCIATIVITIES,
         plot: bool = True,
-        sweep: Optional[SweepResult] = None,
         semantics: str = "paper",
         compare_semantics: bool = False) -> ExperimentResult:
     """Regenerate figure 10 and check its claims.
 
     The grid comes from the single-pass stack-distance engine
     (:mod:`repro.sweep`): one warm replay plus one measured replay of
-    the trace produce every (size, associativity) point at once.
-    ``sweep`` short-circuits with precomputed ratios; claims are
-    always re-checked against it.  ``semantics`` picks the
+    the trace produce every (size, associativity) point at once, and
+    the claims read that :class:`~repro.sweep.surface.ResultSurface`
+    (kept as ``data["sweep"]``).  ``semantics`` picks the
     measurement-semantics version for the figure grid (the paper pin
     needs the default); ``compare_semantics`` appends a paper-vs-v2
     delta table over the quirk-exposed fraction warm-up window, so the
@@ -64,25 +62,24 @@ def run(scale: int = 1, events: Optional[Trace] = None,
     """
     if events is None:
         events = paper_trace(scale)
-    if sweep is None:
-        sweep = run_sweep(figure_spec(sizes, associativities, semantics),
-                          events).to_sweep_result()
+    surface = run_sweep(figure_spec(sizes, associativities, semantics),
+                        events)
     result = ExperimentResult(
         "FIG-10 ITLB hit ratio vs cache size",
         "Fith corpus + polymorphic workload traces replayed against the "
         "ITLB with the paper's double warm-up methodology.",
     )
-    result.table = sweep.table()
+    result.table = surface.table()
     if plot:
-        result.table += "\n\n" + ascii_plot(sweep)
+        result.table += "\n\n" + ascii_plot(surface)
     result.data = {
-        "sweep": sweep,
+        "sweep": surface,
         "trace_length": len(events),
         "dispatched": events.dispatched_count(),
         "distinct_keys": events.unique_itlb_key_count(),
-        "engine": sweep.meta.get("engine"),
-        "trace_passes": sweep.meta.get("trace_passes"),
-        "semantics": sweep.meta.get("semantics", semantics),
+        "engine": surface.meta.get("engine"),
+        "trace_passes": surface.meta.get("trace_passes"),
+        "semantics": surface.meta.get("semantics", semantics),
     }
     if compare_semantics:
         delta_table, delta = semantics_delta_section(
@@ -90,7 +87,7 @@ def run(scale: int = 1, events: Optional[Trace] = None,
         result.table += "\n\n" + delta_table
         result.data["semantics_delta"] = delta
 
-    ratio_512_2w = sweep.ratio(2, 512)
+    ratio_512_2w = surface.ratio(2, 512)
     result.check(
         "99% hit ratio at a 512-entry 2-way ITLB",
         ">= 0.99",
@@ -98,7 +95,7 @@ def run(scale: int = 1, events: Optional[Trace] = None,
         ratio_512_2w >= 0.99,
     )
     mid_sizes = [s for s in sizes if 16 <= s <= 256]
-    gain_2way = sum(sweep.ratio(2, s) - sweep.ratio(1, s)
+    gain_2way = sum(surface.ratio(2, s) - surface.ratio(1, s)
                     for s in mid_sizes) / len(mid_sizes)
     result.check(
         "2-way associativity gains a great deal over direct mapping "
@@ -107,7 +104,7 @@ def run(scale: int = 1, events: Optional[Trace] = None,
         f"+{gain_2way:.4f} mean hit-ratio gain",
         gain_2way > 0.01,
     )
-    gain_4way = sum(sweep.ratio(4, s) - sweep.ratio(2, s)
+    gain_4way = sum(surface.ratio(4, s) - surface.ratio(2, s)
                     for s in mid_sizes) / len(mid_sizes)
     result.check(
         "more associativity beyond 2-way helps much less",
@@ -115,7 +112,7 @@ def run(scale: int = 1, events: Optional[Trace] = None,
         f"+{gain_4way:.4f} mean gain (vs +{gain_2way:.4f} for 2-way)",
         gain_4way < gain_2way,
     )
-    dm_512 = sweep.ratio(1, 512)
+    dm_512 = surface.ratio(1, 512)
     result.check(
         "direct-mapped ITLB at a few hundred entries is within a few "
         "percent of the 2-way result (matches published software-cache "

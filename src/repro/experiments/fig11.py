@@ -19,7 +19,6 @@ from repro.sweep import SweepSpec, run_sweep
 from repro.trace.cachesim import (
     PAPER_ASSOCIATIVITIES,
     PAPER_SIZES,
-    SweepResult,
     ascii_plot,
 )
 from repro.trace.columnar import Trace
@@ -40,36 +39,34 @@ def run(scale: int = 1, events: Optional[Trace] = None,
         sizes: Sequence[int] = PAPER_SIZES,
         associativities: Sequence = PAPER_ASSOCIATIVITIES,
         plot: bool = True,
-        sweep: Optional[SweepResult] = None,
         semantics: str = "paper",
         compare_semantics: bool = False) -> ExperimentResult:
     """Regenerate figure 11 and check its claims.
 
     The grid comes from the single-pass stack-distance engine (see
-    :mod:`.fig10`); ``sweep`` accepts a precomputed grid, and the
-    claims are re-checked against it either way.  ``semantics`` and
+    :mod:`.fig10`) as a :class:`~repro.sweep.surface.ResultSurface`,
+    kept as ``data["sweep"]``.  ``semantics`` and
     ``compare_semantics`` behave as in :func:`repro.experiments.fig10.run`.
     """
     if events is None:
         events = paper_trace(scale)
-    if sweep is None:
-        sweep = run_sweep(figure_spec(sizes, associativities, semantics),
-                          events).to_sweep_result()
+    surface = run_sweep(figure_spec(sizes, associativities, semantics),
+                        events)
     result = ExperimentResult(
         "FIG-11 instruction cache hit ratio vs cache size",
         "The same traces' instruction-address stream replayed against "
         "the instruction cache (modulo-indexed, as hardware indexes).",
     )
-    result.table = sweep.table()
+    result.table = surface.table()
     if plot:
-        result.table += "\n\n" + ascii_plot(sweep)
+        result.table += "\n\n" + ascii_plot(surface)
     result.data = {
-        "sweep": sweep,
+        "sweep": surface,
         "trace_length": len(events),
         "distinct_addresses": events.unique_address_count(),
-        "engine": sweep.meta.get("engine"),
-        "trace_passes": sweep.meta.get("trace_passes"),
-        "semantics": sweep.meta.get("semantics", semantics),
+        "engine": surface.meta.get("engine"),
+        "trace_passes": surface.meta.get("trace_passes"),
+        "semantics": surface.meta.get("semantics", semantics),
     }
     if compare_semantics:
         delta_table, delta = semantics_delta_section(
@@ -77,10 +74,10 @@ def run(scale: int = 1, events: Optional[Trace] = None,
         result.table += "\n\n" + delta_table
         result.data["semantics_delta"] = delta
 
-    r_4096_2w = sweep.ratio(2, 4096)
-    r_4096_4w = sweep.ratio(4, 4096)
-    r_4096_1w = sweep.ratio(1, 4096)
-    r_2048_2w = sweep.ratio(2, 2048)
+    r_4096_2w = surface.ratio(2, 4096)
+    r_4096_4w = surface.ratio(4, 4096)
+    r_4096_1w = surface.ratio(1, 4096)
+    r_2048_2w = surface.ratio(2, 2048)
     result.check(
         "99% needs a 4096-entry cache with 2- or 4-way associativity",
         ">= 0.99 at 4096 entries, 2/4-way",
@@ -103,9 +100,9 @@ def run(scale: int = 1, events: Optional[Trace] = None,
         "the instruction cache must be much larger than the ITLB for "
         "the same hit ratio",
         "4096 entries vs 512 entries",
-        f"icache 99% point: {sweep.smallest_size_reaching(0.99, 2)}; "
+        f"icache 99% point: {surface.smallest_size_reaching(0.99, 2)}; "
         f"(ITLB reaches 99% well below 512 -- see FIG-10)",
-        (sweep.smallest_size_reaching(0.99, 2) or 1 << 30) >= 2048,
+        (surface.smallest_size_reaching(0.99, 2) or 1 << 30) >= 2048,
     )
     result.data.update({
         "ratio_4096_2w": r_4096_2w,

@@ -3,8 +3,8 @@
 The classic design-space methodology -- replay one trace, read off
 the whole hit-ratio surface -- as a subsystem:
 
-* :mod:`repro.sweep.spec` -- :class:`SweepSpec` / :class:`HierarchySpec`,
-  declarative descriptions of what to sweep;
+* :mod:`repro.sweep.spec` -- :class:`SweepSpec`, the declarative
+  description of what to sweep;
 * :mod:`repro.sweep.engine` -- the Mattson-style stack-distance
   engine: every LRU (size, associativity) point from one trace
   replay, plus the OPT/Belady reference stack;
@@ -15,7 +15,10 @@ the whole hit-ratio surface -- as a subsystem:
   eligible, per-configuration grid otherwise) and the warm-up window
   drivers, bitwise-equivalent to the ``simulate_*`` functions;
 * :mod:`repro.sweep.surface` -- :class:`ResultSurface`: grid queries,
-  iso-ratio thresholds, figure-shaped extraction.
+  iso-ratio thresholds, the figure table;
+* :mod:`repro.sweep.planner` -- :func:`run_batch`: several specs over
+  one trace, each answered from the result cache or by
+  :func:`run_sweep`, in input order.
 
 Typical use::
 
@@ -25,13 +28,6 @@ Typical use::
                         events)
     surface.ratio(2, 512)                  # one grid point
     surface.smallest_size_reaching(0.99, 2)  # iso-ratio query
-
-or, for the paper's figure pair in one declared object::
-
-    from repro.sweep import paper_hierarchy, run_hierarchy
-
-    itlb, icache = run_hierarchy(paper_hierarchy(include_opt=True),
-                                 events)
 """
 
 from repro.sweep.engine import MultiConfigLRU, OptStack, next_use_times
@@ -44,19 +40,15 @@ from repro.sweep.planner import (
 )
 from repro.sweep.runner import (
     result_cache_key,
-    run_hierarchy,
-    run_hierarchy_planned,
     run_semantics_delta,
     run_sweep,
 )
 from repro.sweep.spec import (
     DEFAULT_SEMANTICS,
-    HierarchySpec,
     PAPER_ASSOCIATIVITIES,
     PAPER_SIZES,
     SEMANTICS,
     SweepSpec,
-    paper_hierarchy,
 )
 from repro.sweep.surface import ResultSurface, semantics_delta_table
 
@@ -64,7 +56,6 @@ __all__ = [
     "BatchReport",
     "BatchResult",
     "DEFAULT_SEMANTICS",
-    "HierarchySpec",
     "MultiConfigLRU",
     "NumpyMultiConfigLRU",
     "OptStack",
@@ -76,11 +67,8 @@ __all__ = [
     "SweepSpec",
     "next_use_times",
     "numpy_available",
-    "paper_hierarchy",
     "result_cache_key",
     "run_batch",
-    "run_hierarchy",
-    "run_hierarchy_planned",
     "run_semantics_delta",
     "run_sweep",
     "semantics_delta_table",

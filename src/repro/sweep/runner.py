@@ -51,7 +51,7 @@ from repro import telemetry
 from repro.caches.setassoc import stable_hash
 from repro.sweep import np_engine
 from repro.sweep.engine import MultiConfigLRU, OptStack, next_use_times
-from repro.sweep.spec import HierarchySpec, SweepSpec
+from repro.sweep.spec import SweepSpec
 from repro.sweep.surface import Cell, ResultSurface
 from repro.trace.cachesim import simulate_icache, simulate_itlb
 from repro.trace.columnar import Trace
@@ -348,7 +348,9 @@ def run_sweep(spec: SweepSpec, events: Trace) -> ResultSurface:
     verbatim, so cached figures render byte-identically -- without
     replaying a single reference.  The ``sweep.replay`` counter
     increments only when an engine actually ran, which is how "a
-    repeated run performs zero replays" is asserted.
+    repeated run performs zero replays" is asserted.  A replayed
+    surface is written to the cache here, once;
+    :func:`~repro.sweep.planner.run_batch` only reads it.
     """
     cache = key = None
     trace_key = events.store_key
@@ -413,27 +415,6 @@ def _dispatch(spec: SweepSpec, events: Trace) -> ResultSurface:
                      and np_engine.numpy_available())
         return _run_single_pass(spec, events, use_numpy=use_numpy)
     return _run_grid(spec, events)
-
-
-def run_hierarchy(hierarchy: HierarchySpec,
-                  events: Trace) -> Tuple[ResultSurface, ...]:
-    """Run every level of a hierarchy over one trace, in order.
-
-    Routed through the batch planner
-    (:func:`repro.sweep.planner.run_batch`), so levels that differ
-    only in geometry coalesce into one superset replay; the surfaces
-    stay bitwise-identical to per-level :func:`run_sweep` calls.  Use
-    :func:`run_hierarchy_planned` to also see what the batch cost.
-    """
-    return run_hierarchy_planned(hierarchy, events)[0]
-
-
-def run_hierarchy_planned(hierarchy: HierarchySpec, events: Trace):
-    """(level surfaces, :class:`~repro.sweep.planner.BatchReport`)."""
-    from repro.sweep.planner import Query, run_batch
-    batch = run_batch([Query(spec=level) for level in hierarchy.levels],
-                      events)
-    return tuple(batch.surfaces), batch.report
 
 
 def run_semantics_delta(

@@ -3,10 +3,9 @@
 A :class:`SweepSpec` names one cache kind (ITLB or instruction cache)
 and the grid to sweep over it -- sizes, associativities (integers
 and/or ``"full"``), line size, replacement policy, and the section-5
-warm-up methodology (``double_pass`` or a ``warmup_fraction``).  A
-:class:`HierarchySpec` bundles several levels (the paper's figures are
-one ITLB sweep plus one icache sweep over the same trace) so a whole
-figure set is a single declared object.
+warm-up methodology (``double_pass`` or a ``warmup_fraction``).  The
+paper's figures are one ITLB spec and one icache spec over the same
+trace.
 
 Specs carry no events and run nothing themselves; the runner
 (:mod:`repro.sweep.runner`) decides per spec whether the single-pass
@@ -155,50 +154,3 @@ class SweepSpec:
             if sets <= 0 or sets & (sets - 1):
                 return False
         return True
-
-
-@dataclass(frozen=True)
-class HierarchySpec:
-    """A named bundle of sweep levels replayed over one trace.
-
-    The levels are independent simulations (the ITLB sees dispatched
-    instructions, the icache sees every instruction address), but a
-    hierarchy is loaded, driven and reported as one unit -- the
-    paper's figure pair is the canonical instance
-    (:func:`paper_hierarchy`).
-    """
-
-    name: str
-    levels: Tuple[SweepSpec, ...]
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.levels:
-            raise ValueError("a hierarchy needs at least one level")
-        labels = [level.display_label for level in self.levels]
-        if len(set(labels)) != len(labels):
-            raise ValueError(
-                f"hierarchy {self.name!r} has duplicate level labels "
-                f"{labels}; set SweepSpec.label to disambiguate")
-
-
-def paper_hierarchy(*, include_full: bool = False,
-                    include_opt: bool = False,
-                    engine: str = "auto",
-                    semantics: str = DEFAULT_SEMANTICS) -> HierarchySpec:
-    """Figures 10 and 11 as one declared hierarchy.
-
-    Both levels use the paper's double warm-up methodology over the
-    full size x associativity grid; optional reference curves
-    (fully-associative LRU, OPT/Belady) ride along for context.
-    """
-    common = dict(sizes=PAPER_SIZES, associativities=PAPER_ASSOCIATIVITIES,
-                  double_pass=True, include_full=include_full,
-                  include_opt=include_opt, engine=engine,
-                  semantics=semantics)
-    return HierarchySpec(
-        name="paper-figures",
-        description="the section-5 sweeps behind figures 10 and 11",
-        levels=(SweepSpec(cache="itlb", **common),
-                SweepSpec(cache="icache", **common)),
-    )

@@ -3,11 +3,11 @@
 A :class:`ResultSurface` stores measured (hits, misses) for every
 grid cell plus the optional reference curves, and answers the
 questions the figures and experiments ask: point ratios, iso-ratio
-thresholds ("smallest size reaching 99%"), whole curves, and
-figure-shaped extraction (a
-:class:`~repro.trace.cachesim.SweepResult` for the existing table and
-ASCII-plot rendering).  Ratios are computed exactly as
-:class:`~repro.caches.stats.CacheStats` computes them (integer hit
+thresholds ("smallest size reaching 99%") and whole curves.  It is
+the one result type of a sweep: the figure tables render from
+:meth:`ResultSurface.table` and the ASCII figures from
+:func:`repro.trace.cachesim.ascii_plot`.  Ratios are computed exactly
+as :class:`~repro.caches.stats.CacheStats` computes them (integer hit
 and access counts, one float division), which is what makes the
 single-pass engine's figures bitwise identical to the per-config
 grid's.
@@ -157,21 +157,7 @@ class ResultSurface:
             return None
         return cls(spec, counts, opt_counts, meta)
 
-    # -- figure-shaped extraction -----------------------------------------
-
-    def to_sweep_result(self, label: Optional[str] = None):
-        """The LRU grid as a legacy SweepResult (tables, ASCII plots).
-
-        Every LRU column is carried over -- including the ``"full"``
-        column when the spec asked for it -- but the OPT reference
-        curve stays on the surface, so the figure paths (which request
-        neither) render exactly as they did in the per-config era.
-        """
-        from repro.trace.cachesim import SweepResult
-        ratios = {assoc: {size: _ratio(row[size]) for size in row}
-                  for assoc, row in self.counts.items()}
-        return SweepResult(label or self.label, self.sizes,
-                           tuple(self.counts), ratios, dict(self.meta))
+    # -- rendering --------------------------------------------------------
 
     def table(self) -> str:
         """A figure-style table including any reference curves."""

@@ -3,7 +3,6 @@
 from repro.trace.cachesim import (
     PAPER_ASSOCIATIVITIES,
     PAPER_SIZES,
-    SweepResult,
     ascii_plot,
     simulate_icache,
     simulate_itlb,
@@ -21,7 +20,7 @@ from repro.trace.workloads import interleaved_trace, monomorphic_trace, paper_tr
 
 __all__ = [
     "DEFAULT_SEMANTICS", "PAPER_ASSOCIATIVITIES", "PAPER_SIZES",
-    "SEMANTICS", "SweepResult", "Trace", "TraceBuilder", "ascii_plot",
+    "SEMANTICS", "Trace", "TraceBuilder", "ascii_plot",
     "interleaved_trace", "monomorphic_trace", "paper_trace",
     "reset_index", "simulate_icache", "simulate_itlb",
     "validate_semantics", "validate_warmup_fraction", "warmup_cut",

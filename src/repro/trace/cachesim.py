@@ -13,14 +13,13 @@ instruction-cache models, one configuration per call, with a warm-up
 prefix excluded from the recorded statistics.  These per-configuration
 replays are the grid oracle every faster sweep engine
 (:mod:`repro.sweep`) is checked against; figures 10 and 11 come from
-:func:`repro.sweep.run_sweep`, whose surfaces convert to the
-:class:`SweepResult` grids rendered here.
+:func:`repro.sweep.run_sweep`, whose result surfaces
+:func:`ascii_plot` draws.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Union
+from typing import Union
 
 from repro.caches.icache import InstructionCache
 from repro.caches.itlb import ITLB
@@ -127,66 +126,32 @@ def simulate_icache(
     return icache.stats.snapshot()
 
 
-@dataclass
-class SweepResult:
-    """Hit ratios over a size x associativity grid.
-
-    ``ratios[assoc][size]`` is the measured hit ratio.  ``label`` names
-    the cache being swept ("ITLB" or "instruction cache").  ``meta``
-    records how the grid was computed (engine, simulation pass count)
-    when it came out of the sweep subsystem.
-    """
-
-    label: str
-    sizes: Sequence[int]
-    associativities: Sequence[Union[int, str]]
-    ratios: Dict[Union[int, str], Dict[int, float]] = field(
-        default_factory=dict)
-    meta: Dict[str, object] = field(default_factory=dict)
-
-    def ratio(self, associativity, size) -> float:
-        return self.ratios[associativity][size]
-
-    def smallest_size_reaching(self, target: float,
-                               associativity) -> Optional[int]:
-        """Smallest swept size whose hit ratio meets ``target``."""
-        for size in self.sizes:
-            if self.ratios[associativity][size] >= target:
-                return size
-        return None
-
-    def table(self) -> str:
-        """A figure-style text table: rows = log2 size, cols = assoc."""
-        header = "log2(size)  size " + "".join(
-            f"{str(a) + '-way':>10}" for a in self.associativities)
-        lines = [f"{self.label} hit ratio vs cache size", header,
-                 "-" * len(header)]
-        for size in self.sizes:
-            row = f"{size.bit_length() - 1:10d} {size:5d}"
-            for associativity in self.associativities:
-                row += f"{self.ratios[associativity][size]:10.4f}"
-            lines.append(row)
-        return "\n".join(lines)
+def _marker(associativity: Union[int, str]) -> str:
+    """A curve's plot marker: the way count for 1..9 ways, ``*`` for
+    wider sets, ``f`` for the fully-associative column."""
+    if associativity == "full":
+        return "f"
+    return str(associativity) if associativity <= 9 else "*"
 
 
-def ascii_plot(result: SweepResult, width: int = 60,
-               height: int = 16) -> str:
-    """A rough ASCII rendition of the figure (hit ratio vs log2 size)."""
-    sizes = list(result.sizes)
+def ascii_plot(surface, width: int = 60, height: int = 16) -> str:
+    """A rough ASCII rendition of a
+    :class:`~repro.sweep.surface.ResultSurface` (hit ratio vs log2
+    size), one curve per LRU column."""
+    sizes = list(surface.sizes)
     rows = [[" "] * width for _ in range(height)]
-    markers = {}
-    for index, associativity in enumerate(result.associativities):
-        markers[associativity] = "1248f"[index] if index < 5 else "*"
-    for associativity in result.associativities:
+    for associativity in surface.associativities:
+        marker = _marker(associativity)
         for i, size in enumerate(sizes):
             x = int(i * (width - 1) / max(len(sizes) - 1, 1))
-            ratio = result.ratios[associativity][size]
+            ratio = surface.ratio(associativity, size)
             y = height - 1 - int(ratio * (height - 1))
-            rows[y][x] = markers[associativity]
-    lines = [f"{result.label}: hit ratio (y: 0..1) vs log2 size "
+            rows[y][x] = marker
+    lines = [f"{surface.label}: hit ratio (y: 0..1) vs log2 size "
              f"({sizes[0].bit_length() - 1}..{sizes[-1].bit_length() - 1})"]
     lines.append("legend: " + ", ".join(
-        f"{markers[a]} = {a}-way" for a in result.associativities))
+        f"{_marker(a)} = {'full' if a == 'full' else f'{a}-way'}"
+        for a in surface.associativities))
     lines.extend("|" + "".join(row) for row in rows)
     lines.append("+" + "-" * width)
     return "\n".join(lines)

@@ -193,16 +193,6 @@ class ResultCache:
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def contains(self, key: str) -> bool:
-        """Existence probe -- no read, no counters, no injection.
-
-        The query planner, its only caller, uses this to tell a
-        cached superset surface from a replay in its batch report;
-        only a real :meth:`get` counts as a hit or a miss (and an
-        entry that fails its checksum probes True here, then misses).
-        """
-        return self.path_for(key).is_file()
-
     def get(self, key: str) -> Optional[dict]:
         """The cached payload for *key*, or None on a miss.
 

@@ -387,7 +387,7 @@ class TestResultCache:
         store, events, _ = _store_trace(tmp_path)
         cold = run_sweep(SWEEP, events)
         key = result_cache_key(SWEEP, events.store_key)
-        assert store.result_cache().contains(key)
+        assert store.result_cache().path_for(key).is_file()
         warm = run_sweep(SWEEP, events)
         assert warm.counts == cold.counts
         assert warm.meta == cold.meta
@@ -491,8 +491,8 @@ class TestResultCache:
         os.utime(cache.path_for(old), (past, past))
         cache.budget_bytes = cache.stats()["bytes"] - 1
         assert cache.evict() == 1
-        assert not cache.contains(old)
-        assert cache.contains(new)
+        assert not cache.path_for(old).is_file()
+        assert cache.path_for(new).is_file()
 
     def test_eviction_breaks_equal_mtimes_by_filename(self, tmp_path):
         # Coarse-granularity filesystems stamp whole batches of puts
@@ -507,9 +507,9 @@ class TestResultCache:
             os.utime(cache.path_for(key), ns=(stamp, stamp))
         cache.budget_bytes = cache.stats()["bytes"] - 1
         assert cache.evict() == 1
-        assert not cache.contains("a" * 24)   # first filename goes
-        assert cache.contains("d" * 24)
-        assert cache.contains("f" * 24)
+        assert not cache.path_for("a" * 24).is_file()   # first filename goes
+        assert cache.path_for("d" * 24).is_file()
+        assert cache.path_for("f" * 24).is_file()
 
     def test_eviction_lru_clock_is_nanosecond_precise(self, tmp_path):
         # 1ns apart within the same second: the ns clock must decide
@@ -524,8 +524,8 @@ class TestResultCache:
         os.utime(cache.path_for(newer), ns=(stamp + 1, stamp + 1))
         cache.budget_bytes = cache.stats()["bytes"] - 1
         assert cache.evict() == 1
-        assert not cache.contains(older)
-        assert cache.contains(newer)
+        assert not cache.path_for(older).is_file()
+        assert cache.path_for(newer).is_file()
 
     def test_get_refreshes_the_lru_clock(self, tmp_path):
         cache = ResultCache(tmp_path, budget_bytes=1 << 20)

@@ -91,9 +91,36 @@ class TestCli:
         assert "cache hit" in capsys.readouterr().out
         assert list(tmp_path.glob("**/monomorphic-*.trace"))
 
-    def test_trace_unknown_workload_raises(self, tmp_path):
-        with pytest.raises(KeyError):
-            cli_main(["trace", "nope", "--trace-dir", str(tmp_path)])
+    def test_trace_unknown_workload_raises(self, tmp_path, capsys):
+        assert cli_main(["trace", "nope",
+                         "--trace-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown workload 'nope'; registered: ")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "nosuch"], "unknown workload 'nosuch'"),
+        (["trace", "nosuch"], "unknown workload 'nosuch'"),
+        (["sweep", "--quick", "--set", "nosuch=1"],
+         "workload 'paper' has no parameter(s) ['nosuch']"),
+        (["trace", "paper", "--quick", "--set", "nosuch=1"],
+         "workload 'paper' has no parameter(s) ['nosuch']"),
+        (["sweep", "--quick", "--assoc", "3"],
+         "is not a multiple of associativity 3"),
+        (["sweep", "--quick", "--line-words", "3"],
+         "line_words must be a power of two"),
+        (["sweep", "--quick", "--sizes", ""],
+         "a sweep needs at least one size"),
+    ], ids=["sweep-workload", "trace-workload", "sweep-param",
+            "trace-param", "assoc", "line-words", "no-sizes"])
+    def test_bad_input_is_a_usage_error(self, tmp_path, capsys, argv,
+                                        message):
+        assert cli_main(argv + ["--trace-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.out == ""
+        # Rejected before any trace was generated.
+        assert not list(tmp_path.glob("**/*.trace"))
 
     def test_run_only_light_experiment(self, tmp_path, capsys):
         assert cli_main(["run", "--only", "TAB-ADDR",

@@ -20,12 +20,9 @@ from hypothesis import given, settings, strategies as st
 from repro.cli import main as cli_main
 from repro.experiments import fig10, fig11
 from repro.sweep import (
-    HierarchySpec,
     PAPER_SIZES,
     SweepSpec,
     next_use_times,
-    paper_hierarchy,
-    run_hierarchy,
     run_sweep,
 )
 from repro.trace.cachesim import (
@@ -236,12 +233,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="not single-pass eligible"):
             run_sweep(spec, events)
 
-    def test_hierarchy_validation(self):
-        with pytest.raises(ValueError, match="at least one level"):
-            HierarchySpec("empty", ())
-        with pytest.raises(ValueError, match="duplicate"):
-            HierarchySpec("dup", (SweepSpec("itlb"), SweepSpec("itlb")))
-
 
 class TestSemanticsV2:
     """The v2 fixes themselves (the equivalence pins above prove the
@@ -297,8 +288,6 @@ class TestSemanticsV2:
                 events)
             assert surface.meta["semantics"] == semantics
             assert surface.semantics == semantics
-            assert surface.to_sweep_result().meta["semantics"] \
-                == semantics
 
     def test_grid_engine_records_semantics_too(self, events):
         surface = run_sweep(
@@ -444,13 +433,6 @@ class TestResultSurface:
         assert stats.hits + stats.misses == stats.accesses
         assert stats.hit_ratio == surface.ratio(2, 32)
 
-    def test_to_sweep_result_keeps_figure_shape(self, surface):
-        legacy = surface.to_sweep_result()
-        assert legacy.label == "ITLB"
-        assert legacy.ratio(2, 32) == surface.ratio(2, 32)
-        assert legacy.meta["engine"] in ("single-pass", "numpy")
-        assert "2-way" in legacy.table()
-
     def test_table_includes_reference_columns(self, surface):
         table = surface.table()
         assert "OPT" in table and "1-way" in table
@@ -460,30 +442,6 @@ class TestResultSurface:
                                       associativities=(1,)), events)
         with pytest.raises(ValueError, match="OPT"):
             surface.opt_ratio(8)
-
-
-class TestHierarchy:
-    def test_paper_hierarchy_runs_both_levels(self, events):
-        itlb, icache = run_hierarchy(paper_hierarchy(), events)
-        assert itlb.label == "ITLB"
-        assert icache.label == "instruction cache"
-        assert itlb.meta["engine"] in ("single-pass", "numpy")
-        assert itlb.meta["trace_passes"] == 2
-        assert icache.meta["trace_passes"] == 2
-
-    def test_hierarchy_matches_individual_figure_sweeps(self, events):
-        itlb, icache = run_hierarchy(paper_hierarchy(), events)
-        alone = {cache: run_sweep(SweepSpec(
-                     cache, sizes=PAPER_SIZES,
-                     associativities=PAPER_ASSOCIATIVITIES,
-                     double_pass=True), events)
-                 for cache in ("itlb", "icache")}
-        for assoc in PAPER_ASSOCIATIVITIES:
-            for size in PAPER_SIZES:
-                assert itlb.ratio(assoc, size) == \
-                    alone["itlb"].ratio(assoc, size)
-                assert icache.ratio(assoc, size) == \
-                    alone["icache"].ratio(assoc, size)
 
 
 class TestExperimentIntegration:

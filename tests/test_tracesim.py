@@ -34,7 +34,7 @@ def _sweep(cache, trace, sizes=PAPER_SIZES,
     """A figure-style grid through the sweep subsystem."""
     spec = SweepSpec(cache=cache, sizes=tuple(sizes),
                      associativities=tuple(associativities), **kwargs)
-    return run_sweep(spec, trace).to_sweep_result()
+    return run_sweep(spec, trace)
 
 
 class TestTraceColumns:
@@ -108,8 +108,8 @@ class TestSweeps:
     def test_sweep_shape(self):
         result = _sweep("itlb", self._events(), sizes=(8, 32, 128),
                         associativities=(1, 2))
-        assert set(result.ratios) == {1, 2}
-        assert set(result.ratios[1]) == {8, 32, 128}
+        assert set(result.counts) == {1, 2}
+        assert set(result.counts[1]) == {8, 32, 128}
 
     def test_hit_ratio_monotone_in_size_full_assoc(self):
         events = self._events()
@@ -142,6 +142,21 @@ class TestSweeps:
         plot = ascii_plot(result)
         assert "legend" in plot
         assert plot.count("\n") > 10
+
+    @pytest.mark.parametrize("associativities,legend,markers", [
+        ((1, 2, 4, "full"),
+         "1 = 1-way, 2 = 2-way, 4 = 4-way, f = full", set("124f")),
+        ((2, 4), "2 = 2-way, 4 = 4-way", set("24")),
+        ((2, 16), "2 = 2-way, * = 16-way", set("2*")),
+    ], ids=["full", "2-4", "16-way"])
+    def test_ascii_plot_marks_each_curve_by_associativity(
+            self, associativities, legend, markers):
+        result = _sweep("itlb", self._events(), sizes=(16, 64, 256),
+                        associativities=associativities)
+        lines = ascii_plot(result).splitlines()
+        assert lines[1] == "legend: " + legend
+        drawn = set("".join(lines[2:-1])) - {"|", " "}
+        assert drawn and drawn <= markers
 
 
 class TestWarmupEdgeCases:
