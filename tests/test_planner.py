@@ -3,23 +3,32 @@
 ``run_batch`` answers each query in input order: from the disk result
 cache when the trace is store-backed, otherwise by ``run_sweep``.  Its
 surfaces must be exactly what per-query ``run_sweep`` calls return --
-counts, meta, iteration order -- and a cold query must be written to
-the result cache once.
+counts, meta, iteration order -- under both measurement semantics and
+every engine, and a cold query must be written to the result cache
+once.
+
+``TestProjectionEquivalence`` and ``TestGrouping`` keep the names they
+had when the planner projected answers out of a merged superset
+replay; they now pin that every query gets its own replay with the
+same answer.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro import faults, telemetry
 from repro.cli import main as cli_main
 from repro.sweep import (
+    PAPER_SIZES,
     Query,
     SweepSpec,
     result_cache_key,
     run_batch,
     run_sweep,
 )
+from repro.sweep import np_engine
 from repro.sweep.runner import _RESULT_CACHES
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.store import TraceStore
@@ -90,8 +99,152 @@ QUERIES = [
 ]
 
 
-def test_mixed_batch_matches_per_query_run_sweep():
-    events = mixed_trace(3000, seed=11)
+GRID = dict(sizes=PAPER_SIZES, associativities=(1, 2, 4, "full"))
+SEMANTICS = ("paper", "v2")
+ENGINE_MODES = ("pure", "auto-sans-numpy", "numpy")
+
+
+@pytest.fixture(scope="module")
+def events():
+    return mixed_trace(3000, seed=11)
+
+
+def _paper_grid_queries(cache, engine, semantics):
+    """A batch over one cache kind: the full-grid sweep plus curve /
+    isoratio / point sub-grids of it."""
+    common = dict(engine=engine, semantics=semantics, double_pass=True)
+    full = SweepSpec(cache=cache, include_opt=True, **GRID, **common)
+    curve_1 = SweepSpec(cache=cache, sizes=PAPER_SIZES,
+                        associativities=(1,), **common)
+    curve_f = SweepSpec(cache=cache, sizes=PAPER_SIZES,
+                        associativities=("full",), **common)
+    iso = SweepSpec(cache=cache, sizes=PAPER_SIZES,
+                    associativities=(2, 4), **common)
+    point = SweepSpec(cache=cache, sizes=(64,), associativities=(2,),
+                      **common)
+    return [Query(spec=spec)
+            for spec in (full, curve_1, curve_f, iso, point)]
+
+
+class TestProjectionEquivalence:
+    """Batch answers bitwise-equal to individual ``run_sweep`` runs,
+    both semantics, every engine."""
+
+    def _engine(self, mode, monkeypatch):
+        if mode == "numpy":
+            pytest.importorskip("numpy")
+            return "numpy"
+        if mode == "auto-sans-numpy":
+            monkeypatch.setattr(np_engine, "numpy_available",
+                                lambda: False)
+            return "auto"
+        return "single-pass"
+
+    @pytest.mark.parametrize("engine_mode", ENGINE_MODES)
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_mixed_batch_projection_equivalence(self, events, semantics,
+                                                engine_mode,
+                                                monkeypatch):
+        engine = self._engine(engine_mode, monkeypatch)
+        queries = []
+        for cache in ("itlb", "icache"):
+            queries.extend(_paper_grid_queries(cache, engine, semantics))
+        batch = run_batch(queries, events)
+        assert batch.report.queries == len(queries)
+        # Sub-grids of one sweep are not merged: each query replays.
+        assert batch.report.replays == len(queries)
+        for query, surface in zip(batch.queries, batch.surfaces):
+            _assert_bitwise_equal(surface, run_sweep(query.spec, events))
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_every_paper_grid_cell_equivalence(self, events, semantics):
+        """Every (associativity, size) cell of the paper grid, asked
+        as its own one-cell query, equals the full-grid run's cell."""
+        full = SweepSpec(cache="itlb", semantics=semantics,
+                         double_pass=True, **GRID)
+        cells = [(assoc, size) for assoc in (1, 2, 4, "full")
+                 for size in PAPER_SIZES]
+        queries = [Query(spec=replace(full, sizes=(size,),
+                                      associativities=(assoc,)))
+                   for assoc, size in cells]
+        batch = run_batch(queries, events)
+        assert batch.report.replays == len(cells)
+        solo = run_sweep(full, events)
+        for (assoc, size), surface in zip(cells, batch.surfaces):
+            assert list(surface.counts) == [assoc]
+            assert surface.cell(assoc, size) == solo.cell(assoc, size)
+            assert surface.ratio(assoc, size) == solo.ratio(assoc, size)
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_warmup_window_projection_equivalence(self, events,
+                                                  semantics):
+        # Warm-up windows measure a *suffix* of the trace; the batch
+        # must measure the same window as run_sweep.
+        for warmup in (0.0, 0.25, 0.9):
+            spec_a = SweepSpec(cache="icache", sizes=(8, 16, 32),
+                               associativities=(1,), double_pass=False,
+                               warmup_fraction=warmup,
+                               semantics=semantics)
+            spec_b = SweepSpec(cache="icache", sizes=(16, 64),
+                               associativities=(2, "full"),
+                               double_pass=False,
+                               warmup_fraction=warmup,
+                               semantics=semantics)
+            batch = run_batch([Query(spec=spec_a), Query(spec=spec_b)],
+                              events)
+            assert batch.report.replays == 2
+            for query, surface in zip(batch.queries, batch.surfaces):
+                _assert_bitwise_equal(surface,
+                                      run_sweep(query.spec, events))
+
+
+class TestGrouping:
+    """Queries that differ in any spec field never share an answer:
+    each gets its own result-cache entry and its own replay."""
+
+    @pytest.mark.parametrize("field,values", [
+        ("cache", ("itlb", "icache")),
+        ("semantics", ("paper", "v2")),
+        ("warmup_fraction", (0.25, 0.5)),
+        ("dispatched_only", (True, False)),
+        ("engine", ("auto", "single-pass")),
+    ])
+    def test_differing_field_splits_the_group(self, tmp_path, field,
+                                              values):
+        _, events = _store_trace(tmp_path)
+        specs = [SweepSpec(**{**dict(cache="itlb", sizes=(8, 16),
+                                     associativities=(1,)),
+                              field: value}) for value in values]
+        batch = run_batch([Query(spec=spec) for spec in specs], events)
+        assert batch.report.replays == 2
+        assert batch.report.disk_hits == 0
+        assert [surface.spec for surface in batch.surfaces] == specs
+
+    def test_double_pass_and_window_split_the_group(self, tmp_path):
+        _, events = _store_trace(tmp_path)
+        a = SweepSpec(cache="itlb", sizes=(8,), associativities=(1,),
+                      double_pass=True)
+        b = SweepSpec(cache="itlb", sizes=(8,), associativities=(1,),
+                      double_pass=False, warmup_fraction=0.25)
+        batch = run_batch([Query(spec=a), Query(spec=b)], events)
+        assert batch.report.replays == 2
+        assert batch.report.disk_hits == 0
+
+    def test_grid_engine_falls_back_loudly(self, events):
+        # A forced grid engine is honoured per query, and each surface
+        # says which engine produced it.
+        spec = SweepSpec(cache="itlb", sizes=(8, 16),
+                         associativities=(1, 2), engine="grid")
+        other = SweepSpec(cache="itlb", sizes=(32,),
+                          associativities=(1,), engine="grid")
+        batch = run_batch([Query(spec=spec), Query(spec=other)], events)
+        assert batch.report.replays == 2
+        for query, surface in zip(batch.queries, batch.surfaces):
+            assert surface.meta["engine"] == "grid"
+            _assert_bitwise_equal(surface, run_sweep(query.spec, events))
+
+
+def test_mixed_batch_matches_per_query_run_sweep(events):
     queries = [Query(spec=spec) for spec in MIXED]
     batch = run_batch(queries, events)
     assert batch.queries == queries
