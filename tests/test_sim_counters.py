@@ -7,8 +7,12 @@ compares them exactly with ``sim_counters.golden.json``:
 
 * per ``run_program`` (13 calls): the cycle snapshot with its
   per-reason stall breakdown, calls, returns and operands copied;
-  the ITLB and icache ``CacheStats``; every ``AccessProfile`` field;
-  the context-cache stats; and the result word;
+  the ITLB, icache and ATLB ``CacheStats``; every ``AccessProfile``
+  field; the context-cache, context-pool and context-recycler stats
+  (with the LIFO fraction and total freed that TAB-CTX reads); the
+  heap's allocations by kind; the MMU's alias-trap and bounds-fault
+  counts; the activation count and maximum depth; and the result
+  word;
 * per ``run_main`` (4 calls): the stack VM's instructions and sends.
 
 A simulator speed-up must leave every one of these identical.  An
@@ -52,6 +56,16 @@ def _com_record(experiment, machine, result):
         "icache": dataclasses.asdict(machine.icache.stats),
         "profile": dataclasses.asdict(machine.profile),
         "context_cache": dataclasses.asdict(machine.context_cache.stats),
+        "atlb": dataclasses.asdict(machine.mmu.atlb.stats),
+        "mmu": {"alias_traps_taken": machine.mmu.alias_traps_taken,
+                "bounds_faults": machine.mmu.bounds_faults},
+        "pool": dataclasses.asdict(machine.pool.stats),
+        "recycler": dict(dataclasses.asdict(machine.recycler.stats),
+                         lifo_fraction=machine.recycler.stats.lifo_fraction,
+                         total_freed=machine.recycler.stats.total_freed),
+        "heap": dataclasses.asdict(machine.heap.stats),
+        "activation_count": machine.activation_count,
+        "max_depth": machine.max_depth,
     }
 
 
