@@ -8,11 +8,20 @@ cache statistics and results -- plus the invalidation rules: plans die
 on method re-installation and on heap writes into method objects.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.core.assembler import load_program
+from repro.core.assembler import Assembler, load_program
+from repro.core.encoding import Instruction
+from repro.core.isa import Op
 from repro.core.machine import COMMachine
-from repro.errors import ProtectionTrap
+from repro.core.operands import Operand
+from repro.errors import (
+    DoesNotUnderstandTrap,
+    ProtectionTrap,
+    SimulationLimitExceeded,
+)
 from repro.fith.interp import FithMachine
 from repro.fith.programs import fib as fith_fib
 from repro.memory.tags import Word
@@ -98,6 +107,129 @@ class TestEquivalence:
                                   _profile_of(machine), trace)
         assert results[True] == results[False]
         assert results[True][0] == 28
+
+
+#: Recursive fib whose base case sends an unimplemented selector to a
+#: negative receiver: main computes 8 fib first (calls, returns and
+#: taken jumps), then ``(0 - 1) fib`` traps with doesNotUnderstand.
+_FIB_DNU = """
+SmallInteger >> fib
+    self < 0 ifTrue: [^self foo].
+    self < 2 ifTrue: [^self].
+    ^(self - 1) fib + (self - 2) fib
+main
+    ^8 fib + (0 - 1) fib
+"""
+
+
+def _machine_state(machine, trace, atlb=True):
+    """Every counter a run leaves on the machine, plus the trace bytes.
+
+    ``atlb=False`` leaves out the ATLB stats: the slow path walks the
+    MMU on every fetch, the predecoded path only on calls and returns.
+    """
+    state = {
+        "cycles": machine.cycles.snapshot(),
+        "profile": dataclasses.asdict(machine.profile),
+        "itlb": dataclasses.asdict(machine.itlb.stats),
+        "icache": dataclasses.asdict(machine.icache.stats),
+        "context_cache": dataclasses.asdict(machine.context_cache.stats),
+        "pool": dataclasses.asdict(machine.pool.stats),
+        "recycler": dataclasses.asdict(machine.recycler.stats),
+        "activation_count": machine.activation_count,
+        "depth": machine.depth,
+        "max_depth": machine.max_depth,
+        "trace": trace.to_bytes(),
+    }
+    if atlb:
+        state["atlb"] = dataclasses.asdict(machine.mmu.atlb.stats)
+    return state
+
+
+def _stopped_run(source, predecode, error, **run_kwargs):
+    machine = COMMachine(predecode=predecode)
+    main = compile_program(machine, source)
+    trace = machine.enable_trace()
+    with pytest.raises(error):
+        machine.run_program(main, **run_kwargs)
+    return machine, trace
+
+
+class TestEarlyStop:
+    """A run cut short by the budget or a trap leaves every counter
+    exactly where the reference path leaves it."""
+
+    def test_budget_exit_inside_recursion(self):
+        states = []
+        for predecode in (True, False):
+            machine, trace = _stopped_run(
+                _FIB, predecode, SimulationLimitExceeded,
+                max_instructions=537)
+            assert machine.cycles.instructions == 537
+            assert machine.depth > 2          # stopped mid-recursion
+            states.append(_machine_state(machine, trace, atlb=False))
+        assert states[0] == states[1]
+
+    def test_does_not_understand_after_calls_and_returns(self):
+        states = []
+        for predecode in (True, False):
+            machine, trace = _stopped_run(
+                _FIB_DNU, predecode, DoesNotUnderstandTrap)
+            snapshot = machine.cycles.snapshot()
+            assert snapshot["returns"] > 10
+            assert snapshot["stalls"]["branch"] > 10
+            states.append(_machine_state(machine, trace, atlb=False))
+        assert states[0] == states[1]
+
+    def test_step_by_step_matches_run(self):
+        ran, ran_trace = _stopped_run(_FIB_DNU, True, DoesNotUnderstandTrap)
+        stepped = COMMachine()
+        main = compile_program(stepped, _FIB_DNU)
+        stepped_trace = stepped.enable_trace()
+        stepped.start(main)
+        with pytest.raises(DoesNotUnderstandTrap):
+            for _ in range(100_000):
+                stepped.step()
+        assert _machine_state(stepped, stepped_trace) == \
+            _machine_state(ran, ran_trace)
+
+    def test_jumps_with_context_displacements(self):
+        # fjmp and rjmp whose displacement is a context operand, not a
+        # constant: the loop counts c2 up to 5 through both jumps.
+        results = {}
+        for predecode in (True, False):
+            machine = COMMachine(predecode=predecode)
+            assembler = Assembler(machine.opcodes, machine.constants)
+            code = assembler.assemble_lines([
+                "c2 = 0",
+                "c3 = 1",                  # fjmp displacement
+                "c4 = 5",                  # rjmp displacement
+                "loop:",
+                "c2 = c2 + 1",
+                "c5 = c2 < 5",
+                "c0 = c0",                 # 5: fjmp c5 by c3 -> 7
+                "jmp done",
+                "c0 = c0",                 # 7: rjmp true by c4 -> 3
+                "done:",
+                "c0 = c2",
+                "halt",
+            ])
+            true = assembler.operand("true")
+            code[5] = Instruction.three(int(Op.FJMP), Operand.current(5),
+                                        Operand.current(0),
+                                        Operand.current(3))
+            code[7] = Instruction.three(int(Op.RJMP), true,
+                                        Operand.current(0),
+                                        Operand.current(4))
+            main = machine.install_method(machine.object_class,
+                                          "__main__", code)
+            trace = machine.enable_trace()
+            result = machine.run_program(main, max_instructions=1_000)
+            results[predecode] = (result.value,
+                                  _machine_state(machine, trace, atlb=False))
+        assert results[True] == results[False]
+        assert results[True][0] == 5
+        assert results[True][1]["cycles"]["stalls"]["branch"] == 9
 
 
 class TestInvalidation:
