@@ -89,10 +89,12 @@ class ContextCache:
         self.blocks: List[List[Word]] = [
             [Word.uninitialized()] * block_words for _ in range(num_blocks)
         ]
+        #: Per-block dirty bits; the machine's fast path sets them
+        #: when it writes a block in place.
+        self.dirty: List[bool] = [False] * num_blocks
         self._clear_template: List[Word] = [Word.uninitialized()] * block_words
         self._directory: Dict[int, int] = {}       # absolute base -> block
         self._base_of: List[Optional[int]] = [None] * num_blocks
-        self._dirty: List[bool] = [False] * num_blocks
         self._free: List[int] = list(range(num_blocks - 1, -1, -1))
         self._lru: List[int] = []                   # block use order, oldest first
         self.current: Optional[int] = None          # current vector (block index)
@@ -152,7 +154,7 @@ class ContextCache:
         self._clear_block(block)
         self._directory[absolute_base] = block
         self._base_of[block] = absolute_base
-        self._dirty[block] = True   # freshly cleared image differs from memory
+        self.dirty[block] = True   # freshly cleared image differs from memory
         self.next = block
         self._touch(block)
         self.ensure_reserve()
@@ -208,7 +210,7 @@ class ContextCache:
         if block is None:
             return
         self._base_of[block] = None
-        self._dirty[block] = False
+        self.dirty[block] = False
         if block == self.current:
             self.current = None
         if block == self.next:
@@ -224,7 +226,7 @@ class ContextCache:
             raise ReproError("rebind_next must target the resident next context")
         self._directory[new_base] = block
         self._base_of[block] = new_base
-        self._dirty[block] = True
+        self.dirty[block] = True
 
     # -- word access ----------------------------------------------------------------
 
@@ -240,7 +242,7 @@ class ContextCache:
             raise ReproError("no current context resident")
         self.stats.fast_writes += 1
         self.blocks[self.current][index] = word
-        self._dirty[self.current] = True
+        self.dirty[self.current] = True
 
     def read_next(self, index: int) -> Word:
         """Fast-path read of the next context (next vector)."""
@@ -254,7 +256,7 @@ class ContextCache:
             raise ReproError("no next context resident")
         self.stats.fast_writes += 1
         self.blocks[self.next][index] = word
-        self._dirty[self.next] = True
+        self.dirty[self.next] = True
 
     def read_absolute(self, base: int, index: int) -> Optional[Word]:
         """Directory-matched read; None when the context is not resident."""
@@ -275,7 +277,7 @@ class ContextCache:
         self.stats.directory_hits += 1
         self._touch(block)
         self.blocks[block][index] = word
-        self._dirty[block] = True
+        self.dirty[block] = True
         return True
 
     # -- copy-back engine -------------------------------------------------------------
@@ -293,13 +295,13 @@ class ContextCache:
         base = self._base_of[block]
         if base is None:
             raise ReproError("copy-back of an unmapped block")
-        if self._dirty[block]:
+        if self.dirty[block]:
             self.writer(base, list(self.blocks[block]))
             self.stats.copybacks += 1
             self.stats.copyback_words += self.block_words
         del self._directory[base]
         self._base_of[block] = None
-        self._dirty[block] = False
+        self.dirty[block] = False
         self._lru.remove(block)
         self._free.append(block)
 
@@ -326,7 +328,7 @@ class ContextCache:
         self.blocks[block] = list(words)
         self._directory[base] = block
         self._base_of[block] = base
-        self._dirty[block] = False
+        self.dirty[block] = False
         self.stats.faults += 1
         self._touch(block)
         self.ensure_reserve()
@@ -336,10 +338,10 @@ class ContextCache:
         """Copy back every dirty block (e.g. before inspecting memory)."""
         for base in list(self._directory):
             block = self._directory[base]
-            if self._dirty[block]:
+            if self.dirty[block]:
                 self.writer(base, list(self.blocks[block]))
                 self.stats.copyback_words += self.block_words
-                self._dirty[block] = False
+                self.dirty[block] = False
 
     def image_of(self, base: int) -> Optional[List[Word]]:
         """A copy of a resident context's words (diagnostics)."""

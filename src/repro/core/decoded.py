@@ -14,8 +14,9 @@ This module holds the result of that one-time work:
 * :class:`DecodedInstruction` -- one instruction's *plan*: the decoded
   ``Instruction``, its memoized architectural op, the dispatch shape
   (which operand words form the ITLB key), precomputed operand slots,
-  the destination-write shape, the RAW-hazard source set, and the
-  pretranslated fall-through IP;
+  the destination-write shape, the RAW-hazard source set, the
+  pretranslated fall-through IP and, for a conditional jump with a
+  constant small-integer displacement, the pretranslated target IP;
 * :class:`DecodedMethod` -- a method's plan array plus the absolute
   base of its code segment (the IP-translation cache for straight-line
   fetch: ``absolute = base_absolute + offset`` with a descriptor
@@ -37,6 +38,10 @@ Invalidation rules (documented in DESIGN.md):
   segment descriptor (base unchanged, no alias forward, readable)
   before trusting a plan, so grown/aliased code falls back to the
   slow path.
+
+A jump's target IP cannot go stale: the constant table is
+append-only, so the displacement word a plan read never changes, and
+the target lies in the plan's own segment, so it dies with the plan.
 
 Every plan consumer preserves the seed's cycle accounting, trace
 events and :class:`~repro.caches.stats.AccessProfile` tallies exactly;
@@ -82,6 +87,10 @@ UNARY_OPS = frozenset({Op.NEG, Op.NOT, Op.TAG, Op.MOVE})
 #: Ops that never record a previous-destination for hazard tracking.
 _NO_DEST_OPS = frozenset({Op.FJMP, Op.RJMP, Op.XFER, Op.HALT, Op.ATPUT})
 
+#: The conditional jumps: the machine unit each runs as, and the sign
+#: of its displacement (``COMMachine._unit_fjmp``/``_unit_rjmp``).
+_JUMPS = {Op.FJMP: ("machine.fjmp", 1), Op.RJMP: ("machine.rjmp", -1)}
+
 
 def _source_operands(inst: Instruction, arch) -> Tuple[Operand, ...]:
     """The operands whose words form the ITLB key, receiver first."""
@@ -107,17 +116,36 @@ def _reader_of(operand: Operand) -> Tuple[bool, bool, int]:
             operand_slot(operand.offset))
 
 
+def _jump_target(inst: Instruction, index: int,
+                 constants) -> Optional[Tuple[str, int]]:
+    """``(unit, target offset)`` of the conditional jump at ``index``
+    when its displacement is a small-integer constant; else None."""
+    jump = _JUMPS.get(architectural_op(inst.opcode))
+    if jump is None or inst.is_zero_operand:
+        return None
+    displacement = inst.operands[2]
+    if (displacement.mode is not Mode.CONSTANT
+            or displacement.offset >= len(constants)):
+        return None
+    word = constants.get(displacement.offset)
+    if not word.is_small_integer or not isinstance(word.value, int):
+        return None
+    unit, sign = jump
+    return unit, index + 1 + sign * word.value
+
+
 class DecodedInstruction:
     """One instruction's execution plan (see module docstring)."""
 
     __slots__ = (
         "inst", "word", "opcode", "selector", "arch", "kind", "returns",
         "nargs", "sources", "dest_kind", "dest_slot", "hazards",
-        "dest_prev", "next_ip",
+        "dest_prev", "next_ip", "jump_unit", "jump_ip",
     )
 
     def __init__(self, inst: Instruction, word: int, selector: str,
-                 next_ip) -> None:
+                 next_ip, jump_unit: Optional[str] = None,
+                 jump_ip=None) -> None:
         self.inst = inst
         self.word = word
         self.opcode = inst.opcode
@@ -126,6 +154,10 @@ class DecodedInstruction:
         self.returns = inst.returns
         self.nargs = inst.nargs
         self.next_ip = next_ip
+        #: A predecoded conditional jump: the unit it must resolve to
+        #: and its taken IP (both None for every other instruction).
+        self.jump_unit = jump_unit
+        self.jump_ip = jump_ip
         if arch is Op.HALT:
             self.kind = K_HALT
         elif inst.is_zero_operand:
@@ -133,7 +165,7 @@ class DecodedInstruction:
         else:
             self.kind = K_SOURCES
         if inst.is_zero_operand:
-            self.sources: Tuple[Tuple[bool, bool, int], ...] = ()
+            self.sources: Tuple[Tuple[object, bool, int], ...] = ()
             self.hazards: frozenset = frozenset()
             self.dest_kind = D_ZERO
             self.dest_slot = 0
@@ -204,12 +236,13 @@ class DecodedProgramCache:
         return len(self.by_segment)
 
     def predecode(self, code_base, instructions, words, base_absolute,
-                  descriptor, selector_of) -> DecodedMethod:
+                  descriptor, selector_of, constants) -> DecodedMethod:
         """Build and register a method's plans.
 
         ``code_base`` is the method's virtual base address,
         ``instructions`` its decoded instructions, ``words`` the encoded
-        32-bit values, ``selector_of`` the opcode-number -> selector map.
+        32-bit values, ``selector_of`` the opcode-number -> selector map
+        and ``constants`` the machine's constant table.
         """
         span = code_base.span
         plans: List[Optional[DecodedInstruction]] = []
@@ -219,8 +252,16 @@ class DecodedProgramCache:
             # exactly as the slow path would).
             next_ip = (code_base.step(index + 1)
                        if index + 1 < span else None)
+            # So is a jump's taken IP, when its displacement is a
+            # small-integer constant and the target stays inside the
+            # segment; any other jump runs its machine unit.
+            jump_unit = jump_ip = None
+            jump = _jump_target(inst, index, constants)
+            if jump is not None and 0 <= jump[1] < span:
+                jump_unit, jump_ip = jump[0], code_base.step(jump[1])
             plans.append(DecodedInstruction(
-                inst, word, selector_of(inst.opcode), next_ip))
+                inst, word, selector_of(inst.opcode), next_ip,
+                jump_unit, jump_ip))
         method = DecodedMethod(
             code_base.segment_name, base_absolute, descriptor, plans)
         self.install(method)

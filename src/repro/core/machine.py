@@ -21,6 +21,7 @@ methods) or performs the method-call sequence (defined methods).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.caches.icache import InstructionCache
@@ -40,7 +41,7 @@ from repro.errors import (
 from repro.memory.fpa import FPAddress, address_format
 from repro.memory.mmu import MMU
 from repro.memory.physical import MemoryHierarchy
-from repro.memory.tags import Tag, Word
+from repro.memory.tags import Tag, Word, pointer_word
 from repro.objects.gc import ContextRecycler, MarkSweepCollector
 from repro.objects.heap import ObjectHeap
 from repro.objects.model import (
@@ -81,6 +82,12 @@ from repro.core.primitives import execute_unit, unit_function
 from repro.core.registers import RegisterFile
 from repro.trace.columnar import TraceBuilder
 
+_INT = Tag.SMALL_INTEGER
+_ATOM = Tag.ATOM
+_POINTER = Tag.OBJECT_POINTER
+#: Entries the pointer-decode memo holds before it starts over.
+_DECODE_MEMO_LIMIT = 4096
+
 
 @dataclass
 class CompiledMethod:
@@ -92,7 +99,7 @@ class CompiledMethod:
     argument_count: int = 0
     frame_words: int = CONTEXT_WORDS
 
-    @property
+    @cached_property
     def entry(self) -> FPAddress:
         return self.code_address.base()
 
@@ -139,6 +146,8 @@ class COMMachine:
         self.trace: Optional[TraceBuilder] = None
         self._result_cell: Optional[FPAddress] = None
         self._methods: Dict[Tuple[int, str], CompiledMethod] = {}
+        #: Decoded pointer values (see _decode).
+        self._decoded: Dict[int, FPAddress] = {}
         self._prev_dest: Optional[Tuple[str, int]] = None
         self.activation_count = 0
         #: Call depth of the running program (top-level frame = 1).
@@ -249,23 +258,43 @@ class COMMachine:
     def _translate(self, address: FPAddress, write: bool = False) -> int:
         """Virtual->absolute with one alias-forward retry (trap handler)."""
         try:
-            return self.mmu.translate(self.heap.team, address, write=write).absolute
+            return self.mmu.translate_absolute(self.heap.team, address,
+                                               write=write)
         except AliasTrap as trap:
             forwarded = trap.new_address.with_offset(0).step(address.offset)
-            return self.mmu.translate(self.heap.team, forwarded,
-                                      write=write).absolute
+            return self.mmu.translate_absolute(self.heap.team, forwarded,
+                                               write=write)
+
+    def _decode(self, packed: int) -> FPAddress:
+        """``fmt.from_packed``, memoized.
+
+        The call/return sequence decodes the same few context and
+        return addresses over and over; an address is an immutable
+        value, so a decoded one can be handed out again.  The memo is
+        bounded by clearing it.
+        """
+        decoded = self._decoded
+        address = decoded.get(packed)
+        if address is None:
+            address = self.mmu.fmt.from_packed(packed)
+            if len(decoded) >= _DECODE_MEMO_LIMIT:
+                decoded.clear()
+            decoded[packed] = address
+        return address
 
     def _allocate_next_context(self) -> None:
         address = self.pool.allocate()
         base = self._translate(address, write=True)
-        self.context_cache.allocate_next(base)
+        cache = self.context_cache
+        block = cache.allocate_next(base)
         self.regs.ncp.set(address, base)
-        if self.regs.cp.is_set:
-            self.context_cache.write_next(
-                RCP_SLOT,
-                Word.pointer(self.regs.cp.virtual.packed,
-                             self.context_class.class_tag),
-            )
+        caller = self.regs.cp.virtual
+        if caller is not None:
+            # ContextCache.write_next(RCP_SLOT, ...), inline.
+            cache.stats.fast_writes += 1
+            cache.blocks[block][RCP_SLOT] = pointer_word(
+                caller.packed, self.context_class.class_tag)
+            cache.dirty[block] = True
 
     def _release_context(self, address: FPAddress, base: int) -> None:
         self.context_cache.release(base)
@@ -317,7 +346,8 @@ class COMMachine:
             result = self.mmu.translate(self.heap.team, code)
             self.decoded.predecode(
                 code, instructions, words, result.absolute,
-                result.descriptor, self.opcodes.selector_of)
+                result.descriptor, self.opcodes.selector_of,
+                self.constants)
         self._methods[(cls.class_tag, selector)] = compiled
         self.frame_sizes.record(frame_words)
         if frame_words > CONTEXT_WORDS:
@@ -379,12 +409,9 @@ class COMMachine:
                    else self.regs.ncp)
         if not pointer.is_set:
             raise ReproError("effective address taken with no context")
-        return pointer.virtual.base().step(operand_slot(operand.offset))
+        return pointer.virtual.with_offset(operand_slot(operand.offset))
 
     # -- memory routing (context cache first, then the hierarchy) ----------
-
-    def _context_base_of(self, absolute: int) -> int:
-        return absolute - (absolute % CONTEXT_WORDS)
 
     def _note_capture_if_context(self, word: Word) -> None:
         """Storing a context pointer into memory makes it non-LIFO."""
@@ -393,10 +420,10 @@ class COMMachine:
             self.recycler.note_capture(base)
 
     def _store_through_pointer(self, pointer: Word, word: Word) -> None:
-        address = self.mmu.fmt.from_packed(pointer.value)
+        address = self._decode(pointer.value)
         absolute = self._translate(address, write=True)
-        base = self._context_base_of(absolute)
-        if self.context_cache.write_absolute(base, absolute - base, word):
+        index = absolute % CONTEXT_WORDS
+        if self.context_cache.write_absolute(absolute - index, index, word):
             self.profile.context_writes += 1
             return
         self.profile.heap_writes += 1
@@ -406,8 +433,8 @@ class COMMachine:
 
     def _load_memory_word(self, address: FPAddress) -> Word:
         absolute = self._translate(address, write=False)
-        base = self._context_base_of(absolute)
-        cached = self.context_cache.read_absolute(base, absolute - base)
+        index = absolute % CONTEXT_WORDS
+        cached = self.context_cache.read_absolute(absolute - index, index)
         if cached is not None:
             self.profile.context_reads += 1
             return cached
@@ -504,83 +531,112 @@ class COMMachine:
         inst: Instruction,
         method: DefinedMethod,
         source_words: List[Word],
+        return_ip: Optional[FPAddress] = None,
     ) -> None:
+        """The call sequence of section 3.6.
+
+        ``return_ip`` is the caller's pretranslated fall-through IP
+        (the plan's ``next_ip``); without one the IP steps by one.  The
+        context-cache writes go straight to the blocks, as
+        ``ContextCache.write_next``/``write_current`` would make them,
+        and each counter is bumped once per call.
+        """
         compiled: CompiledMethod = method.code
+        cache = self.context_cache
+        profile = self.profile
         copies = 0
         if not inst.is_zero_operand:
             # The processor expands the operands into words and copies
             # them to the new context: arg0 = effective address of the
             # destination, arg1.. = source values (section 3.5).
-            a = inst.operands[0]
-            result_pointer = Word.pointer(
-                self._effective_address(a).packed,
-                self.context_class.class_tag,
-            )
-            self.profile.context_writes += 1
-            self.context_cache.write_next(ARG0_SLOT, result_pointer)
-            copies += 1
-            for index, word in enumerate(source_words):
-                self.profile.context_writes += 1
-                self.context_cache.write_next(ARG1_SLOT + index, word)
-                copies += 1
+            result_pointer = pointer_word(
+                self._effective_address(inst.operands[0]).packed,
+                self.context_class.class_tag)
+            block = cache.next
+            if block is None:
+                raise ReproError("no next context resident")
+            copies = 1 + len(source_words)
+            cache.blocks[block][ARG0_SLOT:ARG0_SLOT + copies] = \
+                [result_pointer, *source_words]
+            cache.dirty[block] = True
+            cache.stats.fast_writes += copies
+            profile.context_writes += copies
         self.cycles.method_call(copies)
         # Save the continuation in the calling context's RIP.
-        return_ip = self.ip.step(1)
-        self.profile.context_writes += 1
-        self.context_cache.write_current(
-            RIP_SLOT,
-            Word.pointer(return_ip.packed, self.method_class.class_tag),
-        )
+        if return_ip is None:
+            return_ip = self.ip.step(1)
+        profile.context_writes += 1
+        block = cache.current
+        if block is None:
+            raise ReproError("no current context resident")
+        cache.stats.fast_writes += 1
+        cache.blocks[block][RIP_SLOT] = pointer_word(
+            return_ip.packed, self.method_class.class_tag)
+        cache.dirty[block] = True
         # CP <- NCP (the next context's RCP was written at allocation).
-        self.context_cache.on_call()
-        self.regs.cp.set(self.regs.ncp.virtual, self.regs.ncp.absolute)
-        self.regs.ncp.clear()
+        cache.on_call()
+        regs = self.regs
+        regs.cp.set(regs.ncp.virtual, regs.ncp.absolute)
+        regs.ncp.clear()
         self._allocate_next_context()
         self.activation_count += 1
-        self.recycler.note_allocation(self.regs.cp.virtual.packed)
-        self.depth += 1
-        self.max_depth = max(self.max_depth, self.depth)
+        self.recycler.stats.allocated += 1   # ContextRecycler.note_allocation
+        depth = self.depth = self.depth + 1
+        if depth > self.max_depth:
+            self.max_depth = depth
         self.ip = compiled.entry
         self._prev_dest = None
 
     def _method_return(self) -> None:
+        """The return sequence of section 3.6, reading RCP and RIP
+        straight from the current block (``ContextCache.read_current``
+        inline)."""
         self.cycles.method_return()
-        self.profile.context_reads += 1
-        rcp = self.context_cache.read_current(RCP_SLOT)
-        if not rcp.is_pointer:
+        cache = self.context_cache
+        stats = cache.stats
+        profile = self.profile
+        profile.context_reads += 1
+        block = cache.current
+        if block is None:
+            raise ReproError("no current context resident")
+        stats.fast_reads += 1
+        rcp = cache.blocks[block][RCP_SLOT]
+        if rcp.tag is not _POINTER:
             # Top-level return: nothing to return into.
             self.halted = True
             self.ip = None
             return
-        returning_virtual = self.regs.cp.virtual
-        returning_base = self.regs.cp.absolute
-        caller_virtual = self.mmu.fmt.from_packed(rcp.value)
+        regs = self.regs
+        cp, ncp = regs.cp, regs.ncp
+        returning_virtual = cp.virtual
+        returning_base = cp.absolute
+        caller_virtual = self._decode(rcp.value)
         caller_base = self._translate(caller_virtual)
         # The never-used next context of the returning method goes back
         # on the free list (one memory reference in the COM).
-        old_next_virtual = self.regs.ncp.virtual
-        old_next_base = self.regs.ncp.absolute
-        self.regs.ncp.clear()
+        old_next_virtual = ncp.virtual
+        old_next_base = ncp.absolute
+        ncp.clear()
         self._release_context(old_next_virtual, old_next_base)
         lifo = self.recycler.on_return(returning_virtual.packed)
-        hit = self.context_cache.on_return(
-            caller_base, reuse_current_as_next=lifo)
+        hit = cache.on_return(caller_base, reuse_current_as_next=lifo)
         if not hit:
             self.cycles.context_fault()
-        self.regs.cp.set(caller_virtual, caller_base)
+        cp.set(caller_virtual, caller_base)
         if lifo:
             # The returning context is immediately recycled as the next
             # context; its RCP already names the caller, so no write is
             # needed (section 3.6's return sequence).
-            self.regs.ncp.set(returning_virtual, returning_base)
+            ncp.set(returning_virtual, returning_base)
         else:
             self._allocate_next_context()
         self.depth -= 1
-        self.profile.context_reads += 1
-        rip = self.context_cache.read_current(RIP_SLOT)
-        if not rip.is_pointer:
+        profile.context_reads += 1
+        stats.fast_reads += 1
+        rip = cache.blocks[cache.current][RIP_SLOT]
+        if rip.tag is not _POINTER:
             raise ReproError("return into a context with no RIP")
-        self.ip = self.mmu.fmt.from_packed(rip.value)
+        self.ip = self._decode(rip.value)
         self._prev_dest = None
 
     def _xfer(self, target: Word) -> None:
@@ -780,16 +836,23 @@ class COMMachine:
         produce identical cycles, profile tallies and trace events
         (pinned by tests/test_predecode.py).
 
-        Loop-invariant objects are bound to locals once per call; every
-        counter stays on its object, so a trap or the budget exit
-        leaves them exact.
+        Loop-invariant objects are bound to locals once per call, and
+        so are the counters the loop bumps per instruction: fetches,
+        issued instructions and their issue cycles, context reads and
+        writes with the context cache's fast reads and writes, and the
+        icache-miss, RAW-hazard and taken-branch stalls.  The
+        ``finally`` clause adds them onto their objects, so after a
+        trap, the budget exit or a :meth:`step` every counter is exact.
+        Calls, returns, machine units and the slow path count on the
+        objects directly.
         """
         by_segment = self.decoded.by_segment if self.predecode else {}
         cycles = self.cycles
-        issue_cycles = cycles.params.issue_cycles
+        params = cycles.params
         profile = self.profile
         cache = self.context_cache
         blocks = cache.blocks
+        dirty = cache.dirty
         cache_stats = cache.stats
         constants = self.constants
         icache_reference = self.icache.reference
@@ -797,140 +860,186 @@ class COMMachine:
         machine_units = self._machine_units
         trace = self.trace
         executed = 0
-        while executed < limit and not self.halted:
-            ip = self.ip
-            if ip is None:
-                raise MachineHalted("machine is halted")
-            executed += 1
-            exponent = ip.exponent
-            mantissa = ip.mantissa
-            method = by_segment.get((exponent, mantissa >> exponent))
-            plan = None
-            if method is not None:
-                base = method.base_absolute
-                descriptor = method.descriptor
-                offset = mantissa & ((1 << exponent) - 1)
-                plans = method.plans
-                # Inline DecodedMethod.is_valid: the captured
-                # translation must still hold (no move, alias or
-                # capability change since predecode).
-                if (descriptor.base == base
-                        and descriptor.forward is None
-                        and descriptor.capability_read
-                        and offset < len(plans)):
-                    plan = plans[offset]
-            if plan is None:
-                self._step_slow()
-                continue
+        # Per-instruction counters.  ``fast_reads``/``fast_writes`` are
+        # block accesses made here, each one context read or write;
+        # ``reads``/``writes`` count the other context accesses, whose
+        # fast-path halves ContextCache counts itself.
+        fetched = reads = writes = fast_reads = fast_writes = 0
+        icache_misses = hazards = taken = 0
+        try:
+            while executed < limit and not self.halted:
+                ip = self.ip
+                if ip is None:
+                    raise MachineHalted("machine is halted")
+                executed += 1
+                exponent = ip.exponent
+                mantissa = ip.mantissa
+                method = by_segment.get((exponent, mantissa >> exponent))
+                plan = None
+                if method is not None:
+                    base = method.base_absolute
+                    descriptor = method.descriptor
+                    offset = mantissa & ((1 << exponent) - 1)
+                    plans = method.plans
+                    # Inline DecodedMethod.is_valid: the captured
+                    # translation must still hold (no move, alias or
+                    # capability change since predecode).
+                    if (descriptor.base == base
+                            and descriptor.forward is None
+                            and descriptor.capability_read
+                            and offset < len(plans)):
+                        plan = plans[offset]
+                if plan is None:
+                    self._step_slow()
+                    continue
 
-            absolute = base + offset
-            if not icache_reference(absolute):
-                cycles.icache_miss()
-            profile.instruction_fetches += 1
-            cycles.instructions += 1          # CycleAccountant.issue
-            cycles.cycles += issue_cycles
-            prev = self._prev_dest
-            if prev is not None and prev in plan.hazards:
-                cycles.raw_hazard()
-            kind = plan.kind
-            if kind == K_SOURCES:
-                # Context operands come straight from the current or
-                # next block (ContextCache.read_current/read_next).
-                sources = []
-                for is_constant, is_current, index in plan.sources:
-                    if is_constant:
-                        sources.append(constants.get(index))
-                        continue
-                    block = cache.current if is_current else cache.next
-                    if block is None:
-                        raise ReproError(
-                            "operand read with no context resident")
-                    cache_stats.fast_reads += 1
-                    profile.context_reads += 1
-                    sources.append(blocks[block][index])
-            elif kind == K_ZERO:
-                sources = []
-                if plan.nargs >= 1:
-                    profile.context_reads += 1
-                    sources.append(cache.read_next(ARG1_SLOT))
-                    if plan.nargs >= 2:
-                        profile.context_reads += 1
-                        sources.append(cache.read_next(ARG1_SLOT + 1))
-            else:   # K_HALT
-                self.halted = True
-                self.ip = None
-                continue
-            count = len(sources)
-            if count == 2:
-                class_tags = (sources[0].class_tag, sources[1].class_tag)
-            elif count == 1:
-                class_tags = (sources[0].class_tag,)
-            elif count == 0:
-                class_tags = ()
-            else:
-                class_tags = tuple(word.class_tag for word in sources)
-            opcode = plan.opcode
-            entry = itlb_probe((opcode, class_tags))
-            if entry is MISS:
-                entry = self._itlb_miss(opcode, plan.selector, class_tags)
-            if trace is not None:
-                trace.record(absolute, opcode,
-                             class_tags[0] if class_tags else -1)
-            inst = plan.inst
-            if not entry.primitive:
-                self._method_call(inst, entry.method, sources)
-                continue
-            function = entry.function
-            if function is None and entry.unit not in machine_units:
-                # An entry filled without its unit resolved (ITLB.fill
-                # with ITLBEntry.from_method's default): resolve it here.
-                function = unit_function(entry.unit, count)
-            try:
-                if function is None:
-                    # A machine unit: it writes its own destination.
-                    if machine_units[entry.unit](inst, sources):
-                        continue       # control transfer: IP already set
+                absolute = base + offset
+                if not icache_reference(absolute):
+                    icache_misses += 1
+                fetched += 1                  # fetch + CycleAccountant.issue
+                prev = self._prev_dest
+                if prev is not None and prev in plan.hazards:
+                    hazards += 1
+                kind = plan.kind
+                if kind == K_SOURCES:
+                    # Context operands come straight from the current or
+                    # next block (ContextCache.read_current/read_next).
+                    sources = []
+                    for is_constant, is_current, index in plan.sources:
+                        if is_constant:
+                            sources.append(constants.get(index))
+                            continue
+                        block = cache.current if is_current else cache.next
+                        if block is None:
+                            raise ReproError(
+                                "operand read with no context resident")
+                        fast_reads += 1
+                        sources.append(blocks[block][index])
+                elif kind == K_ZERO:
+                    sources = []
+                    if plan.nargs >= 1:
+                        reads += 1
+                        sources.append(cache.read_next(ARG1_SLOT))
+                        if plan.nargs >= 2:
+                            reads += 1
+                            sources.append(cache.read_next(ARG1_SLOT + 1))
+                else:   # K_HALT
+                    self.halted = True
+                    self.ip = None
+                    continue
+                count = len(sources)
+                if count == 2:
+                    class_tags = (sources[0].class_tag, sources[1].class_tag)
+                elif count == 1:
+                    class_tags = (sources[0].class_tag,)
+                elif count == 0:
+                    class_tags = ()
                 else:
-                    result = function(*sources)
-                    dest = plan.dest_kind
-                    if dest == D_CUR:
-                        profile.context_writes += 1
-                        cache.write_current(plan.dest_slot, result)
-                    elif dest == D_ZERO:
-                        profile.context_reads += 1
-                        target = cache.read_next(ARG0_SLOT)
-                        if target.is_pointer:
-                            self._store_through_pointer(target, result)
+                    class_tags = tuple(word.class_tag for word in sources)
+                opcode = plan.opcode
+                entry = itlb_probe((opcode, class_tags))
+                if entry is MISS:
+                    entry = self._itlb_miss(opcode, plan.selector, class_tags)
+                if trace is not None:
+                    trace.record(absolute, opcode,
+                                 class_tags[0] if class_tags else -1)
+                inst = plan.inst
+                if not entry.primitive:
+                    self._method_call(inst, entry.method, sources,
+                                      plan.next_ip)
+                    continue
+                function = entry.function
+                try:
+                    if function is None:
+                        unit = entry.unit
+                        if unit == plan.jump_unit:
+                            # A predecoded conditional jump, by
+                            # constants.is_true's rule: a non-zero small
+                            # integer or the atom true.
+                            condition = sources[0]
+                            tag = condition.tag
+                            if (condition.value != 0 if tag is _INT
+                                    else tag == _ATOM
+                                    and condition.value == "true"):
+                                taken += 1
+                                self.ip = plan.jump_ip
+                                self._prev_dest = None
+                                continue
+                        elif unit in machine_units:
+                            # A machine unit: it writes its own
+                            # destination.
+                            if machine_units[unit](inst, sources):
+                                continue    # control transfer: IP set
                         else:
-                            profile.context_writes += 1
-                            cache.write_next(ARG0_SLOT, result)
-                    elif dest == D_CUR0:
-                        target = cache.read_current(ARG0_SLOT)
-                        if target.is_pointer:
-                            self._store_through_pointer(target, result)
-                        else:
-                            profile.context_writes += 1
-                            cache.write_current(plan.dest_slot, result)
-                    elif dest == D_NEXT:
-                        profile.context_writes += 1
-                        cache.write_next(plan.dest_slot, result)
-                    elif dest == D_SLOW:
-                        self._write_operand(inst.operands[0], result)
-                    # D_NONE (at:put:): no destination.
-            except TagMismatch:
-                # The operand classes had no primitive meaning after
-                # all: take the defined-method path via full lookup.
-                self._dispatch_defined(inst, sources)
-                continue
-            if plan.returns:
-                self._method_return()
-            elif plan.next_ip is not None:
-                self.ip = plan.next_ip
-                self._prev_dest = plan.dest_prev
-            else:
-                # Fall-through past the segment's last word: raise
-                # exactly as the slow path's ip.step(1) would.
-                self.ip = ip.step(1)
+                            # An entry filled without its unit resolved
+                            # (ITLB.fill with ITLBEntry.from_method's
+                            # default): resolve it here.
+                            function = unit_function(unit, count)
+                    if function is not None:
+                        result = function(*sources)
+                        # The destination write (ContextCache.write_*
+                        # inline for the current and next blocks).
+                        dest = plan.dest_kind
+                        if dest == D_CUR:
+                            block = cache.current
+                            if block is None:
+                                writes += 1
+                                raise ReproError(
+                                    "no current context resident")
+                            fast_writes += 1
+                            blocks[block][plan.dest_slot] = result
+                            dirty[block] = True
+                        elif dest == D_ZERO:
+                            reads += 1
+                            target = cache.read_next(ARG0_SLOT)
+                            if target.tag is _POINTER:
+                                self._store_through_pointer(target, result)
+                            else:
+                                writes += 1
+                                cache.write_next(ARG0_SLOT, result)
+                        elif dest == D_CUR0:
+                            target = cache.read_current(ARG0_SLOT)
+                            if target.tag is _POINTER:
+                                self._store_through_pointer(target, result)
+                            else:
+                                writes += 1
+                                cache.write_current(plan.dest_slot, result)
+                        elif dest == D_NEXT:
+                            block = cache.next
+                            if block is None:
+                                writes += 1
+                                raise ReproError("no next context resident")
+                            fast_writes += 1
+                            blocks[block][plan.dest_slot] = result
+                            dirty[block] = True
+                        elif dest == D_SLOW:
+                            self._write_operand(inst.operands[0], result)
+                        # D_NONE (at:put:): no destination.
+                except TagMismatch:
+                    # The operand classes had no primitive meaning after
+                    # all: take the defined-method path via full lookup.
+                    self._dispatch_defined(inst, sources)
+                    continue
+                if plan.returns:
+                    self._method_return()
+                elif plan.next_ip is not None:
+                    self.ip = plan.next_ip
+                    self._prev_dest = plan.dest_prev
+                else:
+                    # Fall-through past the segment's last word: raise
+                    # exactly as the slow path's ip.step(1) would.
+                    self.ip = ip.step(1)
+        finally:
+            profile.instruction_fetches += fetched
+            profile.context_reads += reads + fast_reads
+            profile.context_writes += writes + fast_writes
+            cache_stats.fast_reads += fast_reads
+            cache_stats.fast_writes += fast_writes
+            cycles.instructions += fetched
+            cycles.cycles += fetched * params.issue_cycles
+            cycles.stall("icache_miss", icache_misses * params.icache_miss)
+            cycles.stall("raw_hazard", hazards * params.raw_hazard_bubble)
+            cycles.stall("branch", taken * params.branch_penalty)
         return executed
 
     def _step_slow(self) -> None:

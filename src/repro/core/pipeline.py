@@ -77,7 +77,11 @@ class CycleAccountant:
     operands_copied: int = 0
     stalls: Dict[str, int] = field(default_factory=dict)
 
-    def _stall(self, reason: str, cycles: int) -> None:
+    def stall(self, reason: str, cycles: int) -> None:
+        """Charge ``cycles`` stall cycles to ``reason``; nothing (not
+        even a zero entry) when ``cycles <= 0``.  The machine's fetch
+        loop charges its per-instruction stalls here in one call per
+        reason: ``count * penalty``."""
         if cycles <= 0:
             return
         self.cycles += cycles
@@ -91,18 +95,18 @@ class CycleAccountant:
         self.cycles += self.params.issue_cycles
 
     def taken_branch(self) -> None:
-        self._stall("branch", self.params.branch_penalty)
+        self.stall("branch", self.params.branch_penalty)
 
     def memory_instruction(self) -> None:
         """An at: or at:put: instruction waited for a memory cycle."""
-        self._stall("at_memory", self.params.at_memory_stall)
+        self.stall("at_memory", self.params.at_memory_stall)
 
     def icache_miss(self) -> None:
-        self._stall("icache_miss", self.params.icache_miss)
+        self.stall("icache_miss", self.params.icache_miss)
 
     def itlb_miss(self, dictionary_probes: int) -> None:
         """A full method lookup ran; cost scales with hash probes."""
-        self._stall(
+        self.stall(
             "itlb_miss",
             self.params.itlb_miss_base
             + dictionary_probes * self.params.itlb_miss_per_probe,
@@ -111,17 +115,17 @@ class CycleAccountant:
     def method_call(self, operands_copied: int) -> None:
         self.calls += 1
         self.operands_copied += operands_copied
-        self._stall("call", self.params.call_overhead(operands_copied))
+        self.stall("call", self.params.call_overhead(operands_copied))
 
     def method_return(self) -> None:
         self.returns += 1
-        self._stall("return", self.params.return_extra)
+        self.stall("return", self.params.return_extra)
 
     def context_fault(self) -> None:
-        self._stall("context_fault", self.params.context_fault)
+        self.stall("context_fault", self.params.context_fault)
 
     def raw_hazard(self) -> None:
-        self._stall("raw_hazard", self.params.raw_hazard_bubble)
+        self.stall("raw_hazard", self.params.raw_hazard_bubble)
 
     # -- reporting -----------------------------------------------------------
 

@@ -20,9 +20,10 @@ is the architecture's behaviour for non-primitive operand types.
 
 The machine resolves a unit once per ITLB fill (:func:`unit_function`)
 and calls it directly on every hit, so the hot units test their common
-case first and build small-integer results with the trusted
-:func:`~repro.memory.tags.small_integer_word` after their one range
-check.
+case first.  ``unit_add``, ``unit_sub`` and ``unit_mul`` check the
+28-bit range and build the result word themselves, in one frame; the
+other integer units build theirs with the trusted
+:func:`~repro.memory.tags.small_integer_word` after one range check.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from typing import Callable, Dict, List
 from repro.errors import TagMismatch, TrapError
 from repro.memory.tags import (
     SMALL_INTEGER_BITS,
+    SMALL_INTEGER_MAX,
+    SMALL_INTEGER_MIN,
     Tag,
     Word,
     fits_small_integer,
@@ -47,7 +50,10 @@ class ArithmeticTrap(TrapError):
 _FIELD_MASK = (1 << SMALL_INTEGER_BITS) - 1
 _SIGN_BIT = 1 << (SMALL_INTEGER_BITS - 1)
 _INT = Tag.SMALL_INTEGER
+_INT_CLASS_TAG = _INT.default_class_tag()
 _NUMBER_TAGS = (Tag.SMALL_INTEGER, Tag.FLOAT)
+_new_word = object.__new__
+_set_fields = object.__setattr__
 
 
 def _to_field(value: int) -> int:
@@ -88,21 +94,40 @@ def _require_ints(*words: Word) -> None:
 
 def unit_add(a: Word, b: Word) -> Word:
     if a.tag is _INT and b.tag is _INT:
-        return _int_result(a.value + b.value)
+        value = a.value + b.value
+        if not SMALL_INTEGER_MIN <= value <= SMALL_INTEGER_MAX:
+            raise ArithmeticTrap(f"small integer overflow: {value}")
+        # small_integer_word, inlined.
+        word = _new_word(Word)
+        _set_fields(word, "__dict__", {"tag": _INT, "value": int(value),
+                                       "class_tag": _INT_CLASS_TAG})
+        return word
     _require_numbers(a, b)
     return Word.floating(a.value + b.value)
 
 
 def unit_sub(a: Word, b: Word) -> Word:
     if a.tag is _INT and b.tag is _INT:
-        return _int_result(a.value - b.value)
+        value = a.value - b.value
+        if not SMALL_INTEGER_MIN <= value <= SMALL_INTEGER_MAX:
+            raise ArithmeticTrap(f"small integer overflow: {value}")
+        word = _new_word(Word)
+        _set_fields(word, "__dict__", {"tag": _INT, "value": int(value),
+                                       "class_tag": _INT_CLASS_TAG})
+        return word
     _require_numbers(a, b)
     return Word.floating(a.value - b.value)
 
 
 def unit_mul(a: Word, b: Word) -> Word:
     if a.tag is _INT and b.tag is _INT:
-        return _int_result(a.value * b.value)
+        value = a.value * b.value
+        if not SMALL_INTEGER_MIN <= value <= SMALL_INTEGER_MAX:
+            raise ArithmeticTrap(f"small integer overflow: {value}")
+        word = _new_word(Word)
+        _set_fields(word, "__dict__", {"tag": _INT, "value": int(value),
+                                       "class_tag": _INT_CLASS_TAG})
+        return word
     _require_numbers(a, b)
     return Word.floating(a.value * b.value)
 

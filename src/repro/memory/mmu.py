@@ -186,16 +186,18 @@ class MMU:
 
     # -- translation ---------------------------------------------------------------
 
-    def translate(
-        self, team: int, address: FPAddress, *, write: bool = False
-    ) -> TranslationResult:
-        """Virtual -> absolute translation with ATLB and alias handling.
+    def _checked(self, team: int, address: FPAddress, write: bool
+                 ) -> Tuple[SegmentDescriptor, int, bool]:
+        """The lookup and checks behind every translation.
 
-        Raises :class:`AliasTrap` (with the forward address attached)
-        when a stale pointer is used out of bounds -- callers emulating
-        the trap handler should retry with ``trap.new_address``.
+        Probes the ATLB (walking the team's segment table and filling
+        the ATLB on a miss), then makes the capability and bounds
+        checks.  Returns ``(descriptor, offset, atlb_hit)``.
         """
-        name = address.segment_name
+        # address.segment_name and address.offset, inline.
+        exponent = address.exponent
+        mantissa = address.mantissa
+        name = (exponent, mantissa >> exponent)
         descriptor = self.atlb.lookup(team, name)
         atlb_hit = descriptor is not None
         if descriptor is None:
@@ -206,8 +208,8 @@ class MMU:
             raise ProtectionTrap(f"no write capability through {address!r}")
         if not write and not descriptor.capability_read:
             raise ProtectionTrap(f"no read capability through {address!r}")
-        offset = address.offset
-        if not descriptor.contains(offset):
+        offset = mantissa & ((1 << exponent) - 1)
+        if not 0 <= offset < descriptor.length:     # descriptor.contains
             if descriptor.forward is not None:
                 self.alias_traps_taken += 1
                 raise AliasTrap(
@@ -221,7 +223,31 @@ class MMU:
                 f"(length {descriptor.length})",
                 segment=descriptor, offset=offset, length=descriptor.length,
             )
+        return descriptor, offset, atlb_hit
+
+    def translate(
+        self, team: int, address: FPAddress, *, write: bool = False
+    ) -> TranslationResult:
+        """Virtual -> absolute translation with ATLB and alias handling.
+
+        Raises :class:`AliasTrap` (with the forward address attached)
+        when a stale pointer is used out of bounds -- callers emulating
+        the trap handler should retry with ``trap.new_address``.
+        """
+        descriptor, offset, atlb_hit = self._checked(team, address, write)
         return TranslationResult(descriptor.base + offset, descriptor, atlb_hit)
+
+    def translate_absolute(
+        self, team: int, address: FPAddress, *, write: bool = False
+    ) -> int:
+        """:meth:`translate`'s absolute address alone.
+
+        The same ATLB lookup and fill, the same checks and the same
+        traps, without building a :class:`TranslationResult` (the
+        machine's context allocation and return path).
+        """
+        descriptor, offset, _ = self._checked(team, address, write)
+        return descriptor.base + offset
 
     def _resolve(self, team: int, address: FPAddress, write: bool) -> TranslationResult:
         """Translate, transparently following one level of alias forward.

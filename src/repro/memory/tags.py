@@ -184,3 +184,19 @@ def small_integer_word(value: int) -> Word:
         "tag": Tag.SMALL_INTEGER, "value": int(value),
         "class_tag": _SMALL_INTEGER_CLASS_TAG})
     return word
+
+
+def pointer_word(address: int, class_tag: int) -> Word:
+    """An object-pointer word for a trusted packed ``address`` and
+    ``class_tag``.
+
+    The pointer twin of :func:`small_integer_word`: the COM's call and
+    return sequences build their RCP, RIP and result pointers from
+    packed addresses with the machine's own registered class tags, so
+    there is nothing for ``Word.pointer``'s validation to catch.
+    """
+    word = object.__new__(Word)
+    object.__setattr__(word, "__dict__", {
+        "tag": Tag.OBJECT_POINTER, "value": address,
+        "class_tag": class_tag})
+    return word
