@@ -76,7 +76,6 @@ def run(scale: int = 1, events: Optional[Trace] = None,
         "sweep": surface,
         "trace_length": len(events),
         "dispatched": events.dispatched_count(),
-        "distinct_keys": events.unique_itlb_key_count(),
         "engine": surface.meta.get("engine"),
         "trace_passes": surface.meta.get("trace_passes"),
         "semantics": surface.meta.get("semantics", semantics),

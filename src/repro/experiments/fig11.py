@@ -63,7 +63,6 @@ def run(scale: int = 1, events: Optional[Trace] = None,
     result.data = {
         "sweep": surface,
         "trace_length": len(events),
-        "distinct_addresses": events.unique_address_count(),
         "engine": surface.meta.get("engine"),
         "trace_passes": surface.meta.get("trace_passes"),
         "semantics": surface.meta.get("semantics", semantics),
