@@ -357,12 +357,27 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="list registered experiments and exit")
 
 
+def _usage_error(message: str) -> int:
+    """Report bad ``repro run`` input as ``error: ...`` on stderr; the
+    exit status is 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def run_from_args(args: argparse.Namespace) -> int:
     if args.list_only:
         list_experiments()
         return 0
-    results = run_all(args.scale, args.quick, only=_csv(args.only),
-                      skip=_csv(args.skip),
+    # Reject bad input before the journal opens or anything runs.
+    if args.scale < 1:
+        return _usage_error(f"--scale must be at least 1, got {args.scale}")
+    only, skip = _csv(args.only), _csv(args.skip)
+    try:
+        registry.select(only, skip)
+    except KeyError as error:
+        # str(KeyError) quotes its message; print the message itself.
+        return _usage_error(error.args[0])
+    results = run_all(args.scale, args.quick, only=only, skip=skip,
                       trace_dir=args.trace_dir,
                       retries=args.retries,
                       backoff=args.retry_backoff,

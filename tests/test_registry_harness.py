@@ -122,6 +122,26 @@ class TestCli:
         # Rejected before any trace was generated.
         assert not list(tmp_path.glob("**/*.trace"))
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--only", "NOSUCH"], "unknown experiment id(s): ['NOSUCH']"),
+        (["--skip", "NOSUCH"], "unknown experiment id(s): ['NOSUCH']"),
+        (["--scale", "0", "--only", "FIG-10"],
+         "--scale must be at least 1, got 0"),
+        (["--scale", "0", "--only", "TAB-ADDR"],
+         "--scale must be at least 1, got 0"),
+        (["--scale", "-2"], "--scale must be at least 1, got -2"),
+    ], ids=["only", "skip", "scale-0-fig10", "scale-0-tab-addr",
+            "scale-negative"])
+    def test_run_rejects_bad_input(self, tmp_path, capsys, argv, message):
+        traces, runs = tmp_path / "traces", tmp_path / "runs"
+        assert cli_main(["run", *argv, "--trace-dir", str(traces),
+                         "--run-dir", str(runs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        # Rejected before the journal opened or any trace was built.
+        assert not traces.exists() and not runs.exists()
+
     def test_run_only_light_experiment(self, tmp_path, capsys):
         assert cli_main(["run", "--only", "TAB-ADDR",
                          "--trace-dir", str(tmp_path)]) == 0
