@@ -243,43 +243,44 @@ class MMU:
         """:meth:`translate`'s absolute address alone.
 
         The same ATLB lookup and fill, the same checks and the same
-        traps, without building a :class:`TranslationResult` (the
-        machine's context allocation and return path).
+        traps, without building a :class:`TranslationResult` (word
+        reads and writes, and the machine's context allocation and
+        return path).
         """
         descriptor, offset, _ = self._checked(team, address, write)
         return descriptor.base + offset
 
-    def _resolve(self, team: int, address: FPAddress, write: bool) -> TranslationResult:
-        """Translate, transparently following one level of alias forward.
+    def _resolve(self, team: int, address: FPAddress, write: bool) -> int:
+        """The absolute address, following one level of alias forward.
 
         This models the trap handler: the faulting access is retried
         through the new segment name after the pointer rewrite.
         """
         try:
-            return self.translate(team, address, write=write)
+            return self.translate_absolute(team, address, write=write)
         except AliasTrap as trap:
             forwarded = trap.new_address.with_offset(0)
             retry = forwarded.step(address.offset) if address.offset < forwarded.span \
                 else None
             if retry is None:
                 raise
-            return self.translate(team, retry, write=write)
+            return self.translate_absolute(team, retry, write=write)
 
     # -- word access -------------------------------------------------------------------
 
     def read(self, team: int, address: FPAddress) -> Word:
         """Read one word through a virtual address."""
-        result = self._resolve(team, address, write=False)
+        absolute = self._resolve(team, address, write=False)
         if self.hierarchy is not None:
-            self.hierarchy.access(result.absolute, write=False)
-        return self.absolute.read(result.absolute)
+            self.hierarchy.access(absolute, write=False)
+        return self.absolute.read(absolute)
 
     def write(self, team: int, address: FPAddress, word: Word) -> None:
         """Write one word through a virtual address."""
-        result = self._resolve(team, address, write=True)
+        absolute = self._resolve(team, address, write=True)
         if self.hierarchy is not None:
-            self.hierarchy.access(result.absolute, write=True)
-        self.absolute.write(result.absolute, word)
+            self.hierarchy.access(absolute, write=True)
+        self.absolute.write(absolute, word)
 
     def class_of(self, team: int, address: FPAddress) -> int:
         """The 16-bit class tag of the object named by ``address``."""
