@@ -96,16 +96,18 @@ class ContextCache:
         self._directory: Dict[int, int] = {}       # absolute base -> block
         self._base_of: List[Optional[int]] = [None] * num_blocks
         self._free: List[int] = list(range(num_blocks - 1, -1, -1))
-        self._lru: List[int] = []                   # block use order, oldest first
+        # Blocks in use order, oldest first: a dict as an ordered set,
+        # so a touch is O(1).
+        self._lru: Dict[int, None] = {}
         self.current: Optional[int] = None          # current vector (block index)
         self.next: Optional[int] = None             # next vector
 
     # -- vector bookkeeping -------------------------------------------------
 
     def _touch(self, block: int) -> None:
-        if block in self._lru:
-            self._lru.remove(block)
-        self._lru.append(block)
+        lru = self._lru
+        lru.pop(block, None)
+        lru[block] = None
 
     def _clear_block(self, block: int) -> None:
         # Slice-assign a prebuilt template: block clears happen on
@@ -215,8 +217,7 @@ class ContextCache:
             self.current = None
         if block == self.next:
             self.next = None
-        if block in self._lru:
-            self._lru.remove(block)
+        self._lru.pop(block, None)
         self._free.append(block)
 
     def rebind_next(self, old_base: int, new_base: int) -> None:
@@ -302,7 +303,7 @@ class ContextCache:
         del self._directory[base]
         self._base_of[block] = None
         self.dirty[block] = False
-        self._lru.remove(block)
+        del self._lru[block]
         self._free.append(block)
 
     def ensure_reserve(self) -> int:
