@@ -85,8 +85,6 @@ from repro.trace.columnar import TraceBuilder
 _INT = Tag.SMALL_INTEGER
 _ATOM = Tag.ATOM
 _POINTER = Tag.OBJECT_POINTER
-#: Entries the pointer-decode memo holds before it starts over.
-_DECODE_MEMO_LIMIT = 4096
 
 
 @dataclass
@@ -146,8 +144,6 @@ class COMMachine:
         self.trace: Optional[TraceBuilder] = None
         self._result_cell: Optional[FPAddress] = None
         self._methods: Dict[Tuple[int, str], CompiledMethod] = {}
-        #: Decoded pointer values (see _decode).
-        self._decoded: Dict[int, FPAddress] = {}
         self._prev_dest: Optional[Tuple[str, int]] = None
         self.activation_count = 0
         #: Call depth of the running program (top-level frame = 1).
@@ -264,23 +260,6 @@ class COMMachine:
             forwarded = trap.new_address.with_offset(0).step(address.offset)
             return self.mmu.translate_absolute(self.heap.team, forwarded,
                                                write=write)
-
-    def _decode(self, packed: int) -> FPAddress:
-        """``fmt.from_packed``, memoized.
-
-        The call/return sequence decodes the same few context and
-        return addresses over and over; an address is an immutable
-        value, so a decoded one can be handed out again.  The memo is
-        bounded by clearing it.
-        """
-        decoded = self._decoded
-        address = decoded.get(packed)
-        if address is None:
-            address = self.mmu.fmt.from_packed(packed)
-            if len(decoded) >= _DECODE_MEMO_LIMIT:
-                decoded.clear()
-            decoded[packed] = address
-        return address
 
     def _allocate_next_context(self) -> None:
         address = self.pool.allocate()
@@ -420,7 +399,7 @@ class COMMachine:
             self.recycler.note_capture(base)
 
     def _store_through_pointer(self, pointer: Word, word: Word) -> None:
-        address = self._decode(pointer.value)
+        address = self.mmu.fmt.from_packed(pointer.value)
         absolute = self._translate(address, write=True)
         index = absolute % CONTEXT_WORDS
         if self.context_cache.write_absolute(absolute - index, index, word):
@@ -580,7 +559,7 @@ class COMMachine:
         regs.ncp.clear()
         self._allocate_next_context()
         self.activation_count += 1
-        self.recycler.stats.allocated += 1   # ContextRecycler.note_allocation
+        self.recycler.note_allocation(regs.cp.virtual.packed)
         depth = self.depth = self.depth + 1
         if depth > self.max_depth:
             self.max_depth = depth
@@ -610,7 +589,7 @@ class COMMachine:
         cp, ncp = regs.cp, regs.ncp
         returning_virtual = cp.virtual
         returning_base = cp.absolute
-        caller_virtual = self._decode(rcp.value)
+        caller_virtual = self.mmu.fmt.from_packed(rcp.value)
         caller_base = self._translate(caller_virtual)
         # The never-used next context of the returning method goes back
         # on the free list (one memory reference in the COM).
@@ -636,7 +615,7 @@ class COMMachine:
         rip = cache.blocks[cache.current][RIP_SLOT]
         if rip.tag is not _POINTER:
             raise ReproError("return into a context with no RIP")
-        self.ip = self._decode(rip.value)
+        self.ip = self.mmu.fmt.from_packed(rip.value)
         self._prev_dest = None
 
     def _xfer(self, target: Word) -> None:

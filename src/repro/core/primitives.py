@@ -20,10 +20,9 @@ is the architecture's behaviour for non-primitive operand types.
 
 The machine resolves a unit once per ITLB fill (:func:`unit_function`)
 and calls it directly on every hit, so the hot units test their common
-case first.  ``unit_add``, ``unit_sub`` and ``unit_mul`` check the
-28-bit range and build the result word themselves, in one frame; the
-other integer units build theirs with the trusted
-:func:`~repro.memory.tags.small_integer_word` after one range check.
+case first and build small-integer results with the trusted
+:func:`~repro.memory.tags.small_integer_word` after their one range
+check (``unit_add``, ``unit_sub`` and ``unit_mul`` make it inline).
 """
 
 from __future__ import annotations
@@ -50,10 +49,7 @@ class ArithmeticTrap(TrapError):
 _FIELD_MASK = (1 << SMALL_INTEGER_BITS) - 1
 _SIGN_BIT = 1 << (SMALL_INTEGER_BITS - 1)
 _INT = Tag.SMALL_INTEGER
-_INT_CLASS_TAG = _INT.default_class_tag()
 _NUMBER_TAGS = (Tag.SMALL_INTEGER, Tag.FLOAT)
-_new_word = object.__new__
-_set_fields = object.__setattr__
 
 
 def _to_field(value: int) -> int:
@@ -97,11 +93,7 @@ def unit_add(a: Word, b: Word) -> Word:
         value = a.value + b.value
         if not SMALL_INTEGER_MIN <= value <= SMALL_INTEGER_MAX:
             raise ArithmeticTrap(f"small integer overflow: {value}")
-        # small_integer_word, inlined.
-        word = _new_word(Word)
-        _set_fields(word, "__dict__", {"tag": _INT, "value": int(value),
-                                       "class_tag": _INT_CLASS_TAG})
-        return word
+        return small_integer_word(value)
     _require_numbers(a, b)
     return Word.floating(a.value + b.value)
 
@@ -111,10 +103,7 @@ def unit_sub(a: Word, b: Word) -> Word:
         value = a.value - b.value
         if not SMALL_INTEGER_MIN <= value <= SMALL_INTEGER_MAX:
             raise ArithmeticTrap(f"small integer overflow: {value}")
-        word = _new_word(Word)
-        _set_fields(word, "__dict__", {"tag": _INT, "value": int(value),
-                                       "class_tag": _INT_CLASS_TAG})
-        return word
+        return small_integer_word(value)
     _require_numbers(a, b)
     return Word.floating(a.value - b.value)
 
@@ -124,10 +113,7 @@ def unit_mul(a: Word, b: Word) -> Word:
         value = a.value * b.value
         if not SMALL_INTEGER_MIN <= value <= SMALL_INTEGER_MAX:
             raise ArithmeticTrap(f"small integer overflow: {value}")
-        word = _new_word(Word)
-        _set_fields(word, "__dict__", {"tag": _INT, "value": int(value),
-                                       "class_tag": _INT_CLASS_TAG})
-        return word
+        return small_integer_word(value)
     _require_numbers(a, b)
     return Word.floating(a.value * b.value)
 

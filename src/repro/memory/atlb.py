@@ -46,11 +46,11 @@ class ATLB:
 
     def lookup(self, team: int, name: SegmentName) -> Optional[SegmentDescriptor]:
         """Probe for a cached descriptor; None on miss (counted)."""
-        return self._cache.lookup((team, name[0], name[1]))
+        return self._cache.lookup(self._key(team, name))
 
     def fill(self, team: int, name: SegmentName, descriptor: SegmentDescriptor) -> None:
         """Install a translation after a table walk."""
-        self._cache.fill((team, name[0], name[1]), descriptor)
+        self._cache.fill(self._key(team, name), descriptor)
 
     def invalidate_segment(self, team: int, name: SegmentName) -> bool:
         """Shoot down one translation (name rebound or segment freed)."""
