@@ -68,6 +68,17 @@ def _parse_override(text: str):
     return key, raw
 
 
+def _store_scale(args: argparse.Namespace, overrides) -> Optional[int]:
+    """Move a validated ``--set scale=N`` out of ``overrides``: the
+    ``scale`` to pass the store next to the remaining overrides.
+
+    An override wins over ``--scale`` when a spec resolves its
+    parameters, so ``scale=N`` resolves the same as ``--scale N``;
+    left in ``overrides`` it would reach the store's ``scale`` twice.
+    """
+    return overrides.pop("scale", args.scale)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments import harness
     return harness.run_from_args(args)
@@ -213,14 +224,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                               overrides=overrides)
     except KeyError as error:
         return _usage_error(error)
+    scale = _store_scale(args, overrides)
     store = TraceStore(args.trace_dir)
     path = store.path_for(spec, params)
     if args.force and path.exists():
         path.unlink()
-    path, hit = store.ensure(spec, quick=args.quick, scale=args.scale,
+    path, hit = store.ensure(spec, quick=args.quick, scale=scale,
                              **overrides)
-    events = store.load(spec, quick=args.quick, scale=args.scale,
-                        **overrides)
+    events = store.load(spec, quick=args.quick, scale=scale, **overrides)
     # Everything below reads the columns.
     print(f"workload:   {spec.name} (generator v{spec.version})")
     print(f"params:     {params}")
@@ -356,8 +367,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                  for cache in caches]
     except (KeyError, ValueError) as error:
         return _usage_error(error)
+    scale = _store_scale(args, overrides)
     store = TraceStore(args.trace_dir)
-    events = store.load(workload, quick=args.quick, scale=args.scale,
+    events = store.load(workload, quick=args.quick, scale=scale,
                         **overrides)
     print(f"workload: {args.workload} ({len(events)} events, "
           f"{events.dispatched_count()} dispatched)")

@@ -20,8 +20,11 @@ backend"):
   reference by *capped stack depth* with array passes only: depth 0
   (top-of-stack) and compulsory misses fall out of the
   previous-occurrence links directly, and depths 2..cap are resolved
-  in *run space* -- maximal same-block stretches -- where the tiny
-  depth cap (4 on the paper grid) bounds the work per reference.
+  in *run space* -- maximal same-block stretches: depths 2 and 3 in
+  one array pass each, and each deeper one by a pair round and a few
+  vector rounds over the runs, the queries they leave finishing in
+  one climb and descent of a max tree over the runs (O(log R) array
+  steps).
 * The single-set (fully-associative) level has no useful depth cap,
   so its depths come from an offline rank count instead: with
   ``p = prev[i]``, depth(i) = #{k < i : prev[k] < p} - (p + 1), which
@@ -37,7 +40,8 @@ backend"):
 
 :func:`np_itlb_ref_columns` builds the ITLB reference stream with
 array operations, hashing each distinct key once, for the runner when
-the resolved engine is numpy.
+the resolved engine is numpy, at the dispatched indices
+:func:`np_dispatched_indices` unpacks from the bitset.
 
 numpy is an *optional* extra (``pip install .[numpy]``), imported on
 first engine use: importing this module (or ``repro.sweep``) never
@@ -62,8 +66,10 @@ from repro.errors import BackendUnavailable
 np = None
 _numpy_checked = False
 
-#: Vector rounds of the chain resolver before it falls back to the
-#: path-compressed scalar walk (measured best on the paper trace).
+#: Vector rounds of the chain resolver before the queries still open
+#: go to the max-tree descent.  On the ``sweep`` benchmark's queries
+#: the resolver took 64 ms per iteration with no rounds (the tree for
+#: every query) and 47-51 ms with 1 to 10 (2-CPU box).
 _CHAIN_VECTOR_ROUNDS = 6
 
 
@@ -207,13 +213,60 @@ def _alive_tables(cprun, c32):
     return nxr, nxr2
 
 
+def _max_tree(values):
+    """A max segment tree over ``values``: leaf i at ``tree[S + i]``
+    (S the least power of two >= len(values), padding leaves -1), and
+    every inner node j the max of its children 2j and 2j + 1."""
+    size = 1 << max(0, int(len(values) - 1).bit_length())
+    tree = np.full(2 * size, -1, values.dtype)
+    tree[size:size + len(values)] = values
+    lo = size
+    while lo > 1:
+        np.maximum(tree[lo:2 * lo:2], tree[lo + 1:2 * lo:2],
+                   out=tree[lo >> 1:lo])
+        lo >>= 1
+    return tree
+
+
+def _last_at_least(tree, v, x):
+    """For each query i, the largest leaf index u <= v[i] whose value
+    is >= x[i], or -1 (``x >= 0``, so padding leaves never qualify).
+
+    Leaf v[i] and, climbing from it, the subtrees of the left
+    siblings of the right children on the way up cover the leaves
+    <= v[i], each to the left of the one before.  The climb stops at
+    the first of these whose max reaches x[i]; the descent then takes
+    the right child whenever its max reaches x[i].  O(log S) array
+    steps for all queries together.
+    """
+    size = len(tree) >> 1
+    node = v + size
+    found = node.copy()
+    pending = tree[node] < x
+    climbed = 0
+    while climbed < size.bit_length() - 1 and pending.any():
+        sibling = node - 1
+        hit = pending & ((node & 1) == 1) & (tree[sibling] >= x)
+        np.copyto(found, sibling, where=hit)
+        pending &= ~hit
+        node >>= 1
+        climbed += 1
+    # a node found on climb step c sits c - 1 levels above the leaves
+    for _ in range(climbed - 1):
+        inner = np.flatnonzero(found < size)
+        child = found[inner] * 2 + 1
+        found[inner] = child - (tree[child] < x[inner])
+    found -= size
+    found[pending] = -1
+    return found
+
+
 def _chain_resolve(v_init, q_s, nxr, nxr2, LF):
     """For each query q, walk runs downward from v_init[q] and return the
     largest run alive at query-run rank q_s[q] (-1 if none).  Dead
     2-block alternations are skipped via the LF leap; queries that
-    survive a few vector rounds finish in a path-compressed scalar walk
-    (queries visit runs in ascending rank and a run found dead stays dead
-    for every later query in its set, so dead spans compress)."""
+    survive a few vector rounds finish in one climb and descent of a
+    max tree over ``nxr`` (the largest run <= v with nxr >= q_s)."""
     rj = np.full(len(q_s), -1, np.int32)
     live = np.nonzero(v_init >= 0)[0]
     vcur = v_init[live]
@@ -221,34 +274,9 @@ def _chain_resolve(v_init, q_s, nxr, nxr2, LF):
     while len(live):
         rounds += 1
         if rounds > _CHAIN_VECTOR_ROUNDS:
-            skip = {}
-            nxr_i = nxr.item
-            lf_i = LF.item
-            q_i = q_s.item
-            for q, vq in zip(live.tolist(), vcur.tolist()):
-                q0 = q_i(q)
-                vv = vq
-                res = -1
-                visited = []
-                while vv >= 0:
-                    nxt = skip.get(vv)
-                    if nxt is not None:
-                        visited.append(vv)
-                        vv = nxt
-                        continue
-                    if nxr_i(vv) >= q0:
-                        res = vv
-                        break
-                    if vv == 0:
-                        break
-                    if nxr_i(vv - 1) >= q0:
-                        res = vv - 1
-                        break
-                    visited.append(vv)
-                    vv = lf_i(vv) - 2
-                for u in visited:
-                    skip[u] = vv
-                rj[q] = res
+            # nxr's last slot is the compulsory-start dump, not a run
+            rj[live] = _last_at_least(_max_tree(nxr[:-1]), vcur,
+                                      q_s[live])
             break
         pa = nxr2[vcur] >= q_s[live]
         if pa.any():
@@ -739,6 +767,21 @@ def np_next_use_times(blocks: Sequence) -> List[float]:
         same = bs[1:] == bs[:-1]
         result[order[:-1][same]] = order[1:][same]
     return result.tolist()
+
+
+def np_dispatched_indices(trace):
+    """:meth:`~repro.trace.columnar.Trace.dispatched_indices` as an
+    array: the view's bytes of the dispatched bitset unpacked
+    LSB-first in one pass, cut to the view's ``[start, stop)``."""
+    require_numpy()
+    bits, start, stop = trace.dispatched_bitset()
+    first = start >> 3
+    flags = np.unpackbits(
+        np.frombuffer(bits, np.uint8, count=((stop + 7) >> 3) - first,
+                      offset=first),
+        bitorder="little")
+    lo = start & 7
+    return np.flatnonzero(flags[lo:lo + stop - start])
 
 
 def np_itlb_ref_columns(opcodes: Sequence[int], classes: Sequence[int],

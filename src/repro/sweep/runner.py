@@ -111,8 +111,9 @@ def _itlb_ref_columns(trace: Trace, dispatched_only: bool,
     never builds a key tuple; the placement hash -- which must stay
     bitwise-identical to the set placement the real ITLB computes --
     is computed once per distinct key.  With ``use_numpy`` (the
-    resolved engine is numpy) the keys are packed with array
-    operations and the hashes gathered back over the stream
+    resolved engine is numpy) the dispatched indices are unpacked from
+    the bitset in one pass, the keys are packed with array operations
+    and the hashes gathered back over the stream
     (:func:`~repro.sweep.np_engine.np_itlb_ref_columns`); the loop
     below is the numpy-free path and returns the same bytes.
     """
@@ -121,7 +122,8 @@ def _itlb_ref_columns(trace: Trace, dispatched_only: bool,
     if use_numpy:
         return np_engine.np_itlb_ref_columns(
             opcodes, classes,
-            trace.dispatched_indices() if dispatched_only else None)
+            np_engine.np_dispatched_indices(trace) if dispatched_only
+            else None)
     indices = (trace.dispatched_indices() if dispatched_only
                else range(len(trace)))
     blocks = array("q")

@@ -209,6 +209,13 @@ class _Columns:
             base += 8
         return indices
 
+    def dispatched_bitset(self):
+        """``(bitset, start, stop)``: the LSB-first dispatched bitset
+        (CRC-checked first on a mapped trace) and this view's event
+        bounds in it, for readers that unpack the bits in bulk."""
+        start, stop = self._bounds()
+        return self._bitset(), start, stop
+
     def dispatched_count(self, stop: Optional[int] = None) -> int:
         """How many of the first ``stop`` events are dispatched.
 

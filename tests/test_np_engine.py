@@ -22,11 +22,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import BackendUnavailable
+from repro.errors import BackendUnavailable, StoreCorruption
 from repro.sweep import SweepSpec, np_engine, run_sweep
 from repro.sweep.engine import MultiConfigLRU, OptStack, next_use_times
 from repro.sweep.runner import _itlb_ref_columns
 from repro.trace.cachesim import simulate_icache
+from repro.trace.columnar import MappedTrace, Trace
 from repro.workloads import names, specs
 from trace_helpers import mixed_trace, trace_of
 
@@ -67,6 +68,42 @@ def _random_case(seed):
     return blocks, placements, level_caps, full_cap, plan
 
 
+def _loop_case(seed):
+    """One loop-structured (columns, geometry, replay plan) case.
+
+    Cycles of 3-6 blocks repeat 20-300 times with 5% noise, so a set's
+    recent runs are mostly dead re-references and a noise block's
+    depth->=4 query walks back past the whole loop: the queries the
+    chain resolver's vector rounds leave to the max-tree descent.
+    """
+    rng = random.Random(1_985_000 + seed)
+    nblocks = rng.randrange(6, 41)
+    n = rng.randrange(1_500, 4_001)
+    blocks = []
+    while len(blocks) < n:
+        cycle = rng.sample(range(nblocks), rng.randrange(3, 7))
+        for _ in range(rng.randrange(20, 301)):
+            blocks.extend(rng.randrange(nblocks) if rng.random() < 0.05
+                          else block for block in cycle)
+    del blocks[n:]
+    pmap = {block: rng.getrandbits(16) for block in range(nblocks)}
+    placements = [pmap[block] for block in blocks]
+    ks = rng.sample([1, 2, 3], rng.randrange(1, 4))
+    level_caps = {k: rng.choice([4, 5, 8]) for k in ks}
+    if seed % 2:
+        plan = [(0, n, False), (0, n, True)]   # the double pass
+    else:
+        plan = []
+        pos = 0
+        while pos < n:
+            nxt = min(n, pos + rng.randrange(200, 2_000))
+            plan.append((pos, nxt, rng.random() < 0.7))
+            if rng.random() < 0.2:
+                plan.append("reset")
+            pos = nxt
+    return blocks, placements, level_caps, plan
+
+
 def _run_plan(engine, blocks, placements, plan):
     for step in plan:
         if step == "reset":
@@ -101,6 +138,36 @@ class TestRandomizedEquivalence:
         _run_plan(pure, blocks, placements, plan)
         _run_plan(fast, blocks, placements, plan)
         _assert_engines_equal(pure, fast, level_caps, full_cap)
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_loop_plan_equivalence(self, seed):
+        blocks, placements, level_caps, plan = _loop_case(seed)
+        pure = MultiConfigLRU(dict(level_caps))
+        fast = np_engine.NumpyMultiConfigLRU(dict(level_caps))
+        _run_plan(pure, blocks, placements, plan)
+        _run_plan(fast, blocks, placements, plan)
+        _assert_engines_equal(pure, fast, level_caps, 0)
+
+    def test_max_tree_query_matches_a_scan(self):
+        # The descent's contract on its own: the largest u <= v with
+        # values[u] >= x, or -1.  At the resolver's call site v + 1 is
+        # always a run the vector rounds found dead, so only a direct
+        # check pins the boundary at v.
+        rng = random.Random(20)
+        np = np_engine.np
+        for length in (1, 2, 3, 7, 8, 9, 100, 257):
+            values = np.array([rng.randrange(-1, 40)
+                               for _ in range(length)], np.int32)
+            v = np.array([rng.randrange(length) for _ in range(300)],
+                         np.int32)
+            x = np.array([rng.randrange(41) for _ in range(300)],
+                         np.int32)
+            got = np_engine._last_at_least(np_engine._max_tree(values),
+                                           v, x)
+            assert got.tolist() == [
+                max((u for u in range(vq + 1) if values[u] >= xq),
+                    default=-1)
+                for vq, xq in zip(v.tolist(), x.tolist())]
 
     def test_cycle_pattern_equivalence(self):
         # 3/4-symbol cycles are the chain resolver's worst case: every
@@ -261,6 +328,40 @@ class TestItlbReferenceBuild:
         trace = trace_of([(10, 5, -1), (11, 5, 3), (12, 5, -1),
                           (13, 7, -1, False), (14, 9, 2)])
         self._assert_same_build(trace, dispatched_only)
+
+
+@requires_numpy
+class TestDispatchedIndexUnpack:
+    """The numpy build's dispatched indices, unpacked from the bitset,
+    against ``Trace.dispatched_indices()``; and the bitset's CRC check
+    on the way in."""
+
+    VIEWS = [(0, 0), (3, 3), (8, 8), (0, 2500), (8, 2001), (16, 24),
+             (3, 2001), (5, 13), (13, 14), (2491, 2500)]
+
+    @pytest.mark.parametrize("mapped", [False, True],
+                             ids=["array", "mapped"])
+    @pytest.mark.parametrize("lo,hi", VIEWS,
+                             ids=[f"{lo}:{hi}" for lo, hi in VIEWS])
+    def test_matches_dispatched_indices(self, events, lo, hi, mapped):
+        trace = (Trace.from_buffer(memoryview(events.to_bytes()))
+                 if mapped else events)
+        view = trace[lo:hi]
+        assert np_engine.np_dispatched_indices(view).tolist() == \
+            list(view.dispatched_indices())
+
+    @pytest.mark.parametrize("use_numpy", [False, True],
+                             ids=["pure", "numpy"])
+    def test_corrupt_bitset_raises_through_the_build(self, use_numpy):
+        # A mapped trace, as the store loads it, before any CRC check
+        # has run: only the bitset block is corrupt.
+        blob = bytearray(mixed_trace(256, seed=3).to_bytes())
+        blob[-5] ^= 0x01   # last byte of the bitset, before its CRC
+        mapped = Trace.from_buffer(memoryview(bytes(blob)))
+        if not isinstance(mapped, MappedTrace):
+            pytest.skip("big-endian host copies eagerly")
+        with pytest.raises(StoreCorruption, match="dispatched-bitset"):
+            _itlb_ref_columns(mapped, True, use_numpy=use_numpy)
 
 
 @requires_numpy

@@ -91,6 +91,26 @@ class TestCli:
         assert "cache hit" in capsys.readouterr().out
         assert list(tmp_path.glob("**/monomorphic-*.trace"))
 
+    @pytest.mark.parametrize("command", [
+        ["trace", "redefine-churn"],
+        ["sweep", "redefine-churn", "--cache", "itlb", "--sizes", "8,16"],
+    ], ids=["trace", "sweep"])
+    def test_set_scale_resolves_as_scale(self, tmp_path, capsys, command):
+        # `--set scale=N` sets the generator's own scale parameter:
+        # the same params and store path as `--scale N`, and it wins
+        # over `--scale` when both are given.
+        def run(*extra):
+            assert cli_main(command + ["--quick", "--trace-dir",
+                                       str(tmp_path), *extra]) == 0
+            return [line for line in capsys.readouterr().out.splitlines()
+                    if not line.startswith(("state:", "[planner:"))]
+
+        scaled = run("--scale", "2")
+        assert run("--set", "scale=2") == scaled
+        assert run("--scale", "3", "--set", "scale=2") == scaled
+        assert len(list(tmp_path.glob("**/redefine-churn-*.trace"))) == 1
+        assert run() != scaled
+
     def test_trace_unknown_workload_raises(self, tmp_path, capsys):
         assert cli_main(["trace", "nope",
                          "--trace-dir", str(tmp_path)]) == 2
