@@ -73,7 +73,7 @@ def _loop_case(seed):
 
     Cycles of 3-6 blocks repeat 20-300 times with 5% noise, so a set's
     recent runs are mostly dead re-references and a noise block's
-    depth->=4 query walks back past the whole loop: the queries the
+    depth-4 query walks back past the whole loop: the queries the
     chain resolver's vector rounds leave to the max-tree descent.
     """
     rng = random.Random(1_985_000 + seed)
