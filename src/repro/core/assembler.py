@@ -38,7 +38,7 @@ Programs (see :func:`load_program`) add directives::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import AssemblerError
@@ -70,26 +70,6 @@ _LABEL_RE = re.compile(r"^(\w+):$")
 _INT_RE = re.compile(r"^-?\d+$")
 _FLOAT_RE = re.compile(r"^-?\d+\.\d+$")
 _CTX_RE = re.compile(r"^[cn]\d+$")
-
-
-@dataclass
-class AssembledMethod:
-    """One assembled method: its class, selector and instructions."""
-
-    class_name: str
-    selector: str
-    instructions: List[Instruction]
-    argument_count: int = 0
-    frame_words: int = 32
-
-
-@dataclass
-class AssembledProgram:
-    """A whole assembled program: class declarations, methods, main."""
-
-    classes: List[Tuple[str, Optional[str]]] = field(default_factory=list)
-    methods: List[AssembledMethod] = field(default_factory=list)
-    main: Optional[List[Instruction]] = None
 
 
 class Assembler:

@@ -117,17 +117,8 @@ class ContextCache:
         self.stats.block_clears += 1
 
     @property
-    def free_vector(self) -> List[int]:
-        """The set of currently free blocks."""
-        return list(self._free)
-
-    @property
     def free_count(self) -> int:
         return len(self._free)
-
-    def resident_bases(self) -> List[int]:
-        """Absolute bases of all cached contexts."""
-        return list(self._directory)
 
     def is_resident(self, base: int) -> bool:
         return base in self._directory

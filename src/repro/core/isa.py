@@ -160,9 +160,6 @@ class OpcodeTable:
         """Existing number for a selector, or None (no assignment)."""
         return self._by_selector.get(selector)
 
-    def is_architectural(self, number: int) -> bool:
-        return number < FIRST_USER_OPCODE and number in self._by_number
-
     def architectural_op(self, number: int) -> Optional[Op]:
         """The :class:`Op` member for an architectural number, else None."""
         return architectural_op(number)

@@ -283,10 +283,6 @@ class COMMachine:
     # program installation
     # ------------------------------------------------------------------
 
-    def intern_selector(self, selector: str) -> int:
-        """Opcode number for a selector (assigning one when new)."""
-        return self.opcodes.intern(selector)
-
     def install_method(
         self,
         cls: ObjectClass,

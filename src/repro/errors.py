@@ -77,10 +77,6 @@ class FreeListExhausted(TrapError):
     """The context free list (or heap) had no block to allocate."""
 
 
-class UninitializedAccess(TrapError):
-    """A word with the *uninitialized* tag was used as an operand."""
-
-
 class InvalidAddress(ReproError):
     """An address could not be encoded/decoded in the floating point format."""
 

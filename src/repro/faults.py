@@ -92,9 +92,6 @@ class FaultPlan:
     seed: int = 0
     specs: Tuple[FaultSpec, ...] = field(default_factory=tuple)
 
-    def for_site(self, site: str) -> Tuple[FaultSpec, ...]:
-        return tuple(s for s in self.specs if s.site == site)
-
     def to_json(self) -> str:
         return json.dumps(
             {"seed": self.seed,

@@ -41,11 +41,6 @@ class FithOp(enum.Enum):
     SEND = "send"              # abstract instruction: dispatch on TOS class
     HALT = "halt"              # end of the main word
 
-    @property
-    def is_dispatched(self) -> bool:
-        """Whether the op goes through instruction translation."""
-        return self is FithOp.SEND
-
 
 #: Spellings used when interning machine ops into an opcode table so
 #: that every traced instruction has a well-defined opcode number.

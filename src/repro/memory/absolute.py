@@ -101,10 +101,6 @@ class BuddyAllocator:
     def free_words(self) -> int:
         return sum(len(blocks) << k for k, blocks in enumerate(self._free))
 
-    @property
-    def allocated_words(self) -> int:
-        return sum(1 << order for order in self._allocated.values())
-
 
 class AbsoluteMemory:
     """The word-addressed global object store.
@@ -178,9 +174,6 @@ class AbsoluteMemory:
         self.free(base)
         return new_allocation
 
-    def allocation_at(self, base: int) -> Optional[Allocation]:
-        return self._allocations.get(base)
-
     # -- word access ----------------------------------------------------------
 
     def read(self, address: int) -> Word:
@@ -211,11 +204,6 @@ class AbsoluteMemory:
             self._words.pop(addr, None)
 
     # -- inspection -------------------------------------------------------------
-
-    @property
-    def resident_words(self) -> int:
-        """Number of words ever written and still live."""
-        return len(self._words)
 
     def allocations(self) -> Iterator[Allocation]:
         return iter(self._allocations.values())

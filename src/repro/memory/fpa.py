@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Tuple
+from typing import Tuple
 
 from repro.errors import InvalidAddress
 
@@ -179,10 +179,6 @@ class AddressFormat:
         """How many segments of size class ``exponent`` can be named."""
         self._check_exponent(exponent)
         return 1 << (self.mantissa_bits - exponent)
-
-    def iter_exponents(self) -> Iterator[int]:
-        """All legal exponents, smallest (1-word segments) first."""
-        return iter(range(self.max_exponent + 1))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

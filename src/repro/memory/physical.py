@@ -86,10 +86,6 @@ class MemoryHierarchy:
 
     # -- accounting helpers ---------------------------------------------------
 
-    @property
-    def level_names(self) -> List[str]:
-        return [dev.spec.name for dev in self.devices]
-
     def stats_for(self, name: str) -> CacheStats:
         for dev in self.devices:
             if dev.spec.name == name:
