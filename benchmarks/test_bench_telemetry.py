@@ -4,7 +4,7 @@ Two measurements land in ``BENCH_throughput.json``:
 
 * ``telemetry::disabled_span`` -- calls/sec through a disabled
   ``telemetry.span(...)`` + ``telemetry.inc(...)`` pair, i.e. the
-  cost every instrumented seam pays when telemetry is off (one env
+  cost every instrumented seam pays when telemetry is off (one global
   lookup and a shared no-op singleton; this is what keeps the
   "<2% overhead when disabled" acceptance bound honest);
 * ``telemetry::quick_suite_on/off`` -- the quick harness suite (the

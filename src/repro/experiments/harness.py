@@ -185,24 +185,22 @@ def _run_all(scale, quick, note, only, skip, trace_dir, *,
         manifest={"scale": scale, "quick": quick,
                   "suite": [spec.id for spec in specs],
                   "trace_dir": trace_dir})
-    telemetry_armed = False
+    sink = journal.directory / "telemetry"
     if with_telemetry and resume:
         # Arm before the journal replays records so the resume is
-        # spanned; resuming never clears the sink directory.
-        telemetry.install(journal.directory / "telemetry")
-        telemetry_armed = True
+        # spanned; resuming keeps the sink and adds to it.
+        telemetry.install(sink)
     done = journal.start(resume=resume)
-    if with_telemetry and not telemetry_armed:
+    if with_telemetry and not resume:
         # Fresh run: journal.clear() just dropped any stale sink.
-        telemetry.install(journal.directory / "telemetry", fresh=True)
-        telemetry_armed = True
+        telemetry.install(sink)
     try:
         return _run_all_inner(
             specs, journal, done, stats, started, note, scale=scale,
             quick=quick, trace_dir=trace_dir, retries=retries,
             backoff=backoff, resume=resume, plan=plan)
     finally:
-        if telemetry_armed:
+        if with_telemetry:
             telemetry.finalize()
             telemetry.install(None)
 

@@ -146,7 +146,7 @@ class RunJournal:
 
         Subdirectories -- notably the run's ``telemetry/`` sink --
         are removed too: a fresh (non-resume) run must not inherit a
-        previous run's spans or metric shards.
+        previous run's spans or metrics.
         """
         if not self.directory.is_dir():
             return

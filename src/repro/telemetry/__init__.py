@@ -7,31 +7,28 @@ retry fired?" once a run finished.  This package is the observability
 layer: **spans** (nested, monotonic-clock timed trace sections),
 **events** (point-in-time markers such as a fault firing) and a
 **metrics registry** (counters / gauges / histograms), all behind a
-no-op fast path so the instrumented seams cost one dict lookup when
-telemetry is off.
+no-op fast path so the instrumented seams cost one global lookup
+when telemetry is off.
 
-Arming and shards
------------------
+The sink
+--------
 
 ``install(directory)`` arms recording in this process (the harness
-does so for the length of a ``--telemetry`` run).  Each recorder
-writes its own shard files:
+does so for the length of a ``--telemetry`` run).  The run is one
+process, so one recorder owns the directory's three files:
 
-* ``spans-<pid>-<token>.jsonl`` -- one JSON record per finished span
-  or event, appended and flushed immediately (a run that dies keeps
-  everything it completed);
-* ``metrics-<pid>-<token>.json`` -- the recorder's registry,
-  rewritten atomically on :func:`flush`.
+* ``spans.jsonl`` -- one JSON record per finished span or event,
+  appended and flushed immediately (a run that dies keeps everything
+  it completed, and ``repro report`` can still read it);
+* ``metrics.json`` -- the registry, rewritten atomically on
+  :func:`flush`.  :func:`install` starts from the ``metrics.json``
+  already in the directory, so a ``--resume`` adds to the counters of
+  the run it resumes;
+* ``environment.json`` -- the host block, written by :func:`finalize`
+  at run end.
 
-The ``<token>`` is per-recorder-unique, so a recycled PID (e.g.
-across a crashed run and its ``--resume``) can never overwrite
-another run's shard.  :func:`finalize` -- called once at run end --
-merges every shard into the canonical ``spans.jsonl`` /
-``metrics.json`` / ``environment.json`` and deletes the shards;
-merging dedupes span records by id, so a resume (or a finalize retry)
-never double-counts.  ``repro report`` reads the merged files *and*
-any leftover shards (non-destructively), so a run that died before
-finalizing is still reportable.
+Span ids carry the pid and a per-recorder token, so a crashed run and
+its ``--resume`` keep distinct ids even when the pid is recycled.
 
 With telemetry disabled nothing is ever opened or created: the
 disabled :func:`span` returns a shared no-op context manager and the
@@ -44,14 +41,13 @@ import atexit
 import json
 import os
 import platform
-import shutil
 import tempfile
 import time
 import uuid
 from pathlib import Path
 from typing import Dict, Optional
 
-#: Canonical (merged) sink files under the telemetry directory.
+#: The sink files under the telemetry directory.
 SPANS_FILE = "spans.jsonl"
 METRICS_FILE = "metrics.json"
 ENVIRONMENT_FILE = "environment.json"
@@ -96,12 +92,13 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
         raise
 
 
-def _load_json(path: Path) -> Optional[dict]:
+def _load_json(path: Path) -> dict:
+    """A JSON object file's contents; ``{}`` if unreadable."""
     try:
         payload = json.loads(path.read_text())
     except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
+        return {}
+    return payload if isinstance(payload, dict) else {}
 
 
 class Span:
@@ -186,20 +183,22 @@ _NOOP = _NoopSpan()
 
 
 class _Recorder:
-    """Per-process telemetry state: span sink, metric registry."""
+    """The run's telemetry state: span sink, metric registry."""
 
     def __init__(self, directory: os.PathLike) -> None:
         self.directory = Path(directory)
         self.pid = os.getpid()
-        #: Per-recorder-unique shard discriminator: a recycled PID
-        #: (crash + resume) must never clobber another shard.
+        #: Per-recorder-unique id discriminator: a recycled PID
+        #: (crash + resume) must never repeat a span id.
         self.token = uuid.uuid4().hex[:8]
         self.stack = []
         self._sequence = 0
         self._file = None
-        self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
-        self.histograms: Dict[str, Dict[str, float]] = {}
+        registry = _load_json(self.directory / METRICS_FILE)
+        self.counters: Dict[str, float] = registry.get("counters") or {}
+        self.gauges: Dict[str, float] = registry.get("gauges") or {}
+        self.histograms: Dict[str, Dict[str, float]] = \
+            registry.get("histograms") or {}
         self._metrics_dirty = False
 
     def next_id(self) -> str:
@@ -215,9 +214,8 @@ class _Recorder:
         try:
             if self._file is None:
                 self.directory.mkdir(parents=True, exist_ok=True)
-                self._file = open(
-                    self.directory / f"spans-{self.pid}-{self.token}.jsonl",
-                    "a", encoding="utf-8")
+                self._file = open(self.directory / SPANS_FILE, "a",
+                                  encoding="utf-8")
             self._file.write(json.dumps(record, sort_keys=True,
                                         separators=(",", ":"),
                                         default=str) + "\n")
@@ -248,16 +246,18 @@ class _Recorder:
         hist["max"] = max(hist["max"], value)
         self._metrics_dirty = True
 
+    def registry(self) -> dict:
+        return {"counters": self.counters, "gauges": self.gauges,
+                "histograms": self.histograms}
+
     def flush_metrics(self) -> None:
-        """Atomically persist this recorder's registry shard."""
+        """Atomically rewrite ``metrics.json`` with the registry."""
         if not self._metrics_dirty:
             return
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            _atomic_write_json(
-                self.directory / f"metrics-{self.pid}-{self.token}.json",
-                {"counters": self.counters, "gauges": self.gauges,
-                 "histograms": self.histograms})
+            _atomic_write_json(self.directory / METRICS_FILE,
+                               self.registry())
             self._metrics_dirty = False
         except OSError:
             pass
@@ -286,13 +286,9 @@ def active_directory() -> Optional[str]:
     return str(_RECORDER.directory) if _RECORDER is not None else None
 
 
-def install(directory: Optional[os.PathLike], *,
-            fresh: bool = False) -> None:
-    """Arm telemetry into *directory*.
-
-    ``fresh=True`` wipes any previous telemetry under the directory
-    first (a non-resume run must not inherit stale shards).
-    ``install(None)`` closes the recorder and disarms.
+def install(directory: Optional[os.PathLike]) -> None:
+    """Arm telemetry into *directory*, continuing the metrics registry
+    already there.  ``install(None)`` closes the recorder and disarms.
     """
     global _RECORDER
     if _RECORDER is not None:
@@ -301,8 +297,6 @@ def install(directory: Optional[os.PathLike], *,
         _RECORDER = None
         return
     directory = Path(directory)
-    if fresh and directory.exists():
-        shutil.rmtree(directory, ignore_errors=True)
     directory.mkdir(parents=True, exist_ok=True)
     _RECORDER = _Recorder(directory)
 
@@ -353,126 +347,31 @@ def observe(name: str, value, **labels) -> None:
 
 
 def flush() -> None:
-    """Persist the recorder's metric registry shard (spans are
-    already flushed per record)."""
+    """Rewrite ``metrics.json`` (spans are already flushed per
+    record)."""
     recorder = _RECORDER
     if recorder is not None:
         recorder.flush_metrics()
 
 
-def merge_metrics(target: dict, shard: dict) -> dict:
-    """Merge one registry shard into *target* (in place).
-
-    Counters sum, histograms combine count/sum/min/max, gauges take
-    the later merge (per-process gauges should carry a pid label when
-    that matters).
-    """
-    for key, value in (shard.get("counters") or {}).items():
-        counters = target.setdefault("counters", {})
-        counters[key] = counters.get(key, 0) + value
-    for key, value in (shard.get("gauges") or {}).items():
-        target.setdefault("gauges", {})[key] = value
-    for key, hist in (shard.get("histograms") or {}).items():
-        histograms = target.setdefault("histograms", {})
-        merged = histograms.get(key)
-        if merged is None:
-            histograms[key] = dict(hist)
-        else:
-            merged["count"] += hist.get("count", 0)
-            merged["sum"] += hist.get("sum", 0.0)
-            merged["min"] = min(merged["min"], hist.get("min", merged["min"]))
-            merged["max"] = max(merged["max"], hist.get("max", merged["max"]))
-    return target
-
-
-def merge_directory(directory: os.PathLike) -> dict:
-    """Merge every shard under *directory* into the canonical files.
-
-    Span shards append into ``spans.jsonl`` deduplicated by span id
-    (ids are unique per process incarnation, which is what makes the
-    merge idempotent across resumes and finalize retries); metric
-    shards fold into ``metrics.json``.  Shards are deleted after
-    merging.  Returns the merged metrics registry.
-    """
-    directory = Path(directory)
-    target = directory / SPANS_FILE
-    seen = set()
-    try:
-        for line in target.read_text().splitlines():
-            try:
-                seen.add(json.loads(line).get("id"))
-            except ValueError:
-                continue
-    except OSError:
-        pass
-    shards = sorted(directory.glob("spans-*.jsonl"))
-    fresh_lines = []
-    for shard in shards:
-        try:
-            lines = shard.read_text().splitlines()
-        except OSError:
-            continue
-        for line in lines:
-            try:
-                record_id = json.loads(line).get("id")
-            except ValueError:
-                continue
-            if record_id is None or record_id not in seen:
-                seen.add(record_id)
-                fresh_lines.append(line)
-    try:
-        if fresh_lines:
-            with open(target, "a", encoding="utf-8") as handle:
-                handle.write("\n".join(fresh_lines) + "\n")
-        for shard in shards:
-            try:
-                shard.unlink()
-            except OSError:
-                pass
-    except OSError:
-        pass
-
-    merged = _load_json(directory / METRICS_FILE) or {}
-    merged.setdefault("counters", {})
-    merged.setdefault("gauges", {})
-    merged.setdefault("histograms", {})
-    metric_shards = sorted(directory.glob("metrics-*.json"))
-    for shard in metric_shards:
-        data = _load_json(shard)
-        if data:
-            merge_metrics(merged, data)
-    try:
-        _atomic_write_json(directory / METRICS_FILE, merged)
-        for shard in metric_shards:
-            try:
-                shard.unlink()
-            except OSError:
-                pass
-    except OSError:
-        pass
-
-    environment = directory / ENVIRONMENT_FILE
-    if not environment.exists():
-        try:
-            _atomic_write_json(environment, environment_block())
-        except OSError:
-            pass
-    return merged
-
-
 def finalize() -> Optional[dict]:
-    """Flush the recorder and merge all shards (at run end).
+    """Flush the sink and write ``environment.json`` (at run end).
 
-    Returns the merged metrics registry, or None when disabled.  The
-    recorder stays armed: spans recorded afterwards open a fresh
-    shard and are picked up by the next merge (or by ``repro
-    report``, which also reads unmerged shards).
+    Returns the metrics registry, or None when disabled.  The
+    recorder stays armed: spans recorded afterwards append to the same
+    ``spans.jsonl``.
     """
     recorder = _RECORDER
     if recorder is None:
         return None
     recorder.close()
-    return merge_directory(recorder.directory)
+    environment = recorder.directory / ENVIRONMENT_FILE
+    if not environment.exists():
+        try:
+            _atomic_write_json(environment, environment_block())
+        except OSError:
+            pass
+    return recorder.registry()
 
 
 def environment_block() -> dict:
@@ -503,7 +402,6 @@ def _flush_at_exit() -> None:  # pragma: no cover - exit-path safety net
 __all__ = [
     "SPANS_FILE", "METRICS_FILE", "ENVIRONMENT_FILE",
     "Span", "enabled", "active_directory", "install",
-    "span", "event", "inc", "gauge", "observe", "flush",
-    "merge_metrics", "merge_directory", "finalize",
+    "span", "event", "inc", "gauge", "observe", "flush", "finalize",
     "environment_block", "split_metric_key",
 ]

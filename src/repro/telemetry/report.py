@@ -12,13 +12,14 @@ The report answers the post-hoc questions the raw JSONL cannot:
   memo hits / quarantines from the metrics counters;
 * **robustness ledger** -- retries, task failures, resumed
   experiments and every fault that fired;
-* the merged **counters / gauges / histograms** verbatim, for CI
+* the **counters / gauges / histograms** verbatim, for CI
   consumption via ``--format json``.
 
-Loading is non-destructive: the merged ``spans.jsonl`` /
-``metrics.json`` are combined with any *unmerged* per-process shards
-(a run that died before finalizing is still reportable), with
-span records deduplicated by id.
+Loading reads the run's three sink files (``spans.jsonl``,
+``metrics.json``, ``environment.json``) and its ``manifest.json``,
+and never writes.  A run that died before finalizing has no
+``environment.json`` yet; the spans and metrics it flushed are still
+reported.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.telemetry import (ENVIRONMENT_FILE, METRICS_FILE, SPANS_FILE,
-                             merge_metrics, split_metric_key)
+                             _load_json, split_metric_key)
 
 #: The telemetry subdirectory of a ``.repro_runs/<run-key>/`` entry.
 TELEMETRY_DIR = "telemetry"
@@ -77,47 +78,27 @@ def _read_jsonl(path: Path) -> List[dict]:
     return records
 
 
-def _read_json(path: Path) -> dict:
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return {}
-    return payload if isinstance(payload, dict) else {}
-
-
 def load_run(run_dir: os.PathLike) -> dict:
-    """All telemetry for one run directory, shards included.
+    """All telemetry for one run directory.
 
     Returns ``{"run", "directory", "spans", "events", "metrics",
     "environment", "manifest"}``.  Never mutates the directory.
     """
     run_dir = Path(run_dir)
     tdir = run_dir / TELEMETRY_DIR
-    records: List[dict] = []
-    seen = set()
-    for path in [tdir / SPANS_FILE] + sorted(tdir.glob("spans-*.jsonl")):
-        for record in _read_jsonl(path):
-            record_id = record.get("id")
-            if record_id is not None and record_id in seen:
-                continue
-            seen.add(record_id)
-            records.append(record)
-    metrics = _read_json(tdir / METRICS_FILE)
+    records = _read_jsonl(tdir / SPANS_FILE)
+    metrics = _load_json(tdir / METRICS_FILE)
     metrics.setdefault("counters", {})
     metrics.setdefault("gauges", {})
     metrics.setdefault("histograms", {})
-    for shard in sorted(tdir.glob("metrics-*.json")):
-        data = _read_json(shard)
-        if data:
-            merge_metrics(metrics, data)
     return {
         "run": run_dir.name,
         "directory": str(run_dir),
         "spans": [r for r in records if r.get("kind") == "span"],
         "events": [r for r in records if r.get("kind") == "event"],
         "metrics": metrics,
-        "environment": _read_json(tdir / ENVIRONMENT_FILE),
-        "manifest": _read_json(run_dir / "manifest.json"),
+        "environment": _load_json(tdir / ENVIRONMENT_FILE),
+        "manifest": _load_json(run_dir / "manifest.json"),
     }
 
 

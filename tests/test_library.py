@@ -222,7 +222,7 @@ class TestMappedLifetime:
 
     def test_load_is_mapped_and_counts_telemetry(self, tmp_path):
         store, spec = self._mapped_store(tmp_path)
-        telemetry.install(tmp_path / "t", fresh=True)
+        telemetry.install(tmp_path / "t")
         events = store.load(spec)
         telemetry.finalize()
         assert isinstance(events, MappedTrace)
@@ -397,7 +397,7 @@ class TestResultCache:
     def test_warm_query_replays_nothing(self, tmp_path):
         store, events, _ = _store_trace(tmp_path)
         run_sweep(SWEEP, events)
-        telemetry.install(tmp_path / "t", fresh=True)
+        telemetry.install(tmp_path / "t")
         run_sweep(SWEEP, events)
         telemetry.finalize()
         counters = json.loads(

@@ -260,7 +260,7 @@ def test_mixed_batch_matches_per_query_run_sweep(events):
 class TestCacheInterplay:
     def test_cold_batch_writes_each_query_once(self, tmp_path):
         _, events = _store_trace(tmp_path)
-        telemetry.install(tmp_path / "t", fresh=True)
+        telemetry.install(tmp_path / "t")
         run_batch(QUERIES, events)
         counters = _counters(tmp_path / "t")
         assert counters["result_cache.put"] == len(QUERIES)
@@ -270,7 +270,7 @@ class TestCacheInterplay:
     def test_fresh_process_hits_the_disk_tier(self, tmp_path):
         _, events = _store_trace(tmp_path)
         cold = run_batch(QUERIES, events)
-        telemetry.install(tmp_path / "t", fresh=True)
+        telemetry.install(tmp_path / "t")
         warm = run_batch(QUERIES, events)
         assert warm.report.replays == 0
         assert warm.report.disk_hits == len(QUERIES)
@@ -287,7 +287,7 @@ class TestCacheInterplay:
         for query in QUERIES:
             key = result_cache_key(query.spec, events.store_key)
             assert store.result_cache().path_for(key).is_file()
-        telemetry.install(tmp_path / "t", fresh=True)
+        telemetry.install(tmp_path / "t")
         run_sweep(QUERIES[0].spec, events)
         assert _counters(tmp_path / "t")["result_cache.hit"] == 1
 
@@ -325,7 +325,7 @@ def test_cli_sweep_prints_planner_footer(tmp_path, capsys):
 class TestTelemetry:
     def test_batch_emits_planner_counters_and_span(self, tmp_path):
         _, events = _store_trace(tmp_path)
-        telemetry.install(tmp_path / "t", fresh=True)
+        telemetry.install(tmp_path / "t")
         run_batch(QUERIES, events)
         run_batch(QUERIES[:2], events)
         counters = _counters(tmp_path / "t")

@@ -1,4 +1,4 @@
-"""Telemetry core: spans, metrics, shard merging, report, CLI."""
+"""Telemetry core: spans, metrics, the sink, report, CLI."""
 
 import json
 import os
@@ -19,11 +19,8 @@ def _clean_telemetry_state(monkeypatch):
 
 
 def _read_spans(directory):
-    records = []
-    for path in sorted(Path(directory).glob("spans*.jsonl")):
-        for line in path.read_text().splitlines():
-            records.append(json.loads(line))
-    return records
+    path = Path(directory) / telemetry.SPANS_FILE
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 class TestDisabledFastPath:
@@ -93,7 +90,8 @@ class TestSpans:
 
 
 class TestMetrics:
-    def test_counters_gauges_histograms_flush_to_shard(self, tmp_path):
+    def test_counters_gauges_histograms_flush_to_metrics_json(
+            self, tmp_path):
         telemetry.install(tmp_path)
         telemetry.inc("hits")
         telemetry.inc("hits", 2)
@@ -102,8 +100,9 @@ class TestMetrics:
         telemetry.observe("rate", 10.0, cache="itlb")
         telemetry.observe("rate", 30.0, cache="itlb")
         telemetry.flush()
-        (shard,) = tmp_path.glob("metrics-*.json")
-        data = json.loads(shard.read_text())
+        assert sorted(path.name for path in tmp_path.iterdir()) \
+            == [telemetry.METRICS_FILE]
+        data = json.loads((tmp_path / telemetry.METRICS_FILE).read_text())
         assert data["counters"] == {"hits": 3, "hits{engine=numpy}": 1}
         assert data["gauges"] == {"wall": 1.5}
         assert data["histograms"]["rate{cache=itlb}"] == {
@@ -115,58 +114,48 @@ class TestMetrics:
             "a{cache=itlb,engine=numpy}") == (
                 "a", {"cache": "itlb", "engine": "numpy"})
 
-    def test_merge_metrics_sums_counters_and_combines_histograms(self):
-        target = {"counters": {"a": 1}, "gauges": {"g": 1},
-                  "histograms": {"h": {"count": 1, "sum": 5.0,
-                                       "min": 5.0, "max": 5.0}}}
-        shard = {"counters": {"a": 2, "b": 4}, "gauges": {"g": 9},
-                 "histograms": {"h": {"count": 2, "sum": 3.0,
-                                      "min": 1.0, "max": 2.0}}}
-        merged = telemetry.merge_metrics(target, shard)
-        assert merged["counters"] == {"a": 3, "b": 4}
-        assert merged["gauges"] == {"g": 9}
-        assert merged["histograms"]["h"] == {
-            "count": 3, "sum": 8.0, "min": 1.0, "max": 5.0}
-
 
 class TestMergeAndFinalize:
-    def test_finalize_merges_shards_and_deletes_them(self, tmp_path):
+    def test_reinstall_continues_the_registry_on_disk(self, tmp_path):
+        # A resumed run re-arms the same directory: counters sum, the
+        # last gauge wins and histograms combine.
+        telemetry.install(tmp_path)
+        telemetry.inc("a")
+        telemetry.gauge("g", 1)
+        telemetry.observe("h", 5.0)
+        telemetry.install(None)
+        telemetry.install(tmp_path)
+        telemetry.inc("a", 2)
+        telemetry.inc("b", 4)
+        telemetry.gauge("g", 9)
+        telemetry.observe("h", 1.0)
+        telemetry.observe("h", 2.0)
+        telemetry.flush()
+        data = json.loads((tmp_path / telemetry.METRICS_FILE).read_text())
+        assert data["counters"] == {"a": 3, "b": 4}
+        assert data["gauges"] == {"g": 9}
+        assert data["histograms"]["h"] == {
+            "count": 3, "sum": 8.0, "min": 1.0, "max": 5.0}
+
+    def test_finalize_writes_the_three_sink_files(self, tmp_path):
         telemetry.install(tmp_path)
         with telemetry.span("work"):
             telemetry.inc("n")
-        merged = telemetry.finalize()
-        assert merged["counters"] == {"n": 1}
-        assert (tmp_path / telemetry.SPANS_FILE).exists()
-        assert (tmp_path / telemetry.METRICS_FILE).exists()
-        assert (tmp_path / telemetry.ENVIRONMENT_FILE).exists()
-        assert not list(tmp_path.glob("spans-*.jsonl"))
-        assert not list(tmp_path.glob("metrics-*.json"))
+        registry = telemetry.finalize()
+        assert registry["counters"] == {"n": 1}
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            [telemetry.SPANS_FILE, telemetry.METRICS_FILE,
+             telemetry.ENVIRONMENT_FILE])
 
-    def test_finalize_is_idempotent_by_span_id(self, tmp_path):
-        telemetry.install(tmp_path)
-        with telemetry.span("work"):
-            pass
-        telemetry.finalize()
-        first = (tmp_path / telemetry.SPANS_FILE).read_text()
-        # A second finalize (e.g. a resume re-merging a canonical
-        # file alongside a stale shard copy) must not duplicate.
-        shard = tmp_path / "spans-999-deadbeef.jsonl"
-        shard.write_text(first)
-        telemetry.finalize()
-        assert (tmp_path / telemetry.SPANS_FILE).read_text() == first
-
-    def test_spans_after_finalize_open_a_fresh_shard(self, tmp_path):
+    def test_spans_after_finalize_append_to_spans_jsonl(self, tmp_path):
         telemetry.install(tmp_path)
         with telemetry.span("first"):
             pass
         telemetry.finalize()
         with telemetry.span("second"):
             pass
-        assert list(tmp_path.glob("spans-*.jsonl"))
-        merged = [json.loads(line) for line in
-                  (tmp_path / telemetry.SPANS_FILE)
-                  .read_text().splitlines()]
-        assert [r["name"] for r in merged] == ["first"]
+        assert [r["name"] for r in _read_spans(tmp_path)] \
+            == ["first", "second"]
 
     def test_environment_block_records_numpy_presence(self):
         block = telemetry.environment_block()
@@ -215,18 +204,21 @@ class TestReport:
         assert "phase-time breakdown" in text
         assert "MISMATCH" not in text
 
-    def test_load_run_reads_unmerged_shards_nondestructively(
-            self, tmp_path):
+    def test_load_run_reports_a_run_that_never_finalized(self, tmp_path):
         run_dir = tmp_path / "xyz"
         telemetry.install(run_dir / "telemetry")
         with telemetry.span("harness.run"):
-            pass
+            telemetry.inc("harness.tasks")
         telemetry.flush()
         # No finalize: the run "crashed".  Reporting still works and
-        # leaves the shards in place.
+        # leaves the directory as it was.
+        tdir = run_dir / "telemetry"
+        before = sorted(path.name for path in tdir.iterdir())
         data = telemetry_report.load_run(run_dir)
         assert [s["name"] for s in data["spans"]] == ["harness.run"]
-        assert list((run_dir / "telemetry").glob("spans-*.jsonl"))
+        assert data["metrics"]["counters"] == {"harness.tasks": 1}
+        assert data["environment"] == {}
+        assert sorted(path.name for path in tdir.iterdir()) == before
 
     def test_find_run_directory_prefers_newest_and_honors_prefix(
             self, tmp_path):

@@ -1,7 +1,7 @@
 """Telemetry threaded through the harness pipeline.
 
 Pins the observability acceptance criteria: armed runs produce a
-merged, reconcilable sink; disabled runs produce *zero* files and
+complete, reconcilable sink; disabled runs produce *zero* files and
 identical results; chaos (injected task failures, retries, resume)
 neither breaks telemetry nor is misrepresented by it.
 """
@@ -57,12 +57,10 @@ class TestArmedRun:
 
         (run_dir,) = _telemetry_run_dirs(tmp_path / "r2")
         tdir = run_dir / "telemetry"
-        assert (tdir / telemetry.SPANS_FILE).exists()
-        assert (tdir / telemetry.METRICS_FILE).exists()
-        assert (tdir / telemetry.ENVIRONMENT_FILE).exists()
-        # finalize() ran: every shard merged and removed.
-        assert not list(tdir.glob("spans-*.jsonl"))
-        assert not list(tdir.glob("metrics-*.json"))
+        # finalize() ran: the sink is exactly its three files ...
+        assert sorted(path.name for path in tdir.iterdir()) == sorted(
+            [telemetry.SPANS_FILE, telemetry.METRICS_FILE,
+             telemetry.ENVIRONMENT_FILE])
         # ... and the run disarmed telemetry behind itself.
         assert not telemetry.enabled()
 
@@ -118,7 +116,7 @@ class TestDisabledRun:
         run_root = tmp_path / "r"
         stray = [path for path in run_root.rglob("*")
                  if "telemetry" in path.name
-                 or path.name.startswith(("spans", "metrics-"))]
+                 or path.name.startswith(("spans", "metrics"))]
         assert stray == []
         assert not telemetry.enabled()
 
@@ -181,7 +179,7 @@ class TestChaos:
 
 
 class TestResume:
-    def test_resume_merges_shards_without_double_counting(
+    def test_resume_adds_to_the_sink_without_double_counting(
             self, tmp_path):
         kwargs = dict(only=LIGHT, trace_dir=str(tmp_path / "t"),
                       run_dir=str(tmp_path / "r"),
@@ -197,8 +195,8 @@ class TestResume:
 
         data = _load(tmp_path / "r")
         # 2 failed attempts + 2 successful reruns, once each: the
-        # id-deduplicating merge must not double-count the first
-        # run's already-merged spans.
+        # resume appends to the first run's sink without copying or
+        # re-counting what that run recorded.
         tasks = [s for s in data["spans"]
                  if s["name"] == "harness.task"]
         assert len(tasks) == 4
