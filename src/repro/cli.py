@@ -68,15 +68,22 @@ def _parse_override(text: str):
     return key, raw
 
 
-def _store_scale(args: argparse.Namespace, overrides) -> Optional[int]:
-    """Move a validated ``--set scale=N`` out of ``overrides``: the
-    ``scale`` to pass the store next to the remaining overrides.
+def _workload_overrides(args: argparse.Namespace) -> dict:
+    """The ``--set k=v`` overrides, with ``--scale N`` as ``scale=N``.
 
-    An override wins over ``--scale`` when a spec resolves its
-    parameters, so ``scale=N`` resolves the same as ``--scale N``;
-    left in ``overrides`` it would reach the store's ``scale`` twice.
+    ``--set scale=N`` wins over ``--scale``.  As an override, the
+    scale is checked like any other parameter: a workload that
+    declares no ``scale`` rejects it.  Raises :class:`ValueError` for
+    a scale below 1.
     """
-    return overrides.pop("scale", args.scale)
+    from repro.workloads.spec import check_scale
+
+    overrides = dict(args.set or [])
+    if args.scale is not None:
+        overrides.setdefault("scale", args.scale)
+    if "scale" in overrides:
+        check_scale(overrides["scale"])
+    return overrides
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -217,21 +224,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print("error: a workload name is required unless --verify "
               "is given", file=sys.stderr)
         return 2
-    overrides = dict(args.set or [])
     try:
         spec = get(args.name)
-        params = spec.resolve(quick=args.quick, scale=args.scale,
-                              overrides=overrides)
-    except KeyError as error:
+        overrides = _workload_overrides(args)
+        params = spec.resolve(quick=args.quick, overrides=overrides)
+    except (KeyError, ValueError) as error:
         return _usage_error(error)
-    scale = _store_scale(args, overrides)
     store = TraceStore(args.trace_dir)
     path = store.path_for(spec, params)
     if args.force and path.exists():
         path.unlink()
-    path, hit = store.ensure(spec, quick=args.quick, scale=scale,
-                             **overrides)
-    events = store.load(spec, quick=args.quick, scale=scale, **overrides)
+    path, hit = store.ensure(spec, quick=args.quick, **overrides)
+    events = store.load(spec, quick=args.quick, **overrides)
     # Everything below reads the columns.
     print(f"workload:   {spec.name} (generator v{spec.version})")
     print(f"params:     {params}")
@@ -340,7 +344,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.workloads import get
     from repro.workloads.store import TraceStore
 
-    overrides = dict(args.set or [])
     caches = (("itlb", "icache") if args.cache == "both"
               else (args.cache,))
     common = dict(warmup_fraction=(args.warmup if args.warmup is not None
@@ -358,8 +361,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # Every lookup and spec check before any generation or replay.
     try:
         workload = get(args.workload)
-        workload.resolve(quick=args.quick, scale=args.scale,
-                         overrides=overrides)
+        overrides = _workload_overrides(args)
+        workload.resolve(quick=args.quick, overrides=overrides)
         specs = [SweepSpec(cache=cache,
                            line_words=(args.line_words
                                        if cache == "icache" else 1),
@@ -367,10 +370,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                  for cache in caches]
     except (KeyError, ValueError) as error:
         return _usage_error(error)
-    scale = _store_scale(args, overrides)
     store = TraceStore(args.trace_dir)
-    events = store.load(workload, quick=args.quick, scale=scale,
-                        **overrides)
+    events = store.load(workload, quick=args.quick, **overrides)
     print(f"workload: {args.workload} ({len(events)} events, "
           f"{events.dispatched_count()} dispatched)")
     print(f"warm-up:  "

@@ -47,6 +47,7 @@ from repro.experiments.common import ExperimentResult
 from repro.experiments.journal import RunJournal, run_key
 from repro.experiments.registry import ExperimentSpec, RunContext
 from repro.faults import FaultPlan
+from repro.workloads.spec import check_scale
 
 #: Default per-failure retry budget and backoff base (seconds; the
 #: n-th retry of a task waits ``backoff * 2**(n-1)``).
@@ -367,12 +368,11 @@ def run_from_args(args: argparse.Namespace) -> int:
         list_experiments()
         return 0
     # Reject bad input before the journal opens or anything runs.
-    if args.scale < 1:
-        return _usage_error(f"--scale must be at least 1, got {args.scale}")
     only, skip = _csv(args.only), _csv(args.skip)
     try:
+        check_scale(args.scale)
         registry.select(only, skip)
-    except KeyError as error:
+    except (KeyError, ValueError) as error:
         # str(KeyError) quotes its message; print the message itself.
         return _usage_error(error.args[0])
     results = run_all(args.scale, args.quick, only=only, skip=skip,

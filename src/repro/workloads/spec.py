@@ -89,6 +89,16 @@ def get(name: str) -> WorkloadSpec:
             f"unknown workload {name!r}; registered: {known}") from None
 
 
+def check_scale(scale) -> None:
+    """Reject a workload scale that is not an integer of at least 1
+    (the check ``repro run``, ``repro trace`` and ``repro sweep``
+    share)."""
+    if isinstance(scale, bool) or not isinstance(scale, int):
+        raise ValueError(f"--scale must be an integer, got {scale!r}")
+    if scale < 1:
+        raise ValueError(f"--scale must be at least 1, got {scale}")
+
+
 def names() -> Tuple[str, ...]:
     """Registered workload names, in registration order."""
     return tuple(_REGISTRY)

@@ -130,8 +130,34 @@ class TestCli:
          "line_words must be a power of two"),
         (["sweep", "--quick", "--sizes", ""],
          "a sweep needs at least one size"),
+        # `--scale` fails as `--set scale=N` and `repro run --scale` do.
+        (["trace", "monomorphic", "--quick", "--scale", "2"],
+         "workload 'monomorphic' has no parameter(s) ['scale']"),
+        (["sweep", "monomorphic", "--quick", "--scale", "2"],
+         "workload 'monomorphic' has no parameter(s) ['scale']"),
+        (["trace", "paper", "--quick", "--scale", "0"],
+         "--scale must be at least 1, got 0"),
+        (["sweep", "paper", "--quick", "--scale", "0"],
+         "--scale must be at least 1, got 0"),
+        (["trace", "paper", "--quick", "--set", "scale=0"],
+         "--scale must be at least 1, got 0"),
+        (["sweep", "paper", "--quick", "--set", "scale=0"],
+         "--scale must be at least 1, got 0"),
+        (["trace", "paper", "--scale", "-1"],
+         "--scale must be at least 1, got -1"),
+        (["sweep", "paper", "--scale", "-1"],
+         "--scale must be at least 1, got -1"),
+        (["trace", "paper", "--quick", "--set", "scale=1.5"],
+         "--scale must be an integer, got 1.5"),
+        (["sweep", "paper", "--quick", "--set", "scale=true"],
+         "--scale must be an integer, got True"),
     ], ids=["sweep-workload", "trace-workload", "sweep-param",
-            "trace-param", "assoc", "line-words", "no-sizes"])
+            "trace-param", "assoc", "line-words", "no-sizes",
+            "trace-scale-undeclared", "sweep-scale-undeclared",
+            "trace-scale-0", "sweep-scale-0", "trace-set-scale-0",
+            "sweep-set-scale-0", "trace-scale-negative",
+            "sweep-scale-negative", "trace-set-scale-float",
+            "sweep-set-scale-bool"])
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, argv,
                                         message):
         assert cli_main(argv + ["--trace-dir", str(tmp_path)]) == 2
