@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.caches.stats import CacheStats
 from repro.errors import FreeListExhausted, ReproError
 from repro.memory.tags import Word
 from repro.core.context import CONTEXT_WORDS

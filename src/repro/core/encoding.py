@@ -17,7 +17,7 @@ section 3.5), and ``IMM`` is a signed immediate available to jumps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import EncodingError

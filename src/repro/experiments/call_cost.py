@@ -23,16 +23,12 @@ The per-call overhead is the cycle delta per call over the baseline.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.config import make_com
-from repro.core.encoding import Instruction
-from repro.core.isa import Op
 from repro.core.machine import COMMachine
-from repro.core.operands import Operand
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import ExperimentSpec, register
-from repro.memory.tags import Word
 
 
 def _build_machine() -> COMMachine:

@@ -9,7 +9,7 @@ a printable table, and the raw data dictionary for programmatic use
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 @dataclass

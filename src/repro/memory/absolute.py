@@ -15,7 +15,7 @@ produces exactly such placements and supports recycling freed segments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import FreeListExhausted, InvalidAddress
 from repro.memory.tags import Word

@@ -26,7 +26,7 @@ from repro.memory.absolute import AbsoluteMemory
 from repro.memory.atlb import ATLB
 from repro.memory.fpa import AddressFormat, FPAddress, address_format
 from repro.memory.physical import MemoryHierarchy
-from repro.memory.segments import SegmentDescriptor, SegmentName, SegmentTable
+from repro.memory.segments import SegmentDescriptor, SegmentTable
 from repro.memory.tags import Word
 
 

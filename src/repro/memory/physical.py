@@ -17,8 +17,8 @@ contrast with paging).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Union
 
 from repro.caches.setassoc import SetAssociativeCache
 from repro.caches.stats import CacheStats

@@ -14,7 +14,7 @@ Segment table entries are kept only for segments actually allocated
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import BoundsTrap, InvalidAddress, SegmentFault

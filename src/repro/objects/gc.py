@@ -16,12 +16,12 @@ TAB-CTX experiment can report it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from dataclasses import dataclass
+from typing import Iterable, List, Set
 
 from repro.errors import SegmentFault, BoundsTrap
 from repro.memory.fpa import FPAddress
-from repro.memory.tags import Tag, Word
+from repro.memory.tags import Tag
 from repro.objects.heap import ObjectHeap
 
 

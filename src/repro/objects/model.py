@@ -14,7 +14,7 @@ the critical path) is measurable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import DoesNotUnderstandTrap, ReproError

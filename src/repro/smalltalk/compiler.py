@@ -21,7 +21,7 @@ Follows the execution model of paper section 4:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import CompileError
 from repro.core.constants import ConstantTable, FALSE, NIL, TRUE
@@ -38,7 +38,6 @@ from repro.smalltalk.nodes import (
     Literal,
     MainDecl,
     MethodDecl,
-    Program,
     Return,
     Send,
     VarRef,

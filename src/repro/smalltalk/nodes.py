@@ -11,7 +11,7 @@ in line -- the Deutsch-Schiffman technique the paper cites.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 
 @dataclass

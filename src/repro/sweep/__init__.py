@@ -47,10 +47,10 @@ from repro.sweep.spec import (
     DEFAULT_SEMANTICS,
     PAPER_ASSOCIATIVITIES,
     PAPER_SIZES,
-    SEMANTICS,
     SweepSpec,
 )
 from repro.sweep.surface import ResultSurface, semantics_delta_table
+from repro.trace.semantics import SEMANTICS
 
 __all__ = [
     "BatchReport",

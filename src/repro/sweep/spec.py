@@ -25,7 +25,6 @@ from repro.caches.setassoc import REPLACEMENT_POLICIES
 from repro.trace.cachesim import PAPER_ASSOCIATIVITIES, PAPER_SIZES
 from repro.trace.semantics import (
     DEFAULT_SEMANTICS,
-    SEMANTICS,
     validate_semantics,
     validate_warmup_fraction,
 )

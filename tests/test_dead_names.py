@@ -1,4 +1,5 @@
-"""Every function, method and class defined under ``src/`` has a use.
+"""Every function, method and class defined under ``src/`` has a use,
+and so does every name a module under ``src/`` imports.
 
 A definition whose name occurs nowhere but in its own ``def`` or
 ``class`` statement -- across src, tests, benchmarks, perfbench and
@@ -10,6 +11,11 @@ Skipped: dunder names, which the interpreter calls, and definitions
 carrying a decorator other than ``property``, ``staticmethod``,
 ``classmethod`` or ``dataclass``, which are reached through that
 decorator (a registering decorator, an exit hook).
+
+An imported name is used only where its module reads it as code (a
+word in a comment or string does not count) or lists it in its
+``__all__``.  Package ``__init__`` modules are skipped: importing is
+how they re-export.
 """
 
 import ast
@@ -61,3 +67,48 @@ def test_every_definition_under_src_is_referenced():
     assert dead == [], (
         "defined under src/ but referenced nowhere; delete them:\n  "
         + "\n  ".join(dead))
+
+
+def _bound_imports(tree):
+    """``(name, line)`` of each name an import statement binds;
+    ``from __future__`` imports and ``*`` bind none to check."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0],
+                       node.lineno)
+        elif isinstance(node, ast.ImportFrom) \
+                and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+
+
+def _exported(tree):
+    """The names a module lists in its ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            return {element.value for element in node.value.elts}
+    return set()
+
+
+def test_no_unused_imports_under_src():
+    unused = []
+    modules = [path for path in sorted((ROOT / "src").rglob("*.py"))
+               if path.name != "__init__.py"]
+    assert len(modules) > 50  # the scan found the sources
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        kept = read | _exported(tree)
+        where = path.relative_to(ROOT)
+        unused.extend(f"{where}:{line}: {name}"
+                      for name, line in _bound_imports(tree)
+                      if name not in kept)
+    assert unused == [], (
+        "imported under src/ but never read; delete the imports:\n  "
+        + "\n  ".join(unused))
