@@ -1,16 +1,12 @@
-"""Trace-store bench: mmap zero-copy loading and the sweep-result cache.
+"""Trace-store bench: the load path and the sweep-result cache.
 
 Two measurements, both recorded into ``BENCH_throughput.json``:
 
-* ``store::load_{read,mmap}`` -- full load of the measurement trace's
-  payload with every column touched (so both paths pay the CRC walk),
-  via the copying ``from_bytes`` path against the zero-copy
-  ``from_buffer`` mmap path, in events/sec.  ``store::mmap_open``
-  additionally times the bare open (structure check only, CRC
-  deferred), which is the latency the store actually adds to a warm
-  harness start.  The acceptance bar is deliberately loose -- mmap
-  within 10x of read -- because the win is the deferred work, not the
-  open itself.
+* ``store::load`` -- a full ``TraceStore.load`` of the measurement
+  trace from disk, through the store's one read path (read the
+  payload, decode it with ``TraceStore.deserialize``, every block's
+  CRC32 checked), in events/sec.  Each round uses a fresh store, so
+  the in-process memo never serves it.
 
 * ``store::result_cache`` -- one engine replay of the paper ITLB sweep
   against a cached-query hit on the same spec/trace key, asserting the
@@ -21,78 +17,35 @@ The session-wide result-cache kill switch from conftest is re-enabled
 locally for the cache bench only.
 """
 
-import mmap
 import time
 
 from repro.sweep import SweepSpec, run_sweep
-from repro.trace.columnar import MappedTrace, Trace
+from repro.workloads.spec import WorkloadSpec
+from repro.workloads.store import TraceStore
 
 ROUNDS = 5
 
 
-def _touch(trace):
-    """Force every column (and its CRC, when deferred) to be read."""
-    return (trace.addresses()[-1], trace.opcodes()[0],
-            trace.receiver_classes()[0], trace.dispatched_count())
-
-
-def test_store_load_mmap_vs_read(events, wallclock_records, tmp_path):
-    payload = tmp_path / "bench.trace"
-    payload.write_bytes(events.to_bytes())
+def test_store_load(events, wallclock_records, tmp_path):
+    # A slice shares the columns but not the session trace's store
+    # stamp, which the load below would overwrite.
+    spec = WorkloadSpec(name="bench", description="bench-only",
+                        build=lambda: events[:])
+    TraceStore(tmp_path).load(spec)  # generate and write the payload
     n = len(events)
 
     start = time.perf_counter()
     for _ in range(ROUNDS):
-        trace = Trace.from_bytes(payload.read_bytes())
-        _touch(trace)
-    read_seconds = (time.perf_counter() - start) / ROUNDS
+        store = TraceStore(tmp_path)
+        trace = store.load(spec)
+        assert store.hits == 1 and len(trace) == n
+    load_seconds = (time.perf_counter() - start) / ROUNDS
 
-    mapped = True
-    start = time.perf_counter()
-    for _ in range(ROUNDS):
-        with open(payload, "rb") as handle:
-            buffer = mmap.mmap(handle.fileno(), 0,
-                               access=mmap.ACCESS_READ)
-        trace = Trace.from_buffer(memoryview(buffer))
-        _touch(trace)
-        if isinstance(trace, MappedTrace):
-            trace.close()
-        else:  # big-endian host: from_buffer copied
-            mapped = False
-        buffer.close()
-    mmap_seconds = (time.perf_counter() - start) / ROUNDS
-
-    opens = 0
-    start = time.perf_counter()
-    deadline = start + 0.2
-    while time.perf_counter() < deadline:
-        with open(payload, "rb") as handle:
-            buffer = mmap.mmap(handle.fileno(), 0,
-                               access=mmap.ACCESS_READ)
-        trace = Trace.from_buffer(memoryview(buffer))
-        assert len(trace) == n  # structure only; no column CRC paid
-        if isinstance(trace, MappedTrace):
-            trace.close()
-        buffer.close()
-        opens += 1
-    open_seconds = (time.perf_counter() - start) / opens
-
-    wallclock_records["store::load_read"] = {
-        "events_per_second": round(n / read_seconds),
-        "wall_seconds": round(read_seconds, 5),
+    assert trace == events
+    wallclock_records["store::load"] = {
+        "events_per_second": round(n / load_seconds),
+        "wall_seconds": round(load_seconds, 5),
     }
-    wallclock_records["store::load_mmap"] = {
-        "events_per_second": round(n / mmap_seconds),
-        "wall_seconds": round(mmap_seconds, 5),
-        "zero_copy": mapped,
-    }
-    wallclock_records["store::mmap_open"] = {
-        "opens_per_second": round(1.0 / open_seconds),
-        "wall_seconds": round(open_seconds, 6),
-    }
-    # The acceptance bar: mmap loads within 10x of the read path even
-    # when forced to pay the full CRC walk (it normally defers it).
-    assert n / mmap_seconds >= 0.1 * (n / read_seconds)
 
 
 def test_result_cache_hit_vs_replay(events, wallclock_records,

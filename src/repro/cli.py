@@ -21,17 +21,15 @@ Subcommands::
                  phase-time breakdown, slowest tasks, store hit
                  rates, robustness ledger (requires a previous
                  `repro run --telemetry`)
-    repro trace  [NAME] [--set k=v ...] [--force] [--stats]
-                 [--verify]
+    repro trace  NAME [--set k=v ...] [--force] [--stats]
                  materialize one workload into the trace store;
                  --stats prints column-level statistics (no event
-                 objects are materialized); --verify audits every
-                 stored payload's CRC32 integrity and quarantines
-                 the corrupt ones
+                 objects are materialized)
     repro store  {stats|verify|gc} [--trace-dir DIR]
                  administer the trace library: layout/result-cache
-                 statistics, integrity audit (same as
-                 `repro trace --verify`) and litter sweep
+                 statistics, integrity audit (every stored payload's
+                 CRC32 checks; the corrupt ones are quarantined) and
+                 litter sweep
     repro bench  [pytest args ...]
                  run the benchmark suite (pytest-benchmark)
 
@@ -176,7 +174,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace_verify(args: argparse.Namespace) -> int:
+def _cmd_store_verify(args: argparse.Namespace) -> int:
     from repro.workloads.store import QUARANTINE_DIR, TraceStore
 
     store = TraceStore(args.trace_dir)
@@ -218,12 +216,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.workloads import get
     from repro.workloads.store import TraceStore
 
-    if args.verify:
-        return _cmd_trace_verify(args)
-    if not args.name:
-        print("error: a workload name is required unless --verify "
-              "is given", file=sys.stderr)
-        return 2
     try:
         spec = get(args.name)
         overrides = _workload_overrides(args)
@@ -267,7 +259,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
     from repro.workloads.store import TraceStore
 
     if args.action == "verify":
-        return _cmd_trace_verify(args)
+        return _cmd_store_verify(args)
     store = TraceStore(args.trace_dir)
     if args.action == "stats":
         stats = store.stats()
@@ -603,17 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.set_defaults(func=_cmd_report)
 
     trace_parser = commands.add_parser(
-        "trace", help="materialize one workload into the trace "
-                      "store, or audit the store with --verify")
-    trace_parser.add_argument("name", nargs="?", default=None,
-                              help="registered workload name "
-                                   "(omit with --verify)")
-    trace_parser.add_argument("--verify", action="store_true",
-                              help="audit every stored payload's "
-                                   "integrity (length + per-block "
-                                   "CRC32); corrupt payloads are "
-                                   "quarantined and reported; exits "
-                                   "1 if any corruption was found")
+        "trace", help="materialize one workload into the trace store")
+    trace_parser.add_argument("name", help="registered workload name")
     trace_parser.add_argument("--scale", type=int, default=None)
     trace_parser.add_argument("--quick", action="store_true")
     trace_parser.add_argument("--force", action="store_true",

@@ -167,21 +167,6 @@ class StoreCorruption(PipelineError):
         return str(self.args[0]) if self.args else "corrupt payload"
 
 
-class MappedBufferClosed(PipelineError):
-    """A memory-mapped trace was used after its store released the map.
-
-    Raised by every accessor of a
-    :class:`~repro.trace.columnar.MappedTrace` once it (or the store
-    holding the mmap) has been closed.  Views handed out *before* the
-    close stay valid -- they hold their own buffer reference, so the
-    mapping is not unmapped under them -- and a trace that must
-    outlive its store should be deep-copied first
-    (:meth:`~repro.trace.columnar.Trace.copy`).  Typed so callers see
-    a clean lifetime error instead of an interpreter crash or an
-    opaque ``ValueError`` from a released memoryview.
-    """
-
-
 class RetryExhausted(PipelineError):
     """A task failed on every attempt its retry budget allowed.
 

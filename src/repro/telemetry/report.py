@@ -225,7 +225,6 @@ def build_report(data: dict, top: int = 10) -> dict:
         "hit_rate": round(hits / lookups, 4) if lookups else None,
         "memo_hit_rate": (round((hits + memo) / (lookups + memo), 4)
                           if lookups + memo else None),
-        "mmap_opens": counter_total(metrics, "store.mmap_open"),
     }
     cache_hits = counter_total(metrics, "result_cache.hit")
     cache_misses = counter_total(metrics, "result_cache.miss")
@@ -332,7 +331,6 @@ def render(report: dict) -> str:
                  f"memo hits {store['memo_hits']:.0f}, "
                  f"generated {store['generated']:.0f}, "
                  f"quarantined {store['quarantined']:.0f}")
-    lines.append(f"  mmap opens {store['mmap_opens']:.0f}")
     cache = report.get("result_cache") or {}
     if cache:
         cache_rate = ("n/a" if cache["hit_rate"] is None

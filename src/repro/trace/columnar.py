@@ -28,9 +28,10 @@ Three types:
   :meth:`Trace.from_bytes`) -- the trace store's on-disk format,
   version 3.  The payload is the columns, verbatim: header, then the
   three int columns little-endian and the bitset, each block followed
-  by a CRC32 trailer of its on-disk bytes.  Loading is four bulk
-  ``frombytes`` copies (plus four CRC checks); no per-event work of
-  any kind.  A recognized payload that fails a check raises
+  by a CRC32 trailer of its on-disk bytes.  Loading, which is how
+  the trace store reads every stored trace, copies each block once
+  into its column (plus four CRC checks); no per-event work of any
+  kind.  A recognized payload that fails a check raises
   :class:`~repro.errors.StoreCorruption`; bytes in a legacy or
   foreign layout raise :class:`~repro.errors.PayloadFormatError`.
 """
@@ -44,8 +45,7 @@ from array import array
 from itertools import islice, repeat
 from typing import Optional, Tuple
 
-from repro.errors import (MappedBufferClosed, PayloadFormatError,
-                          StoreCorruption)
+from repro.errors import PayloadFormatError, StoreCorruption
 
 #: 4-byte signed column words (every event field fits); fall
 #: back to 'l' on platforms where 'i' is not 4 bytes.
@@ -118,11 +118,6 @@ class _Columns:
     def _bounds(self) -> Tuple[int, int]:
         raise NotImplementedError
 
-    def _bitset(self):
-        """The dispatched bitset, for bulk reads (a mapped trace checks
-        the bitset's CRC first)."""
-        return self._bits
-
     def __len__(self) -> int:
         start, stop = self._bounds()
         return stop - start
@@ -186,7 +181,7 @@ class _Columns:
         once and cached on immutable views.
         """
         start, stop = self._bounds()
-        bits = self._bitset()
+        bits = self._bits
         indices = array(_INT)
         append = indices.append
         if start & 7:
@@ -211,10 +206,10 @@ class _Columns:
 
     def dispatched_bitset(self):
         """``(bitset, start, stop)``: the LSB-first dispatched bitset
-        (CRC-checked first on a mapped trace) and this view's event
-        bounds in it, for readers that unpack the bits in bulk."""
+        and this view's event bounds in it, for readers that unpack the
+        bits in bulk."""
         start, stop = self._bounds()
-        return self._bitset(), start, stop
+        return self._bits, start, stop
 
     def dispatched_count(self, stop: Optional[int] = None) -> int:
         """How many of the first ``stop`` events are dispatched.
@@ -225,7 +220,7 @@ class _Columns:
         start, end = self._bounds()
         if stop is not None:
             end = start + min(max(stop, 0), end - start)
-        return _popcount(_bits_as_int(self._bitset(), start, end))
+        return _popcount(_bits_as_int(self._bits, start, end))
 
     # -- aggregate statistics ---------------------------------------------
 
@@ -283,7 +278,7 @@ class _Columns:
         # (a sliced view, or a builder that kept recording after a
         # snapshot): the payload of a trace depends only on its own
         # events.
-        blocks.append(_bits_as_int(self._bitset(), start, stop).to_bytes(
+        blocks.append(_bits_as_int(self._bits, start, stop).to_bytes(
             (n + 7) >> 3, "little"))
         header = _MAGIC + bytes([FORMAT_VERSION]) + n.to_bytes(4, "little")
         parts = [header]
@@ -297,7 +292,7 @@ class Trace(_Columns):
     """An immutable columnar trace view.
 
     Constructed from columns directly, from a stored payload
-    (:meth:`from_bytes`, :meth:`from_buffer`), by a builder's
+    (:meth:`from_bytes`), by a builder's
     :meth:`~TraceBuilder.snapshot`, or by slicing another
     trace/builder (a zero-copy view onto the same column arrays).
     """
@@ -342,9 +337,7 @@ class Trace(_Columns):
     @staticmethod
     def _check_structure(blob) -> int:
         """Validate a payload's header and total length; the event
-        count on success.  Shared by the copying and zero-copy
-        decoders so both classify bytes identically (format error vs
-        corruption)."""
+        count on success."""
         if len(blob) < 5 or bytes(blob[:4]) != _MAGIC:
             raise PayloadFormatError("not a trace-store payload")
         if blob[4] != FORMAT_VERSION:
@@ -378,6 +371,9 @@ class Trace(_Columns):
     def from_bytes(cls, blob: bytes) -> "Trace":
         """Decode a v3 store payload; four bulk copies, zero events.
 
+        The blocks are sliced out of one ``memoryview`` over *blob*,
+        so each block's bytes are copied once, into its column.
+
         Raises :class:`~repro.errors.PayloadFormatError` for bytes
         that are not a current-format payload (wrong magic, legacy
         v1/v2 version byte, no room for a header) -- the store reads
@@ -387,13 +383,14 @@ class Trace(_Columns):
         routes to quarantine.
         """
         count = cls._check_structure(blob)
+        view = memoryview(blob)
         offset = _HEADER
         blocks = []
         for name, size in cls._block_layout(count):
-            block = blob[offset:offset + size]
+            block = view[offset:offset + size]
             offset += size
             stored = int.from_bytes(
-                blob[offset:offset + _CRC_BYTES], "little")
+                view[offset:offset + _CRC_BYTES], "little")
             offset += _CRC_BYTES
             if zlib.crc32(block) != stored:
                 raise StoreCorruption(
@@ -411,213 +408,6 @@ class Trace(_Columns):
             columns.append(column)
         bits = bytearray(blocks[3])
         return cls(columns[0], columns[1], columns[2], bits)
-
-    @classmethod
-    def from_buffer(cls, buffer) -> "Trace":
-        """Decode a payload as zero-copy views over *buffer*.
-
-        The fast path (little-endian host, 4-byte ``array('i')``
-        words -- i.e. every mainstream platform) builds the three int
-        columns as ``memoryview.cast('i')`` views and the bitset as a
-        byte view straight over the buffer: opening a 10^6-event
-        trace costs microseconds and no column RAM.  Structural
-        checks (magic, version, total length) run eagerly with the
-        same error taxonomy as :meth:`from_bytes`; per-block CRC32
-        verification is *deferred* to the first touch of each column
-        (raising :class:`~repro.errors.StoreCorruption` then).
-
-        Big-endian hosts (and exotic word sizes) cannot view the
-        little-endian payload in place and fall back to the copying
-        :meth:`from_bytes` -- crucially *without* byte-swapping the
-        dispatched bitset, which is byte-order independent.
-
-        Lifetime: the returned :class:`MappedTrace` holds views into
-        *buffer* (typically an ``mmap``).  The owner of the buffer
-        (the trace store) must call :meth:`MappedTrace.close` before
-        unmapping; afterwards every accessor raises the typed
-        :class:`~repro.errors.MappedBufferClosed`.  Use
-        :meth:`Trace.copy` for a trace that must outlive its store.
-        """
-        view = memoryview(buffer)
-        if _SWAP or array(_INT).itemsize != 4:
-            data = bytes(view)
-            view.release()
-            return cls.from_bytes(data)
-        try:
-            count = cls._check_structure(view)
-        except BaseException:
-            view.release()
-            raise
-        offset = _HEADER
-        blocks = []
-        pending = {}
-        for name, size in cls._block_layout(count):
-            block = view[offset:offset + size]
-            offset += size
-            stored = int.from_bytes(
-                bytes(view[offset:offset + _CRC_BYTES]), "little")
-            offset += _CRC_BYTES
-            pending[name] = (block, stored)
-            blocks.append(block)
-        columns = [block.cast(_INT) for block in blocks[:3]]
-        return MappedTrace(columns[0], columns[1], columns[2],
-                           blocks[3], count, pending, view)
-
-    def copy(self) -> "Trace":
-        """A deep copy backed by plain arrays.
-
-        The one way to keep a memory-mapped trace's data past its
-        store's close: the copy owns its columns outright (and
-        carries the same ``store_key`` stamp, since it is the same
-        logical trace).  On a plain trace this is simply an
-        independent materialization of the view.
-        """
-        start, stop = self._bounds()
-        n = stop - start
-        columns = []
-        for view in (self.addresses(), self.opcodes(),
-                     self.receiver_classes()):
-            column = array(_INT)
-            column.frombytes(bytes(view))
-            columns.append(column)
-        bits = bytearray(_bits_as_int(self._bitset(), start, stop).to_bytes(
-            (n + 7) >> 3, "little"))
-        duplicate = Trace(columns[0], columns[1], columns[2], bits)
-        duplicate.store_key = self.store_key
-        duplicate.store_root = self.store_root
-        return duplicate
-
-
-class MappedTrace(Trace):
-    """A :class:`Trace` whose columns are views over a mapped payload.
-
-    Built by :meth:`Trace.from_buffer`.  Differences from a plain
-    trace, both invisible to correct callers:
-
-    * **deferred integrity** -- each of the four payload blocks is
-      CRC32-verified on its first touch (never again after), so
-      *opening* a trace is O(1) while *reading* it keeps the same
-      corruption guarantee as :meth:`Trace.from_bytes`;
-    * **explicit lifetime** -- the trace does not own the underlying
-      buffer (the store owns the mmap).  After :meth:`close` every
-      accessor raises :class:`~repro.errors.MappedBufferClosed`.
-      Column views handed out before the close remain valid (each
-      holds its own buffer reference, keeping the mapping alive), and
-      :meth:`Trace.copy` produces an array-backed trace that needs no
-      lifetime care at all.
-    """
-
-    __slots__ = ("_source", "_pending", "_closed")
-
-    def __init__(self, addresses, opcodes, classes, bits, count,
-                 pending, source) -> None:
-        super().__init__(addresses, opcodes, classes, bits, 0, count)
-        #: block name -> (block view, stored CRC32); verified entries
-        #: are removed, so an empty dict means fully verified.
-        self._pending = pending
-        self._source = source
-        self._closed = False
-
-    # -- deferred integrity ------------------------------------------------
-
-    def _verify(self, name: str) -> None:
-        pending = self._pending
-        if not pending:
-            return
-        entry = pending.get(name)
-        if entry is None:
-            return
-        block, stored = entry
-        if zlib.crc32(block) != stored:
-            # Left in _pending on purpose: a corrupt block stays
-            # corrupt, so every later touch re-raises instead of
-            # silently reading bad words.
-            raise StoreCorruption(f"{name} block failed its CRC32 check")
-        del pending[name]
-
-    def _verify_all(self) -> None:
-        for name in tuple(self._pending):
-            self._verify(name)
-
-    def verify(self) -> "MappedTrace":
-        """Run every still-deferred CRC check now; self, for chaining.
-
-        Zero-copy: the checksums run directly over the mapped pages.
-        The trace store calls this at load time -- its contract
-        (corrupt payload -> quarantine -> transparent regeneration)
-        predates mmap and survives it -- while direct
-        :meth:`Trace.from_buffer` users keep the pure
-        deferred-to-first-touch behaviour.
-        """
-        self._verify_all()
-        return self
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self) -> None:
-        """Release this trace's views into the mapped buffer.
-
-        Idempotent.  The store calls this before unmapping; callers
-        that sliced out column views beforehand keep working (their
-        views pin the mapping), while every access *through this
-        trace* now raises :class:`~repro.errors.MappedBufferClosed`.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self._pending = {}
-        for view in (self._addresses, self._opcodes, self._classes,
-                     self._bits, self._source):
-            try:
-                view.release()
-            except BufferError:  # pragma: no cover - defensive
-                pass
-        self._source = None
-
-    def _bounds(self) -> Tuple[int, int]:
-        # The single choke point every read path goes through (len,
-        # slicing, accessors, to_bytes): the typed
-        # lifetime error instead of a released-memoryview ValueError.
-        if self._closed:
-            raise MappedBufferClosed(
-                "memory-mapped trace used after close; copy() the "
-                "trace before closing its store to keep the data")
-        return super()._bounds()
-
-    # -- verified access ---------------------------------------------------
-
-    def addresses(self):
-        self._verify("address")
-        return super().addresses()
-
-    def opcodes(self):
-        self._verify("opcode")
-        return super().opcodes()
-
-    def receiver_classes(self):
-        self._verify("receiver-class")
-        return super().receiver_classes()
-
-    def _bitset(self):
-        self._verify("dispatched-bitset")
-        return self._bits
-
-    def dispatched_flag(self, index: int) -> bool:
-        self._verify("dispatched-bitset")
-        return super().dispatched_flag(index)
-
-    def __getitem__(self, index) -> Trace:
-        # A slice hands out a plain Trace sharing these column views;
-        # it carries no _pending hooks, so verify everything before it
-        # escapes.
-        self._verify_all()
-        return super().__getitem__(index)
-
-    def to_bytes(self) -> bytes:
-        self._verify_all()
-        return super().to_bytes()
 
 
 class TraceBuilder(_Columns):
@@ -667,11 +457,6 @@ class TraceBuilder(_Columns):
         and the source's bits, read as one int, merged into the
         bitset.
         """
-        if isinstance(events, MappedTrace):
-            # The bulk column extends below read events._columns
-            # directly; force the deferred CRC checks first so a
-            # corrupt mapped block cannot be copied silently.
-            events._verify_all()
         start, stop = events._bounds()
         if stop == start:
             return

@@ -16,19 +16,13 @@ miss: the trace regenerates into its shard and the old file is left
 alone.  Sweep results are memoized under ``results/`` by the
 :class:`~repro.workloads.library.ResultCache`.
 
-Load path: on a little-endian host with no fault plan armed, a hit is
-**memory-mapped** -- :meth:`~repro.trace.columnar.Trace.from_buffer`
-builds the columns as zero-copy views over the mapping (the
-``store.mmap_open`` counter), per-block CRC32 checks deferred to
-first touch.  The store owns every mapping it opens;
-:meth:`TraceStore.close` releases them (after which the mapped traces
-raise the typed :class:`~repro.errors.MappedBufferClosed`; use
-:meth:`~repro.trace.columnar.Trace.copy` first to keep data).  The
-copying ``read -> from_bytes`` path remains for big-endian hosts,
-for a store whose :meth:`TraceStore.deserialize` is overridden, and
-whenever a fault plan is armed -- payload-mutating chaos needs the
-byte stream, and this keeps injection sequences identical to the
-pre-mmap store.
+Load path: one, for every host and every run, with or without a
+fault plan.  A hit reads the payload's bytes, passes them through the
+``store.read`` fault site and decodes them with
+:meth:`TraceStore.deserialize`
+(:meth:`~repro.trace.columnar.Trace.from_bytes`), which checks every
+block's CRC32 before it builds a column.  The loaded trace owns its
+columns, so it stays valid after :meth:`TraceStore.close`.
 
 Cache rules:
 
@@ -50,14 +44,11 @@ Cache rules:
   ``quarantine/`` under the store root with a ``.reason.json``
   sidecar recording why, then regenerated.  Corruption is evidence of
   a disk/transfer problem -- it is preserved for inspection, never
-  silently destroyed.  On the mmap path the structural checks stay
-  eager (same quarantine flow) while per-block CRC failures surface
-  at first column touch as :class:`~repro.errors.StoreCorruption`;
-  ``TraceStore.verify()`` (CLI: ``repro trace --verify`` / ``repro
-  store verify``) audits every payload eagerly either way, and
-  additionally cross-checks each sidecar's recorded identity against
-  the content key in the filename, *reporting* (never quarantining)
-  sidecars that misdescribe a healthy payload.
+  silently destroyed.  ``TraceStore.verify()`` (CLI: ``repro store
+  verify``) audits every payload in the store the same way, and
+  additionally cross-checks each sidecar's recorded identity
+  against the content key in the filename, *reporting* (never
+  quarantining) sidecars that misdescribe a healthy payload.
 
 A JSON sidecar (same stem, ``.json``) records the human-readable
 identity of each entry for ``python -m repro list``/``trace``.  The
@@ -71,7 +62,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import mmap
 import os
 import tempfile
 import time
@@ -80,7 +70,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro import faults, telemetry
 from repro.errors import PayloadFormatError, StoreCorruption
-from repro.trace.columnar import FORMAT_VERSION, MappedTrace, Trace
+from repro.trace.columnar import FORMAT_VERSION, Trace
 from repro.workloads.library import ResultCache, TraceLibrary
 from repro.workloads.spec import WorkloadSpec, get as get_spec
 
@@ -110,9 +100,6 @@ class TraceStore:
         self.generated = 0
         self.quarantined = 0
         self._memo: Dict[str, Trace] = {}
-        #: (mmap, MappedTrace) pairs this store opened; released by
-        #: :meth:`close`.
-        self._mapped: List[Tuple[mmap.mmap, MappedTrace]] = []
 
     # -- keying ---------------------------------------------------------
 
@@ -188,8 +175,7 @@ class TraceStore:
             if events is not None:
                 self.hits += 1
                 telemetry.inc("store.hit")
-                sp.set(outcome="hit", events=len(events),
-                       mapped=isinstance(events, MappedTrace))
+                sp.set(outcome="hit", events=len(events))
                 if self._read_sidecar(path) is None:
                     self._write_sidecar(path, self._sidecar_meta(
                         spec.name, spec.version, params, events))
@@ -213,76 +199,18 @@ class TraceStore:
         """Columns straight from the payload."""
         return Trace.from_bytes(blob)
 
-    def _mmap_enabled(self) -> bool:
-        """Zero-copy reads apply only when nothing needs the byte
-        stream: chaos plans mutate payload bytes in flight, so any
-        armed plan routes reads through the legacy path (keeping
-        injection sequences identical to the pre-mmap store)."""
-        if self.deserialize is not _DEFAULT_DESERIALIZE:
-            # A subclass (or a test) replaced the payload decoder;
-            # the zero-copy path would bypass it, so honor the
-            # override by reading bytes through it instead.
-            return False
-        return faults.active_plan() is None
-
-    def _read_mapped(self, path: Path) -> Tuple[bool, Optional[Trace]]:
-        """(handled, trace): ``handled=False`` falls back to the
-        copying read path (open/map failed -- missing file, an empty
-        file mmap refuses, a directory in the way)."""
-        try:
-            with open(path, "rb") as handle:
-                mapping = mmap.mmap(handle.fileno(), 0,
-                                    access=mmap.ACCESS_READ)
-        except (OSError, ValueError):
-            return False, None
-        try:
-            trace = Trace.from_buffer(mapping)
-        except PayloadFormatError:
-            mapping.close()
-            return True, None  # legacy layout or foreign file: a miss
-        except StoreCorruption as error:
-            mapping.close()
-            self.quarantine(path, error.reason)
-            return True, None
-        if isinstance(trace, MappedTrace):
-            try:
-                # Zero-copy eager integrity: CRC32 straight over the
-                # mapped pages, so the load-time quarantine contract
-                # holds on this path too (no byte buffers built).
-                trace.verify()
-            except StoreCorruption as error:
-                trace.close()
-                try:
-                    mapping.close()
-                except BufferError:  # pragma: no cover - defensive
-                    pass
-                self.quarantine(path, error.reason)
-                return True, None
-            self._mapped.append((mapping, trace))
-            telemetry.inc("store.mmap_open")
-        else:
-            # A big-endian host fell back to the copying decoder
-            # inside from_buffer; the mapping has served its purpose.
-            try:
-                mapping.close()
-            except BufferError:  # pragma: no cover - defensive
-                pass
-        return True, trace
-
     def _read(self, path: Path) -> Optional[Trace]:
         """Decode one stored payload, or None for a miss.
 
-        Only *payload-decode* failures are misses: an unreadable file
-        or a legacy/foreign format (``PayloadFormatError``).  A
-        current-format payload that fails its integrity check is
-        quarantined (still a miss, but preserved and counted), and
-        any other exception -- a genuine programming error -- is NOT
-        swallowed: it propagates.
+        The store's one read path, with or without a fault plan: the
+        file's bytes pass the ``store.read`` fault site, then
+        :meth:`deserialize`.  Only *payload-decode* failures are
+        misses: an unreadable file or a legacy/foreign format
+        (``PayloadFormatError``).  A current-format payload that fails
+        its integrity check is quarantined (still a miss, but
+        preserved and counted), and any other exception -- a genuine
+        programming error -- is NOT swallowed: it propagates.
         """
-        if self._mmap_enabled():
-            handled, trace = self._read_mapped(path)
-            if handled:
-                return trace
         try:
             blob = path.read_bytes()
             blob = faults.inject("store.read", key=path.name,
@@ -330,17 +258,18 @@ class TraceStore:
             pass
         return destination
 
-    def _sidecar_mismatch(self, path: Path) -> Optional[str]:
+    def _sidecar_mismatch(self, path: Path,
+                          trace: Trace) -> Optional[str]:
         """Why this payload's sidecar misdescribes it, or None.
 
         Cross-checks (a) the sidecar's recorded identity against the
         content key in the filename -- only when every parameter
         survived the sidecar round-trip as a JSON primitive, since
         ``repr``-stringified parameters cannot be re-keyed faithfully
-        -- and (b) the recorded event/dispatched counts against the
-        payload columns.  A mismatch means the *sidecar* is stale
-        (the payload already passed its CRC audit); it is reported
-        for repair, never quarantined.
+        -- and (b) the recorded event/dispatched counts against
+        *trace*, the payload as the audit decoded it.  A mismatch
+        means the *sidecar* is stale (the payload already passed its
+        CRC audit); it is reported for repair, never quarantined.
         """
         meta = self._read_sidecar(path)
         if meta is None:
@@ -358,10 +287,6 @@ class TraceStore:
                         f"file is keyed {filename_key}")
         expected = (meta.get("events"), meta.get("dispatched"))
         if all(isinstance(value, int) for value in expected):
-            try:
-                trace = self.deserialize(path.read_bytes())
-            except (OSError, ValueError):
-                return None  # the payload audit already covered this
             actual = (len(trace), trace.dispatched_count())
             if expected != actual:
                 return (f"sidecar records events/dispatched "
@@ -386,7 +311,7 @@ class TraceStore:
         for path in self.library.payload_paths():
             report["checked"] += 1
             try:
-                self.deserialize(path.read_bytes())
+                trace = self.deserialize(path.read_bytes())
             except PayloadFormatError:
                 report["stale"].append(path.name)
             except StoreCorruption as error:
@@ -396,7 +321,7 @@ class TraceStore:
                 report["corrupt"].append((path.name, str(error)))
             else:
                 report["ok"] += 1
-                mismatch = self._sidecar_mismatch(path)
+                mismatch = self._sidecar_mismatch(path, trace)
                 if mismatch is not None:
                     report["mismatched"].append((path.name, mismatch))
         return report
@@ -438,22 +363,9 @@ class TraceStore:
     # -- lifetime --------------------------------------------------------
 
     def close(self) -> None:
-        """Release every memory mapping this store opened.
-
-        Mapped traces handed out by :meth:`load` raise
-        :class:`~repro.errors.MappedBufferClosed` afterwards; column
-        views sliced out *before* the close stay valid (each pins the
-        mapping until it is itself released).  Idempotent.
-        """
-        for mapping, trace in self._mapped:
-            trace.close()
-            try:
-                mapping.close()
-            except BufferError:
-                # A caller still holds a column view; the mapping is
-                # unmapped when the last view goes away.
-                pass
-        self._mapped.clear()
+        """Drop the in-process memo; the next :meth:`load` of a trace
+        reads its payload again.  Traces already handed out own their
+        columns and stay valid.  Idempotent."""
         self._memo.clear()
 
     # -- sidecar metadata -----------------------------------------------
@@ -537,10 +449,6 @@ class TraceStore:
         stats["result_cache"] = self.result_cache().stats()
         return stats
 
-
-#: The stock payload decoder; the mmap fast path only applies while
-#: it is in place (see :meth:`TraceStore._mmap_enabled`).
-_DEFAULT_DESERIALIZE = TraceStore.deserialize
 
 _DEFAULT: Optional[TraceStore] = None
 

@@ -153,7 +153,7 @@ class TestBulkBuilderOperations:
            source=st.lists(_EVENT, max_size=40),
            cut=st.tuples(st.integers(0, 40), st.integers(0, 40)),
            address_offset=st.integers(0, 1 << 20),
-           kind=st.sampled_from(["slice", "mapped", "mapped-slice",
+           kind=st.sampled_from(["slice", "decoded", "decoded-slice",
                                  "builder"]))
     def test_extend_equals_per_event_record(self, prefix, source, cut,
                                             address_offset, kind):
@@ -161,10 +161,10 @@ class TestBulkBuilderOperations:
         full = _recorded(source)
         if kind == "builder":
             view, lo, hi = full, 0, len(source)
-        elif kind == "mapped":
-            view, lo, hi = Trace.from_buffer(full.to_bytes()), 0, len(source)
-        elif kind == "mapped-slice":
-            view = Trace.from_buffer(full.to_bytes())[lo:hi]
+        elif kind == "decoded":
+            view, lo, hi = Trace.from_bytes(full.to_bytes()), 0, len(source)
+        elif kind == "decoded-slice":
+            view = Trace.from_bytes(full.to_bytes())[lo:hi]
         else:
             view = full.snapshot()[lo:hi]
         builder = _recorded(prefix)   # last bitset byte partly filled

@@ -8,11 +8,11 @@ Pins the tentpole and its satellites end to end:
   including the index files older stores kept, never a payload;
 * sidecar audit -- ``store.verify()`` REPORTS params/key mismatches
   (stale metadata) without quarantining the healthy payload;
-* mmap zero-copy loading -- loads are views over the mapped payload,
-  lifetime is typed (``MappedBufferClosed`` after close, pre-close
-  views and copies survive), and a >1M-event trace round-trips;
-* the big-endian fallback of ``from_buffer``/``from_bytes`` never
-  byte-swaps the dispatched bitset (it is byte-order independent);
+* one load path -- every load, with or without a fault plan, decodes
+  the payload once through ``Trace.from_bytes``, and a >1M-event
+  trace round-trips through the store;
+* a big-endian reader's ``from_bytes`` never byte-swaps the
+  dispatched bitset (it is byte-order independent);
 * the sweep-result cache -- round-trips byte-identical surfaces,
   treats corruption as a clean miss, evicts LRU by byte budget, can
   be disabled by environment, and lets a repeated harness run replay
@@ -29,11 +29,10 @@ import pytest
 
 from repro import faults, telemetry
 from repro.cli import main as cli_main
-from repro.errors import MappedBufferClosed, StoreCorruption
 from repro.faults import FaultPlan
 from repro.sweep import SweepSpec, result_cache_key, run_sweep
 from repro.sweep.runner import _RESULT_CACHES
-from repro.trace.columnar import MappedTrace, Trace, TraceBuilder
+from repro.trace.columnar import Trace, TraceBuilder
 from repro.workloads.library import SHARDS_DIR, ResultCache
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.store import QUARANTINE_DIR, TraceStore
@@ -205,134 +204,59 @@ class TestSidecarAudit:
         assert report["ok"] == 1
 
 
-# -- mmap zero-copy loading -----------------------------------------------
+# -- the one load path ---------------------------------------------------
 
 def _builder_events(n):
     return trace_of(((i * 13) % 4093, 1 + i % 11, i % 7, bool(i % 3))
                     for i in range(n))
 
 
-class TestMappedLifetime:
-    def _mapped_store(self, tmp_path):
-        counter = {"runs": 0}
-        spec = _spec(counter)
-        TraceStore(tmp_path).load(spec)  # generate (write path)
-        store = TraceStore(tmp_path)     # fresh memo: read path
-        return store, spec
-
-    def test_load_is_mapped_and_counts_telemetry(self, tmp_path):
-        store, spec = self._mapped_store(tmp_path)
-        telemetry.install(tmp_path / "t")
-        events = store.load(spec)
-        telemetry.finalize()
-        assert isinstance(events, MappedTrace)
-        metrics = json.loads(
-            (tmp_path / "t" / "metrics.json").read_text())
-        assert metrics["counters"]["store.mmap_open"] == 1
-
-    def test_closed_trace_raises_typed_error(self, tmp_path):
-        store, spec = self._mapped_store(tmp_path)
-        events = store.load(spec)
-        assert len(events) == 64
-        store.close()
-        assert events.closed
-        for touch in (lambda: len(events), lambda: events[:1],
-                      lambda: events.addresses(),
-                      lambda: events.dispatched_indices(),
-                      lambda: events.to_bytes(),
-                      lambda: events.copy()):
-            with pytest.raises(MappedBufferClosed):
-                touch()
-        store.close()  # idempotent
-
-    def test_preclose_column_view_survives_close(self, tmp_path):
-        store, spec = self._mapped_store(tmp_path)
-        events = store.load(spec)
-        addresses = events.addresses()
-        expected = list(addresses)
-        store.close()
-        # The sliced-out view pins the mapping; reads stay valid (no
-        # interpreter crash) even though the trace itself is closed.
-        assert list(addresses) == expected
-
-    def test_copy_outlives_the_store(self, tmp_path):
-        store, spec = self._mapped_store(tmp_path)
-        events = store.load(spec)
-        duplicate = events.copy()
-        assert duplicate.store_key == events.store_key
-        store.close()
-        assert len(duplicate) == 64
-        assert not isinstance(duplicate, MappedTrace)
-        assert duplicate == TraceStore(tmp_path).load(spec)
-
-    def test_mapped_corruption_still_quarantines(self, tmp_path):
-        counter = {"runs": 0}
-        spec = _spec(counter)
-        store = TraceStore(tmp_path)
-        store.load(spec)
-        payload = store.path_for(spec, spec.resolve())
-        blob = bytearray(payload.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        payload.write_bytes(bytes(blob))
-
-        fresh = TraceStore(tmp_path)
-        events = fresh.load(spec)  # quarantine + regenerate
-        assert counter["runs"] == 2
-        assert len(events) == 64
-        assert (tmp_path / QUARANTINE_DIR / payload.name).exists()
-
-    def test_million_event_trace_round_trips_mapped(self, tmp_path):
+class TestOneLoadPath:
+    def test_million_event_trace_round_trips_through_the_store(
+            self, tmp_path):
         base = _builder_events(70_000)
         builder = TraceBuilder()
         for _ in range(16):
             builder.extend(base)
         big = builder.snapshot()
         assert len(big) > 1_000_000
-        blob = big.to_bytes()
-        mapped = Trace.from_buffer(memoryview(blob))
-        if isinstance(mapped, MappedTrace):  # little-endian fast path
-            assert len(mapped) == len(big)
-            assert mapped.addresses()[-1] == big.addresses()[-1]
-            assert mapped.dispatched_count() == big.dispatched_count()
-            assert mapped.verify() is mapped
-            mapped.close()
-            with pytest.raises(MappedBufferClosed):
-                mapped.addresses()
-        else:
-            assert mapped == big
+        spec = WorkloadSpec(name="million", description="test-only",
+                            build=lambda: big)
+        TraceStore(tmp_path).load(spec)     # generate (write path)
+        fresh = TraceStore(tmp_path)        # fresh memo: read path
+        loaded = fresh.load(spec)
+        assert (fresh.hits, fresh.generated) == (1, 0)
+        assert len(loaded) == len(big)
+        assert loaded.addresses()[-1] == big.addresses()[-1]
+        assert loaded.dispatched_count() == big.dispatched_count()
+        assert loaded == big
 
-    def test_from_buffer_defers_crc_to_first_touch(self, tmp_path):
-        trace = _builder_events(256)
-        blob = bytearray(trace.to_bytes())
-        # Flip a bit inside the address column's data.
-        blob[16] ^= 0x01
-        mapped = Trace.from_buffer(memoryview(bytes(blob)))
-        if not isinstance(mapped, MappedTrace):
-            pytest.skip("big-endian host copies eagerly")
-        assert len(mapped) == 256  # structure is fine; no CRC yet
-        assert list(mapped.opcodes())  # untouched block verifies
-        with pytest.raises(StoreCorruption):
-            mapped.addresses()
-        with pytest.raises(StoreCorruption):
-            mapped.addresses()  # stays corrupt on re-touch
+    @pytest.mark.parametrize("plan", [None, "worker.task:error:p=0.0"],
+                             ids=["no-plan", "armed-plan"])
+    def test_load_decodes_through_deserialize_once(self, tmp_path,
+                                                   monkeypatch, plan):
+        # TraceStore.deserialize is Trace.from_bytes.  The spy sits on
+        # from_bytes so that the store's own decoder stays in place: a
+        # load that took another path for the stock decoder counts 0.
+        counter = {"runs": 0}
+        spec = _spec(counter)
+        TraceStore(tmp_path).load(spec)
+        decodes = []
+        from_bytes = Trace.from_bytes
 
-    @pytest.mark.parametrize("read", [
-        lambda trace: trace.dispatched_count(),
-        lambda trace: trace.dispatched_count(100),
-        lambda trace: trace.dispatched_indices(),
-        lambda trace: trace.to_bytes(),
-        lambda trace: trace.copy(),
-        lambda trace: TraceBuilder().extend(trace, address_offset=64),
-    ], ids=["count", "count-stop", "indices", "to_bytes", "copy",
-            "extend"])
-    def test_corrupt_bitset_fails_every_bulk_read(self, read):
-        blob = bytearray(_builder_events(256).to_bytes())
-        blob[-5] ^= 0x01   # last byte of the bitset, before its CRC
-        mapped = Trace.from_buffer(memoryview(bytes(blob)))
-        if not isinstance(mapped, MappedTrace):
-            pytest.skip("big-endian host copies eagerly")
-        with pytest.raises(StoreCorruption, match="dispatched-bitset"):
-            read(mapped)
+        def counting(blob):
+            decodes.append(len(blob))
+            return from_bytes(blob)
+
+        monkeypatch.setattr(Trace, "from_bytes", staticmethod(counting))
+        if plan is not None:
+            faults.install(FaultPlan.parse(plan, seed=1))
+        try:
+            events = TraceStore(tmp_path).load(spec)
+        finally:
+            faults.install(None)
+        assert len(decodes) == 1
+        assert len(events) == 64 and counter["runs"] == 1
 
 
 # -- satellite: big-endian bitset discipline ------------------------------
@@ -354,17 +278,6 @@ class TestBigEndianBitset:
             list(native.dispatched_indices()) == [1, 2]
         assert [swapped.dispatched_flag(i) for i in range(4)] == \
             [row[3] for row in self.ROWS]
-
-    def test_from_buffer_big_endian_falls_back_through_from_bytes(
-            self, monkeypatch):
-        import repro.trace.columnar as columnar_module
-        blob = trace_of(self.ROWS).to_bytes()
-        monkeypatch.setattr(columnar_module, "_SWAP", True)
-        trace = Trace.from_buffer(memoryview(blob))
-        # The fallback copies: no mapped lifetime to manage ...
-        assert not isinstance(trace, MappedTrace)
-        # ... and the bitset is read as-is (byte-order independent).
-        assert list(trace.dispatched_indices()) == [1, 2]
 
 
 # -- the sweep-result cache -----------------------------------------------
@@ -462,8 +375,7 @@ class TestResultCache:
 
     def test_unstamped_trace_bypasses_the_cache(self, tmp_path):
         store, events, _ = _store_trace(tmp_path)
-        bare = events.copy()
-        bare.store_key = bare.store_root = None
+        bare = events[:]  # a slice carries no store stamp
         run_sweep(SWEEP, bare)
         assert store.result_cache().stats()["entries"] == 0
 
@@ -552,20 +464,6 @@ class TestNewFaultSites:
         finally:
             faults.install(None)
         assert warm.counts == cold.counts  # replayed, not misread
-
-    def test_mmap_is_disabled_under_any_fault_plan(self, tmp_path):
-        counter = {"runs": 0}
-        spec = _spec(counter)
-        TraceStore(tmp_path).load(spec)
-        faults.install(FaultPlan.parse("worker.task:error:p=0.0",
-                                       seed=1))
-        try:
-            events = TraceStore(tmp_path).load(spec)
-        finally:
-            faults.install(None)
-        # Injection sequences must match the pre-mmap store exactly,
-        # so chaos runs take the byte path.
-        assert not isinstance(events, MappedTrace)
 
 
 # -- CLI ------------------------------------------------------------------

@@ -22,12 +22,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import BackendUnavailable, StoreCorruption
+from repro.errors import BackendUnavailable
 from repro.sweep import SweepSpec, np_engine, run_sweep
 from repro.sweep.engine import MultiConfigLRU, OptStack, next_use_times
 from repro.sweep.runner import _itlb_ref_columns
 from repro.trace.cachesim import simulate_icache
-from repro.trace.columnar import MappedTrace, Trace
+from repro.trace.columnar import Trace
 from repro.workloads import names, specs
 from trace_helpers import mixed_trace, trace_of
 
@@ -333,8 +333,9 @@ class TestItlbReferenceBuild:
 @requires_numpy
 class TestDispatchedIndexUnpack:
     """The numpy build's dispatched indices, unpacked from the bitset,
-    against ``Trace.dispatched_indices()``; and the bitset's CRC check
-    on the way in."""
+    against ``Trace.dispatched_indices()``, on a built trace and on one
+    decoded from its payload as the store loads it (the ``mapped``
+    case)."""
 
     VIEWS = [(0, 0), (3, 3), (8, 8), (0, 2500), (8, 2001), (16, 24),
              (3, 2001), (5, 13), (13, 14), (2491, 2500)]
@@ -344,24 +345,10 @@ class TestDispatchedIndexUnpack:
     @pytest.mark.parametrize("lo,hi", VIEWS,
                              ids=[f"{lo}:{hi}" for lo, hi in VIEWS])
     def test_matches_dispatched_indices(self, events, lo, hi, mapped):
-        trace = (Trace.from_buffer(memoryview(events.to_bytes()))
-                 if mapped else events)
+        trace = Trace.from_bytes(events.to_bytes()) if mapped else events
         view = trace[lo:hi]
         assert np_engine.np_dispatched_indices(view).tolist() == \
             list(view.dispatched_indices())
-
-    @pytest.mark.parametrize("use_numpy", [False, True],
-                             ids=["pure", "numpy"])
-    def test_corrupt_bitset_raises_through_the_build(self, use_numpy):
-        # A mapped trace, as the store loads it, before any CRC check
-        # has run: only the bitset block is corrupt.
-        blob = bytearray(mixed_trace(256, seed=3).to_bytes())
-        blob[-5] ^= 0x01   # last byte of the bitset, before its CRC
-        mapped = Trace.from_buffer(memoryview(bytes(blob)))
-        if not isinstance(mapped, MappedTrace):
-            pytest.skip("big-endian host copies eagerly")
-        with pytest.raises(StoreCorruption, match="dispatched-bitset"):
-            _itlb_ref_columns(mapped, True, use_numpy=use_numpy)
 
 
 @requires_numpy

@@ -293,8 +293,7 @@ class TestCacheInterplay:
 
     def test_unstamped_trace_replays_every_batch(self, tmp_path):
         _, stamped = _store_trace(tmp_path)
-        bare = stamped.copy()
-        bare.store_key = bare.store_root = None
+        bare = stamped[:]  # a slice carries no store stamp
         for _ in range(2):
             batch = run_batch(QUERIES, bare)
             assert batch.report.replays == len(QUERIES)

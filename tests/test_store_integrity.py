@@ -16,7 +16,7 @@ import pytest
 from repro import faults
 from repro.errors import PayloadFormatError, StoreCorruption
 from repro.faults import FaultPlan
-from repro.trace.columnar import FORMAT_VERSION
+from repro.trace.columnar import FORMAT_VERSION, Trace
 from repro.workloads.library import SHARDS_DIR
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.store import QUARANTINE_DIR, TraceStore
@@ -188,31 +188,54 @@ class TestQuarantine:
             [bad_path.name]
         assert (tmp_path / QUARANTINE_DIR / bad_path.name).exists()
 
+    def test_verify_decodes_each_payload_once(self, tmp_path,
+                                              monkeypatch):
+        # The sidecar audit reuses the payload audit's decoded trace.
+        counter = {"runs": 0}
+        store = TraceStore(tmp_path)
+        for name in ("first", "second", "third"):
+            store.load(_spec(counter, name=name))
+        decodes = []
+
+        def counting(blob):
+            decodes.append(len(blob))
+            return Trace.from_bytes(blob)
+
+        monkeypatch.setattr(TraceStore, "deserialize",
+                            staticmethod(counting))
+        report = TraceStore(tmp_path).verify()
+        assert (report["checked"], report["ok"]) == (3, 3)
+        assert report["mismatched"] == []
+        assert len(decodes) == 3
+
     def test_trace_verify_cli(self, tmp_path, capsys):
         from repro.cli import main as cli_main
         counter = {"runs": 0}
         spec = _spec(counter)
         store = TraceStore(tmp_path)
         store.load(spec)
-        assert cli_main(["trace", "--verify",
+        assert cli_main(["store", "verify",
                          "--trace-dir", str(tmp_path)]) == 0
         assert "corrupt:     0" in capsys.readouterr().out
         path = store.path_for(spec, spec.resolve())
         blob = bytearray(path.read_bytes())
         blob[10] ^= 0x80
         path.write_bytes(bytes(blob))
-        assert cli_main(["trace", "--verify",
+        assert cli_main(["store", "verify",
                          "--trace-dir", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "quarantine" in out and path.name in out
         # The audit moved it; a second audit is clean.
-        assert cli_main(["trace", "--verify",
+        assert cli_main(["store", "verify",
                          "--trace-dir", str(tmp_path)]) == 0
 
     def test_trace_cli_requires_name_without_verify(self, tmp_path,
                                                     capsys):
         from repro.cli import main as cli_main
-        assert cli_main(["trace", "--trace-dir", str(tmp_path)]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["trace", "--trace-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "required: name" in capsys.readouterr().err
 
 
 class TestNarrowedMissHandling:
