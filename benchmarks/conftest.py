@@ -12,10 +12,15 @@ At session end, every pytest-benchmark result is written to
 benchmark) so the performance trajectory is tracked across PRs.
 Wall-clock measurements recorded via the ``wallclock_records``
 fixture (the sweep, store, trace and telemetry benches) land in the
-same file.  The file is written deterministically -- keys sorted at every
-level, a ``_environment`` stamp identifying the host class the
-numbers came from, and no rewrite at all when the merged content is
-byte-identical -- so bench-only commits stop churning the whole file.
+same file.  Every record names the test that wrote it (``"test"``, a
+node id).  A session replaces the records of each test it ran, drops
+those of tests that no longer exist, and leaves the rest alone, so a
+partial run (``-k``, one file) keeps the other benches' numbers and a
+renamed or deleted bench leaves no stale record behind.  The file is
+written deterministically -- keys sorted at every level, a
+``_environment`` stamp identifying the host class the numbers came
+from, and no rewrite at all when the merged content is byte-identical
+-- so bench-only commits stop churning the whole file.
 """
 
 import json
@@ -28,6 +33,15 @@ from repro import telemetry
 from repro.workloads import load_events
 
 _WALLCLOCK = {}
+#: Node ids of the benches this session ran, and the module each one's
+#: file imported as (node-id path -> module).
+_RAN = set()
+_MODULES = {}
+
+
+def pytest_runtest_setup(item):
+    _RAN.add(item.nodeid)
+    _MODULES[item.nodeid.split("::")[0]] = item.module
 
 
 @pytest.fixture(autouse=True)
@@ -78,10 +92,36 @@ def events():
     return load_events("paper", scale=scale)
 
 
-@pytest.fixture(scope="session")
-def wallclock_records():
-    """Mutable mapping: name -> {seconds, ...} merged into the JSON."""
-    return _WALLCLOCK
+class _WallclockRecords:
+    """``records[name] = {seconds, ...}``: stores a record for the
+    JSON, stamped with the node id of the test that wrote it."""
+
+    def __init__(self, test: str) -> None:
+        self._test = test
+
+    def __setitem__(self, name: str, record: dict) -> None:
+        _WALLCLOCK[name] = dict(record, test=self._test)
+
+
+@pytest.fixture
+def wallclock_records(request):
+    """Mapping to store wall-clock records in: name -> {seconds, ...}
+    merged into the JSON."""
+    return _WallclockRecords(request.node.nodeid)
+
+
+def _kept(record, root: Path) -> bool:
+    """Whether a committed record survives this session: its test did
+    not run and still exists.  A record without a ``test`` predates
+    the stamp and no session can replace it, so it goes."""
+    test = record.get("test") if isinstance(record, dict) else None
+    if not test or test in _RAN:
+        return False
+    path, _, name = test.partition("::")
+    module = _MODULES.get(path)
+    if module is None:
+        return (root / path).is_file()
+    return hasattr(module, name.split("::")[0].split("[")[0])
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -97,12 +137,14 @@ def pytest_sessionfinish(session, exitstatus):
         stats = getattr(stats, "stats", stats)
         if stats is None or not getattr(stats, "rounds", 0):
             continue
-        # fullname (module::test) keeps same-named benchmarks in
-        # different files from colliding.
-        payload[getattr(bench, "fullname", bench.name)] = {
+        # fullname, the bench's node id (module::test), keeps
+        # same-named benchmarks in different files from colliding.
+        test = getattr(bench, "fullname", bench.name)
+        payload[test] = {
             "ops_per_second": stats.ops,
             "mean_seconds": stats.mean,
             "rounds": stats.rounds,
+            "test": test,
         }
     if not payload:
         return
@@ -112,10 +154,12 @@ def pytest_sessionfinish(session, exitstatus):
     # numbers exercised).  Stable per machine so it does not by
     # itself dirty the file.
     payload["_environment"] = telemetry.environment_block()
-    path = Path(str(session.config.rootpath)) / "BENCH_throughput.json"
+    root = Path(str(session.config.rootpath))
+    path = root / "BENCH_throughput.json"
     try:
-        # Merge over the existing record so a partial run (-k, single
-        # file) updates its benchmarks without erasing the others.
+        # Merge over the records this session did not replace, so a
+        # partial run (-k, single file) updates its benchmarks without
+        # erasing the others.
         try:
             existing_text = path.read_text()
         except OSError:
@@ -133,8 +177,10 @@ def pytest_sessionfinish(session, exitstatus):
                     telemetry.event("bench.regression", benchmark=name,
                                     field=field, committed=baseline,
                                     fresh=fresh)
-                existing.update(payload)
-                payload = existing
+                kept = {name: record for name, record in existing.items()
+                        if not name.startswith("_") and _kept(record, root)}
+                kept.update(payload)
+                payload = kept
         except ValueError:
             pass
         # sort_keys at every level + fixed separators make the

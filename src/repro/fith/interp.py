@@ -23,9 +23,15 @@ repeat``, ``do loop`` with ``i``/``j``, ``exit``.
 The interpreter records one trace record per instruction when tracing
 is enabled -- instruction address, opcode number and the class of the
 top of stack, the exact record of section 5 -- into a columnar
-:class:`~repro.trace.columnar.TraceBuilder`.  Each step appends only
-the address and the receiver class; the opcode and the dispatched bit
-are functions of the address and are filled in bulk when the run ends.
+:class:`~repro.trace.columnar.TraceBuilder`.  An instruction's address,
+trace opcode and dispatched flag never change, so each plan entry
+carries them packed once into an
+:data:`~repro.trace.columnar.EVENT_RECORD`; a traced step appends that
+record and the receiver class, and the builder splits the records into
+its columns when the run ends.  A machine lays its code out from
+``code_base``, so a trace that concatenates several programs' runs
+gets each program's addresses from its machine directly, with no
+rebasing pass.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from repro.fith.code import (
     FithOp,
     MACHINE_OP_SELECTORS,
 )
-from repro.trace.columnar import TraceBuilder
+from repro.trace.columnar import EVENT_RECORD, TraceBuilder
 
 _TRUE = Word.atom("true")
 _FALSE = Word.atom("false")
@@ -83,9 +89,13 @@ class _LoopFrame:
 
 
 class FithMachine:
-    """Compiler plus interpreter for Fith programs."""
+    """Compiler plus interpreter for Fith programs.
 
-    def __init__(self, *, trace: bool = False) -> None:
+    Compiled code is laid out at consecutive instruction addresses
+    from ``code_base``; a traced run records those addresses.
+    """
+
+    def __init__(self, *, trace: bool = False, code_base: int = 0) -> None:
         self.registry = ClassRegistry()
         self.opcodes = OpcodeTable()
         self.object_class = self.registry.define_class("Object")
@@ -103,7 +113,7 @@ class FithMachine:
         self._next_oid = 1
         self._words: Dict[str, CompiledWord] = {}
         self._globals: Dict[str, Word] = {}
-        self._next_address = 0
+        self._next_address = code_base
         self._machine_opcode = {
             op: self.opcodes.intern(spelling)
             for op, spelling in MACHINE_OP_SELECTORS.items()
@@ -115,13 +125,6 @@ class FithMachine:
         #: action (see :meth:`_translate`).  Cleared whenever
         #: definitions can change (load, define_class).
         self._send_memo: Dict[int, tuple] = {}
-        #: Address -> trace opcode and dispatched flag (0/1) of the plan
-        #: entry at that address, filled as plans are built.  Each
-        #: address names one entry (``_next_address`` never reuses
-        #: one), so a traced run records only addresses and receiver
-        #: classes and completes its events from these at exit.
-        self._opcode_at: List[int] = []
-        self._dispatched_at: List[int] = []
         self._install_primitives()
 
     # ------------------------------------------------------------------
@@ -471,21 +474,16 @@ class FithMachine:
         """Predecode a word's instructions into plan tuples.
 
         Each entry is ``(code, literal, displacement, selector,
-        send_key)``: the integer opcode replaces enum identity chains,
-        and ``send_key`` is a send's trace opcode shifted left 16
-        bits, ready to OR with the receiver tag into its memo key.
-        The trace opcode and dispatched flag of each entry go into the
-        machine's address tables.  The plan is cached on the word;
+        send_key, record)``: the integer opcode replaces enum identity
+        chains, ``send_key`` is a send's trace opcode shifted left 16
+        bits, ready to OR with the receiver tag into its memo key, and
+        ``record`` is the entry's address, trace opcode and dispatched
+        flag packed as the :data:`~repro.trace.columnar.EVENT_RECORD`
+        a traced step appends.  The plan is cached on the word;
         compiled words are immutable after :meth:`load` returns.
         """
         plan = []
-        opcode_at = self._opcode_at
-        dispatched_at = self._dispatched_at
-        missing = word.base_address + len(word.instructions) \
-            - len(opcode_at)
-        if missing > 0:
-            opcode_at.extend([0] * missing)
-            dispatched_at.extend([0] * missing)
+        pack = EVENT_RECORD.pack
         address = word.base_address
         for inst in word.instructions:
             op = inst.op
@@ -494,9 +492,8 @@ class FithMachine:
                             if dispatched else self._machine_opcode[op])
             plan.append((_CODE_OF[op], inst.literal, inst.displacement,
                          inst.selector,
-                         trace_opcode << 16 if dispatched else 0))
-            opcode_at[address] = trace_opcode
-            dispatched_at[address] = int(dispatched)
+                         trace_opcode << 16 if dispatched else 0,
+                         pack(address, trace_opcode, dispatched)))
             address += 1
         word.plan = plan
         return plan
@@ -531,8 +528,9 @@ class FithMachine:
         hottest primitives run inline on the local stack when their
         operands are small integers or object pointers, falling back to
         the primitive's handler otherwise.  A traced step appends its
-        address and receiver class; the run completes those events in
-        bulk when it exits, normally or by an error.  Trace events,
+        plan entry's packed record and the receiver class; the run
+        completes those events in bulk when it exits, normally or by
+        an error.  Trace events,
         step counts and error messages are identical to the seed
         interpreter.
         """
@@ -555,7 +553,7 @@ class FithMachine:
         trace = self.trace
         recording = trace is not None
         if recording:
-            record_address, record_class = trace.partial_recorders()
+            record_event, record_class = trace.partial_recorders()
         try:
             while word is not None:
                 if steps >= max_steps:
@@ -563,7 +561,6 @@ class FithMachine:
                 plan = word.plan
                 if plan is None:
                     plan = self._plan_of(word)
-                base = word.base_address
                 limit = len(plan)
                 while pc < limit:
                     if steps >= max_steps:
@@ -572,7 +569,7 @@ class FithMachine:
                     entry = plan[pc]
                     steps += 1
                     if recording:
-                        record_address(base + pc)
+                        record_event(entry[5])
                         record_class(stack[-1].class_tag if stack else -1)
                     pc += 1
                     code = entry[0]
@@ -699,7 +696,7 @@ class FithMachine:
         finally:
             self.steps = steps
             if recording:
-                trace.complete(self._opcode_at, self._dispatched_at)
+                trace.complete()
 
     # -- conveniences -----------------------------------------------------
 

@@ -491,13 +491,14 @@ CORPUS: Dict[str, Callable[[int], str]] = {
 
 
 def trace_for(name_or_source: str, scale: int = 1,
-              max_steps: int = 20_000_000) -> Trace:
-    """Run a corpus program (or literal source) and return its trace."""
+              max_steps: int = 20_000_000, *, code_base: int = 0) -> Trace:
+    """Run a corpus program (or literal source) and return its trace,
+    with the program's code laid out from ``code_base``."""
     if name_or_source in CORPUS:
         source = CORPUS[name_or_source](scale)
     else:
         source = name_or_source
-    machine = FithMachine(trace=True)
+    machine = FithMachine(trace=True, code_base=code_base)
     machine.run_source(source, max_steps=max_steps)
     return machine.trace.snapshot()
 
@@ -506,18 +507,20 @@ def combined_trace(scale: int = 1, names=None,
                    max_steps: int = 20_000_000) -> Trace:
     """Concatenate the whole corpus into one long measurement trace.
 
-    Each program runs in its own machine; addresses are rebased so the
-    programs occupy disjoint code regions, as separate programs would.
-    The concatenation is column-to-column (bulk array extends); no
-    per-event objects are built.
+    Each program runs in its own machine, its code laid out 64
+    addresses past the highest address the programs before it
+    executed, so the programs occupy disjoint code regions, as
+    separate programs would.  Each part is recorded at its final
+    addresses, so the concatenation is plain column extends; no
+    per-event work.
     """
     builder = TraceBuilder()
     base = 0
     top = 0
     for name in (names or sorted(CORPUS)):
-        part = trace_for(name, scale, max_steps)
-        builder.extend(part, address_offset=base)
+        part = trace_for(name, scale, max_steps, code_base=base)
+        builder.extend(part)
         if len(part):
-            top = max(top, base + max(part.addresses()))
+            top = max(top, max(part.addresses()))
         base = top + 64
     return builder.snapshot()

@@ -104,7 +104,22 @@ def _result_cache(root: str) -> ResultCache:
 
 def _itlb_ref_columns(trace: Trace, dispatched_only: bool,
                       use_numpy: bool = False) -> RefColumns:
-    """The (key, stable hash) columns the ITLB sees.
+    """The (key, stable hash) columns the ITLB sees, built once per
+    trace view.
+
+    A :class:`~repro.trace.columnar.Trace` keeps the columns for as
+    long as it lives (:meth:`~repro.trace.columnar.Trace.derived`), so
+    the ITLB queries of one batch share one build.  The engines only
+    read them.
+    """
+    return trace.derived(
+        ("itlb-refs", dispatched_only, use_numpy),
+        lambda: _build_itlb_ref_columns(trace, dispatched_only, use_numpy))
+
+
+def _build_itlb_ref_columns(trace: Trace, dispatched_only: bool,
+                            use_numpy: bool) -> RefColumns:
+    """Build the (key, stable hash) columns the ITLB sees.
 
     Block identities are the opcode/class pair packed into one int
     (injective for the 32-bit column values), so the hot replay loop

@@ -23,7 +23,13 @@ Three types:
 * :class:`TraceBuilder` -- the mutable emitter the interpreters
   record into: :meth:`TraceBuilder.record` appends four ints, no
   object construction; :meth:`TraceBuilder.snapshot` hands the
-  columns to a :class:`Trace` without copying.
+  columns to a :class:`Trace` without copying.  The Fith interpreter
+  records in bulk instead: each plan entry packs its address, opcode
+  and dispatched flag once into an :data:`EVENT_RECORD`, a traced step
+  appends that record and the receiver class
+  (:meth:`TraceBuilder.partial_recorders`), and
+  :meth:`TraceBuilder.complete` splits the records into the columns
+  with three strided slices when the run ends.
 * the **binary payload** (:meth:`Trace.to_bytes` /
   :meth:`Trace.from_bytes`) -- the trace store's on-disk format,
   version 3.  The payload is the columns, verbatim: header, then the
@@ -38,11 +44,10 @@ Three types:
 
 from __future__ import annotations
 
-import operator
+import struct
 import sys
 import zlib
 from array import array
-from itertools import islice, repeat
 from typing import Optional, Tuple
 
 from repro.errors import PayloadFormatError, StoreCorruption
@@ -71,6 +76,15 @@ _HEADER = len(_MAGIC) + 1 + 4
 #: little-endian.  Computed over the stored (little-endian) layout,
 #: so it is host-byte-order independent like the payload itself.
 _CRC_BYTES = 4
+
+#: One event's address, opcode and dispatched flag (0 or 1), as
+#: three native-order column words: what a machine whose instructions
+#: fix all three appends per step through
+#: :meth:`TraceBuilder.partial_recorders`.
+EVENT_RECORD = struct.Struct("=iii")
+#: The byte of an :data:`EVENT_RECORD` that holds its 0/1 flag (the
+#: low byte of the third word).
+_FLAG_BYTE = 8 if sys.byteorder == "little" else 11
 
 #: byte value -> the bit positions set in it, for bitset scans.
 _BITS_IN = tuple(tuple(j for j in range(8) if value >> j & 1)
@@ -222,6 +236,14 @@ class _Columns:
             end = start + min(max(stop, 0), end - start)
         return _popcount(_bits_as_int(self._bits, start, end))
 
+    def derived(self, key, build):
+        """``build()``: columns a consumer derives from this view's
+        events (the sweep's ITLB reference stream).  A builder still
+        grows, so it builds afresh on every call; an immutable
+        :class:`Trace` keeps the result under *key* for as long as it
+        lives."""
+        return build()
+
     # -- aggregate statistics ---------------------------------------------
 
     def unique_itlb_key_count(self) -> int:
@@ -298,7 +320,8 @@ class Trace(_Columns):
     """
 
     __slots__ = ("_addresses", "_opcodes", "_classes", "_bits",
-                 "_start", "_stop", "_disp", "store_key", "store_root")
+                 "_start", "_stop", "_disp", "_derived", "store_key",
+                 "store_root")
 
     def __init__(self, addresses, opcodes, classes, bits,
                  start: int = 0, stop: Optional[int] = None) -> None:
@@ -315,6 +338,7 @@ class Trace(_Columns):
         self._start = start
         self._stop = stop
         self._disp = None
+        self._derived = None
         #: Stamped by the trace store on load/generate: the content
         #: key and store root this trace came from.  None for traces
         #: built in memory or sliced views -- a slice is a different
@@ -331,6 +355,15 @@ class Trace(_Columns):
         if cached is None:
             cached = self._disp = super().dispatched_indices()
         return cached
+
+    def derived(self, key, build):
+        memo = self._derived
+        if memo is None:
+            memo = self._derived = {}
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = build()
+        return value
 
     # -- constructors ------------------------------------------------------
 
@@ -415,15 +448,16 @@ class TraceBuilder(_Columns):
 
     :meth:`record` appends one event -- three column appends and a
     bit set, no object construction; :meth:`partial_recorders` and
-    :meth:`complete` record an event with two appends and fill the
-    rest of a run's events in bulk.  The builder reads like a trace
-    (the same column accessors); :meth:`snapshot` produces an
+    :meth:`complete` record an event with two appends and split a
+    run's events into the columns in bulk.  The builder reads like a
+    trace (the same column accessors); :meth:`snapshot` produces an
     immutable :class:`Trace` sharing the same arrays (no copy --
     later appends extend the arrays past the snapshot's bounds
     without disturbing it).
     """
 
-    __slots__ = ("_addresses", "_opcodes", "_classes", "_bits", "_count")
+    __slots__ = ("_addresses", "_opcodes", "_classes", "_bits", "_count",
+                 "_records", "_pending_classes")
 
     def __init__(self) -> None:
         self._addresses = array(_INT)
@@ -431,6 +465,10 @@ class TraceBuilder(_Columns):
         self._classes = array(_INT)
         self._bits = bytearray()
         self._count = 0
+        #: Events appended through :meth:`partial_recorders` and not
+        #: yet completed: their packed records and receiver classes.
+        self._records = array(_INT)
+        self._pending_classes = []
 
     def _bounds(self) -> Tuple[int, int]:
         return 0, self._count
@@ -448,60 +486,57 @@ class TraceBuilder(_Columns):
         self._classes.append(receiver_class)
         self._count = n + 1
 
-    def extend(self, events: _Columns, address_offset: int = 0) -> None:
-        """Append a whole trace (or builder), optionally rebasing its
-        addresses.
+    def extend(self, events: _Columns) -> None:
+        """Append a whole trace (or builder).
 
-        Column-to-column: bulk array extends (a rebase maps
-        ``operator.add`` over a zero-copy view of the address column)
-        and the source's bits, read as one int, merged into the
-        bitset.
+        Column-to-column: bulk array extends, and the source's bits,
+        read as one int, merged into the bitset.
         """
         start, stop = events._bounds()
         if stop == start:
             return
         n0 = self._count
-        if address_offset:
-            self._addresses.extend(map(operator.add, events.addresses(),
-                                       repeat(address_offset)))
-        else:
-            self._addresses.extend(events._addresses[start:stop])
+        self._addresses.extend(events._addresses[start:stop])
         self._opcodes.extend(events._opcodes[start:stop])
         self._classes.extend(events._classes[start:stop])
         self._merge_bits(n0, _bits_as_int(events._bits, start, stop),
                          stop - start)
 
     def partial_recorders(self):
-        """``(address append, receiver-class append)``: the emitter for
-        machines whose opcode and dispatched flag are functions of the
-        instruction address (the Fith interpreter: each address names
-        one plan entry).
+        """``(record append, receiver-class append)``: the emitter for
+        machines whose address, opcode and dispatched flag are fixed
+        per instruction (the Fith interpreter packs them once per plan
+        entry into an :data:`EVENT_RECORD`).
 
-        Events appended through these two calls join the builder when
-        :meth:`complete` fills in their opcodes and dispatched bits.
+        A step appends its instruction's packed record with the first
+        call and the class on top of the stack with the second; the
+        events join the builder when :meth:`complete` splits them into
+        the columns.
         """
-        return self._addresses.append, self._classes.append
+        return self._records.frombytes, self._pending_classes.append
 
-    def complete(self, opcode_at, dispatched_at) -> None:
+    def complete(self) -> None:
         """Finish the events appended through :meth:`partial_recorders`
-        since the last call, in bulk: each event's opcode is
-        ``opcode_at[address]`` and its dispatched bit
-        ``dispatched_at[address]`` (0 or 1).
+        since the last call, in bulk: three strided slices of the
+        packed records give the address, opcode and flag columns, and
+        the flags are packed into the bitset.
 
-        An event is complete once its receiver class is appended; an
-        address appended without one is dropped.
+        An event is complete once its receiver class is appended; a
+        record appended without one is dropped.
         """
-        n0 = self._count
-        count = len(self._classes)
-        del self._addresses[count:]
-        if count == n0:
-            return
-        addresses = self._addresses
-        self._opcodes.extend(map(opcode_at.__getitem__,
-                                 islice(addresses, n0, None)))
-        flags = bytes(map(dispatched_at.__getitem__,
-                          islice(addresses, n0, None)))
-        self._merge_bits(n0, _pack_flags(flags), count - n0)
+        records = self._records
+        classes = self._pending_classes
+        count = len(classes)
+        if count:
+            del records[3 * count:]
+            n0 = self._count
+            self._addresses.extend(records[0::3])
+            self._opcodes.extend(records[1::3])
+            self._classes.fromlist(classes)
+            flags = bytes(memoryview(records).cast("B")[_FLAG_BYTE::12])
+            self._merge_bits(n0, _pack_flags(flags), count)
+        del records[:]
+        classes.clear()
 
     def _merge_bits(self, n0: int, value: int, added: int) -> None:
         """Place ``added`` dispatched bits (``value``, bit 0 first) at

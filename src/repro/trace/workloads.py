@@ -33,12 +33,12 @@ def paper_trace(scale: int = 1, *, classes: int = 20, selectors: int = 32,
     figures' operating points match the paper under the double-pass
     warm-up: a 512-entry 2-way ITLB exceeds a 99% hit ratio (figure
     10), and the instruction cache needs 4096 entries *and* 2/4-way
-    associativity to reach 99% (figure 11).  The polymorphic section is
-    rebased past the corpus's code region.
+    associativity to reach 99% (figure 11).  The polymorphic section's
+    code is laid out past the corpus's code region.
     """
     corpus = combined_trace(scale)
     top = max(corpus.addresses()) if len(corpus) else 0
-    machine = FithMachine(trace=True)
+    machine = FithMachine(trace=True, code_base=top + 64)
     machine.run_source(
         polymorphic_workload(classes=classes, selectors=selectors,
                              rounds=rounds * scale,
@@ -49,7 +49,7 @@ def paper_trace(scale: int = 1, *, classes: int = 20, selectors: int = 32,
     )
     builder = TraceBuilder()
     builder.extend(corpus)
-    builder.extend(machine.trace, address_offset=top + 64)
+    builder.extend(machine.trace)
     return builder.snapshot()
 
 
@@ -58,26 +58,25 @@ def interleaved_trace(scale: int = 1, chunk: int = 2000) -> Trace:
 
     Models multiprogramming: the instruction cache and ITLB see
     alternating working sets (a harder workload than one long program).
-    Each slice is a zero-copy view of its program's trace, rebased at
-    append time -- no intermediate event objects.
+    Program ``k``'s code is laid out from address ``k << 16``, and each
+    slice is a zero-copy view of its program's trace appended with
+    column extends -- no intermediate event objects.
     """
     parts = []
-    base = 0
-    for name in sorted(CORPUS):
-        machine = FithMachine(trace=True)
+    for index, name in enumerate(sorted(CORPUS)):
+        machine = FithMachine(trace=True, code_base=index << 16)
         machine.run_source(CORPUS[name](scale), max_steps=20_000_000)
-        parts.append((machine.trace.snapshot(), base))
-        base += 1 << 16
+        parts.append(machine.trace.snapshot())
     builder = TraceBuilder()
     cursors = [0] * len(parts)
-    remaining = sum(len(part) for part, _ in parts)
+    remaining = sum(len(part) for part in parts)
     while remaining:
-        for index, (part, part_base) in enumerate(parts):
+        for index, part in enumerate(parts):
             start = cursors[index]
             if start >= len(part):
                 continue
             stop = min(start + chunk, len(part))
-            builder.extend(part[start:stop], address_offset=part_base)
+            builder.extend(part[start:stop])
             remaining -= stop - start
             cursors[index] = stop
     return builder.snapshot()

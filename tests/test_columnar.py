@@ -17,7 +17,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.trace.columnar import _INT, Trace, TraceBuilder
+from repro.trace.columnar import _INT, EVENT_RECORD, Trace, TraceBuilder
 from repro.trace.semantics import SEMANTICS, reset_index, warmup_cut
 from repro.workloads.store import TraceStore
 from trace_helpers import trace_of
@@ -84,15 +84,13 @@ class TestSequenceContract:
         assert builder == trace_of(rows)
         assert builder.snapshot() == builder
 
-    def test_builder_extend_rebases_columns(self):
+    def test_builder_extend_appends_columns(self):
         rows = _pattern_rows(30)
         part = trace_of(rows)
         builder = TraceBuilder()
-        builder.extend(part, address_offset=1000)
+        builder.extend(part)
         builder.extend(part[5:12])
-        expected = [(address + 1000, opcode, receiver, dispatched)
-                    for address, opcode, receiver, dispatched in rows]
-        assert builder == trace_of(expected + rows[5:12])
+        assert builder == trace_of(rows + rows[5:12])
 
     def test_aligned_view_payload_masks_trailing_bits(self):
         # A byte-aligned view whose stop is mid-byte must not leak
@@ -135,28 +133,26 @@ _EVENT = st.tuples(st.integers(0, 1 << 20), st.integers(0, 400),
                    st.integers(-1, 60), st.booleans())
 
 
-def _recorded(events, address_offset=0):
+def _recorded(events):
     builder = TraceBuilder()
     for address, opcode, receiver, dispatched in events:
-        builder.record(address + address_offset, opcode, receiver,
-                       dispatched)
+        builder.record(address, opcode, receiver, dispatched)
     return builder
 
 
 class TestBulkBuilderOperations:
     """The builder's bulk paths (column extends, bitset merges at any
-    bit offset, the address-keyed completion of partly recorded events,
+    bit offset, the split of packed event records into the columns,
     bit-counting) against per-event ``record``."""
 
     @settings(max_examples=150, deadline=None)
     @given(prefix=st.lists(_EVENT, max_size=20),
            source=st.lists(_EVENT, max_size=40),
            cut=st.tuples(st.integers(0, 40), st.integers(0, 40)),
-           address_offset=st.integers(0, 1 << 20),
            kind=st.sampled_from(["slice", "decoded", "decoded-slice",
                                  "builder"]))
     def test_extend_equals_per_event_record(self, prefix, source, cut,
-                                            address_offset, kind):
+                                            kind):
         lo, hi = sorted(min(bound, len(source)) for bound in cut)
         full = _recorded(source)
         if kind == "builder":
@@ -168,10 +164,8 @@ class TestBulkBuilderOperations:
         else:
             view = full.snapshot()[lo:hi]
         builder = _recorded(prefix)   # last bitset byte partly filled
-        builder.extend(view, address_offset=address_offset)
-        expected = _recorded(prefix + [
-            (address + address_offset, opcode, receiver, dispatched)
-            for address, opcode, receiver, dispatched in source[lo:hi]])
+        builder.extend(view)
+        expected = _recorded(prefix + source[lo:hi])
         assert len(builder) == len(expected)
         assert builder.to_bytes() == expected.to_bytes()
         for trace in (view, builder, builder.snapshot(),
@@ -185,23 +179,27 @@ class TestBulkBuilderOperations:
             [i for i, row in enumerate(prefix + source[lo:hi]) if row[3]]
 
     @settings(max_examples=150, deadline=None)
-    @given(epochs=st.lists(st.lists(st.integers(0, 63), max_size=30),
-                           min_size=1, max_size=4),
-           opcodes=st.lists(st.integers(0, 400), min_size=64, max_size=64),
-           flags=st.lists(st.booleans(), min_size=64, max_size=64))
-    def test_complete_equals_per_event_record(self, epochs, opcodes,
-                                              flags):
+    @given(epochs=st.lists(st.tuples(st.lists(_EVENT, max_size=30),
+                                     st.booleans()),
+                           min_size=1, max_size=4))
+    def test_complete_equals_per_event_record(self, epochs):
+        # Each epoch records through the packed-record emitter and
+        # completes; epochs of any length leave the next one starting
+        # mid-byte in the bitset.  An epoch may end with a record whose
+        # receiver class never came, which complete() drops.
         builder = TraceBuilder()
         expected = TraceBuilder()
-        dispatched_at = [int(flag) for flag in flags]
-        for epoch in epochs:
-            record_address, record_class = builder.partial_recorders()
-            for step, address in enumerate(epoch):
-                record_address(address)
-                record_class(step % 7 - 1)
-                expected.record(address, opcodes[address], step % 7 - 1,
-                                flags[address])
-            builder.complete(opcodes, dispatched_at)
+        for events, dangling in epochs:
+            record_event, record_class = builder.partial_recorders()
+            for address, opcode, receiver, dispatched in events:
+                record_event(EVENT_RECORD.pack(address, opcode,
+                                               dispatched))
+                record_class(receiver)
+                expected.record(address, opcode, receiver, dispatched)
+            if dangling:
+                record_event(EVENT_RECORD.pack(7, 7, 1))
+            builder.complete()
+            assert len(builder) == len(expected)
             assert builder.to_bytes() == expected.to_bytes()
         assert builder.dispatched_count() == \
             len(builder.dispatched_indices()) == \

@@ -1,6 +1,7 @@
 """Tests for the Fith language system (repro.fith, section 5)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import DoesNotUnderstandTrap, FithError, TagMismatch
 from repro.fith.code import FithOp, MACHINE_OP_SELECTORS
@@ -284,11 +285,11 @@ class TestFastPathFallbacks:
 
 
 class TestDeferredRecording:
-    """A traced run appends each step's address and receiver class and
-    fills in the opcodes and dispatched bits when it exits, normally or
-    by an error.  The expected events below were recorded by the
-    per-event recorder this replaced: ``(address, opcode, receiver
-    class, dispatched)``."""
+    """A traced run appends each step's packed plan-entry record
+    (address, opcode, dispatched flag) and receiver class, and splits
+    them into the columns when it exits, normally or by an error.  The
+    expected events below were recorded by a per-event recorder:
+    ``(address, opcode, receiver class, dispatched)``."""
 
     ABORTED = [
         pytest.param(
@@ -372,6 +373,44 @@ class TestDeferredRecording:
         assert machine.trace.to_bytes() == reference.to_bytes()
         assert machine.trace.dispatched_count() == \
             reference.dispatched_count()
+
+
+class TestCodeBase:
+    """A machine built with ``code_base=B`` lays its code out from B,
+    so its trace is the trace at 0 with every address shifted by B:
+    opcodes, receiver classes, the dispatched bitset, the step count
+    and an aborted run's error are unchanged.  The trace at 0 is
+    pinned by the scenario digests (tests/test_trace_digests.py) and,
+    for the aborted runs, by :class:`TestDeferredRecording`'s
+    recorded events."""
+
+    @settings(max_examples=3, deadline=None)
+    @given(code_base=st.integers(1, 1 << 24))
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_corpus_trace_shifts_by_code_base(self, name, code_base):
+        reference = trace_for(name)
+        shifted = trace_for(name, code_base=code_base)
+        assert len(shifted) == len(reference)
+        assert list(shifted.addresses()) == \
+            [address + code_base for address in reference.addresses()]
+        assert shifted.opcodes() == reference.opcodes()
+        assert shifted.receiver_classes() == reference.receiver_classes()
+        assert shifted.dispatched_bitset() == reference.dispatched_bitset()
+
+    @settings(max_examples=10, deadline=None)
+    @given(code_base=st.integers(1, 1 << 24))
+    @pytest.mark.parametrize("source, max_steps, error, message, expected",
+                             TestDeferredRecording.ABORTED)
+    def test_aborted_trace_shifts_by_code_base(self, source, max_steps,
+                                               error, message, expected,
+                                               code_base):
+        machine = FithMachine(trace=True, code_base=code_base)
+        with pytest.raises(error, match=message):
+            machine.run_source(source, max_steps=max_steps)
+        assert machine.trace == trace_of(
+            (address + code_base, opcode, receiver, dispatched)
+            for address, opcode, receiver, dispatched in expected)
+        assert machine.steps == len(expected)
 
 
 class TestCorpus:

@@ -28,7 +28,7 @@ from repro.sweep import (
     run_batch,
     run_sweep,
 )
-from repro.sweep import np_engine
+from repro.sweep import np_engine, runner
 from repro.sweep.runner import _RESULT_CACHES
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.store import TraceStore
@@ -255,6 +255,44 @@ def test_mixed_batch_matches_per_query_run_sweep(events):
     for query, surface in zip(queries, batch.surfaces):
         assert surface.spec == query.spec
         _assert_bitwise_equal(surface, run_sweep(query.spec, events))
+
+
+class TestReferenceStreamMemo:
+    """The ITLB reference stream is built once per trace: the three
+    paper-trace ITLB queries the benchmark's sweep workload sends (the
+    double pass, and the 0.25 window under each semantics) share one
+    build, and each answer is still the one a lone ``run_sweep`` over
+    its own trace gives."""
+
+    SPECS = [
+        SweepSpec(cache="itlb", double_pass=True, include_full=True),
+        SweepSpec(cache="itlb", double_pass=False, warmup_fraction=0.25,
+                  semantics="paper"),
+        SweepSpec(cache="itlb", double_pass=False, warmup_fraction=0.25,
+                  semantics="v2"),
+    ]
+
+    @pytest.mark.parametrize("engine", ["single-pass", "numpy"])
+    def test_paper_itlb_queries_build_the_stream_once(self, engine,
+                                                      monkeypatch):
+        if engine == "numpy" and not np_engine.numpy_available():
+            pytest.skip("numpy is not installed")
+        builds = []
+        build = runner._build_itlb_ref_columns
+
+        def counted(trace, dispatched_only, use_numpy):
+            builds.append((dispatched_only, use_numpy))
+            return build(trace, dispatched_only, use_numpy)
+
+        monkeypatch.setattr(runner, "_build_itlb_ref_columns", counted)
+        specs = [replace(spec, engine=engine) for spec in self.SPECS]
+        batch = run_batch([Query(spec=spec) for spec in specs],
+                          mixed_trace(3000, seed=17))
+        assert builds == [(True, engine == "numpy")]
+        for spec, surface in zip(specs, batch.surfaces):
+            _assert_bitwise_equal(
+                surface, run_sweep(spec, mixed_trace(3000, seed=17)))
+        assert len(builds) == 1 + len(specs)
 
 
 class TestCacheInterplay:
