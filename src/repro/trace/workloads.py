@@ -16,8 +16,12 @@ generator version so cached traces invalidate.
 
 from __future__ import annotations
 
-from repro.fith.interp import FithMachine
-from repro.fith.programs import CORPUS, combined_trace, polymorphic_workload
+from repro.fith.programs import (
+    CORPUS,
+    combined_trace,
+    polymorphic_workload,
+    trace_for,
+)
 from repro.trace.columnar import Trace, TraceBuilder
 
 
@@ -38,18 +42,16 @@ def paper_trace(scale: int = 1, *, classes: int = 20, selectors: int = 32,
     """
     corpus = combined_trace(scale)
     top = max(corpus.addresses()) if len(corpus) else 0
-    machine = FithMachine(trace=True, code_base=top + 64)
-    machine.run_source(
+    polymorphic = trace_for(
         polymorphic_workload(classes=classes, selectors=selectors,
                              rounds=rounds * scale,
                              phase_length=phase_length,
                              stray_percent=stray_percent,
                              hot_selectors=hot_selectors),
-        max_steps=50_000_000,
-    )
+        max_steps=50_000_000, code_base=top + 64)
     builder = TraceBuilder()
     builder.extend(corpus)
-    builder.extend(machine.trace)
+    builder.extend(polymorphic)
     return builder.snapshot()
 
 
@@ -62,11 +64,8 @@ def interleaved_trace(scale: int = 1, chunk: int = 2000) -> Trace:
     slice is a zero-copy view of its program's trace appended with
     column extends -- no intermediate event objects.
     """
-    parts = []
-    for index, name in enumerate(sorted(CORPUS)):
-        machine = FithMachine(trace=True, code_base=index << 16)
-        machine.run_source(CORPUS[name](scale), max_steps=20_000_000)
-        parts.append(machine.trace.snapshot())
+    parts = [trace_for(name, scale, code_base=index << 16)
+             for index, name in enumerate(sorted(CORPUS))]
     builder = TraceBuilder()
     cursors = [0] * len(parts)
     remaining = sum(len(part) for part in parts)
