@@ -26,10 +26,10 @@ Subcommands::
                  --stats prints column-level statistics (no event
                  objects are materialized)
     repro store  {stats|verify|gc} [--trace-dir DIR]
-                 administer the trace library: layout/result-cache
+                 administer the trace store: payload/result-cache
                  statistics, integrity audit (every stored payload's
                  CRC32 checks; the corrupt ones are quarantined) and
-                 litter sweep
+                 removal of the temp files interrupted writes left
     repro bench  [pytest args ...]
                  run the benchmark suite (pytest-benchmark)
 
@@ -194,12 +194,6 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
             print(f"  - {name}: {reason}")
     else:
         print("corrupt:     0")
-    if report["mismatched"]:
-        print(f"mismatched:  {len(report['mismatched'])} sidecar(s) "
-              f"misdescribe a healthy payload (reported only; the "
-              f"payload is the truth)")
-        for name, reason in report["mismatched"]:
-            print(f"  - {name}: {reason}")
     return 1 if report["corrupt"] else 0
 
 
@@ -265,26 +259,20 @@ def _cmd_store(args: argparse.Namespace) -> int:
         stats = store.stats()
         cache = stats["result_cache"]
         print(f"trace store:  {stats['root']}")
-        print(f"payloads:     {stats['payloads']} across "
-              f"{stats['shards']} shard dir(s), "
+        print(f"payloads:     {stats['payloads']}, "
               f"{stats['payload_bytes']} bytes")
         print(f"quarantined:  {stats['quarantined']}")
         state = ("enabled" if cache["enabled"]
                  else "disabled via $REPRO_RESULT_CACHE")
         print(f"result cache: {cache['entries']} entries, "
-              f"{cache['bytes']} of {cache['budget_bytes']} budget "
-              f"bytes ({state})")
+              f"{cache['bytes']} bytes ({state})")
         return 0
     if args.action == "gc":
-        report = store.library.gc()
+        removed = store.gc()
         print(f"trace store: {store.root}")
-        print(f"tmp files removed:       {len(report['tmp_files'])}")
-        print(f"orphan sidecars removed: "
-              f"{len(report['orphan_sidecars'])}")
-        print(f"empty shards removed:    {len(report['empty_shards'])}")
-        for kind in ("tmp_files", "orphan_sidecars", "empty_shards"):
-            for name in report[kind]:
-                print(f"  - {name}")
+        print(f"tmp files removed:       {len(removed)}")
+        for name in removed:
+            print(f"  - {name}")
         return 0
     raise AssertionError(f"unhandled store action {args.action!r}")
 
@@ -615,14 +603,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     store_parser = commands.add_parser(
         "store",
-        help="administer the trace library (layout stats, integrity "
-             "audit, litter gc)")
+        help="administer the trace store (stats, integrity audit, "
+             "temp-file gc)")
     store_parser.add_argument(
         "action", choices=("stats", "verify", "gc"),
-        help="stats: layout + result-cache numbers; verify: audit "
-             "every payload (quarantines corruption, reports stale "
-             "sidecars); gc: remove orphan sidecars / tmp litter / "
-             "empty shard dirs (payloads are never touched)")
+        help="stats: payload + result-cache numbers; verify: audit "
+             "every payload (quarantines corruption, lists stale "
+             "formats); gc: remove the temp files interrupted writes "
+             "left (payloads and result entries are never touched)")
     store_parser.add_argument("--trace-dir", type=str, default=None)
     store_parser.set_defaults(func=_cmd_store)
 

@@ -4,8 +4,8 @@ A harness run that dies halfway (crash, OOM, ^C) used to lose
 every completed result.  The journal writes one record per finished
 experiment under ``.repro_runs/<run-key>/`` (override the root with
 ``REPRO_RUN_DIR`` or the ``--run-dir`` flag) the moment it completes,
-via the same temp-file + ``os.replace`` discipline as the trace
-store, so a record is either fully present or absent -- never torn.
+via :func:`repro.atomic.atomic_write`, as the trace store writes its
+payloads, so a record is either fully present or absent -- never torn.
 
 ``repro run --resume`` replays the journal: experiments with a valid
 record for the *same run key* are served from disk and skipped.  The
@@ -27,12 +27,12 @@ import json
 import os
 import pickle
 import shutil
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
 from repro import telemetry
+from repro.atomic import atomic_write
 from repro.experiments.common import ExperimentResult
 
 _RECORD_SUFFIX = ".result"
@@ -103,22 +103,9 @@ class RunJournal:
     def record(self, exp_id: str, result: ExperimentResult) -> None:
         """Atomically persist one completed experiment's result."""
         with telemetry.span("journal.record", experiment=exp_id):
-            self.directory.mkdir(parents=True, exist_ok=True)
-            path = self._record_path(exp_id)
-            blob = pickle.dumps((exp_id, result),
-                                protocol=pickle.HIGHEST_PROTOCOL)
-            fd, tmp = tempfile.mkstemp(dir=str(self.directory),
-                                       prefix=path.stem, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write(self._record_path(exp_id),
+                         pickle.dumps((exp_id, result),
+                                      protocol=pickle.HIGHEST_PROTOCOL))
             telemetry.inc("journal.records")
 
     def completed(self) -> Dict[str, ExperimentResult]:

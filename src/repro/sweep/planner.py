@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 from repro import telemetry
-from repro.sweep.runner import _result_cache, result_cache_key, run_sweep
+from repro.sweep.runner import result_cache_key, run_sweep
 from repro.sweep.spec import SweepSpec
 from repro.sweep.surface import ResultSurface
 from repro.trace.columnar import Trace
@@ -61,7 +61,7 @@ def run_batch(queries: Sequence[Query], events: Trace) -> BatchResult:
     module docstring)."""
     queries = list(queries)
     trace_key = events.store_key
-    disk = _result_cache(events.store_root) \
+    disk = ResultCache(events.store_root) \
         if trace_key and events.store_root and ResultCache.enabled() \
         else None
 

@@ -88,18 +88,6 @@ def result_cache_key(spec: SweepSpec, trace_key: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
-#: store root -> ResultCache, so repeated sweeps share hit/miss
-#: counters.
-_RESULT_CACHES: Dict[str, ResultCache] = {}
-
-
-def _result_cache(root: str) -> ResultCache:
-    cache = _RESULT_CACHES.get(root)
-    if cache is None:
-        cache = _RESULT_CACHES[root] = ResultCache(root)
-    return cache
-
-
 # -- reference streams ----------------------------------------------------
 
 def _itlb_ref_columns(trace: Trace, dispatched_only: bool,
@@ -372,7 +360,7 @@ def run_sweep(spec: SweepSpec, events: Trace) -> ResultSurface:
     cache = key = None
     trace_key = events.store_key
     if trace_key and events.store_root and ResultCache.enabled():
-        cache = _result_cache(events.store_root)
+        cache = ResultCache(events.store_root)
         key = result_cache_key(spec, trace_key)
         payload = cache.get(key)
         if payload is not None:

@@ -41,11 +41,12 @@ import atexit
 import json
 import os
 import platform
-import tempfile
 import time
 import uuid
 from pathlib import Path
 from typing import Dict, Optional
+
+from repro.atomic import atomic_write
 
 #: The sink files under the telemetry directory.
 SPANS_FILE = "spans.jsonl"
@@ -76,20 +77,10 @@ def split_metric_key(key: str):
 
 
 def _atomic_write_json(path: Path, payload: dict) -> None:
-    """Temp-file + ``os.replace``: the file is whole or absent."""
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent),
-                               prefix=path.stem, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, indent=2, sort_keys=True,
-                                    default=str) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    """*payload* as indented JSON, whole or absent (see
+    :func:`repro.atomic.atomic_write`)."""
+    atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True,
+                                   default=str) + "\n").encode("utf-8"))
 
 
 def _load_json(path: Path) -> dict:
@@ -255,7 +246,6 @@ class _Recorder:
         if not self._metrics_dirty:
             return
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
             _atomic_write_json(self.directory / METRICS_FILE,
                                self.registry())
             self._metrics_dirty = False

@@ -233,7 +233,6 @@ def build_report(data: dict, top: int = 10) -> dict:
         "hits": cache_hits,
         "misses": cache_misses,
         "puts": counter_total(metrics, "result_cache.put"),
-        "evictions": counter_total(metrics, "result_cache.evict"),
         "hit_rate": (round(cache_hits / cache_lookups, 4)
                      if cache_lookups else None),
         "sweep_replays": counter_total(metrics, "sweep.replay"),
@@ -339,8 +338,7 @@ def render(report: dict) -> str:
         lines.append("sweep-result cache:")
         lines.append(f"  hits {cache['hits']:.0f} / misses "
                      f"{cache['misses']:.0f} (hit rate {cache_rate}), "
-                     f"puts {cache['puts']:.0f}, "
-                     f"evictions {cache['evictions']:.0f}")
+                     f"puts {cache['puts']:.0f}")
         lines.append(f"  engine replays {cache['sweep_replays']:.0f}")
     robustness = report["robustness"]
     lines.append("")

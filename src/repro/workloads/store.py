@@ -9,16 +9,19 @@ version)`` -- hashed into a content key -- and keeps it under
 argument) in the columnar binary format of
 :mod:`repro.trace.columnar`.
 
-Layout (see :mod:`repro.workloads.library`): payloads live sharded
-under ``shards/<key[:2]>/``; the payload files are the only index.  A
-payload in an older layout (a flat file at the store root) is a cache
-miss: the trace regenerates into its shard and the old file is left
-alone.  Sweep results are memoized under ``results/`` by the
-:class:`~repro.workloads.library.ResultCache`.
+Layout: one flat directory, and the files are the store's only
+record.  Payloads live at ``<root>/<name>-<key>.trace``; listings,
+``verify``, ``stats`` and ``gc`` glob them.  The key is hex, so the
+workload name is the file stem up to its last hyphen.  Sweep results
+are memoized under ``results/`` by the
+:class:`~repro.workloads.library.ResultCache`, and corrupt payloads
+go to ``quarantine/``.  A payload in an older layout (under
+``shards/``) is a cache miss: the trace regenerates at the root and
+the old file is left alone.
 
 Load path: one, for every host and every run, with or without a
-fault plan.  A hit reads the payload's bytes, passes them through the
-``store.read`` fault site and decodes them with
+fault plan.  A hit reads the payload's bytes -- one file -- passes
+them through the ``store.read`` fault site and decodes them with
 :meth:`TraceStore.deserialize`
 (:meth:`~repro.trace.columnar.Trace.from_bytes`), which checks every
 block's CRC32 before it builds a column.  The loaded trace owns its
@@ -32,30 +35,21 @@ Cache rules:
   place.  ``format`` is the columnar payload version
   (:data:`repro.trace.columnar.FORMAT_VERSION`), so a layout change
   invalidates by missing, never by misreading.
-* **write** -- to a temp file in the same directory then
-  ``os.replace``, so concurrent writers (two runs sharing a store)
+* **write** -- through :func:`repro.atomic.atomic_write` (temp file +
+  ``os.replace``), so concurrent writers (two runs sharing a store)
   can race harmlessly: last atomic rename wins and both contents are
-  identical by construction.
+  identical by construction.  A failed write is not an error: the
+  store is a cache.
 * **read** -- a file in a *legacy or foreign format* (wrong magic,
   old payload version) is a clean miss and regenerated in place.  A
   file in the *current* format that fails its integrity check (length
   or a CRC32 block trailer; see payload v3 in
   :mod:`repro.trace.columnar`) is **quarantined**: moved to
   ``quarantine/`` under the store root with a ``.reason.json``
-  sidecar recording why, then regenerated.  Corruption is evidence of
-  a disk/transfer problem -- it is preserved for inspection, never
+  beside it recording why, then regenerated.  Corruption is evidence
+  of a disk/transfer problem -- it is preserved for inspection, never
   silently destroyed.  ``TraceStore.verify()`` (CLI: ``repro store
-  verify``) audits every payload in the store the same way, and
-  additionally cross-checks each sidecar's recorded identity
-  against the content key in the filename, *reporting* (never
-  quarantining) sidecars that misdescribe a healthy payload.
-
-A JSON sidecar (same stem, ``.json``) records the human-readable
-identity of each entry for ``python -m repro list``/``trace``.  The
-sidecar is *regenerable metadata*: a missing or corrupt sidecar never
-hides or invalidates a valid binary payload -- it is rewritten on
-load (full fidelity, since the spec and parameters are in hand) and
-reconstructed best-effort from the payload during enumeration.
+  verify``) audits every payload in the store the same way.
 """
 
 from __future__ import annotations
@@ -63,15 +57,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro import faults, telemetry
+from repro.atomic import atomic_write
 from repro.errors import PayloadFormatError, StoreCorruption
 from repro.trace.columnar import FORMAT_VERSION, Trace
-from repro.workloads.library import ResultCache, TraceLibrary
+from repro.workloads.library import ResultCache
 from repro.workloads.spec import WorkloadSpec, get as get_spec
 
 #: Subdirectory (under the store root) corrupt payloads are moved to.
@@ -94,7 +88,6 @@ class TraceStore:
 
     def __init__(self, root: Optional[os.PathLike] = None) -> None:
         self.root = Path(root) if root is not None else default_root()
-        self.library = TraceLibrary(self.root)
         self.hits = 0
         self.misses = 0
         self.generated = 0
@@ -104,24 +97,24 @@ class TraceStore:
     # -- keying ---------------------------------------------------------
 
     @staticmethod
-    def _identity_key(name: str, version, params) -> str:
+    def key_for(spec: WorkloadSpec, params: Mapping[str, object]) -> str:
         identity = json.dumps(
-            {"name": name, "version": version,
+            {"name": spec.name, "version": spec.version,
              "format": FORMAT_VERSION, "params": dict(params)},
             sort_keys=True, separators=(",", ":"), default=str)
         return hashlib.sha256(identity.encode()).hexdigest()[:20]
 
-    @staticmethod
-    def key_for(spec: WorkloadSpec, params: Mapping[str, object]) -> str:
-        return TraceStore._identity_key(spec.name, spec.version, params)
-
     def path_for(self, spec: WorkloadSpec,
                  params: Mapping[str, object]) -> Path:
-        """The (sharded) location of one trace payload."""
+        """The location of one trace payload."""
         return self._payload_path(spec.name, self.key_for(spec, params))
 
     def _payload_path(self, name: str, key: str) -> Path:
-        return self.library.shard_path(f"{name}-{key}.trace", key)
+        return self.root / f"{name}-{key}.trace"
+
+    def _payload_paths(self) -> List[Path]:
+        """Every payload in the store, sorted by file name."""
+        return sorted(self.root.glob("*.trace"))
 
     # -- load / materialize ---------------------------------------------
 
@@ -134,21 +127,6 @@ class TraceStore:
         params = spec.resolve(quick=quick, scale=scale,
                               overrides=overrides)
         return self._load_resolved(spec, params)
-
-    def trace_key(self, name_or_spec, *, quick: bool = False,
-                  scale: Optional[int] = None, **overrides) -> str:
-        """The content key a load would use, without touching disk.
-
-        The harness's result-cache probe needs this key (it
-        parameterizes the sweep-result cache) *before* deciding
-        whether an experiment has to be scheduled at all, so it must
-        not cost a payload read or a generator run.
-        """
-        spec = (name_or_spec if isinstance(name_or_spec, WorkloadSpec)
-                else get_spec(name_or_spec))
-        params = spec.resolve(quick=quick, scale=scale,
-                              overrides=overrides)
-        return self.key_for(spec, params)
 
     def ensure(self, name_or_spec, *, quick: bool = False,
                scale: Optional[int] = None,
@@ -176,16 +154,13 @@ class TraceStore:
                 self.hits += 1
                 telemetry.inc("store.hit")
                 sp.set(outcome="hit", events=len(events))
-                if self._read_sidecar(path) is None:
-                    self._write_sidecar(path, self._sidecar_meta(
-                        spec.name, spec.version, params, events))
             else:
                 self.misses += 1
                 self.generated += 1
                 telemetry.inc("store.miss")
                 telemetry.inc("store.generated")
                 events = spec.generate(params)
-                self._write(path, spec, params, events)
+                self._write(path, events)
                 sp.set(outcome="generated", events=len(events))
         events.store_key = key
         events.store_root = str(self.root)
@@ -226,7 +201,7 @@ class TraceStore:
             return None
 
     def quarantine(self, path: Path, reason: str) -> Optional[Path]:
-        """Move a corrupt payload (and sidecar) into ``quarantine/``.
+        """Move a corrupt payload into ``quarantine/``.
 
         Writes a ``<name>.reason.json`` sidecar recording why.  Best
         effort: quarantining is bookkeeping around a miss and must
@@ -243,11 +218,6 @@ class TraceStore:
         self.quarantined += 1
         telemetry.inc("store.quarantined")
         telemetry.event("store.quarantine", file=path.name, reason=reason)
-        sidecar = path.with_suffix(".json")
-        try:
-            os.replace(sidecar, qdir / sidecar.name)
-        except OSError:
-            pass  # the sidecar is regenerable metadata anyway
         try:
             (qdir / f"{path.name}.reason.json").write_text(json.dumps(
                 {"file": path.name, "reason": reason,
@@ -258,60 +228,20 @@ class TraceStore:
             pass
         return destination
 
-    def _sidecar_mismatch(self, path: Path,
-                          trace: Trace) -> Optional[str]:
-        """Why this payload's sidecar misdescribes it, or None.
-
-        Cross-checks (a) the sidecar's recorded identity against the
-        content key in the filename -- only when every parameter
-        survived the sidecar round-trip as a JSON primitive, since
-        ``repr``-stringified parameters cannot be re-keyed faithfully
-        -- and (b) the recorded event/dispatched counts against
-        *trace*, the payload as the audit decoded it.  A mismatch
-        means the *sidecar* is stale (the payload already passed its
-        CRC audit); it is reported for repair, never quarantined.
-        """
-        meta = self._read_sidecar(path)
-        if meta is None:
-            return None  # missing/corrupt sidecars are healed on load
-        filename_key = path.stem.rsplit("-", 1)[-1]
-        params = meta.get("params")
-        if isinstance(params, dict) and all(
-                isinstance(value, (int, float, str, bool, type(None)))
-                for value in params.values()) \
-                and "workload" in meta and "version" in meta:
-            recorded = self._identity_key(meta["workload"],
-                                          meta["version"], params)
-            if recorded != filename_key:
-                return (f"sidecar identity keys to {recorded}, "
-                        f"file is keyed {filename_key}")
-        expected = (meta.get("events"), meta.get("dispatched"))
-        if all(isinstance(value, int) for value in expected):
-            actual = (len(trace), trace.dispatched_count())
-            if expected != actual:
-                return (f"sidecar records events/dispatched "
-                        f"{expected[0]}/{expected[1]}, payload has "
-                        f"{actual[0]}/{actual[1]}")
-        return None
-
     def verify(self) -> dict:
         """Audit every payload in the store; quarantine the corrupt.
 
-        Returns ``{"checked", "ok", "stale", "corrupt",
-        "mismatched"}`` where ``stale`` lists legacy-format files
-        (harmless misses, left in place), ``corrupt`` lists ``(name,
-        reason)`` pairs for current-format payloads that failed
-        integrity and were moved to quarantine, and ``mismatched``
-        lists ``(name, reason)`` pairs whose payload is healthy but
-        whose sidecar misdescribes it (stale metadata: reported so it
-        can be repaired, not quarantined -- the payload is the truth).
+        Returns ``{"checked", "ok", "stale", "corrupt"}`` where
+        ``stale`` lists legacy-format files (harmless misses, left in
+        place) and ``corrupt`` lists ``(name, reason)`` pairs for
+        current-format payloads that failed integrity and were moved
+        to quarantine.
         """
-        report = {"checked": 0, "ok": 0, "stale": [], "corrupt": [],
-                  "mismatched": []}
-        for path in self.library.payload_paths():
+        report = {"checked": 0, "ok": 0, "stale": [], "corrupt": []}
+        for path in self._payload_paths():
             report["checked"] += 1
             try:
-                trace = self.deserialize(path.read_bytes())
+                self.deserialize(path.read_bytes())
             except PayloadFormatError:
                 report["stale"].append(path.name)
             except StoreCorruption as error:
@@ -321,34 +251,16 @@ class TraceStore:
                 report["corrupt"].append((path.name, str(error)))
             else:
                 report["ok"] += 1
-                mismatch = self._sidecar_mismatch(path, trace)
-                if mismatch is not None:
-                    report["mismatched"].append((path.name, mismatch))
         return report
 
-    def _write(self, path: Path, spec: WorkloadSpec,
-               params: Mapping[str, object], events: Trace) -> None:
+    def _write(self, path: Path, events: Trace) -> None:
         try:
             with telemetry.span("store.write", file=path.name) as sp:
-                path.parent.mkdir(parents=True, exist_ok=True)
                 blob = events.to_bytes()
                 blob = faults.inject("store.write", key=path.name,
                                      payload=blob)
                 sp.set(bytes=len(blob))
-                fd, tmp = tempfile.mkstemp(dir=str(path.parent),
-                                           prefix=path.stem, suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "wb") as handle:
-                        handle.write(blob)
-                    os.replace(tmp, path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
-            self._write_sidecar(path, self._sidecar_meta(
-                spec.name, spec.version, params, events))
+                atomic_write(path, blob)
         except OSError:
             # The store is a cache: failing to persist must never fail
             # the run that produced the trace.
@@ -368,86 +280,51 @@ class TraceStore:
         columns and stay valid.  Idempotent."""
         self._memo.clear()
 
-    # -- sidecar metadata -----------------------------------------------
-
-    @staticmethod
-    def _sidecar_meta(name: str, version,
-                      params: Optional[Mapping[str, object]],
-                      trace: Trace) -> dict:
-        return {
-            "workload": name,
-            "version": version,
-            "format": FORMAT_VERSION,
-            "params": None if params is None else {
-                k: repr(v) if not isinstance(
-                    v, (int, float, str, bool, type(None))) else v
-                for k, v in params.items()},
-            "events": len(trace),
-            "dispatched": trace.dispatched_count(),
-        }
-
-    @staticmethod
-    def _read_sidecar(path: Path) -> Optional[dict]:
-        """The trace's sidecar dict, or None when missing/corrupt."""
-        try:
-            meta = json.loads(path.with_suffix(".json").read_text())
-        except (OSError, ValueError):
-            return None
-        return meta if isinstance(meta, dict) and "workload" in meta \
-            else None
-
-    @staticmethod
-    def _write_sidecar(path: Path, meta: dict) -> None:
-        try:
-            path.with_suffix(".json").write_text(
-                json.dumps(meta, indent=2, sort_keys=True) + "\n")
-        except OSError:
-            pass  # regenerable metadata: never fail the load
-
     # -- introspection --------------------------------------------------
 
-    def entries(self) -> List[dict]:
-        """Sidecar metadata for every materialized trace.
-
-        Enumerates the binary payloads, not the sidecars: a trace whose sidecar is missing or corrupt is
-        still listed, with its metadata reconstructed from the
-        payload (workload name from the file name, event counts from
-        the columns; the generator version and parameters are
-        unrecoverable and marked so) and the sidecar healed on disk
-        for the next caller.
-        """
-        out = []
-        for trace_path in self.library.payload_paths():
-            meta = self._read_sidecar(trace_path)
-            if meta is None:
-                events = self._read(trace_path)
-                if events is None:
-                    continue  # corrupt payload: a miss, not an entry
-                name = trace_path.stem.rsplit("-", 1)[0]
-                meta = self._sidecar_meta(name, None, None, events)
-                meta["recovered"] = True
-                self._write_sidecar(trace_path, meta)
-            meta["path"] = str(trace_path)
-            out.append(meta)
-        return out
-
     def cached_names(self) -> Dict[str, int]:
-        """workload name -> number of materialized parameterizations."""
+        """workload name -> number of materialized parameterizations.
+
+        Counts payload file names without reading them, so a corrupt
+        payload counts until a load or ``verify`` quarantines it.
+        """
         counts: Dict[str, int] = {}
-        for meta in self.entries():
-            name = meta.get("workload")
-            if name:
-                counts[name] = counts.get(name, 0) + 1
+        for path in self._payload_paths():
+            name = path.stem.rsplit("-", 1)[0]
+            counts[name] = counts.get(name, 0) + 1
         return counts
 
     def stats(self) -> dict:
-        """Layout + result-cache numbers for ``repro store stats``."""
-        stats = self.library.stats()
-        stats["quarantined"] = len(list(
-            (self.root / QUARANTINE_DIR).glob("*.trace"))) \
-            if (self.root / QUARANTINE_DIR).is_dir() else 0
-        stats["result_cache"] = self.result_cache().stats()
-        return stats
+        """Payload + result-cache numbers for ``repro store stats``."""
+        payloads = payload_bytes = 0
+        for path in self._payload_paths():
+            try:
+                payload_bytes += path.stat().st_size
+            except OSError:
+                continue
+            payloads += 1
+        return {
+            "root": str(self.root),
+            "payloads": payloads,
+            "payload_bytes": payload_bytes,
+            "quarantined": len(list(
+                (self.root / QUARANTINE_DIR).glob("*.trace"))),
+            "result_cache": self.result_cache().stats(),
+        }
+
+    def gc(self) -> List[str]:
+        """Remove the ``*.tmp`` files interrupted writes left at the
+        root and in the result cache; their paths relative to the
+        root.  Never touches a payload or a result entry."""
+        removed = []
+        for directory in (self.root, self.result_cache().root):
+            for tmp in sorted(directory.glob("*.tmp")):
+                try:
+                    tmp.unlink()
+                except OSError:
+                    continue
+                removed.append(str(tmp.relative_to(self.root)))
+        return removed
 
 
 _DEFAULT: Optional[TraceStore] = None

@@ -7,6 +7,7 @@ working; detailed claim checks live in test_experiments.py.
 
 import io
 import pathlib
+import re
 import runpy
 
 import pytest
@@ -33,6 +34,14 @@ class TestHarness:
         output = stream.getvalue()
         assert "SUMMARY" in output
         assert "DIVERGES" not in output
+        # The store's files are its only record: the payload at the
+        # root and the two figures' result entries under results/.
+        layout = sorted(path.relative_to(trace_dir).as_posix()
+                        for path in pathlib.Path(trace_dir).rglob("*"))
+        assert [re.sub("[0-9a-f]{20,}", "KEY", name)
+                for name in layout] == [
+            "paper-KEY.trace", "results", "results/KEY.json",
+            "results/KEY.json"]
         # The first run materialized the measurement trace into the
         # store; a second harness run must load it (no Fith
         # re-execution for cached workloads).

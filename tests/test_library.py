@@ -1,22 +1,19 @@
-"""The trace library PR's acceptance surface.
+"""The trace store's on-disk layout and the sweep-result cache.
 
-Pins the tentpole and its satellites end to end:
+Pins them end to end:
 
-* sharded layout -- writes land under ``shards/<key[:2]>/``, a
-  payload in the older flat layout is a miss (regenerated into its
-  shard, the flat file left alone), and ``gc`` sweeps litter,
-  including the index files older stores kept, never a payload;
-* sidecar audit -- ``store.verify()`` REPORTS params/key mismatches
-  (stale metadata) without quarantining the healthy payload;
+* flat layout -- a payload is written at ``<root>/<name>-<key>.trace``
+  and is the only file there, a payload in the older sharded layout
+  is a miss (regenerated at the root, the old file left alone), and
+  ``gc`` removes temp files, never a payload;
 * one load path -- every load, with or without a fault plan, decodes
-  the payload once through ``Trace.from_bytes``, and a >1M-event
-  trace round-trips through the store;
+  the payload once through ``Trace.from_bytes``, a hit reads one
+  file, and a >1M-event trace round-trips through the store;
 * a big-endian reader's ``from_bytes`` never byte-swaps the
   dispatched bitset (it is byte-order independent);
 * the sweep-result cache -- round-trips byte-identical surfaces,
-  treats corruption as a clean miss, evicts LRU by byte budget, can
-  be disabled by environment, and lets a repeated harness run replay
-  zero references;
+  treats corruption as a clean miss, can be disabled by environment,
+  and lets a repeated harness run replay zero references;
 * the ``store.result_cache`` fault-injection site degrades cleanly
   under chaos.
 """
@@ -24,6 +21,7 @@ Pins the tentpole and its satellites end to end:
 import io
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -31,11 +29,10 @@ from repro import faults, telemetry
 from repro.cli import main as cli_main
 from repro.faults import FaultPlan
 from repro.sweep import SweepSpec, result_cache_key, run_sweep
-from repro.sweep.runner import _RESULT_CACHES
 from repro.trace.columnar import Trace, TraceBuilder
-from repro.workloads.library import SHARDS_DIR, ResultCache
+from repro.workloads.library import ResultCache
 from repro.workloads.spec import WorkloadSpec
-from repro.workloads.store import QUARANTINE_DIR, TraceStore
+from repro.workloads.store import TraceStore
 from trace_helpers import trace_of
 
 
@@ -44,11 +41,9 @@ def _clean_state(monkeypatch):
     monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
     monkeypatch.setattr(faults, "_ACTIVE", None)
     monkeypatch.setattr(telemetry, "_RECORDER", None)
-    _RESULT_CACHES.clear()
     yield
     faults.install(None)
     telemetry.install(None)
-    _RESULT_CACHES.clear()
 
 
 def _spec(counter, name="synthetic"):
@@ -60,148 +55,59 @@ def _spec(counter, name="synthetic"):
                         build=build, defaults={"length": 64})
 
 
-# -- sharded layout -------------------------------------------------------
+# -- flat layout ----------------------------------------------------------
 
-class TestShardedLayout:
-    def test_write_lands_in_shard_with_sidecar(self, tmp_path):
+class TestFlatLayout:
+    def test_write_lands_at_the_root(self, tmp_path):
         counter = {"runs": 0}
         store = TraceStore(tmp_path)
         spec = _spec(counter)
-        store.load(spec)
-        key = store.trace_key(spec)
-        payload = tmp_path / SHARDS_DIR / key[:2] / \
-            f"synthetic-{key}.trace"
-        assert payload.is_file()
-        assert payload.with_suffix(".json").is_file()
+        events = store.load(spec)
+        assert [path.name for path in tmp_path.iterdir()] == \
+            [f"synthetic-{events.store_key}.trace"]
 
-    def test_flat_legacy_payload_is_a_miss(self, tmp_path):
+    def test_sharded_legacy_payload_is_a_miss(self, tmp_path):
         counter = {"runs": 0}
         spec = _spec(counter)
-        sharded = TraceStore(tmp_path)
-        events = sharded.load(spec)
-        key = sharded.trace_key(spec)
-        # Demote the payload to the older flat layout by hand.
-        src = sharded.path_for(spec, spec.resolve())
-        flat = tmp_path / src.name
-        os.replace(src, flat)
-        os.replace(src.with_suffix(".json"), flat.with_suffix(".json"))
-        flat_bytes = flat.read_bytes()
-        flat_sidecar = flat.with_suffix(".json").read_bytes()
+        flat = TraceStore(tmp_path)
+        events = flat.load(spec)
+        key = events.store_key
+        # Move the payload to where an older store kept it.
+        src = flat.path_for(spec, spec.resolve())
+        sharded = tmp_path / "shards" / key[:2] / src.name
+        sharded.parent.mkdir(parents=True)
+        os.replace(src, sharded)
+        sharded_bytes = sharded.read_bytes()
 
         store = TraceStore(tmp_path)
         loaded = store.load(spec)
         assert counter["runs"] == 2  # regenerated, not read
         assert loaded == events
         assert loaded.store_key == key
-        assert src.is_file()         # back in its shard
-        assert flat.read_bytes() == flat_bytes
-        assert flat.with_suffix(".json").read_bytes() == flat_sidecar
+        assert src.is_file()         # back at the root
+        assert sharded.read_bytes() == sharded_bytes
 
     def test_gc_sweeps_litter_only(self, tmp_path):
-        counter = {"runs": 0}
-        spec = _spec(counter)
-        store = TraceStore(tmp_path)
-        store.load(spec)
-        payload = store.path_for(spec, spec.resolve())
-        (payload.parent / "x.tmp").write_text("leftover")
-        orphan = payload.parent / "ghost-aaaa.json"
-        orphan.write_text("{}")
-        empty = tmp_path / SHARDS_DIR / "zz"
-        empty.mkdir(parents=True)
-        report = store.library.gc()
-        assert report["tmp_files"] == ["x.tmp"]
-        assert report["orphan_sidecars"] == ["ghost-aaaa.json"]
-        assert report["empty_shards"] == ["zz"]
-        assert payload.exists()
-        assert payload.with_suffix(".json").exists()
-
-    def test_gc_removes_an_older_stores_indexes(self, tmp_path, capsys):
-        counter = {"runs": 0}
-        store = TraceStore(tmp_path)
-        for length in (64, 80):
-            store.load(_spec(counter), length=length)
-        files = sorted(path for path in tmp_path.rglob("*")
-                       if path.is_file())
-        before = {path: path.read_bytes() for path in files}
-        # The manifest and per-shard catalog an older store wrote.
-        entries = {path.stem.rsplit("-", 1)[1]: {
-            "file": path.name, "shard": path.parent.name,
-            "bytes": path.stat().st_size}
-            for path in store.library.payload_paths()}
-        manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps(
-            {"manifest_version": 1, "payload_format": 3,
-             "entries": entries}, indent=2, sort_keys=True) + "\n")
-        shard = next(store.library.payload_paths()).parent
-        catalog = shard / "catalog.json"
-        catalog.write_text(json.dumps(
-            {"catalog_version": 1, "entries": {
-                key: entry for key, entry in entries.items()
-                if entry["shard"] == shard.name}},
-            indent=2, sort_keys=True) + "\n")
-
-        assert cli_main(["store", "gc",
-                         "--trace-dir", str(tmp_path)]) == 0
-        assert "orphan sidecars removed: 2" in capsys.readouterr().out
-        assert not manifest.exists()
-        assert not catalog.exists()
-        assert {path: path.read_bytes() for path in files} == before
+        store, events, _ = _store_trace(tmp_path)
+        run_sweep(SWEEP, events)
+        before = {path: path.read_bytes()
+                  for path in tmp_path.rglob("*") if path.is_file()}
+        (tmp_path / "x.tmp").write_text("leftover")
+        (tmp_path / "results" / "y.tmp").write_text("leftover")
+        assert store.gc() == ["x.tmp", os.path.join("results", "y.tmp")]
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*")
+                if path.is_file()} == before
+        assert len(before) == 2  # the payload and the result entry
 
     def test_stats_counts_layout(self, tmp_path):
         counter = {"runs": 0}
         store = TraceStore(tmp_path)
         store.load(_spec(counter))
         stats = store.stats()
-        assert stats["payloads"] == stats["shards"] == 1
+        assert stats["payloads"] == 1
         assert stats["payload_bytes"] > 0
+        assert stats["quarantined"] == 0
         assert stats["result_cache"]["entries"] == 0
-
-
-# -- satellite: sidecar audit ---------------------------------------------
-
-class TestSidecarAudit:
-    def test_mismatched_sidecar_is_reported_not_quarantined(
-            self, tmp_path):
-        counter = {"runs": 0}
-        spec = _spec(counter)
-        store = TraceStore(tmp_path)
-        store.load(spec)
-        payload = store.path_for(spec, spec.resolve())
-        sidecar = payload.with_suffix(".json")
-        meta = json.loads(sidecar.read_text())
-        meta["params"] = {"length": 9999}  # stale: no longer keys here
-        sidecar.write_text(json.dumps(meta))
-
-        report = store.verify()
-        assert report["ok"] == 1
-        assert not report["corrupt"]
-        (name, reason) = report["mismatched"][0]
-        assert name == payload.name
-        assert "key" in reason
-        assert payload.exists()  # the payload is the truth: untouched
-        assert not (tmp_path / QUARANTINE_DIR).exists()
-
-    def test_event_count_mismatch_is_reported(self, tmp_path):
-        counter = {"runs": 0}
-        spec = _spec(counter)
-        store = TraceStore(tmp_path)
-        store.load(spec)
-        payload = store.path_for(spec, spec.resolve())
-        sidecar = payload.with_suffix(".json")
-        meta = json.loads(sidecar.read_text())
-        meta["events"] = meta["events"] + 1
-        sidecar.write_text(json.dumps(meta))
-        report = store.verify()
-        assert report["ok"] == 1
-        assert report["mismatched"]
-
-    def test_clean_store_has_no_mismatches(self, tmp_path):
-        counter = {"runs": 0}
-        store = TraceStore(tmp_path)
-        store.load(_spec(counter))
-        report = store.verify()
-        assert report["mismatched"] == []
-        assert report["ok"] == 1
 
 
 # -- the one load path ---------------------------------------------------
@@ -257,6 +163,28 @@ class TestOneLoadPath:
             faults.install(None)
         assert len(decodes) == 1
         assert len(events) == 64 and counter["runs"] == 1
+
+    def test_store_hit_reads_one_file(self, tmp_path, monkeypatch):
+        counter = {"runs": 0}
+        spec = _spec(counter)
+        TraceStore(tmp_path).load(spec)
+        reads = []
+        read_bytes, read_text = Path.read_bytes, Path.read_text
+
+        def spy_bytes(path):
+            reads.append(path.name)
+            return read_bytes(path)
+
+        def spy_text(path, *args, **kwargs):
+            reads.append(path.name)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_bytes", spy_bytes)
+        monkeypatch.setattr(Path, "read_text", spy_text)
+        fresh = TraceStore(tmp_path)
+        fresh.load(spec)
+        assert fresh.hits == 1
+        assert reads == [fresh.path_for(spec, spec.resolve()).name]
 
 
 # -- satellite: big-endian bitset discipline ------------------------------
@@ -386,68 +314,6 @@ class TestResultCache:
         assert not ResultCache.enabled()
         assert store.result_cache().stats()["entries"] == 0
 
-    def test_lru_eviction_honors_byte_budget(self, tmp_path):
-        cache = ResultCache(tmp_path, budget_bytes=0)
-        cache.put("a" * 24, {"surface": 1, "n": 1})
-        assert cache.stats()["entries"] == 0  # evicted immediately
-        roomy = ResultCache(tmp_path, budget_bytes=1 << 20)
-        roomy.put("b" * 24, {"surface": 1, "n": 2})
-        assert roomy.stats()["entries"] == 1
-
-    def test_lru_evicts_least_recently_used_first(self, tmp_path):
-        cache = ResultCache(tmp_path, budget_bytes=1 << 20)
-        old, new = "c" * 24, "d" * 24
-        cache.put(old, {"n": 1})
-        cache.put(new, {"n": 2})
-        past = os.stat(cache.path_for(new)).st_mtime - 1000
-        os.utime(cache.path_for(old), (past, past))
-        cache.budget_bytes = cache.stats()["bytes"] - 1
-        assert cache.evict() == 1
-        assert not cache.path_for(old).is_file()
-        assert cache.path_for(new).is_file()
-
-    def test_eviction_breaks_equal_mtimes_by_filename(self, tmp_path):
-        # Coarse-granularity filesystems stamp whole batches of puts
-        # with one timestamp; the tie must break by the entry's
-        # filename (the content key), not by directory-scan order.
-        cache = ResultCache(tmp_path, budget_bytes=1 << 20)
-        keys = ["f" * 24, "a" * 24, "d" * 24]
-        for key in keys:
-            cache.put(key, {"n": key[0]})
-        stamp = os.stat(cache.path_for(keys[0])).st_mtime_ns
-        for key in keys:
-            os.utime(cache.path_for(key), ns=(stamp, stamp))
-        cache.budget_bytes = cache.stats()["bytes"] - 1
-        assert cache.evict() == 1
-        assert not cache.path_for("a" * 24).is_file()   # first filename goes
-        assert cache.path_for("d" * 24).is_file()
-        assert cache.path_for("f" * 24).is_file()
-
-    def test_eviction_lru_clock_is_nanosecond_precise(self, tmp_path):
-        # 1ns apart within the same second: the ns clock must decide
-        # (a float-seconds clock would fall through to the name
-        # tie-break and evict the wrong entry here).
-        cache = ResultCache(tmp_path, budget_bytes=1 << 20)
-        older, newer = "z" * 24, "a" * 24
-        cache.put(older, {"n": 1})
-        cache.put(newer, {"n": 2})
-        stamp = os.stat(cache.path_for(older)).st_mtime_ns
-        os.utime(cache.path_for(older), ns=(stamp, stamp))
-        os.utime(cache.path_for(newer), ns=(stamp + 1, stamp + 1))
-        cache.budget_bytes = cache.stats()["bytes"] - 1
-        assert cache.evict() == 1
-        assert not cache.path_for(older).is_file()
-        assert cache.path_for(newer).is_file()
-
-    def test_get_refreshes_the_lru_clock(self, tmp_path):
-        cache = ResultCache(tmp_path, budget_bytes=1 << 20)
-        key = "e" * 24
-        cache.put(key, {"n": 1})
-        past = os.stat(cache.path_for(key)).st_mtime - 1000
-        os.utime(cache.path_for(key), (past, past))
-        cache.get(key)
-        assert os.stat(cache.path_for(key)).st_mtime > past + 500
-
 
 # -- fault sites ----------------------------------------------------------
 
@@ -470,36 +336,23 @@ class TestNewFaultSites:
 
 class TestStoreCli:
     def test_stats_and_gc(self, tmp_path, capsys):
-        counter = {"runs": 0}
-        store = TraceStore(tmp_path)
-        store.load(_spec(counter))
+        store, events, _ = _store_trace(tmp_path)
+        run_sweep(SWEEP, events)
+        payload_bytes = store.stats()["payload_bytes"]
         assert cli_main(["store", "stats",
                          "--trace-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "payloads:     1" in out
-        assert "result cache:" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [
+            f"payloads:     1, {payload_bytes} bytes",
+            "quarantined:  0",
+            f"result cache: 1 entries, "
+            f"{store.result_cache().stats()['bytes']} bytes (enabled)"]
 
         (tmp_path / "junk.tmp").write_text("x")
         assert cli_main(["store", "gc",
                          "--trace-dir", str(tmp_path)]) == 0
-        assert "tmp files removed:       1" in capsys.readouterr().out
-
-    def test_verify_reports_mismatches_with_exit_zero(self, tmp_path,
-                                                      capsys):
-        counter = {"runs": 0}
-        spec = _spec(counter)
-        store = TraceStore(tmp_path)
-        store.load(spec)
-        sidecar = store.path_for(spec, spec.resolve()) \
-            .with_suffix(".json")
-        meta = json.loads(sidecar.read_text())
-        meta["params"] = {"length": 1}
-        sidecar.write_text(json.dumps(meta))
-        assert cli_main(["store", "verify",
-                         "--trace-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "corrupt:     0" in out
-        assert "mismatched:  1" in out
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "tmp files removed:       1", "  - junk.tmp"]
 
 
 # -- harness integration: run twice, replay zero ---------------------------

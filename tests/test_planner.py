@@ -29,7 +29,6 @@ from repro.sweep import (
     run_sweep,
 )
 from repro.sweep import np_engine, runner
-from repro.sweep.runner import _RESULT_CACHES
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.store import TraceStore
 from trace_helpers import mixed_trace, trace_of
@@ -40,11 +39,9 @@ def _clean_state(monkeypatch):
     monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
     monkeypatch.setattr(faults, "_ACTIVE", None)
     monkeypatch.setattr(telemetry, "_RECORDER", None)
-    _RESULT_CACHES.clear()
     yield
     faults.install(None)
     telemetry.install(None)
-    _RESULT_CACHES.clear()
 
 
 def _store_trace(tmp_path, length=512):

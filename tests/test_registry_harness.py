@@ -89,7 +89,12 @@ class TestCli:
         assert "generated" in first and "400 events" in first
         assert cli_main(args) == 0
         assert "cache hit" in capsys.readouterr().out
-        assert list(tmp_path.glob("**/monomorphic-*.trace"))
+        assert len(list(tmp_path.glob("monomorphic-*.trace"))) == 1
+        assert cli_main(["list", "--workloads",
+                         "--trace-dir", str(tmp_path)]) == 0
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("  monomorphic ")]
+        assert line.endswith("[cached: 1 parameterization]")
 
     @pytest.mark.parametrize("command", [
         ["trace", "redefine-churn"],

@@ -116,97 +116,6 @@ class TestStore:
         assert TraceStore(tmp_path).load(spec) == events
         assert counter["runs"] == 2
 
-    def test_sidecar_metadata(self, tmp_path):
-        store = TraceStore(tmp_path)
-        store.load(_counting_spec({"runs": 0}))
-        (entry,) = store.entries()
-        assert entry["workload"] == "synthetic"
-        assert entry["events"] == 32
-        assert store.cached_names() == {"synthetic": 1}
-
-
-class TestSidecarResilience:
-    """The .json sidecar is regenerable metadata: corrupting or
-    deleting it must never hide or invalidate a valid binary payload,
-    and the store heals it on the next touch."""
-
-    def _store_with_entry(self, tmp_path, counter):
-        spec = _counting_spec(counter)
-        store = TraceStore(tmp_path)
-        store.load(spec)
-        path = store.path_for(spec, spec.resolve())
-        return spec, path, path.with_suffix(".json")
-
-    @pytest.mark.parametrize("damage", ["missing", "garbage",
-                                        "not-a-dict"])
-    def test_entries_survive_and_heal_sidecar_damage(self, tmp_path,
-                                                     damage):
-        counter = {"runs": 0}
-        _, path, sidecar = self._store_with_entry(tmp_path, counter)
-        if damage == "missing":
-            sidecar.unlink()
-        elif damage == "garbage":
-            sidecar.write_text("{not json !")
-        else:
-            sidecar.write_text("[1, 2, 3]")
-        fresh = TraceStore(tmp_path)
-        (entry,) = fresh.entries()
-        assert entry["workload"] == "synthetic"
-        assert entry["events"] == 32
-        assert entry["dispatched"] == 16
-        assert entry["recovered"] is True
-        # Version/params are unrecoverable from the payload alone.
-        assert entry["version"] is None and entry["params"] is None
-        assert fresh.cached_names() == {"synthetic": 1}
-        # The sidecar was healed on disk: the next enumeration reads
-        # it straight back, no reconstruction marker re-computed.
-        import json
-        healed = json.loads(sidecar.read_text())
-        assert healed["workload"] == "synthetic"
-        assert healed["recovered"] is True
-
-    def test_load_remains_a_hit_and_rewrites_full_sidecar(self,
-                                                          tmp_path):
-        counter = {"runs": 0}
-        spec, path, sidecar = self._store_with_entry(tmp_path, counter)
-        sidecar.write_text("corrupt")
-        fresh = TraceStore(tmp_path)
-        events = fresh.load(spec)
-        assert counter["runs"] == 1      # binary payload served as-is
-        assert fresh.hits == 1 and fresh.generated == 0
-        assert len(events) == 32
-        # Loading knows the spec and params, so the healed sidecar is
-        # complete -- not the reconstructed stub enumeration writes.
-        import json
-        healed = json.loads(sidecar.read_text())
-        assert healed["workload"] == "synthetic"
-        assert healed["version"] == 1
-        assert healed["params"] == {"length": 32}
-        assert "recovered" not in healed
-
-    def test_corrupt_binary_is_still_skipped_by_entries(self, tmp_path):
-        counter = {"runs": 0}
-        _, path, sidecar = self._store_with_entry(tmp_path, counter)
-        path.write_bytes(b"RTRC\x01garbage")
-        sidecar.unlink()
-        assert TraceStore(tmp_path).entries() == []
-
-    def test_trace_cli_survives_corrupt_sidecar(self, tmp_path, capsys,
-                                                monkeypatch):
-        from repro.cli import main as cli_main
-        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
-        assert cli_main(["trace", "monomorphic", "--quick",
-                         "--trace-dir", str(tmp_path)]) == 0
-        for sidecar in tmp_path.glob("*.json"):
-            sidecar.write_text("]] nope")
-        assert cli_main(["trace", "monomorphic", "--quick",
-                         "--trace-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "cache hit" in out
-        assert cli_main(["list", "--workloads",
-                         "--trace-dir", str(tmp_path)]) == 0
-        assert "[cached: 1 parameterization]" in capsys.readouterr().out
-
 
 class TestByteSwap:
     """The big-endian path of the binary format: the int columns are
