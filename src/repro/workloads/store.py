@@ -58,6 +58,7 @@ import hashlib
 import json
 import os
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -288,11 +289,8 @@ class TraceStore:
         Counts payload file names without reading them, so a corrupt
         payload counts until a load or ``verify`` quarantines it.
         """
-        counts: Dict[str, int] = {}
-        for path in self._payload_paths():
-            name = path.stem.rsplit("-", 1)[0]
-            counts[name] = counts.get(name, 0) + 1
-        return counts
+        return Counter(path.stem.rsplit("-", 1)[0]
+                       for path in self._payload_paths())
 
     def stats(self) -> dict:
         """Payload + result-cache numbers for ``repro store stats``."""
