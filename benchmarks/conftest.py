@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro import telemetry
-from repro.workloads import load_events
+from repro.workloads import TraceStore
 
 _WALLCLOCK = {}
 #: Node ids of the benches this session ran, and the module each one's
@@ -89,7 +89,7 @@ def find_regressions(existing: dict, payload: dict) -> list:
 @pytest.fixture(scope="session")
 def events():
     scale = int(os.environ.get("REPRO_BENCH_SCALE", "1"))
-    return load_events("paper", scale=scale)
+    return TraceStore().load("paper", scale=scale)
 
 
 class _WallclockRecords:

@@ -5,7 +5,8 @@ simulator, but slow for benchmarks" -- these benches quantify the
 simulator's speed so users can size their workloads.
 """
 
-from repro.config import make_com, make_fith
+from repro.core.machine import COMMachine
+from repro.fith.interp import FithMachine
 from repro.fith.programs import fib as fith_fib
 from repro.smalltalk import compile_program
 
@@ -19,7 +20,7 @@ main
 
 
 def test_com_instructions_per_second(benchmark):
-    machine = make_com()
+    machine = COMMachine()
     main = compile_program(machine, _FIB)
 
     def run():
@@ -34,7 +35,7 @@ def test_fith_steps_per_second(benchmark):
     source = fith_fib(scale=4)
 
     def run():
-        machine = make_fith()
+        machine = FithMachine()
         machine.run_source(source, max_steps=20_000_000)
         return machine.steps
 
@@ -44,7 +45,7 @@ def test_fith_steps_per_second(benchmark):
 
 def test_smalltalk_compile_speed(benchmark):
     def compile_once():
-        machine = make_com()
+        machine = COMMachine()
         return compile_program(machine, _FIB)
 
     main = benchmark(compile_once)

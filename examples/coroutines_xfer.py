@@ -13,7 +13,7 @@ through the ordinary result-pointer path.
 Run:  python examples/coroutines_xfer.py
 """
 
-from repro import load_program, make_com
+from repro import COMMachine, load_program
 
 PROGRAM = """
 method Object >> park args=1
@@ -37,7 +37,7 @@ main
 
 
 def main() -> None:
-    machine = make_com()
+    machine = COMMachine()
     entry = load_program(machine, PROGRAM)
     result = machine.run_program(entry)
     print(f"value delivered by the resumed coroutine: {result.value}")

@@ -12,7 +12,7 @@ configuration.
 Run:  python examples/fith_cache_study.py
 """
 
-from repro import make_fith
+from repro.fith import FithMachine
 from repro.sweep import SweepSpec, run_sweep
 from repro.trace.cachesim import ascii_plot
 
@@ -46,7 +46,7 @@ total .
 
 
 def main() -> None:
-    machine = make_fith(trace=True)
+    machine = FithMachine(trace=True)
     machine.run_source(PROGRAM, max_steps=10_000_000)
     print(f"total work units: {machine.output[0].value}")
     events = machine.trace.snapshot()

@@ -6,7 +6,7 @@ machine's cycle accounting and the figure-6 pipeline diagram.
 Run:  python examples/quickstart.py
 """
 
-from repro import load_program, make_com, pipeline_diagram
+from repro import COMMachine, load_program, pipeline_diagram
 
 PROGRAM = """
 ; Compute 10 factorial with a recursive method on SmallInteger.
@@ -28,7 +28,7 @@ main
 
 
 def main() -> None:
-    machine = make_com()
+    machine = COMMachine()
     program = load_program(machine, PROGRAM)
     result = machine.run_program(program)
     print(f"10 factorial = {result.value}")

@@ -8,7 +8,7 @@ path.  The script runs the program, then shows what the hardware did.
 Run:  python examples/smalltalk_shapes.py
 """
 
-from repro import make_com
+from repro import COMMachine
 from repro.smalltalk import compile_program
 
 PROGRAM = """
@@ -52,7 +52,7 @@ main | shapes total i |
 
 
 def main() -> None:
-    machine = make_com()
+    machine = COMMachine()
     entry = compile_program(machine, PROGRAM)
     result = machine.run_program(entry)
     print(f"total area of 9 polymorphic shapes: {result.value}")

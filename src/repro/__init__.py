@@ -35,7 +35,6 @@ Quickstart::
     print(machine.cycles.snapshot())
 """
 
-from repro.config import DEFAULT_CONFIG, SimConfig, make_com, make_fith
 from repro.core.assembler import Assembler, load_program
 from repro.core.encoding import Instruction
 from repro.core.isa import Op, OpcodeTable
@@ -55,22 +54,18 @@ __all__ = [
     "COMMachine",
     "CompiledMethod",
     "CycleParams",
-    "DEFAULT_CONFIG",
     "FPAddress",
     "Instruction",
     "MMU",
     "Op",
     "OpcodeTable",
     "Operand",
-    "SimConfig",
     "Tag",
     "Trace",
     "TraceBuilder",
     "Word",
     "address_format",
     "load_program",
-    "make_com",
-    "make_fith",
     "pipeline_diagram",
     "__version__",
 ]

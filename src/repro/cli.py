@@ -30,15 +30,14 @@ Subcommands::
                  statistics, integrity audit (every stored payload's
                  CRC32 checks; the corrupt ones are quarantined) and
                  removal of the temp files interrupted writes left
-    repro bench  [pytest args ...]
-                 run the benchmark suite (pytest-benchmark)
 
 ``repro --version`` prints the package version plus the versioned
 surfaces a result depends on (trace format, measurement semantics,
 available engines).
 
 Installed as the ``repro`` console script (see pyproject.toml); also
-reachable as ``python -m repro`` from a source checkout.
+reachable as ``python -m repro`` (:mod:`repro.__main__`) from a source
+checkout.  Both call :func:`main`.
 """
 
 from __future__ import annotations
@@ -194,7 +193,12 @@ def _cmd_store_verify(args: argparse.Namespace) -> int:
             print(f"  - {name}: {reason}")
     else:
         print("corrupt:     0")
-    return 1 if report["corrupt"] else 0
+    if report["unreadable"]:
+        print(f"unreadable:  {len(report['unreadable'])} payload(s) "
+              f"(left in place)")
+        for name, reason in report["unreadable"]:
+            print(f"  - {name}: {reason}")
+    return 1 if report["corrupt"] or report["unreadable"] else 0
 
 
 def _usage_error(error: Exception) -> int:
@@ -316,10 +320,8 @@ def _csv_assocs(text: str):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.sweep import (Query, SweepSpec, run_batch, run_sweep,
-                             semantics_delta_table)
+    from repro.sweep import (Query, SweepSpec, run_batch,
+                             run_semantics_delta, semantics_delta_table)
     from repro.trace.cachesim import ascii_plot
     from repro.workloads import get
     from repro.workloads.store import TraceStore
@@ -382,14 +384,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                       f"quirk-free; paper and v2 semantics agree "
                       f"bitwise]")
             else:
-                # The args.semantics side is already in hand; only
-                # the counterpart costs another replay.
-                other = "v2" if spec.semantics == "paper" else "paper"
-                counterpart = run_sweep(
-                    replace(spec, semantics=other), events)
-                paper_s, v2_s = ((surface, counterpart)
-                                 if spec.semantics == "paper"
-                                 else (counterpart, surface))
+                # With the result cache on, the args.semantics side
+                # comes back from it and only the counterpart replays.
+                paper_s, v2_s, _ = run_semantics_delta(spec, events)
                 print(semantics_delta_table(paper_s, v2_s))
     report = batch.report
     print()
@@ -419,47 +416,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     else:
         print(telemetry_report.render(document))
     return 0
-
-
-_BENCH_HELP = """\
-usage: repro bench [pytest args ...]
-
-Run the benchmark suite (pytest-benchmark).  All arguments are
-forwarded to pytest verbatim; the benchmarks/ directory under the
-current working directory is targeted unless an explicit file or
-directory path is given.
-
-examples:
-  repro bench
-  repro bench -k fith --benchmark-only
-  repro bench benchmarks/test_bench_fig10.py -q
-"""
-
-
-def _cmd_bench(extra: List[str]) -> int:
-    import subprocess
-
-    if extra and extra[0] in ("-h", "--help"):
-        print(_BENCH_HELP, end="")
-        return 0
-    if extra and extra[0] == "--":
-        extra = extra[1:]
-    command = [sys.executable, "-m", "pytest"]
-    # Default target is benchmarks/; an explicit *existing* path
-    # argument replaces it (`repro bench benchmarks/foo.py`), while
-    # option values like `-k fith` do not.
-    explicit_path = any(not part.startswith("-") and Path(part).exists()
-                        for part in extra)
-    if not explicit_path:
-        bench_dir = Path.cwd() / "benchmarks"
-        if not bench_dir.is_dir():
-            print("error: no benchmarks/ directory under the current "
-                  "working directory; run from a source checkout",
-                  file=sys.stderr)
-            return 2
-        command.append(str(bench_dir))
-    command += extra
-    return subprocess.call(command)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -613,14 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
              "left (payloads and result entries are never touched)")
     store_parser.add_argument("--trace-dir", type=str, default=None)
     store_parser.set_defaults(func=_cmd_store)
-
-    # bench is dispatched before argparse (see main): REMAINDER cannot
-    # forward leading pytest flags like `-k`.  Registered here only so
-    # it appears in `repro --help`.
-    commands.add_parser(
-        "bench", add_help=False,
-        help="run the benchmark suite (pytest-benchmark); all "
-             "arguments are forwarded to pytest")
     return parser
 
 
@@ -631,14 +579,5 @@ def main(argv: Optional[List[str]] = None) -> int:
     if arguments and arguments[0] in ("--version", "-V", "version"):
         _print_versions()
         return 0
-    # `repro bench -k fith`: everything after `bench` goes to pytest
-    # verbatim, which argparse.REMAINDER cannot express for leading
-    # options.
-    if arguments and arguments[0] == "bench":
-        return _cmd_bench(arguments[1:])
     args = build_parser().parse_args(arguments)
     return args.func(args)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -13,8 +13,7 @@ TAB-3ADDR   stack vs three-address counts      (:mod:`.stack_vs_3addr`)
 ==========  ======================================================
 
 Every module registers an :class:`~repro.experiments.registry
-.ExperimentSpec`; ``python -m repro run`` (or ``python -m
-repro.experiments.harness``) drives the registry, with
+.ExperimentSpec`; ``python -m repro run`` drives the registry, with
 ``--only/--skip/--list`` selection.
 """
 

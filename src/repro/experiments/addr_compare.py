@@ -133,7 +133,3 @@ register(ExperimentSpec(
                 "the paper's 16-bit worked example",
     runner=_run,
 ))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().report())

@@ -25,14 +25,9 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.config import make_com
 from repro.core.machine import COMMachine
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import ExperimentSpec, register
-
-
-def _build_machine() -> COMMachine:
-    return make_com()
 
 
 def _run_cycles(machine: COMMachine, main, warm_runs: int = 1) -> dict:
@@ -95,16 +90,16 @@ def run(calls: int = 200) -> ExperimentResult:
         "warm caches, versus the paper's stated costs.",
     )
 
-    machine = _build_machine()
+    machine = COMMachine()
     base_main = _straightline_program(machine, calls)
     base = _run_cycles(machine, base_main)
     base_cpi = base["cycles"] / base["instructions"]
 
-    machine0 = _build_machine()
+    machine0 = COMMachine()
     zero_main = _zero_operand_call_program(machine0, calls)
     zero = _run_cycles(machine0, zero_main)
 
-    machine3 = _build_machine()
+    machine3 = COMMachine()
     three_main = _three_operand_call_program(machine3, calls)
     three = _run_cycles(machine3, three_main)
 
@@ -176,7 +171,3 @@ register(ExperimentSpec(
                 "with warm caches",
     runner=_run,
 ))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().report())

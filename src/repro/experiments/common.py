@@ -58,22 +58,3 @@ class ExperimentResult:
         lines.append("")
         return "\n".join(lines)
 
-
-def semantics_delta_section(cache, sizes, associativities, events,
-                            warmup_fraction: float = 0.25):
-    """The figure experiments' paper-vs-v2 comparison, shared.
-
-    The figure grids themselves use the quirk-free double-pass
-    methodology, so the quirk cost is quantified on the fraction
-    warm-up window instead.  Returns ``(table, delta)``: the per-cell
-    delta table to append to the figure output, and the raw
-    ``delta[assoc][size]`` grid for ``result.data``.
-    """
-    from repro.sweep import (SweepSpec, run_semantics_delta,
-                             semantics_delta_table)
-    paper, v2, delta = run_semantics_delta(
-        SweepSpec(cache=cache, sizes=tuple(sizes),
-                  associativities=tuple(associativities),
-                  double_pass=False, warmup_fraction=warmup_fraction),
-        events)
-    return semantics_delta_table(paper, v2), delta

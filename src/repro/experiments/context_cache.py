@@ -14,7 +14,6 @@ Claims reproduced:
 
 from __future__ import annotations
 
-from repro.config import make_com
 from repro.core.machine import COMMachine
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import ExperimentSpec, register
@@ -32,7 +31,7 @@ main | d |
 
 
 def _run_depth(depth: int) -> COMMachine:
-    machine = make_com()
+    machine = COMMachine()
     main = compile_program(machine, _PROGRAM.format(depth=depth))
     machine.run_program(main, max_instructions=5_000_000)
     return machine
@@ -109,7 +108,3 @@ register(ExperimentSpec(
                 "context cache with copy-back",
     runner=_run,
 ))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().report())

@@ -17,7 +17,6 @@ and the machine's own counters are compared against those figures.
 
 from __future__ import annotations
 
-from repro.config import make_com
 from repro.core.assembler import Assembler
 from repro.core.machine import COMMachine
 from repro.experiments.common import ExperimentResult
@@ -75,7 +74,7 @@ ret c1
 
 
 def build_machine() -> COMMachine:
-    machine = make_com()
+    machine = COMMachine()
     main = compile_program(machine, WORKLOAD)
     assembler = Assembler(machine.opcodes, machine.constants)
     machine.install_method(
@@ -178,7 +177,3 @@ register(ExperimentSpec(
                 "own allocation and reference counters",
     runner=_run,
 ))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().report())

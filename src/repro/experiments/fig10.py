@@ -15,12 +15,9 @@ Claims reproduced:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.experiments.common import (
-    ExperimentResult,
-    semantics_delta_section,
-)
+from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import ExperimentSpec, register
 from repro.sweep import SweepSpec, run_sweep
 from repro.trace.cachesim import (
@@ -29,7 +26,6 @@ from repro.trace.cachesim import (
     ascii_plot,
 )
 from repro.trace.columnar import Trace
-from repro.trace.workloads import paper_trace
 
 
 def figure_spec(sizes: Sequence[int] = PAPER_SIZES,
@@ -42,12 +38,11 @@ def figure_spec(sizes: Sequence[int] = PAPER_SIZES,
                      double_pass=True, semantics=semantics)
 
 
-def run(scale: int = 1, events: Optional[Trace] = None,
+def run(events: Trace,
         sizes: Sequence[int] = PAPER_SIZES,
         associativities: Sequence = PAPER_ASSOCIATIVITIES,
         plot: bool = True,
-        semantics: str = "paper",
-        compare_semantics: bool = False) -> ExperimentResult:
+        semantics: str = "paper") -> ExperimentResult:
     """Regenerate figure 10 and check its claims.
 
     The grid comes from the single-pass stack-distance engine
@@ -56,12 +51,8 @@ def run(scale: int = 1, events: Optional[Trace] = None,
     the claims read that :class:`~repro.sweep.surface.ResultSurface`
     (kept as ``data["sweep"]``).  ``semantics`` picks the
     measurement-semantics version for the figure grid (the paper pin
-    needs the default); ``compare_semantics`` appends a paper-vs-v2
-    delta table over the quirk-exposed fraction warm-up window, so the
-    cost of each warm-up quirk is quantified rather than buried.
+    needs the default).
     """
-    if events is None:
-        events = paper_trace(scale)
     surface = run_sweep(figure_spec(sizes, associativities, semantics),
                         events)
     result = ExperimentResult(
@@ -80,11 +71,6 @@ def run(scale: int = 1, events: Optional[Trace] = None,
         "trace_passes": surface.meta.get("trace_passes"),
         "semantics": surface.meta.get("semantics", semantics),
     }
-    if compare_semantics:
-        delta_table, delta = semantics_delta_section(
-            "itlb", sizes, associativities, events)
-        result.table += "\n\n" + delta_table
-        result.data["semantics_delta"] = delta
 
     ratio_512_2w = surface.ratio(2, 512)
     result.check(
@@ -127,7 +113,7 @@ def run(scale: int = 1, events: Optional[Trace] = None,
 # -- registry wiring ---------------------------------------------------
 
 def _run(ctx) -> ExperimentResult:
-    return run(ctx.scale, events=ctx.events("paper"))
+    return run(ctx.events("paper"))
 
 
 register(ExperimentSpec(
@@ -140,7 +126,3 @@ register(ExperimentSpec(
     runner=_run,
     workloads=("paper",),
 ))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().report())

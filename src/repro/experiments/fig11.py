@@ -8,12 +8,9 @@ above direct mapping, a much larger structure than the ITLB needs.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.experiments.common import (
-    ExperimentResult,
-    semantics_delta_section,
-)
+from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import ExperimentSpec, register
 from repro.sweep import SweepSpec, run_sweep
 from repro.trace.cachesim import (
@@ -22,7 +19,6 @@ from repro.trace.cachesim import (
     ascii_plot,
 )
 from repro.trace.columnar import Trace
-from repro.trace.workloads import paper_trace
 
 
 def figure_spec(sizes: Sequence[int] = PAPER_SIZES,
@@ -35,21 +31,18 @@ def figure_spec(sizes: Sequence[int] = PAPER_SIZES,
                      double_pass=True, semantics=semantics)
 
 
-def run(scale: int = 1, events: Optional[Trace] = None,
+def run(events: Trace,
         sizes: Sequence[int] = PAPER_SIZES,
         associativities: Sequence = PAPER_ASSOCIATIVITIES,
         plot: bool = True,
-        semantics: str = "paper",
-        compare_semantics: bool = False) -> ExperimentResult:
+        semantics: str = "paper") -> ExperimentResult:
     """Regenerate figure 11 and check its claims.
 
     The grid comes from the single-pass stack-distance engine (see
     :mod:`.fig10`) as a :class:`~repro.sweep.surface.ResultSurface`,
-    kept as ``data["sweep"]``.  ``semantics`` and
-    ``compare_semantics`` behave as in :func:`repro.experiments.fig10.run`.
+    kept as ``data["sweep"]``.  ``semantics`` behaves as in
+    :func:`repro.experiments.fig10.run`.
     """
-    if events is None:
-        events = paper_trace(scale)
     surface = run_sweep(figure_spec(sizes, associativities, semantics),
                         events)
     result = ExperimentResult(
@@ -67,11 +60,6 @@ def run(scale: int = 1, events: Optional[Trace] = None,
         "trace_passes": surface.meta.get("trace_passes"),
         "semantics": surface.meta.get("semantics", semantics),
     }
-    if compare_semantics:
-        delta_table, delta = semantics_delta_section(
-            "icache", sizes, associativities, events)
-        result.table += "\n\n" + delta_table
-        result.data["semantics_delta"] = delta
 
     r_4096_2w = surface.ratio(2, 4096)
     r_4096_4w = surface.ratio(4, 4096)
@@ -114,7 +102,7 @@ def run(scale: int = 1, events: Optional[Trace] = None,
 # -- registry wiring ---------------------------------------------------
 
 def _run(ctx) -> ExperimentResult:
-    return run(ctx.scale, events=ctx.events("paper"))
+    return run(ctx.events("paper"))
 
 
 register(ExperimentSpec(
@@ -128,7 +116,3 @@ register(ExperimentSpec(
     runner=_run,
     workloads=("paper",),
 ))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().report())

@@ -1,13 +1,9 @@
 """Registry-driven driver: regenerates every figure and claim table.
 
-Usage::
-
-    python -m repro.experiments.harness [--scale N] [--quick]
-        [--only ID[,ID...]] [--skip ID[,ID...]] [--list]
-        [--trace-dir DIR] [--retries N] [--resume]
-        [--faults PLAN] [--fault-seed N]
-
-(``python -m repro run`` is the same engine behind the package CLI.)
+``repro run`` (:mod:`repro.cli`) is its command line:
+:func:`add_run_arguments` declares the flags and
+:func:`run_from_args` checks them and calls :func:`run_all`, the
+entry point for code.
 
 The suite comes from the experiment registry
 (:mod:`repro.experiments.registry`): each experiment module registers
@@ -138,14 +134,12 @@ def run_all(scale: int = 1, quick: bool = False, stream=None,
             backoff: float = DEFAULT_BACKOFF,
             resume: bool = False,
             run_dir: Optional[str] = None,
-            fault_plan=None,
-            fault_seed: int = 0,
+            fault_plan: Optional[FaultPlan] = None,
             with_telemetry: bool = False) -> List[ExperimentResult]:
     """Run the selected experiments; returns results in suite order.
 
-    ``fault_plan`` may be a :class:`repro.faults.FaultPlan`, a plan
-    string (CLI syntax or JSON), or None.  The plan is armed for the
-    duration of the run and disarmed afterwards.
+    ``fault_plan`` is armed for the duration of the run and disarmed
+    afterwards.
 
     ``with_telemetry`` arms :mod:`repro.telemetry` into the run's
     journal directory (``.repro_runs/<run-key>/telemetry/``) for the
@@ -156,18 +150,15 @@ def run_all(scale: int = 1, quick: bool = False, stream=None,
     def note(text: str) -> None:
         print(text, file=out, flush=True)
 
-    plan: Optional[FaultPlan] = None
-    if fault_plan:
-        plan = (fault_plan if isinstance(fault_plan, FaultPlan)
-                else FaultPlan.parse(str(fault_plan), seed=fault_seed))
-        faults.install(plan)
+    if fault_plan is not None:
+        faults.install(fault_plan)
     try:
         return _run_all(scale, quick, note, only, skip, trace_dir,
                         retries=retries, backoff=backoff, resume=resume,
-                        run_dir=run_dir, plan=plan,
+                        run_dir=run_dir, plan=fault_plan,
                         with_telemetry=with_telemetry)
     finally:
-        if plan is not None:
+        if fault_plan is not None:
             faults.install(None)
 
 
@@ -312,7 +303,7 @@ def _csv(value: Optional[str]) -> Optional[List[str]]:
 
 
 def add_run_arguments(parser: argparse.ArgumentParser) -> None:
-    """The run flags, shared with the ``python -m repro`` CLI."""
+    """The ``repro run`` flags."""
     parser.add_argument("--scale", type=int, default=1,
                         help="workload scale factor (default 1)")
     parser.add_argument("--quick", action="store_true",
@@ -341,7 +332,6 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         metavar="PLAN",
                         help="arm a deterministic fault-injection "
                              "plan: site:kind[:p=0.5][:times=2][,...] "
-                             "or a JSON plan "
                              "(sites: " + ", ".join(faults.SITES)
                              + "; kinds: " + ", ".join(faults.KINDS)
                              + ")")
@@ -372,6 +362,8 @@ def run_from_args(args: argparse.Namespace) -> int:
     try:
         check_scale(args.scale)
         registry.select(only, skip)
+        plan = (FaultPlan.parse(args.faults, seed=args.fault_seed)
+                if args.faults else None)
     except (KeyError, ValueError) as error:
         # str(KeyError) quotes its message; print the message itself.
         return _usage_error(error.args[0])
@@ -380,18 +372,6 @@ def run_from_args(args: argparse.Namespace) -> int:
                       retries=args.retries,
                       backoff=args.retry_backoff,
                       resume=args.resume, run_dir=args.run_dir,
-                      fault_plan=args.faults,
-                      fault_seed=args.fault_seed,
+                      fault_plan=plan,
                       with_telemetry=args.telemetry)
     return 0 if all(r.all_hold for r in results) else 1
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Reproduce every figure/claim of Dally & Kajiya 1985")
-    add_run_arguments(parser)
-    return run_from_args(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -6,14 +6,15 @@ at import time; :func:`load_all` imports the whole suite in DESIGN.md
 order.  The harness (:mod:`repro.experiments.harness`) drives the
 registry: ``--only``/``--skip`` select specs, and each selected
 spec's ``spec.runner(ctx)`` produces the finished
-:class:`~repro.experiments.common.ExperimentResult`.
+:class:`~repro.experiments.common.ExperimentResult`.  The runner is
+the suite's way in to an experiment; the modules do not run as
+scripts (``repro run --only ID`` runs one).
 
 A :class:`RunContext` carries the run-wide knobs (scale, quick, the
 trace-store root).  It deliberately holds no live machine: every
-experiment builds its own machines from scratch (via
-:mod:`repro.config` factories) and shares *only* the immutable traces
-through the store, so experiments cannot alias mutable simulator
-state.
+experiment builds its own machines from scratch (``COMMachine()``,
+``FithMachine()``) and shares *only* the immutable traces through the
+store, so experiments cannot alias mutable simulator state.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.config import make_com
+from repro.core.machine import COMMachine
 from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import ExperimentSpec, register
 from repro.smalltalk import compile_program
@@ -85,7 +85,7 @@ def run(max_instructions: int = 5_000_000) -> ExperimentResult:
     ratios: List[float] = []
     static_ratios: List[float] = []
     for name, source in sorted(SOURCES.items()):
-        machine = make_com()
+        machine = COMMachine()
         main = compile_program(machine, source)
         com_result = machine.run_program(
             main, max_instructions=max_instructions)
@@ -163,7 +163,3 @@ register(ExperimentSpec(
                 "dynamic instruction counts compared",
     runner=_run,
 ))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(run().report())

@@ -36,12 +36,15 @@ sequence.  :func:`install` arms a plan in this process (the harness
 does so for the length of a run); ``times`` caps fires per ``(site,
 key)``, which is what makes "fail once, then succeed" plans
 terminate.
+
+Plans are written in one syntax, ``site:kind[:p=][:times=]``
+(:meth:`FaultPlan.parse`).  ``repro run --faults PLAN`` parses the
+plan before the run starts, so a malformed one is a usage error.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -83,8 +86,7 @@ class FaultSpec:
 class FaultPlan:
     """A seed plus the injection rules it drives.
 
-    Serializes to canonical JSON (:meth:`to_json`), and parses from
-    that or from the compact CLI syntax (:meth:`parse`)::
+    Parses from the compact CLI syntax (:meth:`parse`)::
 
         site:kind[:p=0.5][:times=2][,site:kind...]
     """
@@ -92,30 +94,13 @@ class FaultPlan:
     seed: int = 0
     specs: Tuple[FaultSpec, ...] = field(default_factory=tuple)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"seed": self.seed,
-             "specs": [{"site": s.site, "kind": s.kind,
-                        "probability": s.probability, "times": s.times}
-                       for s in self.specs]},
-            sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        raw = json.loads(text)
-        return cls(seed=int(raw.get("seed", 0)),
-                   specs=tuple(FaultSpec(**spec)
-                               for spec in raw.get("specs", ())))
-
     @classmethod
     def parse(cls, text: str, *, seed: int = 0) -> "FaultPlan":
-        """Parse the CLI plan syntax (or a JSON plan) into a plan."""
+        """Parse the CLI plan syntax into a plan; raises
+        :class:`ValueError` for a malformed one."""
         text = text.strip()
         if not text:
             return cls(seed=seed)
-        if text.startswith("{"):
-            plan = cls.from_json(text)
-            return cls(seed=seed, specs=plan.specs) if seed else plan
         specs = []
         for entry in text.split(","):
             entry = entry.strip()

@@ -23,7 +23,9 @@ Two structures implement that here:
   hashed directory, the block address for the icache's modulo
   indexing), so the same replay serves every level.  An optional
   unbounded-depth level (one set) yields the fully-associative
-  reference curve and any one-set configurations.
+  reference curve and any one-set configurations.  Its one update is
+  :meth:`MultiConfigLRU.replay_columns`, over a range of parallel
+  block and placement columns.
 
 * :class:`OptStack` -- the OPT/Belady reference curve.  OPT is also a
   stack algorithm, but its stack update needs each block's *next*
@@ -95,33 +97,20 @@ class MultiConfigLRU:
 
     # -- replay -----------------------------------------------------------
 
-    def replay(self, refs: Sequence[Tuple[Hashable, int]],
-               count: bool = True) -> None:
-        """Reference every ``(block, placement)`` pair in order.
-
-        ``placement`` is the integer whose low bits select the set
-        (stable hash or block address); ``count=False`` updates stack
-        state without recording depths (a warm-up pass).
-        """
-        blocks = []
-        placements = []
-        for block, placement in refs:   # one pass: refs may be a
-            blocks.append(block)        # one-shot iterable
-            placements.append(placement)
-        self.replay_columns(blocks, placements, count=count)
-
     def replay_columns(self, blocks: Sequence[Hashable],
                        placements: Sequence[int],
                        start: int = 0, stop: Optional[int] = None,
                        count: bool = True) -> None:
         """Reference ``blocks[i]`` placed by ``placements[i]`` in order.
 
-        The columnar twin of :meth:`replay`: two parallel indexable
-        columns (packed int arrays, memoryviews over a trace's
-        address column, or lists) instead of a stream of pair tuples,
-        plus ``start``/``stop`` bounds so the warm-up window split
-        replays sub-ranges without slicing (and without copying) the
-        columns.
+        The engine's one update: two parallel indexable columns
+        (packed int arrays, memoryviews over a trace's address column,
+        or lists).  ``placement`` is the integer whose low bits select
+        the set (stable hash or block address); ``start``/``stop``
+        bound the replayed range so the warm-up window split replays
+        sub-ranges without slicing (and without copying) the columns,
+        and ``count=False`` updates stack state without recording
+        depths (a warm-up pass).
         """
         if stop is None:
             stop = len(blocks)
@@ -176,53 +165,6 @@ class MultiConfigLRU:
             # the disabled path costs a single env lookup here.
             telemetry.inc("sweep.refs_replayed", n,
                           engine="single-pass")
-
-    def touch(self, block: Hashable, placement: int,
-              count: bool = True) -> None:
-        """Reference one block (incremental alternative to replay).
-
-        The same per-level update the replay loop performs, without
-        materializing single-element reference columns per call.
-        """
-        for mask, cap, sets, hist in self._levels:
-            bucket = placement & mask
-            lst = sets.get(bucket)
-            if lst is None:
-                sets[bucket] = [block]
-                if count:
-                    hist[cap] += 1
-            elif block in lst:
-                depth = lst.index(block)
-                if depth:
-                    del lst[depth]
-                    lst.insert(0, block)
-                if count:
-                    hist[depth] += 1
-            else:
-                lst.insert(0, block)
-                if len(lst) > cap:
-                    del lst[cap]
-                if count:
-                    hist[cap] += 1
-        if self._full is not None:
-            stack, fcap, fhist = self._full
-            try:
-                depth = stack.index(block)
-            except ValueError:
-                depth = fcap
-                stack.insert(0, block)
-                if len(stack) > fcap:
-                    del stack[fcap]
-            else:
-                if depth:
-                    del stack[depth]
-                    stack.insert(0, block)
-            if count:
-                fhist[depth] += 1
-        if count:
-            self.total += 1
-            self._cum_by_k = None
-            self._full_cum = None
 
     def reset_counts(self) -> None:
         """Zero every histogram and the access counter; keep stacks."""

@@ -2,11 +2,11 @@
 
 :class:`NumpyMultiConfigLRU` is a drop-in, bitwise-identical
 replacement for :class:`repro.sweep.engine.MultiConfigLRU`: same
-constructor, same ``replay``/``replay_columns``/``touch`` update
-surface, same ``hits``/``full_hits``/``total``/``reset_counts``
-results surface -- but the per-reference LRU stack-depth loop is
-replaced by whole-array passes.  On the paper's measurement trace the
-replay runs an order of magnitude faster (see BENCH_throughput.json).
+constructor, same ``replay_columns`` update, same
+``hits``/``full_hits``/``total``/``reset_counts`` results surface --
+but the per-reference LRU stack-depth loop is replaced by whole-array
+passes.  On the paper's measurement trace the replay runs an order of
+magnitude faster (see BENCH_throughput.json).
 
 The formulation (details in DESIGN.md, "The vectorized stack-distance
 backend"):
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import accumulate
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro import telemetry
 from repro.caches.setassoc import stable_hash
@@ -418,21 +418,6 @@ class NumpyMultiConfigLRU:
         self._full_cum: Optional[List[int]] = None
 
     # -- replay -----------------------------------------------------------
-
-    def replay(self, refs: Sequence[Tuple[Hashable, int]],
-               count: bool = True) -> None:
-        """Reference every ``(block, placement)`` pair in order."""
-        blocks = []
-        placements = []
-        for block, placement in refs:   # one pass: refs may be a
-            blocks.append(block)        # one-shot iterable
-            placements.append(placement)
-        self.replay_columns(blocks, placements, count=count)
-
-    def touch(self, block: Hashable, placement: int,
-              count: bool = True) -> None:
-        """Reference one block (incremental alternative to replay)."""
-        self.replay_columns((block,), (placement,), count=count)
 
     def _segment(self, blocks, placements, start, stop):
         for s in self._seg_cache:

@@ -5,13 +5,13 @@ a synthetic polymorphic program, interleaved at the program level, so
 the key and address working sets resemble a "large Fith program" of
 the paper's scale (>= 20,000 instructions at scale 1).
 
-These are the raw *generators*.  Consumers should normally go through
-the scenario registry and its on-disk cache instead
-(:mod:`repro.workloads`): ``load_events("paper")`` returns the same
-events as :func:`paper_trace` but only pays the Fith execution once
-per machine.  The registered specs' defaults mirror the calibrated
-keyword defaults below; changing either means bumping the workload's
-generator version so cached traces invalidate.
+These are the raw *generators*.  Consumers should go through the
+scenario registry and its on-disk cache instead
+(:mod:`repro.workloads`): ``TraceStore(root).load("paper")`` returns
+the same events as :func:`paper_trace` but only pays the Fith
+execution once per machine.  The registered specs' defaults mirror
+the calibrated keyword defaults below; changing either means bumping
+the workload's generator version so cached traces invalidate.
 """
 
 from __future__ import annotations

@@ -14,30 +14,21 @@ examples share:
 
 Typical use::
 
-    from repro.workloads import load_events, names
+    from repro.workloads import TraceStore
 
-    events = load_events("paper")             # store-cached
-    storm = load_events("megamorphic", classes=32)
+    store = TraceStore()                      # .repro_traces/
+    events = store.load("paper")              # store-cached
+    storm = store.load("megamorphic", classes=32)
 """
 
 from repro.workloads.spec import WorkloadSpec, get, names, register, specs
-from repro.workloads.store import TraceStore, default_store
+from repro.workloads.store import TraceStore
 from repro.workloads import scenarios as _scenarios  # noqa: F401 (registers)
-
-
-def load_events(name: str, *, quick: bool = False, scale: int = None,
-                store: TraceStore = None, **overrides):
-    """Load a registered workload's trace through the default store."""
-    return (store or default_store()).load(
-        name, quick=quick, scale=scale, **overrides)
-
 
 __all__ = [
     "TraceStore",
     "WorkloadSpec",
-    "default_store",
     "get",
-    "load_events",
     "names",
     "register",
     "specs",

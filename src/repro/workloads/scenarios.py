@@ -17,7 +17,7 @@ store and tests pick it up automatically.
 
 from __future__ import annotations
 
-from repro.config import make_fith
+from repro.fith.interp import FithMachine
 from repro.fith.programs import (
     deep_calls,
     gc_churn,
@@ -48,7 +48,7 @@ def workload(name: str, description: str, *, defaults=None, quick=None,
 
 
 def _run_traced(source: str) -> Trace:
-    machine = make_fith(trace=True)
+    machine = FithMachine(trace=True)
     machine.run_source(source, max_steps=_MAX_STEPS)
     return machine.trace.snapshot()
 
@@ -135,7 +135,7 @@ def _deep_calls_events(scale: int = 1,
 )
 def _redefine_churn_events(scale: int = 1, epochs: int = 8,
                            classes: int = 6) -> Trace:
-    machine = make_fith(trace=True)
+    machine = FithMachine(trace=True)
     for epoch in range(epochs):
         machine.load(redefinition_epoch(epoch, scale, classes=classes))
         machine.run(max_steps=_MAX_STEPS)

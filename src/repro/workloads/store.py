@@ -114,8 +114,10 @@ class TraceStore:
         return self.root / f"{name}-{key}.trace"
 
     def _payload_paths(self) -> List[Path]:
-        """Every payload in the store, sorted by file name."""
-        return sorted(self.root.glob("*.trace"))
+        """Every payload in the store (regular files only), sorted by
+        file name."""
+        return sorted(path for path in self.root.glob("*.trace")
+                      if path.is_file())
 
     # -- load / materialize ---------------------------------------------
 
@@ -232,13 +234,17 @@ class TraceStore:
     def verify(self) -> dict:
         """Audit every payload in the store; quarantine the corrupt.
 
-        Returns ``{"checked", "ok", "stale", "corrupt"}`` where
-        ``stale`` lists legacy-format files (harmless misses, left in
-        place) and ``corrupt`` lists ``(name, reason)`` pairs for
-        current-format payloads that failed integrity and were moved
-        to quarantine.
+        Returns ``{"checked", "ok", "stale", "corrupt",
+        "unreadable"}`` where ``stale`` lists legacy-format files
+        (harmless misses, left in place), ``corrupt`` lists ``(name,
+        reason)`` pairs for current-format payloads that failed
+        integrity and were moved to quarantine, and ``unreadable``
+        lists ``(name, reason)`` pairs for payloads left in place: the
+        ones whose read raised :class:`OSError` and the corrupt ones
+        quarantine could not move.
         """
-        report = {"checked": 0, "ok": 0, "stale": [], "corrupt": []}
+        report = {"checked": 0, "ok": 0, "stale": [], "corrupt": [],
+                  "unreadable": []}
         for path in self._payload_paths():
             report["checked"] += 1
             try:
@@ -246,10 +252,14 @@ class TraceStore:
             except PayloadFormatError:
                 report["stale"].append(path.name)
             except StoreCorruption as error:
-                self.quarantine(path, error.reason)
-                report["corrupt"].append((path.name, error.reason))
+                if self.quarantine(path, error.reason) is None:
+                    report["unreadable"].append(
+                        (path.name, f"{error.reason} (could not move it "
+                                    f"to quarantine)"))
+                else:
+                    report["corrupt"].append((path.name, error.reason))
             except OSError as error:
-                report["corrupt"].append((path.name, str(error)))
+                report["unreadable"].append((path.name, str(error)))
             else:
                 report["ok"] += 1
         return report
@@ -323,14 +333,3 @@ class TraceStore:
                     continue
                 removed.append(str(tmp.relative_to(self.root)))
         return removed
-
-
-_DEFAULT: Optional[TraceStore] = None
-
-
-def default_store() -> TraceStore:
-    """The process-wide store rooted at :func:`default_root`."""
-    global _DEFAULT
-    if _DEFAULT is None or _DEFAULT.root != default_root():
-        _DEFAULT = TraceStore()
-    return _DEFAULT

@@ -16,7 +16,7 @@ def _clean_fault_state(monkeypatch):
 
 
 class TestPlanParsing:
-    def test_cli_syntax_round_trips_through_json(self):
+    def test_cli_syntax_parses_every_option(self):
         plan = FaultPlan.parse(
             "store.read:corrupt:p=0.5,worker.task:error:times=2,"
             "store.write:truncate", seed=42)
@@ -26,12 +26,6 @@ class TestPlanParsing:
                                           probability=0.5)
         assert plan.specs[1].times == 2
         assert plan.specs[2] == FaultSpec("store.write", "truncate")
-        assert FaultPlan.from_json(plan.to_json()) == plan
-
-    def test_json_plan_accepted_directly(self):
-        plan = FaultPlan(seed=7, specs=(
-            FaultSpec("store.result_cache", "io-error"),))
-        assert FaultPlan.parse(plan.to_json()) == plan
 
     def test_empty_plan(self):
         assert FaultPlan.parse("").specs == ()

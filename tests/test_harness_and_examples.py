@@ -1,8 +1,10 @@
 """Smoke tests: the run-everything harness and the example scripts.
 
-These guarantee the documented entry points (`python -m
-repro.experiments.harness`, `python examples/<script>.py`) keep
-working; detailed claim checks live in test_experiments.py.
+These guarantee the documented entry points keep working: the
+harness's :func:`~repro.experiments.harness.run_all` (what `repro run`
+calls) and `python examples/<script>.py`.  The command line has one
+`__main__` module, `python -m repro`; no other module under src/ may
+run as a script.  Detailed claim checks live in test_experiments.py.
 """
 
 import io
@@ -14,9 +16,8 @@ import pytest
 
 from repro.experiments.harness import run_all
 
-EXAMPLES = sorted(
-    (pathlib.Path(__file__).resolve().parent.parent / "examples")
-    .glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 
 @pytest.mark.slow
@@ -71,3 +72,13 @@ class TestExamples:
                                 if p.stem == "coroutines_xfer")),
                        run_name="__main__")
         assert "42" in capsys.readouterr().out
+
+
+def test_only_the_package_main_module_runs_as_a_script():
+    src = ROOT / "src"
+    main_block = re.compile(
+        r"""^if\s+__name__\s*==\s*["']__main__["']\s*:""", re.M)
+    holders = sorted(path.relative_to(src).as_posix()
+                     for path in src.rglob("*.py")
+                     if main_block.search(path.read_text()))
+    assert holders == ["repro/__main__.py"]

@@ -7,6 +7,7 @@ import pytest
 
 from repro import faults
 from repro.experiments.harness import run_all
+from repro.faults import FaultPlan
 from repro.experiments.journal import RunJournal, run_key
 
 #: Cheap experiments (no trace workloads) used for engine-level
@@ -39,8 +40,8 @@ class TestChaosEquivalence:
                           trace_dir=str(tmp_path / "t"),
                           run_dir=str(tmp_path / "r2"),
                           retries=3, backoff=0.0,
-                          fault_plan="worker.task:error:times=1",
-                          fault_seed=5)
+                          fault_plan=FaultPlan.parse(
+                              "worker.task:error:times=1", seed=5))
         assert _claims(chaotic) == _claims(baseline)
         assert all(r.all_hold for r in chaotic)
 
@@ -52,8 +53,8 @@ class TestChaosEquivalence:
                     trace_dir=str(tmp_path / "t"),
                     run_dir=str(tmp_path / tag),
                     retries=3, backoff=0.0,
-                    fault_plan="worker.task:error:p=0.5:times=2",
-                    fault_seed=21)
+                    fault_plan=FaultPlan.parse(
+                        "worker.task:error:p=0.5:times=2", seed=21))
             return [line for line in stream.getvalue().splitlines()
                     if line.startswith("!")]
         first, second = chaos_run("r1"), chaos_run("r2")
@@ -72,8 +73,8 @@ class TestChaosEquivalence:
                           trace_dir=str(tmp_path / "t"),
                           run_dir=str(tmp_path / "r2"),
                           retries=2, backoff=0.0,
-                          fault_plan="store.read:corrupt:times=1",
-                          fault_seed=5)
+                          fault_plan=FaultPlan.parse(
+                              "store.read:corrupt:times=1", seed=5))
         assert _claims(chaotic) == _claims(baseline)
         assert "1 quarantined payloads" in stream.getvalue()
 
@@ -86,8 +87,8 @@ class TestRetryBudget:
                           trace_dir=str(tmp_path / "t"),
                           run_dir=str(tmp_path / "r"),
                           retries=1, backoff=0.0,
-                          fault_plan="worker.task:error:times=99",
-                          fault_seed=5)
+                          fault_plan=FaultPlan.parse(
+                              "worker.task:error:times=99", seed=5))
         # Both experiments completed as *failure records*; the run
         # itself finished and stayed accountable.
         assert len(results) == 2
@@ -101,7 +102,8 @@ class TestRetryBudget:
                 trace_dir=str(tmp_path / "t"),
                 run_dir=str(tmp_path / "r"),
                 retries=0, backoff=0.0,
-                fault_plan="worker.task:error:times=99")
+                fault_plan=FaultPlan.parse(
+                    "worker.task:error:times=99"))
         key = run_key(scale=1, quick=False, suite=LIGHT,
                       trace_dir=str(tmp_path / "t"))
         journal = RunJournal(key, root=tmp_path / "r")
@@ -114,7 +116,8 @@ class TestSerialResilience:
                 trace_dir=str(tmp_path / "t"),
                 run_dir=str(tmp_path / "r"),
                 retries=2, backoff=0.0,
-                fault_plan="worker.task:error:times=1")
+                fault_plan=FaultPlan.parse(
+                    "worker.task:error:times=1"))
         assert faults.active_plan() is None
 
 

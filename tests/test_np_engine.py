@@ -187,21 +187,21 @@ class TestRandomizedEquivalence:
         fast.replay_columns(blocks, placements)
         _assert_engines_equal(pure, fast, level_caps, 0)
 
-    def test_touch_equivalence(self):
-        # One-reference segments through the carry machinery, against
-        # both the pure touch and the pure bulk replay.
+    def test_one_reference_segment_equivalence(self):
+        # One-reference segments through the carry machinery, on both
+        # engines, against the pure bulk replay.
         rng = random.Random(44)
         pmap = {block: rng.getrandbits(16) for block in range(30)}
-        refs = [(block, pmap[block])
-                for block in (rng.randrange(30) for _ in range(400))]
+        blocks = [rng.randrange(30) for _ in range(400)]
+        placements = [pmap[block] for block in blocks]
         bulk = MultiConfigLRU({1: 2, 3: 4}, full_cap=8)
         pure = MultiConfigLRU({1: 2, 3: 4}, full_cap=8)
         fast = np_engine.NumpyMultiConfigLRU({1: 2, 3: 4}, full_cap=8)
-        bulk.replay(refs)
-        for i, (block, placement) in enumerate(refs):
+        bulk.replay_columns(blocks, placements)
+        for i in range(len(blocks)):
             count = i % 5 != 0
-            pure.touch(block, placement, count=count)
-            fast.touch(block, placement, count=count)
+            pure.replay_columns(blocks, placements, i, i + 1, count=count)
+            fast.replay_columns(blocks, placements, i, i + 1, count=count)
         _assert_engines_equal(pure, fast, {1: 2, 3: 4}, 8)
         assert bulk.stack_state() == pure.stack_state()
 
@@ -363,9 +363,9 @@ class TestPlacementPurityGuard:
 
     def test_cross_segment_violation_raises(self):
         fast = np_engine.NumpyMultiConfigLRU({1: 2})
-        fast.touch(5, 10)
+        fast.replay_columns([5], [10])
         with pytest.raises(ValueError, match="pure function"):
-            fast.touch(5, 11)
+            fast.replay_columns([5], [11])
 
 
 class TestHitPrefixCaching:
@@ -374,15 +374,15 @@ class TestHitPrefixCaching:
 
     def test_multi_config_cache_invalidation(self):
         engine = MultiConfigLRU({2: 3}, full_cap=4)
-        stream = [(i % 7, i % 7) for i in range(60)]
-        engine.replay(stream)
+        stream = [i % 7 for i in range(60)]
+        engine.replay_columns(stream, stream)
         assert engine.hits(2, 2) == sum(engine.histograms()[2][:2])
         first = engine.hits(2, 2)
         assert engine.hits(2, 2) == first          # cached path
-        engine.replay(stream)                      # invalidates
+        engine.replay_columns(stream, stream)      # invalidates
         assert engine.hits(2, 2) == sum(engine.histograms()[2][:2])
         assert engine.full_hits(3) == sum(engine._full_hist[:3])
-        engine.touch(3, 3)                         # invalidates too
+        engine.replay_columns([3], [3])            # one reference too
         assert engine.hits(2, 2) == sum(engine.histograms()[2][:2])
         engine.reset_counts()
         assert engine.hits(2, 3) == 0

@@ -181,8 +181,16 @@ class TestCli:
         (["--scale", "0", "--only", "TAB-ADDR"],
          "--scale must be at least 1, got 0"),
         (["--scale", "-2"], "--scale must be at least 1, got -2"),
+        (["--only", "TAB-ADDR", "--faults", "bogus"],
+         "fault spec 'bogus' is not site:kind[:k=v...]"),
+        (["--faults", "store.read:melt"],
+         "unknown fault kind 'melt'; known: ('io-error', 'corrupt', "
+         "'truncate', 'error')"),
+        (["--faults", "store.read:corrupt:p=2"],
+         "fault probability must be in [0, 1]"),
     ], ids=["only", "skip", "scale-0-fig10", "scale-0-tab-addr",
-            "scale-negative"])
+            "scale-negative", "faults-syntax", "faults-kind",
+            "faults-probability"])
     def test_run_rejects_bad_input(self, tmp_path, capsys, argv, message):
         traces, runs = tmp_path / "traces", tmp_path / "runs"
         assert cli_main(["run", *argv, "--trace-dir", str(traces),
@@ -197,7 +205,3 @@ class TestCli:
         assert cli_main(["run", "--only", "TAB-ADDR",
                          "--trace-dir", str(tmp_path)]) == 0
         assert "paper claims reproduced" in capsys.readouterr().out
-
-    def test_bench_requires_benchmarks_dir(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert cli_main(["bench"]) == 2

@@ -224,6 +224,73 @@ class TestQuarantine:
         assert cli_main(["store", "verify",
                          "--trace-dir", str(tmp_path)]) == 0
 
+    def test_verify_and_stats_skip_a_directory_named_like_a_payload(
+            self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+        TraceStore(tmp_path).load(_spec({"runs": 0}))
+        (tmp_path / "odd-0000.trace").mkdir()
+        assert cli_main(["store", "verify",
+                         "--trace-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "checked:     1 payload(s)" in out
+        assert "moved to" not in out and "odd-0000" not in out
+        assert not (tmp_path / QUARANTINE_DIR).exists()
+        assert cli_main(["store", "stats",
+                         "--trace-dir", str(tmp_path)]) == 0
+        assert "payloads:     1," in capsys.readouterr().out
+        assert TraceStore(tmp_path).cached_names() == {"synthetic": 1}
+
+    def test_verify_leaves_an_unreadable_payload_in_place(
+            self, tmp_path, capsys, monkeypatch):
+        from pathlib import Path
+
+        from repro.cli import main as cli_main
+        spec = _spec({"runs": 0})
+        store = TraceStore(tmp_path)
+        store.load(spec)
+        path = store.path_for(spec, spec.resolve())
+        read_bytes = Path.read_bytes
+
+        def failing(self):
+            if self.name == path.name:
+                raise PermissionError(13, "Permission denied")
+            return read_bytes(self)
+
+        # A superuser reads any file whatever its mode, so the
+        # failure is patched in rather than made with chmod.
+        monkeypatch.setattr(Path, "read_bytes", failing)
+        report = TraceStore(tmp_path).verify()
+        assert report["corrupt"] == []
+        assert [name for name, _ in report["unreadable"]] == [path.name]
+        assert cli_main(["store", "verify",
+                         "--trace-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "unreadable:  1 payload(s) (left in place)" in out
+        assert "Permission denied" in out and "moved to" not in out
+        assert path.exists()
+        assert not (tmp_path / QUARANTINE_DIR).exists()
+
+    def test_verify_lists_a_corrupt_payload_it_could_not_move(
+            self, tmp_path, monkeypatch):
+        import os
+
+        spec = _spec({"runs": 0})
+        store = TraceStore(tmp_path)
+        store.load(spec)
+        path = store.path_for(spec, spec.resolve())
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0x01
+        path.write_bytes(bytes(blob))
+
+        def refuse(source, destination):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        report = TraceStore(tmp_path).verify()
+        assert report["corrupt"] == []
+        assert [name for name, _ in report["unreadable"]] == [path.name]
+        assert path.exists()
+
     def test_trace_cli_requires_name_without_verify(self, tmp_path,
                                                     capsys):
         from repro.cli import main as cli_main

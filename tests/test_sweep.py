@@ -55,29 +55,15 @@ SEMANTICS = ("paper", "v2")
 
 
 class TestReplayInterfaces:
-    """replay (pair stream) and replay_columns (parallel columns) are
-    the same engine; pair streams may be one-shot iterables."""
-
-    def _refs(self):
-        return [(i * 3 % 7, i * 3 % 7) for i in range(50)]
-
-    def test_replay_accepts_a_generator(self):
-        from repro.sweep.engine import MultiConfigLRU
-        refs = self._refs()
-        from_list = MultiConfigLRU({1: 2})
-        from_list.replay(refs)
-        from_gen = MultiConfigLRU({1: 2})
-        from_gen.replay(ref for ref in refs)   # one-shot iterable
-        assert from_gen.total == from_list.total == len(refs)
-        assert from_gen.hits(1, 2) == from_list.hits(1, 2)
+    """replay_columns' start/stop window is the same replay as the
+    sliced columns."""
 
     def test_replay_columns_windowing_matches_slicing(self):
         from repro.sweep.engine import MultiConfigLRU
-        refs = self._refs()
-        blocks = [block for block, _ in refs]
+        blocks = [i * 3 % 7 for i in range(50)]
         whole = MultiConfigLRU({1: 2}, full_cap=4)
-        whole.replay(refs[:20], count=False)
-        whole.replay(refs[20:], count=True)
+        whole.replay_columns(blocks[:20], blocks[:20], count=False)
+        whole.replay_columns(blocks[20:], blocks[20:], count=True)
         windowed = MultiConfigLRU({1: 2}, full_cap=4)
         windowed.replay_columns(blocks, blocks, stop=20, count=False)
         windowed.replay_columns(blocks, blocks, start=20, count=True)
@@ -460,20 +446,6 @@ class TestExperimentIntegration:
                          plot=False).data["semantics"] == "paper"
         assert fig11.run(events=events,
                          plot=False).data["semantics"] == "paper"
-
-    @pytest.mark.parametrize("figure", [fig10, fig11])
-    def test_figures_emit_semantics_delta_column(self, events, figure):
-        result = figure.run(events=events, plot=False,
-                            compare_semantics=True)
-        delta = result.data["semantics_delta"]
-        assert set(delta) == {1, 2, 4}
-        assert "v2 - paper" in result.table
-        # The figure grid itself (and its claims) stays on the
-        # double-pass paper pin regardless of the comparison.
-        assert result.data["sweep"].meta["semantics"] == "paper"
-        baseline = figure.run(events=events, plot=False)
-        assert [c.holds for c in result.claims] == \
-            [c.holds for c in baseline.claims]
 
     def test_fig10_v2_semantics_still_supports_the_claims(self, events):
         # The quirk fixes must not change the scientific conclusions:

@@ -13,6 +13,7 @@ import pytest
 
 from repro import faults, telemetry
 from repro.experiments.harness import run_all
+from repro.faults import FaultPlan
 from repro.telemetry import report as telemetry_report
 
 #: Cheap experiments (no trace workloads), in registry order.
@@ -139,8 +140,9 @@ class TestChaos:
                 trace_dir=str(tmp_path / "t"),
                 run_dir=str(tmp_path / "r"),
                 retries=3, backoff=0.0,
-                fault_plan="worker.task:error:times=1",
-                fault_seed=5, with_telemetry=True)
+                fault_plan=FaultPlan.parse(
+                    "worker.task:error:times=1", seed=5),
+                with_telemetry=True)
         data = _load(tmp_path / "r")
         metrics = data["metrics"]
         # times=1 is per task key: each experiment's task fails once.
@@ -172,8 +174,9 @@ class TestChaos:
                         trace_dir=str(tmp_path / "t"),
                         run_dir=str(tmp_path / "r3"),
                         retries=3, backoff=0.0,
-                        fault_plan="worker.task:error:times=1",
-                        fault_seed=5, with_telemetry=True)
+                        fault_plan=FaultPlan.parse(
+                            "worker.task:error:times=1", seed=5),
+                        with_telemetry=True)
         assert _claims(plain) == _claims(traced) == _claims(chaos)
         assert all(r.all_hold for r in chaos)
 
@@ -186,8 +189,9 @@ class TestResume:
                       with_telemetry=True)
         # First run: every task fails permanently (nothing journaled).
         failed = run_all(stream=io.StringIO(), retries=0, backoff=0.0,
-                         fault_plan="worker.task:error:times=99",
-                         fault_seed=5, **kwargs)
+                         fault_plan=FaultPlan.parse(
+                             "worker.task:error:times=99", seed=5),
+                         **kwargs)
         assert all(not r.all_hold for r in failed)
         # Resume with no faults: both experiments rerun and succeed.
         resumed = run_all(stream=io.StringIO(), resume=True, **kwargs)

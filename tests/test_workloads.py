@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.workloads import get, load_events, names, specs
+from repro.workloads import get, names, specs
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.store import TraceStore
 from trace_helpers import trace_of
@@ -202,8 +202,7 @@ class TestScenarios:
 
     @pytest.mark.parametrize("name", NEW_SCENARIOS)
     def test_scenario_generates_dispatched_events(self, name, tmp_path):
-        events = load_events(name, quick=True,
-                             store=TraceStore(tmp_path))
+        events = TraceStore(tmp_path).load(name, quick=True)
         assert len(events) > 1_000
         assert events.dispatched_count(), f"{name} never dispatched"
         assert len(set(events.addresses())) > 10
