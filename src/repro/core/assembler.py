@@ -78,6 +78,9 @@ class Assembler:
     def __init__(self, opcodes: OpcodeTable, constants: ConstantTable) -> None:
         self.opcodes = opcodes
         self.constants = constants
+        #: token -> descriptor.  A token always resolves to the same
+        #: descriptor: a literal interns to the same constant index.
+        self._operands: Dict[str, Operand] = {}
 
     # -- operand handling --------------------------------------------------
 
@@ -98,12 +101,17 @@ class Assembler:
 
     def operand(self, token: str) -> Operand:
         """Resolve an operand token to a descriptor."""
-        if _CTX_RE.match(token):
-            return Operand.parse(token)
-        word = self._literal_word(token)
-        if word is None:
-            raise AssemblerError(f"unrecognised operand {token!r}")
-        return Operand.constant(self.constants.intern(word))
+        operand = self._operands.get(token)
+        if operand is None:
+            if _CTX_RE.match(token):
+                operand = Operand.parse(token)
+            else:
+                word = self._literal_word(token)
+                if word is None:
+                    raise AssemblerError(f"unrecognised operand {token!r}")
+                operand = Operand.constant(self.constants.intern(word))
+            self._operands[token] = operand
+        return operand
 
     def _dest(self, token: str) -> Operand:
         op = self.operand(token)

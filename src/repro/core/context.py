@@ -99,9 +99,11 @@ class ContextPool:
         if not self._free:
             self._refill()
         address = self._free.pop()
-        self._live += 1
-        self.stats.allocated += 1
-        self.stats.high_water = max(self.stats.high_water, self._live)
+        live = self._live = self._live + 1
+        stats = self.stats
+        stats.allocated += 1
+        if live > stats.high_water:
+            stats.high_water = live
         return address
 
     def free(self, address: FPAddress) -> None:

@@ -20,7 +20,9 @@ This module holds the result of that one-time work:
 * :class:`DecodedMethod` -- a method's plan array plus the absolute
   base of its code segment (the IP-translation cache for straight-line
   fetch: ``absolute = base_absolute + offset`` with a descriptor
-  validity check, no MMU walk);
+  validity check, no MMU walk) and a ``live`` flag that a shootdown
+  clears, so the fetch loop can keep the method across fall-through
+  instructions;
 * :class:`DecodedProgramCache` -- the per-machine registry, keyed by
   the code segment name and indexed by absolute code address for
   invalidation.
@@ -134,75 +136,87 @@ def _jump_target(inst: Instruction, index: int,
     return unit, index + 1 + sign * word.value
 
 
-class DecodedInstruction:
-    """One instruction's execution plan (see module docstring)."""
-
-    __slots__ = (
-        "inst", "word", "opcode", "selector", "arch", "kind", "returns",
-        "nargs", "sources", "dest_kind", "dest_slot", "hazards",
-        "dest_prev", "next_ip", "jump_unit", "jump_ip",
+def _word_fields(inst: Instruction, word: int, selector: str) -> tuple:
+    """The fields of a plan that depend on the instruction word alone,
+    in :data:`_WORD_FIELDS` order (everything but the pretranslated
+    IPs)."""
+    arch = architectural_op(inst.opcode)
+    if arch is Op.HALT:
+        kind = K_HALT
+    elif inst.is_zero_operand:
+        kind = K_ZERO
+    else:
+        kind = K_SOURCES
+    head = (inst, word, inst.opcode, selector, arch, kind, inst.returns,
+            inst.nargs)
+    if inst.is_zero_operand:
+        return head + ((), frozenset(), D_ZERO, 0, None)
+    sources = tuple(_reader_of(op) for op in _source_operands(inst, arch))
+    # RAW hazard: operands B/C reading the previous instruction's
+    # context destination (COMMachine._check_raw_hazard).
+    hazards = frozenset(
+        (op.space.value, op.offset)
+        for op in inst.operands[1:] if op.mode is Mode.CONTEXT
     )
+    a = inst.operands[0]
+    if arch is Op.ATPUT:
+        dest_kind, dest_slot = D_NONE, 0
+    elif a.mode is Mode.CONSTANT:
+        dest_kind, dest_slot = D_SLOW, 0
+    elif a.space is Space.CURRENT:
+        dest_kind = D_CUR0 if a.offset == 0 else D_CUR
+        dest_slot = operand_slot(a.offset)
+    else:
+        dest_kind, dest_slot = D_NEXT, operand_slot(a.offset)
+    # Previous-destination bookkeeping (COMMachine._record_dest).
+    if arch in _NO_DEST_OPS or a.mode is not Mode.CONTEXT:
+        dest_prev = None
+    else:
+        dest_prev = (a.space.value, a.offset)
+    return head + (sources, hazards, dest_kind, dest_slot, dest_prev)
 
-    def __init__(self, inst: Instruction, word: int, selector: str,
-                 next_ip, jump_unit: Optional[str] = None,
-                 jump_ip=None) -> None:
-        self.inst = inst
-        self.word = word
-        self.opcode = inst.opcode
-        self.selector = selector
-        self.arch = arch = architectural_op(inst.opcode)
-        self.returns = inst.returns
-        self.nargs = inst.nargs
+
+#: The plan fields :func:`_word_fields` computes, in its order.
+_WORD_FIELDS = (
+    "inst", "word", "opcode", "selector", "arch", "kind", "returns",
+    "nargs", "sources", "hazards", "dest_kind", "dest_slot", "dest_prev",
+)
+
+
+class DecodedInstruction:
+    """One instruction's execution plan (see module docstring).
+
+    ``fields`` is :func:`_word_fields`'s tuple for the instruction's
+    word; the pretranslated fall-through IP and, for a predecoded
+    conditional jump, the unit it must resolve to and its taken IP
+    (both None for every other instruction) depend on where the
+    instruction sits.
+    """
+
+    __slots__ = _WORD_FIELDS + ("next_ip", "jump_unit", "jump_ip")
+
+    def __init__(self, fields: tuple, next_ip,
+                 jump_unit: Optional[str] = None, jump_ip=None) -> None:
+        (self.inst, self.word, self.opcode, self.selector, self.arch,
+         self.kind, self.returns, self.nargs, self.sources, self.hazards,
+         self.dest_kind, self.dest_slot, self.dest_prev) = fields
         self.next_ip = next_ip
-        #: A predecoded conditional jump: the unit it must resolve to
-        #: and its taken IP (both None for every other instruction).
         self.jump_unit = jump_unit
         self.jump_ip = jump_ip
-        if arch is Op.HALT:
-            self.kind = K_HALT
-        elif inst.is_zero_operand:
-            self.kind = K_ZERO
-        else:
-            self.kind = K_SOURCES
-        if inst.is_zero_operand:
-            self.sources: Tuple[Tuple[object, bool, int], ...] = ()
-            self.hazards: frozenset = frozenset()
-            self.dest_kind = D_ZERO
-            self.dest_slot = 0
-            self.dest_prev = None
-            return
-        self.sources = tuple(
-            _reader_of(op) for op in _source_operands(inst, arch))
-        # RAW hazard: operands B/C reading the previous instruction's
-        # context destination (COMMachine._check_raw_hazard).
-        self.hazards = frozenset(
-            (op.space.value, op.offset)
-            for op in inst.operands[1:] if op.mode is Mode.CONTEXT
-        )
-        a = inst.operands[0]
-        if arch is Op.ATPUT:
-            self.dest_kind, self.dest_slot = D_NONE, 0
-        elif a.mode is Mode.CONSTANT:
-            self.dest_kind, self.dest_slot = D_SLOW, 0
-        elif a.space is Space.CURRENT:
-            if a.offset == 0:
-                self.dest_kind = D_CUR0
-            else:
-                self.dest_kind = D_CUR
-            self.dest_slot = operand_slot(a.offset)
-        else:
-            self.dest_kind, self.dest_slot = D_NEXT, operand_slot(a.offset)
-        # Previous-destination bookkeeping (COMMachine._record_dest).
-        if arch in _NO_DEST_OPS or a.mode is not Mode.CONTEXT:
-            self.dest_prev = None
-        else:
-            self.dest_prev = (a.space.value, a.offset)
 
 
 class DecodedMethod:
-    """A method's predecoded plan array plus its pretranslated base."""
+    """A method's predecoded plan array plus its pretranslated base.
 
-    __slots__ = ("segment_key", "base_absolute", "descriptor", "plans")
+    ``live`` is True until the method's plans are shot down
+    (``DecodedProgramCache._drop`` and ``flush`` clear it).  The fetch
+    loop keeps the running method across fall-through instructions
+    instead of probing ``by_segment`` again, and tests ``live`` on
+    each of them, so a shootdown takes effect at the next fetch.
+    """
+
+    __slots__ = ("segment_key", "base_absolute", "descriptor", "plans",
+                 "live")
 
     def __init__(self, segment_key: Tuple[int, int], base_absolute: int,
                  descriptor, plans: List[Optional[DecodedInstruction]]) -> None:
@@ -210,12 +224,7 @@ class DecodedMethod:
         self.base_absolute = base_absolute
         self.descriptor = descriptor
         self.plans = plans
-
-    def is_valid(self) -> bool:
-        """Whether the captured translation still holds (no move/alias)."""
-        d = self.descriptor
-        return (d.base == self.base_absolute and d.forward is None
-                and d.capability_read)
+        self.live = True
 
 
 class DecodedProgramCache:
@@ -229,6 +238,9 @@ class DecodedProgramCache:
     def __init__(self) -> None:
         self.by_segment: Dict[Tuple[int, int], DecodedMethod] = {}
         self._owner_of: Dict[int, Tuple[int, int]] = {}
+        #: (word, selector) -> _word_fields tuple: a word's plan fields
+        #: are computed once however often the word occurs.
+        self._fields_of: Dict[Tuple[int, str], tuple] = {}
         self.installs = 0
         self.invalidations = 0
 
@@ -246,7 +258,13 @@ class DecodedProgramCache:
         """
         span = code_base.span
         plans: List[Optional[DecodedInstruction]] = []
+        fields_of = self._fields_of
         for index, (inst, word) in enumerate(zip(instructions, words)):
+            selector = selector_of(inst.opcode)
+            fields = fields_of.get((word, selector))
+            if fields is None:
+                fields = fields_of[word, selector] = _word_fields(
+                    inst, word, selector)
             # The fall-through IP is pretranslated here; the last slot
             # of a full segment has none (stepping past it must raise
             # exactly as the slow path would).
@@ -260,8 +278,7 @@ class DecodedProgramCache:
             if jump is not None and 0 <= jump[1] < span:
                 jump_unit, jump_ip = jump[0], code_base.step(jump[1])
             plans.append(DecodedInstruction(
-                inst, word, selector_of(inst.opcode), next_ip,
-                jump_unit, jump_ip))
+                fields, next_ip, jump_unit, jump_ip))
         method = DecodedMethod(
             code_base.segment_name, base_absolute, descriptor, plans)
         self.install(method)
@@ -279,6 +296,7 @@ class DecodedProgramCache:
     # -- invalidation ------------------------------------------------------
 
     def _drop(self, method: DecodedMethod) -> None:
+        method.live = False
         self.by_segment.pop(method.segment_key, None)
         for index in range(len(method.plans)):
             self._owner_of.pop(method.base_absolute + index, None)
@@ -313,5 +331,7 @@ class DecodedProgramCache:
 
     def flush(self) -> None:
         self.invalidations += len(self.by_segment)
+        for method in self.by_segment.values():
+            method.live = False
         self.by_segment.clear()
         self._owner_of.clear()

@@ -85,6 +85,8 @@ from repro.trace.columnar import TraceBuilder
 _INT = Tag.SMALL_INTEGER
 _ATOM = Tag.ATOM
 _POINTER = Tag.OBJECT_POINTER
+_CONSTANT = Mode.CONSTANT
+_CURRENT = Space.CURRENT
 
 
 @dataclass
@@ -269,11 +271,11 @@ class COMMachine:
         self.regs.ncp.set(address, base)
         caller = self.regs.cp.virtual
         if caller is not None:
-            # ContextCache.write_next(RCP_SLOT, ...), inline.
+            # ContextCache.write_next(RCP_SLOT, ...), inline (the block
+            # is dirty from its allocation).
             cache.stats.fast_writes += 1
             cache.blocks[block][RCP_SLOT] = pointer_word(
                 caller.packed, self.context_class.class_tag)
-            cache.dirty[block] = True
 
     def _release_context(self, address: FPAddress, base: int) -> None:
         self.context_cache.release(base)
@@ -302,13 +304,23 @@ class COMMachine:
         opcode = self.opcodes.intern(selector)
         if not instructions:
             raise EncodingError(f"method {selector!r} has no instructions")
-        code = self.heap.allocate(self.method_class, len(instructions),
-                                  kind="method")
-        words = []
-        for index, inst in enumerate(instructions):
-            word = inst.encode()
-            words.append(word)
-            self.heap.store(code, index, Word.instruction(word))
+        count = len(instructions)
+        code = self.heap.allocate(self.method_class, count, kind="method")
+        words = [inst.encode() for inst in instructions]
+        # What heap.store of each word does, with one translation: the
+        # segment is fresh and exactly ``count`` words long, so every
+        # word passes the first word's checks, and each store after the
+        # first would probe the same ATLB entry and hit without moving
+        # it.  Those hits are counted in bulk.
+        mmu = self.mmu
+        base = mmu.translate(self.heap.team, code, write=True).absolute
+        mmu.atlb.stats.hits += count - 1
+        hierarchy = mmu.hierarchy
+        write = mmu.absolute.write
+        for index, word in enumerate(words):
+            if hierarchy is not None:
+                hierarchy.access(base + index, write=True)
+            write(base + index, Word.instruction(word))
         compiled = CompiledMethod(
             selector, code, len(instructions), argument_count, frame_words)
         previous = self._methods.get((cls.class_tag, selector))
@@ -376,15 +388,21 @@ class COMMachine:
             self.profile.context_writes += 1
             self.context_cache.write_next(slot, word)
 
-    def _effective_address(self, operand: Operand) -> FPAddress:
-        """The virtual address of a context-mode operand's slot (movea)."""
-        if operand.mode is Mode.CONSTANT:
+    def _effective_address(self, operand: Operand) -> int:
+        """The packed virtual address of a context-mode operand's slot
+        (movea, and a call's result pointer): the base of the CP's or
+        NCP's segment plus the slot."""
+        if operand.mode is _CONSTANT:
             raise EncodingError("constants have no effective address")
-        pointer = (self.regs.cp if operand.space is Space.CURRENT
-                   else self.regs.ncp)
-        if not pointer.is_set:
+        virtual = (self.regs.cp if operand.space is _CURRENT
+                   else self.regs.ncp).virtual
+        if virtual is None:
             raise ReproError("effective address taken with no context")
-        return pointer.virtual.with_offset(operand_slot(operand.offset))
+        slot = operand_slot(operand.offset)
+        exponent = virtual.exponent
+        if slot >> exponent:
+            virtual.with_offset(slot)   # raises InvalidAddress
+        return (virtual.packed >> exponent << exponent) | slot
 
     # -- memory routing (context cache first, then the hierarchy) ----------
 
@@ -525,7 +543,7 @@ class COMMachine:
             # them to the new context: arg0 = effective address of the
             # destination, arg1.. = source values (section 3.5).
             result_pointer = pointer_word(
-                self._effective_address(inst.operands[0]).packed,
+                self._effective_address(inst.operands[0]),
                 self.context_class.class_tag)
             block = cache.next
             if block is None:
@@ -663,7 +681,7 @@ class COMMachine:
         address = self._effective_address(inst.operands[1])
         self._write_operand(
             inst.operands[0],
-            Word.pointer(address.packed, self.context_class.class_tag))
+            Word.pointer(address, self.context_class.class_tag))
         return False
 
     def _unit_at(self, inst: Instruction, sources: List[Word]) -> bool:
@@ -802,11 +820,13 @@ class COMMachine:
 
         :meth:`run` and :meth:`step` both come here, so the predecode
         probe exists once.  Each turn looks the IP's segment name up in
-        the predecode layer: when the IP falls inside a predecoded
-        method whose code segment still translates to the captured
-        absolute base, the instruction's plan runs inline below with no
-        MMU walk and no word decode.  Everything else (predecode
-        disabled, plan shot down, code outside installed methods) takes
+        the predecode layer, or, when the previous plan fell through to
+        its ``next_ip``, keeps that plan's method while it is ``live``
+        (not shot down): when the IP falls inside a predecoded method
+        whose code segment still translates to the captured absolute
+        base, the instruction's plan runs inline below with no MMU walk
+        and no word decode.  Everything else (predecode disabled, plan
+        shot down, code outside installed methods) takes
         :meth:`_step_slow`, the seed's decode-every-step path.  Both
         produce identical cycles, profile tallies and trace events
         (pinned by tests/test_predecode.py).
@@ -841,32 +861,40 @@ class COMMachine:
         # fast-path halves ContextCache counts itself.
         fetched = reads = writes = fast_reads = fast_writes = 0
         icache_misses = hazards = taken = 0
+        # The method of the previous plan when it fell through to its
+        # next_ip, so this turn needs no by_segment probe.
+        following = None
+        offset = 0
         try:
             while executed < limit and not self.halted:
                 ip = self.ip
                 if ip is None:
                     raise MachineHalted("machine is halted")
                 executed += 1
-                exponent = ip.exponent
-                mantissa = ip.mantissa
-                method = by_segment.get((exponent, mantissa >> exponent))
-                plan = None
-                if method is not None:
-                    base = method.base_absolute
-                    descriptor = method.descriptor
+                method = following
+                following = None
+                if method is not None and method.live:
+                    offset += 1             # the IP is the plan's next_ip
+                else:
+                    exponent = ip.exponent
+                    mantissa = ip.mantissa
+                    method = by_segment.get((exponent, mantissa >> exponent))
+                    if method is None:
+                        self._step_slow()
+                        continue
                     offset = mantissa & ((1 << exponent) - 1)
-                    plans = method.plans
-                    # Inline DecodedMethod.is_valid: the captured
-                    # translation must still hold (no move, alias or
-                    # capability change since predecode).
-                    if (descriptor.base == base
-                            and descriptor.forward is None
-                            and descriptor.capability_read
-                            and offset < len(plans)):
-                        plan = plans[offset]
-                if plan is None:
+                base = method.base_absolute
+                descriptor = method.descriptor
+                plans = method.plans
+                # The captured translation must still hold (no move,
+                # alias or capability change since predecode).
+                if not (descriptor.base == base
+                        and descriptor.forward is None
+                        and descriptor.capability_read
+                        and offset < len(plans)):
                     self._step_slow()
                     continue
+                plan = plans[offset]
 
                 absolute = base + offset
                 if not icache_reference(absolute):
@@ -951,7 +979,10 @@ class COMMachine:
                             # default): resolve it here.
                             function = unit_function(unit, count)
                     if function is not None:
-                        result = function(*sources)
+                        if count == 2:
+                            result = function(sources[0], sources[1])
+                        else:
+                            result = function(*sources)
                         # The destination write (ContextCache.write_*
                         # inline for the current and next blocks).
                         dest = plan.dest_kind
@@ -1000,6 +1031,7 @@ class COMMachine:
                 elif plan.next_ip is not None:
                     self.ip = plan.next_ip
                     self._prev_dest = plan.dest_prev
+                    following = method
                 else:
                     # Fall-through past the segment's last word: raise
                     # exactly as the slow path's ip.step(1) would.

@@ -27,6 +27,10 @@ OPERAND_BITS = 7
 MAX_CONTEXT_OFFSET = 29
 #: Entries in the constant table reachable from constant mode.
 CONSTANT_TABLE_SIZE = 1 << (OPERAND_BITS - 1)
+#: The mode bit (set: constant mode) and, in context mode, the
+#: current/next bit (set: next context) of an encoded descriptor.
+_CONSTANT_BIT = 1 << (OPERAND_BITS - 1)
+_NEXT_BIT = 1 << (OPERAND_BITS - 2)
 
 
 class Mode(enum.Enum):
@@ -65,19 +69,29 @@ class Operand:
 
     # -- constructors ------------------------------------------------------
 
+    # Each returns the interned instance of :data:`_DECODE_TABLE` for a
+    # valid descriptor (operands are frozen values), and builds one,
+    # whose check raises, for any other.
+
     @staticmethod
     def current(offset: int) -> "Operand":
         """Slot ``offset`` of the current context (c0, c1, ...)."""
+        if 0 <= offset <= MAX_CONTEXT_OFFSET:
+            return _DECODE_TABLE[offset]
         return Operand(Mode.CONTEXT, Space.CURRENT, offset)
 
     @staticmethod
     def next(offset: int) -> "Operand":
         """Slot ``offset`` of the next context (n0, n1, ...)."""
+        if 0 <= offset <= MAX_CONTEXT_OFFSET:
+            return _DECODE_TABLE[_NEXT_BIT | offset]
         return Operand(Mode.CONTEXT, Space.NEXT, offset)
 
     @staticmethod
     def constant(index: int) -> "Operand":
         """Entry ``index`` of the constant table (k0, k1, ...)."""
+        if 0 <= index < CONSTANT_TABLE_SIZE:
+            return _DECODE_TABLE[_CONSTANT_BIT | index]
         return Operand(Mode.CONSTANT, Space.CURRENT, index)
 
     # -- encoding ----------------------------------------------------------
@@ -85,10 +99,10 @@ class Operand:
     def encode(self) -> int:
         """Pack into OPERAND_BITS bits."""
         if self.mode is Mode.CONSTANT:
-            return (1 << (OPERAND_BITS - 1)) | self.offset
+            return _CONSTANT_BIT | self.offset
         bits = self.offset
         if self.space is Space.NEXT:
-            bits |= 1 << (OPERAND_BITS - 2)
+            bits |= _NEXT_BIT
         return bits
 
     @staticmethod
@@ -110,10 +124,11 @@ class Operand:
 
     @staticmethod
     def _decode_bits(bits: int) -> "Operand":
-        if bits & (1 << (OPERAND_BITS - 1)):
-            return Operand.constant(bits & (CONSTANT_TABLE_SIZE - 1))
-        space = Space.NEXT if bits & (1 << (OPERAND_BITS - 2)) else Space.CURRENT
-        offset = bits & ((1 << (OPERAND_BITS - 2)) - 1)
+        if bits & _CONSTANT_BIT:
+            return Operand(Mode.CONSTANT, Space.CURRENT,
+                           bits & (CONSTANT_TABLE_SIZE - 1))
+        space = Space.NEXT if bits & _NEXT_BIT else Space.CURRENT
+        offset = bits & (_NEXT_BIT - 1)
         return Operand(Mode.CONTEXT, space, offset)
 
     # -- display -----------------------------------------------------------

@@ -118,12 +118,16 @@ class FaultPlan:
                         f"fault option {option!r} is not key=value")
                 key, value = option.split("=", 1)
                 key = {"p": "probability"}.get(key, key)
-                if key == "times":
-                    kwargs[key] = int(value)
-                elif key == "probability":
-                    kwargs[key] = float(value)
-                else:
+                convert = {"times": int, "probability": float}.get(key)
+                if convert is None:
                     raise ValueError(f"unknown fault option {key!r}")
+                try:
+                    kwargs[key] = convert(value)
+                except ValueError:
+                    raise ValueError(
+                        f"fault option {option!r} in {entry!r} needs "
+                        f"{'an integer' if convert is int else 'a number'}"
+                    ) from None
             specs.append(FaultSpec(**kwargs))
         return cls(seed=seed, specs=tuple(specs))
 

@@ -35,6 +35,11 @@ class ATLB:
         self._cache: SetAssociativeCache[ATLBKey, SegmentDescriptor] = (
             SetAssociativeCache(size, associativity, policy)
         )
+        #: Probe on a whole :data:`ATLBKey`: the descriptor or the
+        #: cache's ``MISS`` sentinel, the hit or miss counted as
+        #: :meth:`lookup` counts it.  ``MMU`` translation forms the key
+        #: itself, so every translation's probe is one call.
+        self.probe = self._cache.probe
 
     @property
     def stats(self):

@@ -154,7 +154,7 @@ class AddressFormat:
                 f"offset {offset:#x} exceeds 2**{exponent} segment span"
             )
         mantissa = (segment_field << exponent) | offset
-        return FPAddress(self, exponent, mantissa)
+        return _make_address(self, exponent, mantissa)   # checked above
 
     def from_packed(self, packed: int) -> "FPAddress":
         """Decode a packed integer into an :class:`FPAddress`."""
@@ -283,6 +283,9 @@ class FPAddress:
         )
 
 
+_new = object.__new__
+
+
 def _make_address(fmt: AddressFormat, exponent: int,
                   mantissa: int) -> FPAddress:
     """Trusted FPAddress constructor for already-validated fields.
@@ -292,10 +295,11 @@ def _make_address(fmt: AddressFormat, exponent: int,
     __init__/__post_init__ re-validation there is a measurable win.
     Only call with fields known to satisfy the format's invariants.
     """
-    address = object.__new__(FPAddress)
-    object.__setattr__(address, "fmt", fmt)
-    object.__setattr__(address, "exponent", exponent)
-    object.__setattr__(address, "mantissa", mantissa)
+    address = _new(FPAddress)
+    fields = address.__dict__     # the frozen __setattr__ does not guard it
+    fields["fmt"] = fmt
+    fields["exponent"] = exponent
+    fields["mantissa"] = mantissa
     return address
 
 

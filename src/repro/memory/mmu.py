@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.caches.setassoc import MISS
 from repro.errors import AliasTrap, BoundsTrap, ProtectionTrap, SegmentFault
 from repro.memory.absolute import AbsoluteMemory
 from repro.memory.atlb import ATLB
@@ -197,13 +198,13 @@ class MMU:
         # address.segment_name and address.offset, inline.
         exponent = address.exponent
         mantissa = address.mantissa
-        name = (exponent, mantissa >> exponent)
-        descriptor = self.atlb.lookup(team, name)
-        atlb_hit = descriptor is not None
-        if descriptor is None:
+        segment = mantissa >> exponent
+        descriptor = self.atlb.probe((team, exponent, segment))
+        atlb_hit = descriptor is not MISS
+        if not atlb_hit:
             table = self.team_table(team)
             descriptor = table.descriptor_for(address)
-            self.atlb.fill(team, name, descriptor)
+            self.atlb.fill(team, (exponent, segment), descriptor)
         if write and not descriptor.capability_write:
             raise ProtectionTrap(f"no write capability through {address!r}")
         if not write and not descriptor.capability_read:

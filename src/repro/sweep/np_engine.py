@@ -53,6 +53,7 @@ pure-python engine when the import is missing.
 
 from __future__ import annotations
 
+import os
 from array import array
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence
@@ -76,17 +77,29 @@ _CHAIN_VECTOR_ROUNDS = 6
 def numpy_available() -> bool:
     """Whether the vectorized backend can actually run here.
 
-    The first call imports numpy; later calls reuse its answer.
+    The first call imports numpy; later calls reuse its answer.  The
+    import runs with ``OPENBLAS_NUM_THREADS`` at 1 unless the
+    environment sets it: no engine path calls BLAS (the backend sorts,
+    gathers, scans and does bitwise work), so OpenBLAS's worker
+    threads would only slow numpy's import.  OpenBLAS reads the
+    variable only when it loads, so it is removed again right after,
+    and the processes started later do not inherit it.
     """
     global np, _numpy_checked
     if not _numpy_checked:
         _numpy_checked = True
+        preset = "OPENBLAS_NUM_THREADS" in os.environ
+        if not preset:
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
         try:
             import numpy
         except ImportError:  # exercised by the sys.modules block in the tests
             pass
         else:
             np = numpy
+        finally:
+            if not preset:
+                del os.environ["OPENBLAS_NUM_THREADS"]
     return np is not None
 
 

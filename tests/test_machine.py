@@ -1,5 +1,7 @@
 """Tests for the COM functional simulator (repro.core.machine)."""
 
+import dataclasses
+
 import pytest
 
 from repro.caches.itlb import ITLBEntry
@@ -636,3 +638,100 @@ class TestProfiling:
         """)
         assert machine.profile.context_fraction > 0.9
         assert machine.recycler.stats.lifo_fraction == 1.0
+
+
+def _counters(machine, trace):
+    """Every counter a run leaves on the machine, the ATLB's and the
+    MMU's trap counts included, plus the recorded trace bytes."""
+    return {
+        "cycles": machine.cycles.snapshot(),
+        "profile": dataclasses.asdict(machine.profile),
+        "itlb": dataclasses.asdict(machine.itlb.stats),
+        "icache": dataclasses.asdict(machine.icache.stats),
+        "atlb": dataclasses.asdict(machine.mmu.atlb.stats),
+        "context_cache": dataclasses.asdict(machine.context_cache.stats),
+        "pool": dataclasses.asdict(machine.pool.stats),
+        "recycler": dataclasses.asdict(machine.recycler.stats),
+        "heap": dataclasses.asdict(machine.heap.stats),
+        "alias_traps": machine.mmu.alias_traps_taken,
+        "bounds_faults": machine.mmu.bounds_faults,
+        "depth": (machine.depth, machine.max_depth),
+        "trace": trace.to_bytes(),
+    }
+
+
+def _reconcile_fetch_probes(states, plan_fetches):
+    """Remove from the ATLB hits the one difference the two paths may
+    have: the reference path (predecode off) translates every fetch
+    through the ATLB, a hit on the code segment, where a predecoded
+    method's ``plan_fetches`` instructions run from its plans, and
+    predecode probes the segment once, at install, to capture the
+    plans' translation."""
+    slow, fast = states[False]["atlb"], states[True]["atlb"]
+    assert slow == dict(fast, hits=fast["hits"] + plan_fetches - 1)
+    del states[False]["atlb"], states[True]["atlb"]
+
+
+class TestPredecodedFetchAndTranslation:
+    """The fetch loop keeps the running method across fall-through
+    instructions, and the call, return and store sequences translate
+    through the machine's inline ATLB probe; both must stay exactly
+    the reference path's behaviour."""
+
+    def test_self_modifying_code_traps_on_its_new_word(self):
+        # main receives its own code object in c1 and stores a small
+        # integer over its next instruction (index 3) with at:put:.
+        # The write drops main's plans; the fall-through fetch must
+        # notice (DecodedMethod.live) and fetch the new word from
+        # memory, which is not an instruction.
+        source = """
+        main
+            c2 = 3
+            c3 = 7
+            c1 [ c2 ] = c3
+            c4 = c3 + c3
+            halt
+        """
+        states = {}
+        for predecode in (True, False):
+            machine = COMMachine(predecode=predecode)
+            main = load_program(machine, source)
+            code = machine.heap.pointer_to(main.code_address)
+            trace = machine.enable_trace()
+            with pytest.raises(ProtectionTrap, match="non-instruction word"):
+                machine.run_program(main, arguments=[code])
+            assert machine.ip == main.code_address.step(3)
+            states[predecode] = _counters(machine, trace)
+        _reconcile_fetch_probes(states, plan_fetches=3)
+        assert states[True] == states[False]
+        assert states[True]["cycles"]["instructions"] == 3
+
+    def test_stale_pointer_accesses_take_the_alias_forward(self):
+        # A 3-word array grown to 6 words outgrows its exponent: it gets
+        # a new name, and its old name forwards beyond the old length.
+        # at:put: and at: at offset 3 through the old name each take
+        # one alias trap and must land in the grown object.
+        source = """
+        main
+            c2 = 3
+            c3 = 42
+            c1 [ c2 ] = c3
+            c4 = c1 [ c2 ]
+            ret c4
+        """
+        states = {}
+        for predecode in (True, False):
+            machine = COMMachine(predecode=predecode)
+            main = load_program(machine, source)
+            array = machine.heap.allocate(machine.array_class, 3)
+            stale = machine.heap.pointer_to(array)
+            grown = machine.mmu.grow_object(machine.heap.team, array, 6)
+            assert grown.segment_name != array.segment_name
+            trace = machine.enable_trace()
+            assert machine.run_program(main, arguments=[stale]).value == 42
+            states[predecode] = _counters(machine, trace)
+            assert machine.heap.load(grown, 3).value == 42
+        assert states[True]["alias_traps"] == 2
+        assert states[True]["bounds_faults"] == 0
+        _reconcile_fetch_probes(states, plan_fetches=5)
+        assert states[True] == states[False]

@@ -451,9 +451,9 @@ class TestLazyImport:
     starts clean."""
 
     @staticmethod
-    def _python(code):
+    def _python(code, environ=None):
         src = Path(np_engine.__file__).resolve().parents[2]
-        env = {key: value for key, value in os.environ.items()
+        env = {key: value for key, value in (environ or os.environ).items()
                if not key.startswith("REPRO_")}
         env["PYTHONPATH"] = str(src)
         done = subprocess.run([sys.executable, "-c", code], env=env,
@@ -478,6 +478,31 @@ class TestLazyImport:
             "before = 'numpy' in sys.modules\n"
             "print(before, numpy_available(), 'numpy' in sys.modules)\n")
         assert out.split() == ["False", "True", "True"]
+
+    @pytest.mark.parametrize("preset", [None, "4"],
+                             ids=["unset", "user-set"])
+    def test_first_engine_check_pins_openblas_to_one_thread(self, preset):
+        # numpy's import runs with the variable at 1 unless the
+        # environment sets it; afterwards the environment is as it was.
+        # The process's thread count (Linux only) shows the import kept
+        # OpenBLAS to the main thread.
+        env = {key: value for key, value in os.environ.items()
+               if key != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        out = self._python(
+            "import os\n"
+            "from repro.sweep import numpy_available\n"
+            "numpy_available()\n"
+            "tasks = '/proc/self/task'\n"
+            "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) "
+            "else 'unknown'\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), threads)\n",
+            env)
+        variable, threads = out.split()
+        assert variable == str(preset)
+        if preset is None:
+            assert threads in ("1", "unknown")
 
     def test_cache_served_run_never_loads_numpy(self, tmp_path):
         argv = ["run", "--quick", "--trace-dir", str(tmp_path / "traces"),

@@ -188,9 +188,16 @@ class TestCli:
          "'truncate', 'error')"),
         (["--faults", "store.read:corrupt:p=2"],
          "fault probability must be in [0, 1]"),
+        (["--faults", "worker.task:error:times=abc"],
+         "fault option 'times=abc' in 'worker.task:error:times=abc' "
+         "needs an integer"),
+        (["--faults", "store.read:corrupt:p=half"],
+         "fault option 'p=half' in 'store.read:corrupt:p=half' "
+         "needs a number"),
     ], ids=["only", "skip", "scale-0-fig10", "scale-0-tab-addr",
             "scale-negative", "faults-syntax", "faults-kind",
-            "faults-probability"])
+            "faults-probability", "faults-times-not-integer",
+            "faults-probability-not-number"])
     def test_run_rejects_bad_input(self, tmp_path, capsys, argv, message):
         traces, runs = tmp_path / "traces", tmp_path / "runs"
         assert cli_main(["run", *argv, "--trace-dir", str(traces),
