@@ -150,9 +150,8 @@ def pytest_sessionfinish(session, exitstatus):
         return
     # A host/environment stamp: when committed numbers shift, the
     # stamp says whether the host class shifted with them (the numpy
-    # version -- or its absence -- decides which sweep engine the
-    # numbers exercised).  Stable per machine so it does not by
-    # itself dirty the file.
+    # version included: the sweep engine's numbers depend on it).
+    # Stable per machine so it does not by itself dirty the file.
     payload["_environment"] = telemetry.environment_block()
     root = Path(str(session.config.rootpath))
     path = root / "BENCH_throughput.json"

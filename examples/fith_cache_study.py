@@ -2,12 +2,12 @@
 
 Writes a Fith program (Forth syntax, Smalltalk semantics), traces its
 execution -- recording, per instruction: address, opcode and the class
-of the top of stack -- and replays the trace through the single-pass
-sweep engine (repro.sweep): one sweep per cache (the ITLB and the
-instruction cache) yields the full size x associativity hit-ratio
-surface, with fully-associative LRU and OPT/Belady reference columns,
-from a single replay of the trace per cache instead of one per
-configuration.
+of the top of stack -- and replays the trace through the numpy
+stack-distance sweep engine (repro.sweep): one sweep per cache (the
+ITLB and the instruction cache) yields the full size x associativity
+hit-ratio surface, with fully-associative LRU and OPT/Belady reference
+columns, from a single replay of the trace per cache instead of one
+per configuration.
 
 Run:  python examples/fith_cache_study.py
 """

@@ -13,7 +13,7 @@ Subcommands::
     repro list   [--workloads] [--experiments] [--engines]
                  [--versions]
                  list registered workloads, experiments, the
-                 available sweep execution backends and the
+                 sweep execution engines and the
                  package/format/semantics versions
     repro report [--run KEY] [--run-dir DIR] [--format text|json]
                  [--top N]
@@ -33,7 +33,7 @@ Subcommands::
 
 ``repro --version`` prints the package version plus the versioned
 surfaces a result depends on (trace format, measurement semantics,
-available engines).
+sweep engines).
 
 Installed as the ``repro`` console script (see pyproject.toml); also
 reachable as ``python -m repro`` (:mod:`repro.__main__`) from a source
@@ -93,41 +93,29 @@ def _format_params(params) -> str:
 
 
 def _print_engines() -> None:
-    from repro.sweep import np_engine
+    # The version comes from numpy's distribution metadata: listing the
+    # engines never imports numpy.
+    from repro.telemetry import environment_block
 
+    numpy = environment_block()["numpy"] or "not installed"
     print("sweep engines:")
-    print("  single-pass  pure-python stack-distance engine "
-          "(always available)")
-    print("  grid         per-configuration simulation "
-          "(always available; any policy/geometry)")
-    if np_engine.numpy_available():
-        import numpy
-        print(f"  numpy        vectorized stack-distance backend "
-              f"(available, numpy {numpy.__version__})")
-    else:
-        print("  numpy        UNAVAILABLE (numpy not importable; "
-              "pip install .[numpy])")
-    print("  auto         numpy when available and eligible, else "
-          "single-pass, else grid")
+    print(f"  auto  stack-distance engine (numpy {numpy}) for LRU with "
+          "power-of-two set counts, else grid")
+    print("  grid  per-configuration simulation, the reference oracle "
+          "(any policy and geometry)")
 
 
 def _print_versions() -> None:
     """The versioned surfaces a reproduced number depends on."""
     import repro
-    from repro.sweep import np_engine
     from repro.trace.columnar import FORMAT_VERSION
     from repro.trace.semantics import SEMANTICS
 
-    engines = ["single-pass", "grid"]
-    if np_engine.numpy_available():
-        engines.insert(1, "numpy")
     print(f"repro {repro.__version__}")
     print(f"  trace format:  v{FORMAT_VERSION} (columnar, CRC32 "
           f"per block)")
     print(f"  semantics:     {', '.join(SEMANTICS)}")
-    print(f"  engines:       {', '.join(engines)}"
-          + ("" if np_engine.numpy_available()
-             else "  (numpy unavailable)"))
+    print("  engines:       auto, grid")
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -480,13 +468,12 @@ def build_parser() -> argparse.ArgumentParser:
                               help="add the OPT/Belady reference "
                                    "column (two-pass)")
     sweep_parser.add_argument("--engine", default="auto",
-                              choices=("auto", "single-pass", "numpy",
-                                       "grid"),
-                              help="force the execution engine "
-                                   "('numpy' requires the optional "
-                                   "numpy extra; 'auto' uses it when "
-                                   "importable and falls back to the "
-                                   "pure-python single-pass engine)")
+                              choices=("auto", "grid"),
+                              help="execution engine: 'auto' runs the "
+                                   "numpy stack-distance engine when "
+                                   "the grid is LRU with power-of-two "
+                                   "set counts, else the grid; 'grid' "
+                                   "simulates each configuration")
     sweep_parser.add_argument("--plot", action="store_true",
                               help="also render the ASCII figure")
     sweep_parser.add_argument("--quick", action="store_true",
@@ -502,16 +489,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     list_parser = commands.add_parser(
         "list", help="list registered workloads, experiments and "
-                     "sweep engine backends")
+                     "sweep engines")
     list_parser.add_argument("--workloads", action="store_true",
                              help="only the workload registry")
     list_parser.add_argument("--experiments", action="store_true",
                              help="only the experiment registry")
     list_parser.add_argument("--engines", action="store_true",
-                             help="only the sweep execution backends "
-                                  "(reports whether numpy was "
-                                  "importable, so logs show which "
-                                  "path actually ran)")
+                             help="only the sweep execution engines "
+                                  "(with the installed numpy version)")
     list_parser.add_argument("--versions", action="store_true",
                              help="only the package / trace-format / "
                                   "semantics / engine versions "

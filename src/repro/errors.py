@@ -110,16 +110,6 @@ class MachineHalted(ReproError):
     """The simulator was stepped after halting."""
 
 
-class BackendUnavailable(ReproError):
-    """An optional acceleration backend was requested but cannot run.
-
-    Raised when ``engine="numpy"`` is forced while numpy is not
-    importable in the environment.  The message says how to get the
-    backend; ``engine="auto"`` never raises this -- it falls back to
-    the pure-python single-pass engine instead.
-    """
-
-
 class SimulationLimitExceeded(ReproError):
     """A watchdog instruction budget was exceeded (runaway program)."""
 

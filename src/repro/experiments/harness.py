@@ -252,14 +252,9 @@ def _run_all_inner(specs, journal, done, stats, started, note, *,
         note(f"  [{status}] {result.experiment}")
     # Name numpy only if this run loaded it: a run whose sweeps were
     # all result-cache hits never imports it.
-    from repro.sweep import np_engine
     numpy = sys.modules.get("numpy")
-    if numpy is not None:
-        numpy_note = f"numpy {getattr(numpy, '__version__', 'unknown')}"
-    elif np_engine.numpy_missing():
-        numpy_note = "numpy absent"
-    else:
-        numpy_note = "numpy not loaded"
+    numpy_note = (f"numpy {getattr(numpy, '__version__', 'unknown')}"
+                  if numpy is not None else "numpy not loaded")
     note(f"\n{held}/{total} paper claims reproduced "
          f"({time.time() - started:.1f}s wall).")
     note(f"robustness: {stats['retries']} retries, "

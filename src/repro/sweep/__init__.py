@@ -5,20 +5,23 @@ the whole hit-ratio surface -- as a subsystem:
 
 * :mod:`repro.sweep.spec` -- :class:`SweepSpec`, the declarative
   description of what to sweep;
-* :mod:`repro.sweep.engine` -- the Mattson-style stack-distance
-  engine: every LRU (size, associativity) point from one trace
-  replay, plus the OPT/Belady reference stack;
-* :mod:`repro.sweep.np_engine` -- the vectorized numpy twin of the
-  stack-distance engine (optional extra, bitwise-identical, an order
-  of magnitude faster on the paper trace);
-* :mod:`repro.sweep.runner` -- engine selection (single-pass when
-  eligible, per-configuration grid otherwise) and the warm-up window
-  drivers, bitwise-equivalent to the ``simulate_*`` functions;
+* :mod:`repro.sweep.np_engine` -- the Mattson-style stack-distance
+  engine, vectorized with numpy: every LRU (size, associativity)
+  point from one trace replay;
+* :mod:`repro.sweep.engine` -- the OPT/Belady reference stack;
+* :mod:`repro.sweep.runner` -- engine selection (the stack-distance
+  engine when eligible, the per-configuration grid -- the reference
+  oracle -- otherwise) and the warm-up window drivers,
+  bitwise-equivalent to the ``simulate_*`` functions;
 * :mod:`repro.sweep.surface` -- :class:`ResultSurface`: grid queries,
   iso-ratio thresholds, the figure table;
 * :mod:`repro.sweep.planner` -- :func:`run_batch`: several specs over
   one trace, each answered from the result cache or by
   :func:`run_sweep`, in input order.
+
+numpy is a required dependency, but importing this package does not
+import it: :func:`numpy_available` loads it on the first engine use,
+so a run whose sweeps are all result-cache hits never pays for it.
 
 Typical use::
 
@@ -30,7 +33,7 @@ Typical use::
     surface.smallest_size_reaching(0.99, 2)  # iso-ratio query
 """
 
-from repro.sweep.engine import MultiConfigLRU, OptStack, next_use_times
+from repro.sweep.engine import OptStack
 from repro.sweep.np_engine import NumpyMultiConfigLRU, numpy_available
 from repro.sweep.planner import (
     BatchReport,
@@ -56,7 +59,6 @@ __all__ = [
     "BatchReport",
     "BatchResult",
     "DEFAULT_SEMANTICS",
-    "MultiConfigLRU",
     "NumpyMultiConfigLRU",
     "OptStack",
     "PAPER_ASSOCIATIVITIES",
@@ -65,7 +67,6 @@ __all__ = [
     "ResultSurface",
     "SEMANTICS",
     "SweepSpec",
-    "next_use_times",
     "numpy_available",
     "result_cache_key",
     "run_batch",

@@ -1,15 +1,20 @@
-"""Vectorized numpy replay backend for the single-pass sweep engine.
+"""The stack-distance sweep engine, vectorized with numpy.
 
-:class:`NumpyMultiConfigLRU` is a drop-in, bitwise-identical
-replacement for :class:`repro.sweep.engine.MultiConfigLRU`: same
-constructor, same ``replay_columns`` update, same
-``hits``/``full_hits``/``total``/``reset_counts`` results surface --
-but the per-reference LRU stack-depth loop is replaced by whole-array
-passes.  On the paper's measurement trace the replay runs an order of
-magnitude faster (see BENCH_throughput.json).
+LRU is a *stack algorithm* (Mattson et al. 1970, generalized to
+set-associative caches by Hill & Smith 1989): at any moment the
+contents of an A-way LRU set are exactly the A most-recently-used
+blocks mapping to that set, for every A at once.  A reference
+therefore hits in an (S sets, A ways) cache iff fewer than A
+*distinct* conflicting blocks (same set under S) were touched since
+the previous reference to the same block.  Recording those per-set
+stack depths over one replay yields the hit count of every
+configuration simultaneously.  :class:`NumpyMultiConfigLRU` keeps one
+*level* per swept power-of-two set count, plus an optional single-set
+level for the fully-associative curve, and computes every reference's
+capped depth with whole-array passes.
 
 The formulation (details in DESIGN.md, "The vectorized stack-distance
-backend"):
+engine"):
 
 * Factorize the ``(block, placement)`` columns once per replayed
   segment into dense block ids plus previous-occurrence links
@@ -33,22 +38,19 @@ backend"):
 * Stack state between segments is carried as one global MRU-ordered
   list of distinct ``(block, placement)`` pairs; replaying that list
   as a synthetic prefix regenerates every level's per-set stacks
-  exactly, which is what makes warm-up cuts, mid-trace
-  ``reset_counts`` and ``start``/``stop`` sub-range replay match the
-  incremental engine bit for bit.  The fully-associative stack is the
-  carry's first ``full_cap`` entries, so it keeps no state of its own.
+  exactly, which is what makes warm-up cuts and ``start``/``stop``
+  sub-range replay match one cache per configuration reference for
+  reference.  The fully-associative stack is the carry's first
+  ``full_cap`` entries, so it keeps no state of its own.
 
 :func:`np_itlb_ref_columns` builds the ITLB reference stream with
-array operations, hashing each distinct key once, for the runner when
-the resolved engine is numpy, at the dispatched indices
-:func:`np_dispatched_indices` unpacks from the bitset.
+array operations, hashing each distinct key once, at the dispatched
+indices :func:`np_dispatched_indices` unpacks from the bitset.
 
-numpy is an *optional* extra (``pip install .[numpy]``), imported on
-first engine use: importing this module (or ``repro.sweep``) never
-imports it, :func:`numpy_available` and :func:`require_numpy` do, so a
-run whose sweeps are all result-cache hits never pays for it.  The
-runner checks :func:`numpy_available` and falls back to the
-pure-python engine when the import is missing.
+numpy is a required dependency, imported on first engine use:
+importing this module (or ``repro.sweep``) never imports it,
+:func:`numpy_available` does, so a run whose sweeps are all
+result-cache hits never pays for it.
 """
 
 from __future__ import annotations
@@ -60,12 +62,10 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import telemetry
 from repro.caches.setassoc import stable_hash
-from repro.errors import BackendUnavailable
 
 #: The numpy module, bound by :func:`numpy_available` on first engine
-#: use (None until then, and where numpy is not importable).
+#: use (None until then).
 np = None
-_numpy_checked = False
 
 #: Vector rounds of the chain resolver before the queries still open
 #: go to the max-tree descent.  On the ``sweep`` benchmark's queries
@@ -75,49 +75,30 @@ _CHAIN_VECTOR_ROUNDS = 6
 
 
 def numpy_available() -> bool:
-    """Whether the vectorized backend can actually run here.
+    """Import numpy for the engine, once; True from then on.
 
-    The first call imports numpy; later calls reuse its answer.  The
-    import runs with ``OPENBLAS_NUM_THREADS`` at 1 unless the
-    environment sets it: no engine path calls BLAS (the backend sorts,
-    gathers, scans and does bitwise work), so OpenBLAS's worker
-    threads would only slow numpy's import.  OpenBLAS reads the
-    variable only when it loads, so it is removed again right after,
-    and the processes started later do not inherit it.
+    Every engine entry point calls this first.  A missing numpy raises
+    :class:`ImportError`: numpy is a required dependency, and no other
+    engine stands in for it.  The import runs with
+    ``OPENBLAS_NUM_THREADS`` at 1 unless the environment sets it: no
+    engine path calls BLAS (the engine sorts, gathers, scans and does
+    bitwise work), so OpenBLAS's worker threads would only slow
+    numpy's import.  OpenBLAS reads the variable only when it loads,
+    so it is removed again right after, and the processes started
+    later do not inherit it.
     """
-    global np, _numpy_checked
-    if not _numpy_checked:
-        _numpy_checked = True
+    global np
+    if np is None:
         preset = "OPENBLAS_NUM_THREADS" in os.environ
         if not preset:
             os.environ["OPENBLAS_NUM_THREADS"] = "1"
         try:
             import numpy
-        except ImportError:  # exercised by the sys.modules block in the tests
-            pass
-        else:
-            np = numpy
         finally:
             if not preset:
                 del os.environ["OPENBLAS_NUM_THREADS"]
-    return np is not None
-
-
-def numpy_missing() -> bool:
-    """Whether an engine check has already found numpy not importable
-    (False while no :func:`numpy_available` call has run)."""
-    return _numpy_checked and np is None
-
-
-def require_numpy() -> None:
-    """Raise the typed, actionable error if numpy is missing."""
-    if not numpy_available():
-        raise BackendUnavailable(
-            "the numpy sweep backend was requested but numpy is not "
-            "importable; install the optional extra with "
-            "'pip install .[numpy]' (or 'pip install numpy'), or use "
-            "engine='auto' / engine='single-pass' for the pure-python "
-            "fallback")
+        np = numpy
+    return True
 
 
 class _SegmentStructs:
@@ -400,21 +381,37 @@ def _full_depth_counts(prev, cap):
 
 
 class NumpyMultiConfigLRU:
-    """Bitwise-identical numpy replacement for ``MultiConfigLRU``.
+    """All swept LRU configurations, updated by one block stream.
+
+    Parameters
+    ----------
+    level_caps:
+        ``log2(num_sets) -> deepest associativity swept`` for every
+        multi-set level (``num_sets`` a power of two >= 2).  Set
+        membership under 2^k sets is the placement's low k bits (the
+        stable hash for the ITLB's hashed directory, the block address
+        for the icache's modulo indexing).
+    full_cap:
+        Depth bound of the single-set level (0 disables it).  Covers
+        the fully-associative curve (bound = largest capacity in
+        entries) and any num_sets == 1 configurations.
 
     Stack state is carried between replays as a global MRU-ordered list
     of distinct (block, placement) pairs; replaying that list as a
     synthetic prefix regenerates every level's per-set recency stacks
-    exactly, so segmented replay (warm-up cuts, ``reset_counts``
-    mid-trace, sub-range replay) matches the incremental engine bit for
-    bit.  Blocks and placements must be integer columns and placements
-    must be a pure function of blocks (both hold for every reference
-    stream the runner builds).
+    exactly, so segmented replay (warm-up cuts, sub-range replay)
+    matches a cache that saw every reference in order.  Blocks and
+    placements must be integer columns and placements must be a pure
+    function of blocks (both hold for every reference stream the
+    runner builds).  ``hits``/``full_hits`` answers are prefix sums of
+    the depth histograms, cached until the next counted replay; misses,
+    compulsory ones included, land in the bucket beyond every swept way
+    count, and ``total`` counts the measured references.
     """
 
     def __init__(self, level_caps: Dict[int, int],
                  full_cap: int = 0) -> None:
-        require_numpy()
+        numpy_available()
         self.ks = sorted(level_caps)
         for k in self.ks:
             if k <= 0 or level_caps[k] <= 0:
@@ -445,6 +442,15 @@ class NumpyMultiConfigLRU:
     def replay_columns(self, blocks: Sequence, placements: Sequence[int],
                        start: int = 0, stop: Optional[int] = None,
                        count: bool = True) -> None:
+        """Reference ``blocks[i]`` placed by ``placements[i]`` for i in
+        ``[start, stop)``.
+
+        The engine's one update, over two parallel integer columns
+        (packed arrays, memoryviews over a trace's address column, or
+        lists).  The range lets the warm-up split replay sub-ranges
+        without slicing the columns, and ``count=False`` updates stack
+        state without recording depths (a warm-up pass).
+        """
         if stop is None:
             stop = len(blocks)
         if stop <= start:
@@ -469,8 +475,8 @@ class NumpyMultiConfigLRU:
             # Purity guard across segments (the in-segment guard lives
             # in _SegmentStructs): a carried block re-seen here must
             # re-appear with its carried placement, or the carry-prefix
-            # reconstruction would silently diverge from the
-            # incremental engine.
+            # reconstruction would silently diverge from a cache that
+            # saw every reference.
             seen = ~keep
             if not bool(np.all(seg.uniq_pvals[loc_c[seen]]
                                == self._carry_p[seen])):
@@ -684,15 +690,6 @@ class NumpyMultiConfigLRU:
             total + new for total, new in zip(self._full_hist,
                                               counts.tolist())]
 
-    def reset_counts(self) -> None:
-        """Zero every histogram and the access counter; keep stacks."""
-        for h in self._hists:
-            h[:] = 0
-        self._full_hist[:] = [0] * len(self._full_hist)
-        self.total = 0
-        self._cum_by_k = None
-        self._full_cum = None
-
     # -- results ----------------------------------------------------------
 
     def hits(self, k: int, assoc: int) -> int:
@@ -715,47 +712,16 @@ class NumpyMultiConfigLRU:
                 accumulate(self._full_hist, initial=0))
         return cum[min(entries, len(cum) - 1)]
 
-    # -- introspection (tests, benchmarks) --------------------------------
-
-    def histograms(self) -> Dict[int, List[int]]:
-        """Per-level depth histograms, ``log2(num_sets) -> counts``."""
-        return {k: hist.tolist()
-                for k, hist in zip(self.ks, self._hists)}
-
-    def stack_state(self):
-        """Current per-set recency stacks, reconstructed from the carry.
-
-        Same shape as ``MultiConfigLRU.stack_state()``: per level, a
-        mapping of set index to the MRU-first block list; plus the
-        single-set stack when enabled.  The carry is the global
-        MRU-ordered distinct-block list, so each set's stack is its
-        per-set filtration truncated at the level's depth cap, and the
-        single-set stack is the carry's first ``full_cap`` blocks.
-        """
-        carry_b = self._carry_b.tolist()
-        carry_p = self._carry_p.tolist()
-        levels = {}
-        for k, (mask, cap) in zip(self.ks, self.levels):
-            sets: Dict[int, List] = {}
-            for block, placement in zip(carry_b, carry_p):
-                lst = sets.setdefault(placement & mask, [])
-                if len(lst) < cap:
-                    lst.append(block)
-            levels[k] = sets
-        state = {"levels": levels, "full": None}
-        if self._full_cap:
-            state["full"] = carry_b[:self._full_cap]
-        return state
-
 
 def np_next_use_times(blocks: Sequence) -> List[float]:
-    """Vectorized :func:`repro.sweep.engine.next_use_times`.
+    """``result[i]`` = index of the next reference to ``blocks[i]``.
 
-    Same contract: ``result[i]`` is the index of the next reference to
-    ``blocks[i]``, ``inf`` (== ``NEVER``) when there is none.  Computed
-    from the block-sorted order instead of a backward python scan.
+    The scan OPT (:class:`~repro.sweep.engine.OptStack`) needs before
+    its stack pass; positions with no later reference get ``inf``,
+    which compares greater than every real index.  Computed from the
+    block-sorted order.
     """
-    require_numpy()
+    numpy_available()
     b = np.asarray(blocks, dtype=np.int64)
     n = len(b)
     result = np.full(n, np.inf)
@@ -771,7 +737,7 @@ def np_dispatched_indices(trace):
     """:meth:`~repro.trace.columnar.Trace.dispatched_indices` as an
     array: the view's bytes of the dispatched bitset unpacked
     LSB-first in one pass, cut to the view's ``[start, stop)``."""
-    require_numpy()
+    numpy_available()
     bits, start, stop = trace.dispatched_bitset()
     first = start >> 3
     flags = np.unpackbits(
@@ -784,17 +750,19 @@ def np_dispatched_indices(trace):
 
 def np_itlb_ref_columns(opcodes: Sequence[int], classes: Sequence[int],
                         indices: Optional[Sequence[int]]):
-    """Vectorized ITLB reference build: the ``array('q')`` keys and
-    ``array('Q')`` placements of the pure loop in
-    :func:`repro.sweep.runner._itlb_ref_columns`, byte for byte.
+    """The ITLB reference stream: ``array('q')`` keys and
+    ``array('Q')`` placements.
 
     The opcode and receiver-class columns are gathered at ``indices``
-    (every event when None) and packed into the same injective int
-    keys.  :func:`~repro.caches.setassoc.stable_hash` runs once per
-    distinct key, on the ``(opcode, (receiver,))`` tuple the real ITLB
-    hashes, and a gather spreads the hashes back over the stream.
+    (every event when None) and packed into one int key per event,
+    ``(opcode << 32) ^ (receiver & 0xFFFFFFFF)``, injective for the
+    32-bit column values.  The placement must equal the set placement
+    the real ITLB computes: :func:`~repro.caches.setassoc.stable_hash`
+    runs once per distinct key, on the ``(opcode, (receiver,))`` tuple
+    the ITLB hashes, and a gather spreads the hashes back over the
+    stream.
     """
-    require_numpy()
+    numpy_available()
     op = np.asarray(opcodes)
     cls = np.asarray(classes)
     if indices is not None:

@@ -2,21 +2,16 @@
 
 ``run_sweep`` picks the execution engine per spec:
 
-* **numpy** (:class:`~repro.sweep.np_engine.NumpyMultiConfigLRU`) --
-  the vectorized single-pass formulation.  ``engine="auto"`` uses it
-  whenever the spec is single-pass eligible *and* numpy is importable
-  (numpy is an optional extra, never a hard dependency);
-  ``engine="numpy"`` requires it, raising the typed
-  :class:`~repro.errors.BackendUnavailable` when the import is
-  missing.  Bitwise-identical to the pure-python engine.
-* **single-pass** (:class:`~repro.sweep.engine.MultiConfigLRU`) when
-  the spec is LRU with power-of-two set counts -- one simulation
-  replay of the trace (two under the paper's double-pass warm-up)
-  produces every grid cell at once;
+* **stack distance** (:class:`~repro.sweep.np_engine.NumpyMultiConfigLRU`)
+  when ``engine="auto"`` and the spec is LRU with power-of-two set
+  counts -- one simulation replay of the trace (two under the paper's
+  double-pass warm-up) produces every grid cell at once.  Its surfaces
+  record ``meta["engine"] == "numpy"``.
 * **grid** otherwise (or on request) -- one
   :func:`~repro.trace.cachesim.simulate_itlb` /
   :func:`~repro.trace.cachesim.simulate_icache` call per cell, which
-  supports any replacement policy and geometry.
+  supports any replacement policy and geometry.  The grid is the
+  reference oracle the stack-distance engine is tested against.
 
 Both paths produce *bitwise identical* hit ratios for LRU specs:
 driver and ``simulate_*`` functions alike place the warm-up window
@@ -34,8 +29,8 @@ as ``meta["aux_passes"]``.
 Reference streams are *columns*, not event objects: the drivers read
 the packed int columns of a :class:`~repro.trace.columnar.Trace`
 directly (the icache stream for one-word lines is literally the
-trace's address column, zero-copy) and feed the engines through
-:meth:`~repro.sweep.engine.MultiConfigLRU.replay_columns`.
+trace's address column, zero-copy) and feed the engine through
+:meth:`~repro.sweep.np_engine.NumpyMultiConfigLRU.replay_columns`.
 """
 
 from __future__ import annotations
@@ -48,9 +43,8 @@ from dataclasses import asdict
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro import telemetry
-from repro.caches.setassoc import stable_hash
 from repro.sweep import np_engine
-from repro.sweep.engine import MultiConfigLRU, OptStack, next_use_times
+from repro.sweep.engine import OptStack
 from repro.sweep.spec import SweepSpec
 from repro.sweep.surface import Cell, ResultSurface
 from repro.trace.cachesim import simulate_icache, simulate_itlb
@@ -90,10 +84,9 @@ def result_cache_key(spec: SweepSpec, trace_key: str) -> str:
 
 # -- reference streams ----------------------------------------------------
 
-def _itlb_ref_columns(trace: Trace, dispatched_only: bool,
-                      use_numpy: bool = False) -> RefColumns:
+def _itlb_ref_columns(trace: Trace, dispatched_only: bool) -> RefColumns:
     """The (key, stable hash) columns the ITLB sees, built once per
-    trace view.
+    trace view (:func:`~repro.sweep.np_engine.np_itlb_ref_columns`).
 
     A :class:`~repro.trace.columnar.Trace` keeps the columns for as
     long as it lives (:meth:`~repro.trace.columnar.Trace.derived`), so
@@ -101,50 +94,11 @@ def _itlb_ref_columns(trace: Trace, dispatched_only: bool,
     read them.
     """
     return trace.derived(
-        ("itlb-refs", dispatched_only, use_numpy),
-        lambda: _build_itlb_ref_columns(trace, dispatched_only, use_numpy))
-
-
-def _build_itlb_ref_columns(trace: Trace, dispatched_only: bool,
-                            use_numpy: bool) -> RefColumns:
-    """Build the (key, stable hash) columns the ITLB sees.
-
-    Block identities are the opcode/class pair packed into one int
-    (injective for the 32-bit column values), so the hot replay loop
-    never builds a key tuple; the placement hash -- which must stay
-    bitwise-identical to the set placement the real ITLB computes --
-    is computed once per distinct key.  With ``use_numpy`` (the
-    resolved engine is numpy) the dispatched indices are unpacked from
-    the bitset in one pass, the keys are packed with array operations
-    and the hashes gathered back over the stream
-    (:func:`~repro.sweep.np_engine.np_itlb_ref_columns`); the loop
-    below is the numpy-free path and returns the same bytes.
-    """
-    opcodes = trace.opcodes()
-    classes = trace.receiver_classes()
-    if use_numpy:
-        return np_engine.np_itlb_ref_columns(
-            opcodes, classes,
+        ("itlb-refs", dispatched_only),
+        lambda: np_engine.np_itlb_ref_columns(
+            trace.opcodes(), trace.receiver_classes(),
             np_engine.np_dispatched_indices(trace) if dispatched_only
-            else None)
-    indices = (trace.dispatched_indices() if dispatched_only
-               else range(len(trace)))
-    blocks = array("q")
-    placements = array("Q")
-    hashes: Dict[int, int] = {}
-    block_append = blocks.append
-    placement_append = placements.append
-    for i in indices:
-        opcode = opcodes[i]
-        receiver = classes[i]
-        packed = (opcode << 32) ^ (receiver & 0xFFFFFFFF)
-        placement = hashes.get(packed)
-        if placement is None:
-            placement = hashes[packed] = stable_hash(
-                (opcode, (receiver,)))
-        block_append(packed)
-        placement_append(placement)
-    return blocks, placements
+            else None))
 
 
 def _icache_ref_columns(trace: Trace, line_words: int) -> RefColumns:
@@ -164,7 +118,7 @@ def _reset_touch(spec: SweepSpec, trace: Trace,
                  n_refs: int) -> Optional[int]:
     """Where in the *reference* stream the warm-up stats reset lands.
 
-    Delegates to the versioned semantics module so the single-pass
+    Delegates to the versioned semantics module so the stack-distance
     driver and the ``simulate_*`` loops agree reference-for-reference
     under either semantics version.
     """
@@ -173,7 +127,40 @@ def _reset_touch(spec: SweepSpec, trace: Trace,
                        dispatched_only=spec.dispatched_only)
 
 
-# -- the single-pass path --------------------------------------------------
+def _ref_columns(spec: SweepSpec, trace: Trace) -> RefColumns:
+    if spec.cache == "itlb":
+        return _itlb_ref_columns(trace, spec.dispatched_only)
+    return _icache_ref_columns(trace, spec.line_words)
+
+
+# -- the OPT reference curve (either engine) -------------------------------
+
+def _opt_counts(spec: SweepSpec, blocks: Sequence,
+                reset_at: Optional[int]) -> Dict[int, Cell]:
+    """OPT's (hits, misses) at every swept size, counted after the
+    spec's warm-up: the first of two passes under ``double_pass``,
+    else the references before ``reset_at`` (none when it is None)."""
+    n_refs = len(blocks)
+    opt = OptStack(max(spec.entries(s) for s in spec.sizes))
+    if spec.double_pass:
+        doubled = list(blocks)
+        doubled += doubled
+        next_use = np_engine.np_next_use_times(doubled)
+        for i in range(n_refs):
+            opt.touch(blocks[i], next_use[i], count=False)
+        for i in range(n_refs):
+            opt.touch(blocks[i], next_use[n_refs + i], count=True)
+    else:
+        next_use = np_engine.np_next_use_times(blocks)
+        for index in range(n_refs):
+            opt.touch(blocks[index], next_use[index],
+                      count=(reset_at is None or index >= reset_at))
+    return {size: (opt.hits(spec.entries(size)),
+                   opt.total - opt.hits(spec.entries(size)))
+            for size in spec.sizes}
+
+
+# -- the stack-distance path -----------------------------------------------
 
 def _geometry(spec: SweepSpec) -> Tuple[Dict[int, int], int]:
     """(level caps keyed by log2(num_sets), single-set depth bound)."""
@@ -191,39 +178,17 @@ def _geometry(spec: SweepSpec) -> Tuple[Dict[int, int], int]:
     return level_caps, full_cap
 
 
-def _run_single_pass(spec: SweepSpec, trace: Trace,
-                     use_numpy: bool = False) -> ResultSurface:
-    blocks, placements = (
-        _itlb_ref_columns(trace, spec.dispatched_only, use_numpy)
-        if spec.cache == "itlb"
-        else _icache_ref_columns(trace, spec.line_words))
+def _run_single_pass(spec: SweepSpec, trace: Trace) -> ResultSurface:
+    blocks, placements = _ref_columns(spec, trace)
     n_refs = len(blocks)
     level_caps, full_cap = _geometry(spec)
-    if use_numpy:
-        engine = np_engine.NumpyMultiConfigLRU(level_caps, full_cap)
-        next_use_fn = np_engine.np_next_use_times
-    else:
-        engine = MultiConfigLRU(level_caps, full_cap)
-        next_use_fn = next_use_times
-    opt = OptStack(max(spec.entries(s) for s in spec.sizes)) \
-        if spec.include_opt else None
+    engine = np_engine.NumpyMultiConfigLRU(level_caps, full_cap)
 
-    passes = 0
-    aux = 1  # the reference-stream build
+    reset_at = None
     if spec.double_pass:
         engine.replay_columns(blocks, placements, count=False)
         engine.replay_columns(blocks, placements, count=True)
-        passes += 2
-        if opt is not None:
-            doubled = list(blocks)
-            doubled += doubled
-            next_use = next_use_fn(doubled)
-            for i in range(n_refs):
-                opt.touch(blocks[i], next_use[i], count=False)
-            for i in range(n_refs):
-                opt.touch(blocks[i], next_use[n_refs + i], count=True)
-            passes += 2
-            aux += 1
+        passes = 2
     else:
         reset_at = _reset_touch(spec, trace, n_refs)
         # Counting-then-resetting is the same as not counting (state
@@ -236,14 +201,13 @@ def _run_single_pass(spec: SweepSpec, trace: Trace,
                                   stop=reset_at, count=False)
             engine.replay_columns(blocks, placements,
                                   start=reset_at, count=True)
-        passes += 1
-        if opt is not None:
-            next_use = next_use_fn(blocks)
-            aux += 1
-            for index in range(n_refs):
-                opt.touch(blocks[index], next_use[index],
-                          count=(reset_at is None or index >= reset_at))
-            passes += 1
+        passes = 1
+    aux = 1  # the reference-stream build
+    opt_counts = None
+    if spec.include_opt:
+        opt_counts = _opt_counts(spec, blocks, reset_at)
+        passes += 2 if spec.double_pass else 1
+        aux += 1  # the next-use scan
 
     total = engine.total
     counts: Dict[object, Dict[int, Cell]] = {}
@@ -264,13 +228,8 @@ def _run_single_pass(spec: SweepSpec, trace: Trace,
             row[size] = (hits, total - hits)
         counts[assoc] = row
 
-    opt_counts = None
-    if opt is not None:
-        opt_counts = {size: (opt.hits(spec.entries(size)),
-                             opt.total - opt.hits(spec.entries(size)))
-                      for size in spec.sizes}
     return ResultSurface(spec, counts, opt_counts, {
-        "engine": "numpy" if use_numpy else "single-pass",
+        "engine": "numpy",
         "semantics": spec.semantics,
         "trace_passes": passes,
         "aux_passes": aux,
@@ -312,24 +271,17 @@ def _run_grid(spec: SweepSpec, trace: Trace) -> ResultSurface:
             passes += per_sim
         counts[assoc] = row
 
-    # OPT has no per-configuration simulator: the stack engine is the
-    # only implementation, so the reference curve is computed the
-    # single-pass way even under the grid engine.
+    # OPT has no per-configuration simulator: its stack pass over the
+    # reference stream is the one implementation, under either engine.
     opt_counts = None
     aux = 0
     if spec.include_opt:
-        opt_spec = SweepSpec(
-            cache=spec.cache, sizes=spec.sizes, associativities=(1,),
-            line_words=spec.line_words,
-            warmup_fraction=spec.warmup_fraction,
-            double_pass=spec.double_pass,
-            dispatched_only=spec.dispatched_only,
-            include_opt=True, engine="single-pass",
-            semantics=spec.semantics)
-        opt_surface = _run_single_pass(opt_spec, trace)
-        opt_counts = opt_surface.opt_counts
-        passes += 2 if spec.double_pass else 1
-        aux = opt_surface.meta["aux_passes"]
+        blocks, _ = _ref_columns(spec, trace)
+        reset_at = (None if spec.double_pass
+                    else _reset_touch(spec, trace, len(blocks)))
+        opt_counts = _opt_counts(spec, blocks, reset_at)
+        passes += per_sim
+        aux = 2  # the reference-stream build and the next-use scan
     return ResultSurface(spec, counts, opt_counts, {
         "engine": "grid",
         "semantics": spec.semantics,
@@ -397,28 +349,8 @@ def run_sweep(spec: SweepSpec, events: Trace) -> ResultSurface:
 
 def _dispatch(spec: SweepSpec, events: Trace) -> ResultSurface:
     """Engine selection (see :func:`run_sweep`)."""
-    if spec.engine == "grid":
-        return _run_grid(spec, events)
-    eligible = spec.single_pass_eligible()
-    if spec.engine == "numpy":
-        np_engine.require_numpy()
-        if not eligible:
-            raise ValueError(
-                f"spec is not single-pass eligible, so the numpy "
-                f"backend cannot run it (policy={spec.policy!r}; set "
-                f"counts must be powers of two): {spec}")
-        return _run_single_pass(spec, events, use_numpy=True)
-    if spec.engine == "single-pass" and not eligible:
-        raise ValueError(
-            f"spec is not single-pass eligible (policy={spec.policy!r}; "
-            f"set counts must be powers of two): {spec}")
-    if eligible:
-        # "auto": the vectorized backend when the optional numpy extra
-        # is importable, the pure-python engine otherwise -- both are
-        # bitwise-identical, so the fallback is silent by design.
-        use_numpy = (spec.engine == "auto"
-                     and np_engine.numpy_available())
-        return _run_single_pass(spec, events, use_numpy=use_numpy)
+    if spec.engine == "auto" and spec.single_pass_eligible():
+        return _run_single_pass(spec, events)
     return _run_grid(spec, events)
 
 

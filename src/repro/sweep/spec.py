@@ -10,7 +10,8 @@ trace.
 Specs carry no events and run nothing themselves; the runner
 (:mod:`repro.sweep.runner`) decides per spec whether the single-pass
 stack-distance engine applies (LRU with power-of-two set counts) or
-whether to fall back to the per-configuration grid simulation.
+whether to run the per-configuration grid simulation, the reference
+oracle, which serves any policy and geometry.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.trace.semantics import (
 
 CACHE_KINDS = ("itlb", "icache")
 
-ENGINES = ("auto", "single-pass", "numpy", "grid")
+ENGINES = ("auto", "grid")
 
 #: Default display labels, matching the labels the figure tables have
 #: always used (pinned by the figure-output parity tests).
@@ -49,15 +50,12 @@ class SweepSpec:
     model could build (the same divisibility rules
     :class:`~repro.caches.setassoc.SetAssociativeCache` enforces).
     ``engine`` selects execution: ``"auto"`` uses the single-pass
-    stack-distance engine whenever the spec is eligible (LRU,
-    power-of-two set counts) -- vectorized by the optional numpy
-    backend when numpy is importable, pure python otherwise;
-    ``"single-pass"`` requires the pure-python engine (raising if
-    ineligible), ``"numpy"`` requires the vectorized backend (raising
-    :class:`~repro.errors.BackendUnavailable` when numpy is absent),
-    ``"grid"`` forces one simulation per configuration.  ``semantics`` selects the measurement-semantics
-    version (:mod:`repro.trace.semantics`): ``"paper"`` keeps the
-    historical warm-up quirks bit-for-bit, ``"v2"`` fixes them.
+    stack-distance engine (numpy) whenever the spec is eligible (LRU,
+    power-of-two set counts) and the grid otherwise; ``"grid"`` forces
+    one simulation per configuration.  ``semantics`` selects the
+    measurement-semantics version (:mod:`repro.trace.semantics`):
+    ``"paper"`` keeps the historical warm-up quirks bit-for-bit,
+    ``"v2"`` fixes them.
     """
 
     cache: str

@@ -366,11 +366,15 @@ def finalize() -> Optional[dict]:
 
 def environment_block() -> dict:
     """The host/interpreter identity block, including the numpy
-    version (or None) so engine-dependent numbers are attributable."""
+    version (or None) so engine-dependent numbers are attributable.
+
+    The version comes from numpy's distribution metadata, so writing
+    the block never imports numpy.
+    """
+    from importlib import metadata
     try:
-        import numpy
-        numpy_version = getattr(numpy, "__version__", "unknown")
-    except Exception:
+        numpy_version = metadata.version("numpy")
+    except metadata.PackageNotFoundError:
         numpy_version = None
     return {
         "cpus": os.cpu_count(),

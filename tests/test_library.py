@@ -253,7 +253,7 @@ class TestResultCache:
         from dataclasses import replace
         for changed in (replace(SWEEP, sizes=(8, 16)),
                         replace(SWEEP, semantics="v2"),
-                        replace(SWEEP, engine="single-pass"),
+                        replace(SWEEP, engine="grid"),
                         replace(SWEEP, cache="icache")):
             assert result_cache_key(changed, events.store_key) != key
         # The display label is NOT part of the identity.

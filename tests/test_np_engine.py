@@ -1,39 +1,39 @@
-"""Equivalence and fallback tests for the vectorized numpy backend.
+"""The stack-distance engine against the grid's own cache model.
 
-The load-bearing guarantee mirrors test_sweep.py's: the numpy replay
-backend must be *bitwise-equal* to the pure-python stack-distance
-engine -- histograms, ``total``, hit prefix sums AND post-replay stack
-state -- across random column pairs (varying alphabet sizes, set
-counts, depth caps, warm-up fractions, count=False segments, resets,
-sub-ranges) and across the full paper grid under both
-measurement-semantics versions.  CI runs the pins by name
-(``-k "equivalence and paper"`` / ``-k "equivalence and v2"``) on the
-numpy matrix leg; the numpy-free leg keeps the fallback honest (the
-numpy-requiring tests skip themselves, the ``sys.modules``-block
-tests run everywhere).
+The load-bearing guarantee mirrors test_sweep.py's: every count the
+numpy engine answers -- ``total``, each (sets, ways) configuration's
+hits and each fully-associative capacity's hits -- must equal what one
+``SetAssociativeCache`` per configuration counts
+(:class:`trace_helpers.LruOracle`), across random column pairs
+(varying alphabet sizes, set counts, depth caps, count=False segments,
+count resets, sub-ranges), loop-structured streams and a deep
+fully-associative column.  The reference-stream builders are checked
+against per-event scans, and numpy stays a lazy import that a missing
+install turns into an ``ImportError``.
 """
 
-import importlib
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.errors import BackendUnavailable
-from repro.sweep import SweepSpec, np_engine, run_sweep
-from repro.sweep.engine import MultiConfigLRU, OptStack, next_use_times
+from repro.caches.setassoc import stable_hash
+from repro.sweep import np_engine
+from repro.sweep.engine import OptStack
 from repro.sweep.runner import _itlb_ref_columns
 from repro.trace.cachesim import simulate_icache
 from repro.trace.columnar import Trace
 from repro.workloads import names, specs
-from trace_helpers import mixed_trace, trace_of
-
-requires_numpy = pytest.mark.skipif(
-    not np_engine.numpy_available(),
-    reason="numpy is not installed (pure-python fallback leg)")
+from trace_helpers import (
+    LruOracle,
+    engine_counts,
+    mixed_trace,
+    trace_of,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +45,8 @@ def _random_case(seed):
     """One random (columns, geometry, replay plan) torture case.
 
     Plans mix counted and warm (count=False) sub-range segments with
-    occasional mid-stream ``reset_counts`` -- every segmented-replay
-    shape the runner can produce, plus ones it cannot yet.
+    occasional count resets -- every segmented-replay shape the runner
+    can produce, plus ones it cannot.
     """
     rng = random.Random(987_000 + seed)
     nblocks = rng.choice([1, 2, 3, 5, 9, 17, 40, 200])
@@ -104,49 +104,44 @@ def _loop_case(seed):
     return blocks, placements, level_caps, plan
 
 
-def _run_plan(engine, blocks, placements, plan):
+def _assert_plan_matches_oracle(blocks, placements, level_caps, full_cap,
+                                plan):
+    """Replay ``plan`` on the engine and on the oracle, every
+    fully-associative capacity up to ``full_cap`` included.
+
+    The engine keeps counting across a "reset" step, where the oracle
+    zeroes its counts: from then on the engine's counts are read
+    against the ones it had at the reset.
+    """
+    full_entries = range(1, full_cap + 1)
+    engine = np_engine.NumpyMultiConfigLRU(dict(level_caps), full_cap)
+    oracle = LruOracle(level_caps, full_entries)
+    baseline = {}
     for step in plan:
         if step == "reset":
-            engine.reset_counts()
+            baseline = engine_counts(engine, level_caps, full_entries)
+            oracle.reset()
         else:
-            start, stop, count = step
-            engine.replay_columns(blocks, placements, start, stop, count)
+            engine.replay_columns(blocks, placements, *step)
+            oracle.replay_columns(blocks, placements, *step)
+    got = engine_counts(engine, level_caps, full_entries)
+    assert {key: count - baseline.get(key, 0)
+            for key, count in got.items()} == oracle.counts()
 
 
-def _assert_engines_equal(pure, fast, level_caps, full_cap):
-    assert fast.histograms() == pure.histograms()
-    assert fast.total == pure.total
-    assert fast.stack_state() == pure.stack_state()
-    for k, cap in level_caps.items():
-        for assoc in range(1, cap + 1):
-            assert fast.hits(k, assoc) == pure.hits(k, assoc)
-    if full_cap:
-        assert fast._full_hist == pure._full_hist
-        for entries in range(1, full_cap + 1):
-            assert fast.full_hits(entries) == pure.full_hits(entries)
-
-
-@requires_numpy
 class TestRandomizedEquivalence:
-    """Seeded random column pairs pinned numpy == python bitwise."""
+    """Seeded random column pairs: engine == one cache per
+    configuration, bitwise."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_plan_equivalence(self, seed):
-        blocks, placements, level_caps, full_cap, plan = _random_case(seed)
-        pure = MultiConfigLRU(dict(level_caps), full_cap)
-        fast = np_engine.NumpyMultiConfigLRU(dict(level_caps), full_cap)
-        _run_plan(pure, blocks, placements, plan)
-        _run_plan(fast, blocks, placements, plan)
-        _assert_engines_equal(pure, fast, level_caps, full_cap)
+        _assert_plan_matches_oracle(*_random_case(seed))
 
     @pytest.mark.parametrize("seed", range(32))
     def test_loop_plan_equivalence(self, seed):
         blocks, placements, level_caps, plan = _loop_case(seed)
-        pure = MultiConfigLRU(dict(level_caps))
-        fast = np_engine.NumpyMultiConfigLRU(dict(level_caps))
-        _run_plan(pure, blocks, placements, plan)
-        _run_plan(fast, blocks, placements, plan)
-        _assert_engines_equal(pure, fast, level_caps, 0)
+        _assert_plan_matches_oracle(blocks, placements, level_caps, 0,
+                                    plan)
 
     def test_max_tree_query_matches_a_scan(self):
         # The descent's contract on its own: the largest u <= v with
@@ -154,7 +149,6 @@ class TestRandomizedEquivalence:
         # always a run the vector rounds found dead, so only a direct
         # check pins the boundary at v.
         rng = random.Random(20)
-        np = np_engine.np
         for length in (1, 2, 3, 7, 8, 9, 100, 257):
             values = np.array([rng.randrange(-1, 40)
                                for _ in range(length)], np.int32)
@@ -180,30 +174,19 @@ class TestRandomizedEquivalence:
                 blocks.append(4 + rng.randrange(3))
         pmap = {block: rng.getrandbits(16) for block in range(7)}
         placements = [pmap[block] for block in blocks]
-        level_caps = {1: 4, 2: 5}
-        pure = MultiConfigLRU(dict(level_caps))
-        fast = np_engine.NumpyMultiConfigLRU(dict(level_caps))
-        pure.replay_columns(blocks, placements)
-        fast.replay_columns(blocks, placements)
-        _assert_engines_equal(pure, fast, level_caps, 0)
+        _assert_plan_matches_oracle(blocks, placements, {1: 4, 2: 5}, 0,
+                                    [(0, len(blocks), True)])
 
     def test_one_reference_segment_equivalence(self):
-        # One-reference segments through the carry machinery, on both
-        # engines, against the pure bulk replay.
+        # One-reference segments, every fifth one warm, through the
+        # carry machinery.
         rng = random.Random(44)
         pmap = {block: rng.getrandbits(16) for block in range(30)}
         blocks = [rng.randrange(30) for _ in range(400)]
         placements = [pmap[block] for block in blocks]
-        bulk = MultiConfigLRU({1: 2, 3: 4}, full_cap=8)
-        pure = MultiConfigLRU({1: 2, 3: 4}, full_cap=8)
-        fast = np_engine.NumpyMultiConfigLRU({1: 2, 3: 4}, full_cap=8)
-        bulk.replay_columns(blocks, placements)
-        for i in range(len(blocks)):
-            count = i % 5 != 0
-            pure.replay_columns(blocks, placements, i, i + 1, count=count)
-            fast.replay_columns(blocks, placements, i, i + 1, count=count)
-        _assert_engines_equal(pure, fast, {1: 2, 3: 4}, 8)
-        assert bulk.stack_state() == pure.stack_state()
+        plan = [(i, i + 1, i % 5 != 0) for i in range(len(blocks))]
+        _assert_plan_matches_oracle(blocks, placements, {1: 2, 3: 4}, 8,
+                                    plan)
 
     def test_deep_full_column_equivalence(self):
         # A deep, wide single-set level: ~6,000 blocks behind a
@@ -218,20 +201,27 @@ class TestRandomizedEquivalence:
         pmap = {block: rng.getrandbits(16) for block in range(nblocks)}
         placements = [pmap[block] for block in blocks]
         level_caps = {3: 4}
-        pure = MultiConfigLRU(dict(level_caps), full_cap)
-        fast = np_engine.NumpyMultiConfigLRU(dict(level_caps), full_cap)
-        for engine in (pure, fast):
-            engine.replay_columns(blocks, placements, 0, 6_000, False)
-            engine.replay_columns(blocks, placements, 6_000, 76_000, True)
+        full_entries = (1, 2, 64, 512, 2048, 4095, 4096)
+        engine = np_engine.NumpyMultiConfigLRU(dict(level_caps), full_cap)
+        oracle = LruOracle(level_caps, full_entries)
+        for model in (engine, oracle):
+            model.replay_columns(blocks, placements, 0, 6_000, False)
+            model.replay_columns(blocks, placements, 6_000, 76_000, True)
+        assert engine_counts(engine, level_caps, full_entries) \
+            == oracle.counts()
         # more misses than first references: some depths clamped
         first_refs = len(set(blocks[6_000:76_000]) - set(blocks[:6_000]))
-        assert pure._full_hist[full_cap] > first_refs
-        assert sum(pure._full_hist[full_cap // 2:full_cap]) > 0
-        _assert_engines_equal(pure, fast, level_caps, full_cap)
-        for engine in (pure, fast):
-            engine.reset_counts()
-            engine.replay_columns(blocks, placements, 76_000, 80_000, True)
-        _assert_engines_equal(pure, fast, level_caps, full_cap)
+        assert engine.total - engine.full_hits(full_cap) > first_refs
+        assert engine.full_hits(full_cap) \
+            > engine.full_hits(full_cap // 2)
+        # a later counted segment adds to the counts
+        baseline = engine_counts(engine, level_caps, full_entries)
+        oracle.reset()
+        for model in (engine, oracle):
+            model.replay_columns(blocks, placements, 76_000, 80_000, True)
+        got = engine_counts(engine, level_caps, full_entries)
+        assert {key: count - baseline[key]
+                for key, count in got.items()} == oracle.counts()
 
         # the one-set grid oracle, under the double-pass warm-up
         trace = trace_of((block, 0, 0) for block in blocks)
@@ -246,49 +236,11 @@ class TestRandomizedEquivalence:
     def test_next_use_times_equivalence(self):
         rng = random.Random(5)
         blocks = [rng.randrange(40) for _ in range(500)]
-        assert np_engine.np_next_use_times(blocks) == \
-            [float(t) for t in next_use_times(blocks)]
+        assert np_engine.np_next_use_times(blocks) == [
+            float(next((j for j in range(i + 1, len(blocks))
+                        if blocks[j] == block), float("inf")))
+            for i, block in enumerate(blocks)]
         assert np_engine.np_next_use_times([]) == []
-
-
-@requires_numpy
-class TestSweepEquivalence:
-    """run_sweep(engine="numpy") == run_sweep(engine="single-pass"),
-    full paper grid, every warm-up window, both semantics."""
-
-    WINDOWS = [
-        {"double_pass": True},
-        {"warmup_fraction": 0.25},
-        {"warmup_fraction": 0.0},
-        {"warmup_fraction": 0.9},
-    ]
-
-    @pytest.mark.parametrize("semantics", ["paper", "v2"])
-    @pytest.mark.parametrize("window", WINDOWS,
-                             ids=[str(w) for w in WINDOWS])
-    @pytest.mark.parametrize("cache", ["itlb", "icache"])
-    def test_numpy_single_pass_equivalence(self, cache, window,
-                                           semantics, events):
-        common = dict(cache=cache, include_full=True, include_opt=True,
-                      semantics=semantics, **window)
-        pure = run_sweep(SweepSpec(engine="single-pass", **common),
-                         events)
-        fast = run_sweep(SweepSpec(engine="numpy", **common), events)
-        assert fast.counts == pure.counts
-        assert fast.opt_counts == pure.opt_counts
-        assert fast.meta["engine"] == "numpy"
-        assert pure.meta["engine"] == "single-pass"
-        assert fast.meta["trace_passes"] == pure.meta["trace_passes"]
-        assert fast.meta["measured"] == pure.meta["measured"]
-
-    def test_auto_uses_numpy_when_available(self, events):
-        surface = run_sweep(SweepSpec("itlb", double_pass=True), events)
-        assert surface.meta["engine"] == "numpy"
-
-    def test_numpy_engine_requires_eligibility(self, events):
-        with pytest.raises(ValueError, match="eligible"):
-            run_sweep(SweepSpec("itlb", policy="fifo", engine="numpy"),
-                      events)
 
 
 @pytest.fixture(scope="module")
@@ -297,18 +249,25 @@ def quick_traces():
             for spec in specs()}
 
 
-@requires_numpy
 class TestItlbReferenceBuild:
-    """The numpy ITLB reference build returns the pure loop's
-    ``array('q')`` keys and ``array('Q')`` placements byte for byte."""
+    """The ITLB reference build is the per-event stream the ITLB sees:
+    ``array('q')`` keys ``(opcode << 32) ^ (receiver & 0xFFFFFFFF)``
+    and ``array('Q')`` placements ``stable_hash((opcode,
+    (receiver,)))``."""
 
     @staticmethod
     def _assert_same_build(trace, dispatched_only):
-        pure = _itlb_ref_columns(trace, dispatched_only)
-        fast = _itlb_ref_columns(trace, dispatched_only, use_numpy=True)
-        assert [column.typecode for column in fast] == ["q", "Q"]
-        assert [column.tobytes() for column in fast] == \
-            [column.tobytes() for column in pure]
+        blocks, placements = _itlb_ref_columns(trace, dispatched_only)
+        assert [blocks.typecode, placements.typecode] == ["q", "Q"]
+        opcodes = trace.opcodes()
+        classes = trace.receiver_classes()
+        indices = (trace.dispatched_indices() if dispatched_only
+                   else range(len(trace)))
+        assert blocks.tolist() == [
+            (opcodes[i] << 32) ^ (classes[i] & 0xFFFFFFFF)
+            for i in indices]
+        assert placements.tolist() == [
+            stable_hash((opcodes[i], (classes[i],))) for i in indices]
 
     @pytest.mark.parametrize("dispatched_only", [True, False])
     @pytest.mark.parametrize("name", names())
@@ -330,7 +289,6 @@ class TestItlbReferenceBuild:
         self._assert_same_build(trace, dispatched_only)
 
 
-@requires_numpy
 class TestDispatchedIndexUnpack:
     """The numpy build's dispatched indices, unpacked from the bitset,
     against ``Trace.dispatched_indices()``, on a built trace and on one
@@ -351,7 +309,6 @@ class TestDispatchedIndexUnpack:
             list(view.dispatched_indices())
 
 
-@requires_numpy
 class TestPlacementPurityGuard:
     """The carry-prefix reconstruction assumes placement is a function
     of block; violations must raise, never silently diverge."""
@@ -370,27 +327,24 @@ class TestPlacementPurityGuard:
 
 class TestHitPrefixCaching:
     """hits()/full_hits()/OptStack.hits() answers stay correct across
-    counted updates and resets (the cached prefix sums invalidate)."""
+    counted updates (the cached prefix sums invalidate)."""
 
     def test_multi_config_cache_invalidation(self):
-        engine = MultiConfigLRU({2: 3}, full_cap=4)
+        engine = np_engine.NumpyMultiConfigLRU({2: 3}, full_cap=4)
+        oracle = LruOracle({2: 3}, range(1, 5))
         stream = [i % 7 for i in range(60)]
-        engine.replay_columns(stream, stream)
-        assert engine.hits(2, 2) == sum(engine.histograms()[2][:2])
-        first = engine.hits(2, 2)
-        assert engine.hits(2, 2) == first          # cached path
-        engine.replay_columns(stream, stream)      # invalidates
-        assert engine.hits(2, 2) == sum(engine.histograms()[2][:2])
-        assert engine.full_hits(3) == sum(engine._full_hist[:3])
-        engine.replay_columns([3], [3])            # one reference too
-        assert engine.hits(2, 2) == sum(engine.histograms()[2][:2])
-        engine.reset_counts()
-        assert engine.hits(2, 3) == 0
-        assert engine.full_hits(4) == 0
+        for blocks, count in ((stream, True), (stream, True),
+                              (stream, False), ([3], True)):
+            engine.replay_columns(blocks, blocks, count=count)
+            oracle.replay_columns(blocks, blocks, count=count)
+            assert engine.hits(2, 2) == oracle.hits(2, 2)
+            assert engine.hits(2, 2) == oracle.hits(2, 2)  # cached path
+            assert engine_counts(engine, {2: 3}, range(1, 5)) \
+                == oracle.counts()
 
     def test_opt_stack_cache_invalidation(self):
         blocks = [i % 5 for i in range(40)]
-        next_use = next_use_times(blocks)
+        next_use = np_engine.np_next_use_times(blocks)
         opt = OptStack(4)
         for block, nxt in zip(blocks[:20], next_use[:20]):
             opt.touch(block, nxt)
@@ -398,57 +352,13 @@ class TestHitPrefixCaching:
         for block, nxt in zip(blocks[20:], next_use[20:]):
             opt.touch(block, nxt)
         assert opt.hits(3) == sum(opt.hist[:3])
-        opt.reset_counts()
-        assert opt.hits(4) == 0
-
-
-class TestNumpyAbsent:
-    """engine="auto" must fall back cleanly and engine="numpy" must
-    raise the typed, actionable error when numpy cannot be imported.
-    These run on every CI leg: the block simulates absence even where
-    numpy is installed."""
-
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        importlib.reload(np_engine)
-        assert not np_engine.numpy_available()
-        yield
-        monkeypatch.undo()
-        importlib.reload(np_engine)
-
-    def test_auto_falls_back_to_pure_python(self, no_numpy, events):
-        surface = run_sweep(
-            SweepSpec("itlb", sizes=(8, 64), associativities=(1, 2),
-                      double_pass=True), events)
-        assert surface.meta["engine"] == "single-pass"
-
-    def test_forced_numpy_raises_typed_actionable_error(self, no_numpy,
-                                                        events):
-        with pytest.raises(BackendUnavailable,
-                           match=r"pip install .*numpy"):
-            run_sweep(SweepSpec("itlb", engine="numpy"), events)
-
-    def test_engine_construction_raises_too(self, no_numpy):
-        with pytest.raises(BackendUnavailable):
-            np_engine.NumpyMultiConfigLRU({1: 2})
-
-    def test_reload_restores_availability(self):
-        # The fixture teardown reloaded the real module: whatever the
-        # environment has is reported again (and the sweep API still
-        # works on the pure path regardless).
-        try:
-            import numpy  # noqa: F401
-            importable = True
-        except ImportError:
-            importable = False
-        assert np_engine.numpy_available() == importable
 
 
 class TestLazyImport:
     """numpy is imported on first engine use, never by importing the
-    package.  Each check runs in a fresh interpreter so ``sys.modules``
-    starts clean."""
+    package, and a missing numpy fails the engine instead of being
+    replaced.  Each check runs in a fresh interpreter so
+    ``sys.modules`` starts clean."""
 
     @staticmethod
     def _python(code, environ=None):
@@ -470,7 +380,21 @@ class TestLazyImport:
             "print('numpy' in sys.modules)\n")
         assert out.split() == ["False"]
 
-    @requires_numpy
+    def test_version_engines_and_environment_leave_numpy_unloaded(self):
+        out = self._python(
+            "import sys\n"
+            "from repro import telemetry\n"
+            "from repro.cli import main\n"
+            "main(['--version'])\n"
+            "main(['list', '--engines'])\n"
+            "block = telemetry.environment_block()\n"
+            "print('numpy loaded:', 'numpy' in sys.modules)\n"
+            "print('recorded:', block['numpy'])\n")
+        assert "numpy loaded: False" in out
+        assert "engines:       auto, grid" in out
+        assert f"recorded: {np.__version__}" in out
+        assert f"(numpy {np.__version__})" in out
+
     def test_first_engine_check_imports_numpy(self):
         out = self._python(
             "import sys\n"
@@ -478,6 +402,29 @@ class TestLazyImport:
             "before = 'numpy' in sys.modules\n"
             "print(before, numpy_available(), 'numpy' in sys.modules)\n")
         assert out.split() == ["False", "True", "True"]
+
+    def test_blocked_numpy_fails_a_cold_sweep(self):
+        # No silent stand-in: the auto engine raises ImportError.  The
+        # grid simulates each configuration in pure python.
+        out = self._python(
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from repro.sweep import SweepSpec, run_sweep\n"
+            "from repro.trace.columnar import TraceBuilder\n"
+            "builder = TraceBuilder()\n"
+            "for i in range(64):\n"
+            "    builder.record(i % 13, i % 5, i % 3)\n"
+            "trace = builder.snapshot()\n"
+            "spec = SweepSpec('itlb', sizes=(8,), associativities=(1,))\n"
+            "grid = run_sweep(SweepSpec('itlb', sizes=(8,),\n"
+            "                           associativities=(1,),\n"
+            "                           engine='grid'), trace)\n"
+            "print('grid:', grid.meta['engine'])\n"
+            "try:\n"
+            "    run_sweep(spec, trace)\n"
+            "except ImportError:\n"
+            "    print('auto: ImportError')\n")
+        assert out.split("\n")[:2] == ["grid: grid", "auto: ImportError"]
 
     @pytest.mark.parametrize("preset", [None, "4"],
                              ids=["unset", "user-set"])
@@ -505,31 +452,21 @@ class TestLazyImport:
             assert threads in ("1", "unknown")
 
     def test_cache_served_run_never_loads_numpy(self, tmp_path):
-        argv = ["run", "--quick", "--trace-dir", str(tmp_path / "traces"),
-                "--run-dir", str(tmp_path / "runs")]
-        code = ("import sys\n"
+        def run(*extra):
+            argv = ["run", "--quick",
+                    "--trace-dir", str(tmp_path / "traces"),
+                    "--run-dir", str(tmp_path / "runs"), *extra]
+            return self._python(
+                "import sys\n"
                 "from repro.cli import main\n"
                 f"code = main({argv!r})\n"
                 "print('numpy loaded:', 'numpy' in sys.modules)\n"
                 "sys.exit(code)\n")
-        self._python(code)          # cold: fills the sweep-result cache
-        warm = self._python(code)   # warm: both figure sweeps are hits
-        assert "numpy loaded: False" in warm
-        summary = warm.rsplit("robustness:", 1)[1].splitlines()[0]
-        assert "numpy" in summary
 
-    def test_summary_names_numpy_absent_once_checked(self, tmp_path):
-        # With numpy blocked, a cold run's sweeps check for it, so the
-        # summary says it is absent rather than merely not loaded.
-        argv = ["run", "--quick", "--trace-dir", str(tmp_path / "traces"),
-                "--run-dir", str(tmp_path / "runs")]
-        out = self._python(
-            "import sys\n"
-            "sys.modules['numpy'] = None\n"
-            "from repro.sweep import np_engine\n"
-            "print('missing before:', np_engine.numpy_missing())\n"
-            "from repro.cli import main\n"
-            f"sys.exit(main({argv!r}))\n")
-        assert "missing before: False" in out
-        summary = out.rsplit("robustness:", 1)[1].splitlines()[0]
-        assert summary.endswith(", numpy absent")
+        run()  # cold: fills the sweep-result cache
+        # warm: both figure sweeps are result-cache hits, and a
+        # telemetry run's environment stamp reads metadata only
+        for warm in (run(), run("--telemetry")):
+            assert "numpy loaded: False" in warm
+            summary = warm.rsplit("robustness:", 1)[1].splitlines()[0]
+            assert summary.endswith(", numpy not loaded")

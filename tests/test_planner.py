@@ -4,7 +4,7 @@
 cache when the trace is store-backed, otherwise by ``run_sweep``.  Its
 surfaces must be exactly what per-query ``run_sweep`` calls return --
 counts, meta, iteration order -- under both measurement semantics and
-every engine, and a cold query must be written to the result cache
+both engines, and a cold query must be written to the result cache
 once.
 
 ``TestProjectionEquivalence`` and ``TestGrouping`` keep the names they
@@ -28,7 +28,7 @@ from repro.sweep import (
     run_batch,
     run_sweep,
 )
-from repro.sweep import np_engine, runner
+from repro.sweep import np_engine
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.store import TraceStore
 from trace_helpers import mixed_trace, trace_of
@@ -70,7 +70,8 @@ def _assert_bitwise_equal(got, want):
 
 
 #: Both caches, both semantics, warm-up windows and reference curves,
-#: plus one FIFO spec the single-pass engine cannot run (grid engine).
+#: plus one FIFO spec the stack-distance engine cannot run (grid
+#: engine).
 MIXED = [
     SweepSpec(cache="itlb", associativities=(1, 2, 4, "full"),
               double_pass=True, include_opt=True),
@@ -98,7 +99,6 @@ QUERIES = [
 
 GRID = dict(sizes=PAPER_SIZES, associativities=(1, 2, 4, "full"))
 SEMANTICS = ("paper", "v2")
-ENGINE_MODES = ("pure", "auto-sans-numpy", "numpy")
 
 
 @pytest.fixture(scope="module")
@@ -106,10 +106,10 @@ def events():
     return mixed_trace(3000, seed=11)
 
 
-def _paper_grid_queries(cache, engine, semantics):
+def _paper_grid_queries(cache, semantics):
     """A batch over one cache kind: the full-grid sweep plus curve /
     isoratio / point sub-grids of it."""
-    common = dict(engine=engine, semantics=semantics, double_pass=True)
+    common = dict(semantics=semantics, double_pass=True)
     full = SweepSpec(cache=cache, include_opt=True, **GRID, **common)
     curve_1 = SweepSpec(cache=cache, sizes=PAPER_SIZES,
                         associativities=(1,), **common)
@@ -125,27 +125,13 @@ def _paper_grid_queries(cache, engine, semantics):
 
 class TestProjectionEquivalence:
     """Batch answers bitwise-equal to individual ``run_sweep`` runs,
-    both semantics, every engine."""
+    both semantics."""
 
-    def _engine(self, mode, monkeypatch):
-        if mode == "numpy":
-            pytest.importorskip("numpy")
-            return "numpy"
-        if mode == "auto-sans-numpy":
-            monkeypatch.setattr(np_engine, "numpy_available",
-                                lambda: False)
-            return "auto"
-        return "single-pass"
-
-    @pytest.mark.parametrize("engine_mode", ENGINE_MODES)
     @pytest.mark.parametrize("semantics", SEMANTICS)
-    def test_mixed_batch_projection_equivalence(self, events, semantics,
-                                                engine_mode,
-                                                monkeypatch):
-        engine = self._engine(engine_mode, monkeypatch)
+    def test_mixed_batch_projection_equivalence(self, events, semantics):
         queries = []
         for cache in ("itlb", "icache"):
-            queries.extend(_paper_grid_queries(cache, engine, semantics))
+            queries.extend(_paper_grid_queries(cache, semantics))
         batch = run_batch(queries, events)
         assert batch.report.queries == len(queries)
         # Sub-grids of one sweep are not merged: each query replays.
@@ -204,7 +190,7 @@ class TestGrouping:
         ("semantics", ("paper", "v2")),
         ("warmup_fraction", (0.25, 0.5)),
         ("dispatched_only", (True, False)),
-        ("engine", ("auto", "single-pass")),
+        ("engine", ("auto", "grid")),
     ])
     def test_differing_field_splits_the_group(self, tmp_path, field,
                                               values):
@@ -269,27 +255,22 @@ class TestReferenceStreamMemo:
                   semantics="v2"),
     ]
 
-    @pytest.mark.parametrize("engine", ["single-pass", "numpy"])
-    def test_paper_itlb_queries_build_the_stream_once(self, engine,
-                                                      monkeypatch):
-        if engine == "numpy" and not np_engine.numpy_available():
-            pytest.skip("numpy is not installed")
+    def test_paper_itlb_queries_build_the_stream_once(self, monkeypatch):
         builds = []
-        build = runner._build_itlb_ref_columns
+        build = np_engine.np_itlb_ref_columns
 
-        def counted(trace, dispatched_only, use_numpy):
-            builds.append((dispatched_only, use_numpy))
-            return build(trace, dispatched_only, use_numpy)
+        def counted(opcodes, classes, indices):
+            builds.append(indices is not None)
+            return build(opcodes, classes, indices)
 
-        monkeypatch.setattr(runner, "_build_itlb_ref_columns", counted)
-        specs = [replace(spec, engine=engine) for spec in self.SPECS]
-        batch = run_batch([Query(spec=spec) for spec in specs],
+        monkeypatch.setattr(np_engine, "np_itlb_ref_columns", counted)
+        batch = run_batch([Query(spec=spec) for spec in self.SPECS],
                           mixed_trace(3000, seed=17))
-        assert builds == [(True, engine == "numpy")]
-        for spec, surface in zip(specs, batch.surfaces):
+        assert builds == [True]
+        for spec, surface in zip(self.SPECS, batch.surfaces):
             _assert_bitwise_equal(
                 surface, run_sweep(spec, mixed_trace(3000, seed=17)))
-        assert len(builds) == 1 + len(specs)
+        assert len(builds) == 1 + len(self.SPECS)
 
 
 class TestCacheInterplay:

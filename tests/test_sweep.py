@@ -1,18 +1,18 @@
 """Tests for the single-pass sweep subsystem (repro.sweep).
 
 The load-bearing guarantee is *bitwise equivalence*: for every LRU
-configuration on a power-of-two grid, the stack-distance engine must
-produce exactly the hit/miss counts (and therefore bit-identical
-float ratios) that per-configuration ``simulate_itlb`` /
-``simulate_icache`` runs produce — across every warm-up window
-variant, including the quirky ones pinned in test_tracesim.py, and
-under *both* measurement-semantics versions ("paper" preserves the
-quirks, "v2" fixes them).  CI runs the equivalence tests by name
-(``-k "equivalence and paper"`` / ``-k "equivalence and v2"``) as a
-dedicated gate.
+configuration on a power-of-two grid, the ``auto`` engine (the numpy
+stack-distance engine) must produce exactly the hit/miss counts (and
+therefore bit-identical float ratios) of the ``grid`` engine's
+per-configuration ``simulate_itlb`` / ``simulate_icache`` runs --
+across every warm-up window variant, including the quirky ones pinned
+in test_tracesim.py, and under *both* measurement-semantics versions
+("paper" preserves the quirks, "v2" fixes them).  CI runs the
+equivalence tests by name (``-k equivalence``) as a dedicated gate.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +21,8 @@ from repro.cli import main as cli_main
 from repro.experiments import fig10, fig11
 from repro.sweep import (
     PAPER_SIZES,
+    NumpyMultiConfigLRU,
     SweepSpec,
-    next_use_times,
     run_sweep,
 )
 from repro.trace.cachesim import (
@@ -54,17 +54,29 @@ WINDOWS = [
 SEMANTICS = ("paper", "v2")
 
 
+def _assert_equals_grid(spec, events):
+    """``spec`` runs on the stack-distance engine, and its surface is
+    the grid engine's, cell for cell."""
+    surface = run_sweep(spec, events)
+    grid = run_sweep(replace(spec, engine="grid"), events)
+    assert surface.meta["engine"] == "numpy"
+    assert grid.meta["engine"] == "grid"
+    assert surface.counts == grid.counts
+    assert surface.opt_counts == grid.opt_counts
+    for size, assoc, ratio in surface.grid():
+        assert ratio == grid.stats(assoc, size).hit_ratio
+
+
 class TestReplayInterfaces:
     """replay_columns' start/stop window is the same replay as the
     sliced columns."""
 
     def test_replay_columns_windowing_matches_slicing(self):
-        from repro.sweep.engine import MultiConfigLRU
         blocks = [i * 3 % 7 for i in range(50)]
-        whole = MultiConfigLRU({1: 2}, full_cap=4)
+        whole = NumpyMultiConfigLRU({1: 2}, full_cap=4)
         whole.replay_columns(blocks[:20], blocks[:20], count=False)
         whole.replay_columns(blocks[20:], blocks[20:], count=True)
-        windowed = MultiConfigLRU({1: 2}, full_cap=4)
+        windowed = NumpyMultiConfigLRU({1: 2}, full_cap=4)
         windowed.replay_columns(blocks, blocks, stop=20, count=False)
         windowed.replay_columns(blocks, blocks, start=20, count=True)
         assert windowed.total == whole.total
@@ -73,61 +85,35 @@ class TestReplayInterfaces:
 
 
 class TestSinglePassGridEquivalence:
-    """The acceptance-critical pins: engine == grid, bitwise, under
-    both measurement-semantics versions."""
+    """The acceptance-critical pins: auto engine == grid, bitwise,
+    under both measurement-semantics versions."""
 
     @pytest.mark.parametrize("semantics", SEMANTICS)
     @pytest.mark.parametrize("window", WINDOWS,
                              ids=[str(w) for w in WINDOWS])
     def test_itlb_equivalence(self, events, window, semantics):
-        spec = SweepSpec("itlb", engine="single-pass",
-                         semantics=semantics, **GRID, **window)
-        surface = run_sweep(spec, events)
-        for assoc in GRID["associativities"]:
-            for size in PAPER_SIZES:
-                stats = simulate_itlb(events, size, assoc,
-                                      semantics=semantics, **window)
-                assert surface.cell(assoc, size) == (stats.hits,
-                                                     stats.misses)
-                assert surface.ratio(assoc, size) == stats.hit_ratio
+        _assert_equals_grid(
+            SweepSpec("itlb", semantics=semantics, **GRID, **window),
+            events)
 
     @pytest.mark.parametrize("semantics", SEMANTICS)
     @pytest.mark.parametrize("window", WINDOWS,
                              ids=[str(w) for w in WINDOWS])
     def test_icache_equivalence(self, events, window, semantics):
-        spec = SweepSpec("icache", engine="single-pass",
-                         semantics=semantics, **GRID, **window)
-        surface = run_sweep(spec, events)
-        for assoc in GRID["associativities"]:
-            for size in PAPER_SIZES:
-                stats = simulate_icache(events, size, assoc,
-                                        semantics=semantics, **window)
-                assert surface.cell(assoc, size) == (stats.hits,
-                                                     stats.misses)
-                assert surface.ratio(assoc, size) == stats.hit_ratio
+        _assert_equals_grid(
+            SweepSpec("icache", semantics=semantics, **GRID, **window),
+            events)
 
     def test_equivalence_with_line_words(self, events):
-        spec = SweepSpec("icache", sizes=(16, 64, 1024),
-                         associativities=(1, 2), line_words=4,
-                         double_pass=True, engine="single-pass")
-        surface = run_sweep(spec, events)
-        for assoc in (1, 2):
-            for size in (16, 64, 1024):
-                stats = simulate_icache(events, size, assoc,
-                                        line_words=4, double_pass=True)
-                assert surface.cell(assoc, size) == (stats.hits,
-                                                     stats.misses)
+        _assert_equals_grid(
+            SweepSpec("icache", sizes=(16, 64, 1024),
+                      associativities=(1, 2), line_words=4,
+                      double_pass=True), events)
 
     def test_equivalence_unfiltered_itlb(self, events):
-        spec = SweepSpec("itlb", sizes=(32, 256), associativities=(2,),
-                         dispatched_only=False, double_pass=True,
-                         engine="single-pass")
-        surface = run_sweep(spec, events)
-        for size in (32, 256):
-            stats = simulate_itlb(events, size, 2,
-                                  dispatched_only=False,
-                                  double_pass=True)
-            assert surface.cell(2, size) == (stats.hits, stats.misses)
+        _assert_equals_grid(
+            SweepSpec("itlb", sizes=(32, 256), associativities=(2,),
+                      dispatched_only=False, double_pass=True), events)
 
     @pytest.mark.parametrize("semantics", SEMANTICS)
     def test_equivalence_when_cut_lands_on_non_dispatched(self,
@@ -135,26 +121,16 @@ class TestSinglePassGridEquivalence:
         # Paper: the never-resetting warm-up quirk must carry over
         # exactly.  v2: the always-firing fix must carry over too.
         events = trace_of((i % 9, i % 4, 1, i != 10) for i in range(20))
-        spec = SweepSpec("itlb", sizes=(8, 16), associativities=(1, 2),
-                         warmup_fraction=0.5, engine="single-pass",
-                         semantics=semantics)
-        surface = run_sweep(spec, events)
-        for assoc in (1, 2):
-            for size in (8, 16):
-                stats = simulate_itlb(events, size, assoc,
-                                      warmup_fraction=0.5,
-                                      semantics=semantics)
-                assert surface.cell(assoc, size) == (stats.hits,
-                                                     stats.misses)
+        _assert_equals_grid(
+            SweepSpec("itlb", sizes=(8, 16), associativities=(1, 2),
+                      warmup_fraction=0.5, semantics=semantics), events)
 
     def test_equivalence_one_set_configuration(self, events):
         # size == associativity: a single set, served by the
         # unbounded-depth level rather than a masked one.
-        spec = SweepSpec("itlb", sizes=(16,), associativities=(16,),
-                         double_pass=True, engine="single-pass")
-        surface = run_sweep(spec, events)
-        stats = simulate_itlb(events, 16, 16, double_pass=True)
-        assert surface.cell(16, 16) == (stats.hits, stats.misses)
+        _assert_equals_grid(
+            SweepSpec("itlb", sizes=(16,), associativities=(16,),
+                      double_pass=True), events)
 
     @settings(max_examples=15, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 25),
@@ -166,25 +142,19 @@ class TestSinglePassGridEquivalence:
     def test_property_equivalence(self, rows, window, semantics):
         events = trace_of((address, opcode, opcode % 3, dispatched)
                           for address, opcode, dispatched in rows)
-        spec = SweepSpec("icache", sizes=(8, 32, 128),
-                         associativities=(1, 2, "full"),
-                         engine="single-pass", semantics=semantics,
-                         **window)
-        surface = run_sweep(spec, events)
-        for assoc in (1, 2, "full"):
-            for size in (8, 32, 128):
-                stats = simulate_icache(events, size, assoc,
-                                        semantics=semantics, **window)
-                assert surface.cell(assoc, size) == (stats.hits,
-                                                     stats.misses)
+        _assert_equals_grid(
+            SweepSpec("icache", sizes=(8, 32, 128),
+                      associativities=(1, 2, "full"),
+                      semantics=semantics, **window), events)
 
 
 class TestSpecValidation:
     def test_rejects_unknown_cache_engine_policy(self):
         with pytest.raises(ValueError, match="cache kind"):
             SweepSpec("dcache")
-        with pytest.raises(ValueError, match="engine"):
-            SweepSpec("itlb", engine="psychic")
+        for engine in ("psychic", "single-pass", "numpy"):
+            with pytest.raises(ValueError, match="engine"):
+                SweepSpec("itlb", engine=engine)
         with pytest.raises(ValueError, match="policy"):
             SweepSpec("itlb", policy="mru")
 
@@ -213,11 +183,6 @@ class TestSpecValidation:
         # 24 entries, 2-way: 12 sets is not a power of two.
         assert not SweepSpec("itlb", sizes=(24,),
                              associativities=(2,)).single_pass_eligible()
-
-    def test_forced_single_pass_on_ineligible_spec_raises(self, events):
-        spec = SweepSpec("itlb", policy="fifo", engine="single-pass")
-        with pytest.raises(ValueError, match="not single-pass eligible"):
-            run_sweep(spec, events)
 
 
 class TestSemanticsV2:
@@ -328,18 +293,24 @@ class TestGridFallback:
         assert surface.meta["trace_passes"] == 2 * 2 * 2  # cells x warm
         single = run_sweep(
             SweepSpec("icache", sizes=(8, 16), associativities=(1, 2),
-                      double_pass=True, engine="single-pass"), events)
+                      double_pass=True), events)
         assert single.meta["trace_passes"] == 2
         assert single.counts == surface.counts
 
 
 class TestReferenceCurves:
-    def _belady_hits(self, blocks, size):
-        next_use = next_use_times(blocks)
+    @staticmethod
+    def _belady_hits(blocks, size, counted_from=0):
+        """Hits of a brute-force Belady cache of ``size`` entries,
+        counted from reference ``counted_from`` on."""
+        next_use, last = [0.0] * len(blocks), {}
+        for i in range(len(blocks) - 1, -1, -1):
+            next_use[i] = last.get(blocks[i], float("inf"))
+            last[blocks[i]] = i
         cache, current, hits = set(), {}, 0
         for i, block in enumerate(blocks):
             if block in cache:
-                hits += 1
+                hits += i >= counted_from
             current[block] = next_use[i]
             if block not in cache:
                 if len(cache) >= size:
@@ -350,18 +321,35 @@ class TestReferenceCurves:
         return hits
 
     def test_opt_matches_brute_force_belady(self):
+        # The double pass is Belady over the doubled stream, counting
+        # its second half; a fraction window counts from the raw cut
+        # (every event is an icache reference), under both semantics.
         rnd = random.Random(3)
+        windows = [{"double_pass": True}, {"warmup_fraction": 0.25},
+                   {"warmup_fraction": 0.0}]
         for _ in range(10):
             blocks = [rnd.randrange(24)
                       for _ in range(rnd.randrange(50, 300))]
             events = trace_of((block, 1, 1) for block in blocks)
-            spec = SweepSpec("icache", sizes=(1, 2, 4, 8, 16, 32),
-                             associativities=(1,), warmup_fraction=0.0,
-                             include_opt=True, engine="single-pass")
-            surface = run_sweep(spec, events)
-            for size in spec.sizes:
-                hits, _ = surface.opt_counts[size]
-                assert hits == self._belady_hits(blocks, size)
+            for window in windows:
+                if window.get("double_pass"):
+                    stream, counted_from = blocks * 2, len(blocks)
+                else:
+                    stream = blocks
+                    counted_from = int(len(blocks)
+                                       * window["warmup_fraction"])
+                expected = {size: self._belady_hits(stream, size,
+                                                    counted_from)
+                            for size in (1, 2, 4, 8, 16, 32)}
+                for semantics in SEMANTICS:
+                    surface = run_sweep(
+                        SweepSpec("icache", sizes=tuple(expected),
+                                  associativities=(1,),
+                                  include_opt=True, semantics=semantics,
+                                  **window), events)
+                    for size, hits in expected.items():
+                        assert surface.opt_counts[size] == (
+                            hits, len(stream) - counted_from - hits)
 
     def test_opt_dominates_lru_at_every_size(self, events):
         spec = SweepSpec("icache", sizes=(8, 64, 512),
@@ -433,12 +421,12 @@ class TestResultSurface:
 class TestExperimentIntegration:
     def test_fig10_runs_on_the_engine(self, events):
         result = fig10.run(events=events, plot=False)
-        assert result.data["engine"] in ("single-pass", "numpy")
+        assert result.data["engine"] == "numpy"
         assert result.data["trace_passes"] == 2
 
     def test_fig11_runs_on_the_engine(self, events):
         result = fig11.run(events=events, plot=False)
-        assert result.data["engine"] in ("single-pass", "numpy")
+        assert result.data["engine"] == "numpy"
         assert result.data["trace_passes"] == 2
 
     def test_figures_record_semantics(self, events):
@@ -468,7 +456,22 @@ class TestCli:
         assert "ITLB hit ratio vs cache size" in out
         assert "instruction cache hit ratio vs cache size" in out
         assert "OPT" in out
-        assert ("engine: single-pass" in out) or ("engine: numpy" in out)
+        assert "engine: numpy" in out
+
+    @pytest.mark.parametrize("args", [
+        ["--engine", "single-pass"],
+        ["--engine", "numpy"],
+        ["--engine", "numpy", "--policy", "fifo"],
+        ["--engine", "single-pass", "--sizes", "8,24"],
+    ], ids=["single-pass", "numpy", "numpy-fifo", "single-pass-24"])
+    def test_sweep_rejects_removed_engines_before_generation(
+            self, tmp_path, args):
+        traces = tmp_path / "traces"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["sweep", "monomorphic", "--quick", *args,
+                      "--trace-dir", str(traces)])
+        assert exit_info.value.code == 2
+        assert not traces.exists()
 
     def test_sweep_single_cache_with_warmup_and_plot(self, tmp_path,
                                                      capsys):
