@@ -1,10 +1,9 @@
 """A generic set-associative cache model.
 
 This single structure backs every lookaside buffer in the machine: the
-ITLB (section 2.1), the ATLB (section 3.1), the instruction cache and
-the physical-space caches (section 3.1).  Keys are arbitrary hashable
-values; a key is mapped to a set by a deterministic hash and looked up
-associatively within the set.
+ITLB (section 2.1), the ATLB (section 3.1) and the instruction cache.
+Keys are arbitrary hashable values; a key is mapped to a set by a
+deterministic hash and looked up associatively within the set.
 
 Replacement policies: LRU (default -- what the Dorado and HP software
 method caches approximate), FIFO and a deterministic pseudo-random
@@ -200,10 +199,6 @@ class SetAssociativeCache(Generic[K, V]):
     def contains(self, key: K) -> bool:
         """Non-statistical membership test (for assertions/tests)."""
         return key in self._set_for(key)
-
-    def peek(self, key: K) -> Optional[V]:
-        """Non-statistical read that does not disturb replacement order."""
-        return self._set_for(key).get(key)
 
     def fill(self, key: K, value: V) -> Optional[Tuple[K, V]]:
         """Insert (or update) an entry; returns the evicted (key, value).

@@ -11,10 +11,8 @@ Subcommands::
                  [--assoc CSV] [--opt] [--full] [--warmup F] ...
                  single-pass cache sweep over a registered workload
     repro list   [--workloads] [--experiments] [--engines]
-                 [--versions]
-                 list registered workloads, experiments, the
-                 sweep execution engines and the
-                 package/format/semantics versions
+                 list registered workloads, experiments and the
+                 sweep execution engines
     repro report [--run KEY] [--run-dir DIR] [--format text|json]
                  [--top N]
                  render the latest (or named) run's telemetry:
@@ -123,9 +121,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
     from repro.workloads import specs
     from repro.workloads.store import TraceStore
 
-    if args.versions:
-        _print_versions()
-        return 0
     only_flags = (args.workloads, args.experiments, args.engines)
     show_all = not any(only_flags)
     show_workloads = args.workloads or show_all
@@ -497,10 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     list_parser.add_argument("--engines", action="store_true",
                              help="only the sweep execution engines "
                                   "(with the installed numpy version)")
-    list_parser.add_argument("--versions", action="store_true",
-                             help="only the package / trace-format / "
-                                  "semantics / engine versions "
-                                  "(same block as `repro --version`)")
     list_parser.add_argument("--trace-dir", type=str, default=None)
     list_parser.set_defaults(func=_cmd_list)
 

@@ -34,12 +34,12 @@ Invalidation rules (documented in DESIGN.md):
 * **heap writes** -- the machine registers :meth:`note_write` as an
   absolute-memory write watcher, so any store into predecoded code
   (e.g. ``at:put:`` into a method object) drops that method's plans;
-* **frees** -- a freed block (method garbage-collected) drops any
-  plans it covered via :meth:`note_free`;
+* **frees** -- a freed block (the old block of a method that
+  ``MMU.grow_object`` relocated) drops any plans it covered via
+  :meth:`note_free`;
 * **segment moves** -- the fetch fast path revalidates the captured
-  segment descriptor (base unchanged, no alias forward, readable)
-  before trusting a plan, so grown/aliased code falls back to the
-  slow path.
+  segment descriptor (base unchanged, no alias forward) before
+  trusting a plan, so grown/aliased code falls back to the slow path.
 
 A jump's target IP cannot go stale: the constant table is
 append-only, so the displacement word a plan read never changes, and

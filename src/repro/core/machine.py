@@ -40,9 +40,8 @@ from repro.errors import (
 )
 from repro.memory.fpa import FPAddress, address_format
 from repro.memory.mmu import MMU
-from repro.memory.physical import MemoryHierarchy
 from repro.memory.tags import Tag, Word, pointer_word
-from repro.objects.gc import ContextRecycler, MarkSweepCollector
+from repro.objects.gc import ContextRecycler
 from repro.objects.heap import ObjectHeap
 from repro.objects.model import (
     ClassRegistry,
@@ -117,11 +116,10 @@ class COMMachine:
         icache_associativity=2,
         context_blocks: int = 32,
         cycle_params: Optional[CycleParams] = None,
-        hierarchy: Optional[MemoryHierarchy] = None,
         context_pool_limit: Optional[int] = None,
         predecode: bool = True,
     ) -> None:
-        self.mmu = MMU(address_format(address_bits), hierarchy=hierarchy)
+        self.mmu = MMU(address_format(address_bits))
         self.registry = ClassRegistry()
         self.opcodes = OpcodeTable()
         self.constants = ConstantTable()
@@ -140,7 +138,6 @@ class COMMachine:
             self._context_writeback, self._context_load,
             num_blocks=context_blocks,
         )
-        self.collector = MarkSweepCollector(self.heap)
         self.ip: Optional[FPAddress] = None
         self.halted = False
         self.trace: Optional[TraceBuilder] = None
@@ -253,19 +250,17 @@ class COMMachine:
     def _context_load(self, base: int) -> List[Word]:
         return self.mmu.absolute.read_block(base, CONTEXT_WORDS)
 
-    def _translate(self, address: FPAddress, write: bool = False) -> int:
+    def _translate(self, address: FPAddress) -> int:
         """Virtual->absolute with one alias-forward retry (trap handler)."""
         try:
-            return self.mmu.translate_absolute(self.heap.team, address,
-                                               write=write)
+            return self.mmu.translate_absolute(self.heap.team, address)
         except AliasTrap as trap:
             forwarded = trap.new_address.with_offset(0).step(address.offset)
-            return self.mmu.translate_absolute(self.heap.team, forwarded,
-                                               write=write)
+            return self.mmu.translate_absolute(self.heap.team, forwarded)
 
     def _allocate_next_context(self) -> None:
         address = self.pool.allocate()
-        base = self._translate(address, write=True)
+        base = self._translate(address)
         cache = self.context_cache
         block = cache.allocate_next(base)
         self.regs.ncp.set(address, base)
@@ -313,13 +308,10 @@ class COMMachine:
         # first would probe the same ATLB entry and hit without moving
         # it.  Those hits are counted in bulk.
         mmu = self.mmu
-        base = mmu.translate(self.heap.team, code, write=True).absolute
+        base = mmu.translate(self.heap.team, code).absolute
         mmu.atlb.stats.hits += count - 1
-        hierarchy = mmu.hierarchy
         write = mmu.absolute.write
         for index, word in enumerate(words):
-            if hierarchy is not None:
-                hierarchy.access(base + index, write=True)
             write(base + index, Word.instruction(word))
         compiled = CompiledMethod(
             selector, code, len(instructions), argument_count, frame_words)
@@ -404,7 +396,7 @@ class COMMachine:
             virtual.with_offset(slot)   # raises InvalidAddress
         return (virtual.packed >> exponent << exponent) | slot
 
-    # -- memory routing (context cache first, then the hierarchy) ----------
+    # -- memory routing (context cache first, then absolute memory) -------
 
     def _note_capture_if_context(self, word: Word) -> None:
         """Storing a context pointer into memory makes it non-LIFO."""
@@ -414,26 +406,22 @@ class COMMachine:
 
     def _store_through_pointer(self, pointer: Word, word: Word) -> None:
         address = self.mmu.fmt.from_packed(pointer.value)
-        absolute = self._translate(address, write=True)
+        absolute = self._translate(address)
         index = absolute % CONTEXT_WORDS
         if self.context_cache.write_absolute(absolute - index, index, word):
             self.profile.context_writes += 1
             return
         self.profile.heap_writes += 1
-        if self.mmu.hierarchy is not None:
-            self.mmu.hierarchy.access(absolute, write=True)
         self.mmu.absolute.write(absolute, word)
 
     def _load_memory_word(self, address: FPAddress) -> Word:
-        absolute = self._translate(address, write=False)
+        absolute = self._translate(address)
         index = absolute % CONTEXT_WORDS
         cached = self.context_cache.read_absolute(absolute - index, index)
         if cached is not None:
             self.profile.context_reads += 1
             return cached
         self.profile.heap_reads += 1
-        if self.mmu.hierarchy is not None:
-            self.mmu.hierarchy.access(absolute, write=False)
         return self.mmu.absolute.read(absolute)
 
     # ------------------------------------------------------------------
@@ -886,11 +874,10 @@ class COMMachine:
                 base = method.base_absolute
                 descriptor = method.descriptor
                 plans = method.plans
-                # The captured translation must still hold (no move,
-                # alias or capability change since predecode).
+                # The captured translation must still hold (no move or
+                # alias since predecode).
                 if not (descriptor.base == base
                         and descriptor.forward is None
-                        and descriptor.capability_read
                         and offset < len(plans)):
                     self._step_slow()
                     continue

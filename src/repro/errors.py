@@ -52,10 +52,11 @@ class SegmentFault(TrapError):
 
 
 class ProtectionTrap(TrapError):
-    """A capability did not permit the attempted access.
+    """The tags or the privilege bit did not permit the attempted access.
 
-    Includes executing the conditionally privileged ``as`` instruction
-    (tag forging) from unprivileged code.
+    Raised for fetching a word not tagged as an instruction, and for
+    executing the conditionally privileged ``as`` instruction (tag
+    forging) from unprivileged code.
     """
 
 

@@ -92,15 +92,13 @@ def run(max_instructions: int = 2_000_000) -> ExperimentResult:
                         max_instructions=max_instructions)
 
     # -- allocations/deallocations involving contexts -------------------
+    # Contexts are freed on the LIFO path; no other object is freed.
     activations = machine.activation_count
-    context_frees = machine.recycler.stats.total_freed
-    other = machine.heap.stats
-    other_allocs = sum(n for kind, n in other.allocations.items()
+    context_frees = machine.recycler.stats.freed_lifo
+    other_allocs = sum(n for kind, n in machine.heap.stats.allocations.items()
                        if kind != "context")
-    other_frees = sum(n for kind, n in other.deallocations.items()
-                      if kind != "context")
     context_events = activations + context_frees
-    total_events = context_events + other_allocs + other_frees
+    total_events = context_events + other_allocs
     context_alloc_fraction = context_events / total_events
 
     # -- memory references to contexts ----------------------------------

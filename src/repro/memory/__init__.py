@@ -12,14 +12,12 @@ from repro.memory.fpa import (
     multics_style_capacity,
 )
 from repro.memory.mmu import MMU, TranslationResult
-from repro.memory.physical import DeviceSpec, MemoryHierarchy, default_hierarchy
 from repro.memory.segments import SegmentDescriptor, SegmentTable
 from repro.memory.tags import Tag, Word
 
 __all__ = [
     "ATLB", "AbsoluteMemory", "AddressFormat", "BuddyAllocator",
-    "DeviceSpec", "FORMAT_16", "FORMAT_36", "FPAddress", "MMU",
-    "MemoryHierarchy", "SegmentDescriptor", "SegmentTable", "Tag",
-    "TranslationResult", "Word", "address_format", "default_hierarchy",
+    "FORMAT_16", "FORMAT_36", "FPAddress", "MMU", "SegmentDescriptor",
+    "SegmentTable", "Tag", "TranslationResult", "Word", "address_format",
     "floating_capacity", "multics_style_capacity",
 ]

@@ -1,9 +1,9 @@
 """Absolute space: the global object store (paper section 3.1).
 
 Absolute space is the single global name space in which every object
-lives; object management (allocation, garbage collection) happens here,
-independent of both the per-team virtual names above it and the
-physical devices below it.
+lives; object management (allocation, and the relocation that grows an
+object) happens here, independent of the per-team virtual names above
+it.  The physical devices that would cache it are not modelled.
 
 The store is word-addressed and sparse.  Allocation follows the paper's
 alignment rule -- every segment is aligned on an absolute address that

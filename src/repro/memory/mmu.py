@@ -1,13 +1,14 @@
 """The three-level addressing engine (paper section 3.1, figure 3).
 
-Ties together the three address spaces:
+Ties together two of the paper's three address spaces:
 
 * **virtual** space -- per-team floating point capability names,
   resolved through the team's segment table (accelerated by the ATLB);
-* **absolute** space -- the global object store, where allocation, the
-  alias/grow mechanism and garbage collection operate;
-* **physical** space -- a hierarchy of devices, each a cache of
-  absolute space (residency/latency model only).
+* **absolute** space -- the global object store, where allocation and
+  the alias/grow mechanism operate.
+
+Physical placement is not modelled: every access reads or writes
+absolute space directly.
 
 The MMU also implements the section-2.2 alias protocol: growing an
 object beyond its pointer's exponent range allocates a new name with a
@@ -22,11 +23,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.caches.setassoc import MISS
-from repro.errors import AliasTrap, BoundsTrap, ProtectionTrap, SegmentFault
+from repro.errors import AliasTrap, BoundsTrap, SegmentFault
 from repro.memory.absolute import AbsoluteMemory
 from repro.memory.atlb import ATLB
 from repro.memory.fpa import AddressFormat, FPAddress, address_format
-from repro.memory.physical import MemoryHierarchy
 from repro.memory.segments import SegmentDescriptor, SegmentTable
 from repro.memory.tags import Word
 
@@ -46,8 +46,7 @@ class MMU:
     One MMU serves any number of team spaces.  A client (the machine,
     or a test) creates teams, allocates objects inside them, and reads
     or writes words through virtual addresses; the MMU performs bounds
-    checking, alias forwarding, ATLB caching and, optionally, physical
-    residency modelling.
+    checking, alias forwarding and ATLB caching.
     """
 
     def __init__(
@@ -57,12 +56,10 @@ class MMU:
         arena_words: int = 1 << 24,
         atlb_size: int = 64,
         atlb_associativity=2,
-        hierarchy: Optional[MemoryHierarchy] = None,
     ) -> None:
         self.fmt = fmt or address_format(36)
         self.absolute = AbsoluteMemory(arena_words)
         self.atlb = ATLB(atlb_size, atlb_associativity)
-        self.hierarchy = hierarchy
         self._teams: Dict[int, SegmentTable] = {}
         self.alias_traps_taken = 0
         self.bounds_faults = 0
@@ -103,39 +100,6 @@ class MMU:
         table.install(name, descriptor)
         return table.address_for(name)
 
-    def free_object(self, team: int, address: FPAddress) -> None:
-        """Release an object and all the MMU state naming it."""
-        table = self.team_table(team)
-        descriptor = table.descriptor_for(address)
-        table.release(address.segment_name)
-        self.atlb.invalidate_segment(team, address.segment_name)
-        if descriptor.forward is None:
-            self.absolute.free(descriptor.base)
-
-    def share_object(
-        self, from_team: int, address: FPAddress, to_team: int,
-        *, read: bool = True, write: bool = True,
-    ) -> FPAddress:
-        """Alias an object into another team space (capability transfer).
-
-        The new team receives its own name (and possibly different
-        capability bits) for the same absolute segment.
-        """
-        source = self.team_table(from_team).descriptor_for(address)
-        dest = self.create_team(to_team)
-        name = dest.allocate_name(address.exponent)
-        dest.install(
-            name,
-            SegmentDescriptor(
-                base=source.base,
-                length=source.length,
-                class_tag=source.class_tag,
-                capability_read=read,
-                capability_write=write,
-            ),
-        )
-        return dest.address_for(name)
-
     # -- growing / aliasing -------------------------------------------------------
 
     def grow_object(
@@ -167,8 +131,6 @@ class MMU:
             base=allocation.base,
             length=new_size,
             class_tag=descriptor.class_tag,
-            capability_read=descriptor.capability_read,
-            capability_write=descriptor.capability_write,
         )
         table.install(new_name, new_descriptor)
         new_address = table.address_for(new_name)
@@ -187,13 +149,13 @@ class MMU:
 
     # -- translation ---------------------------------------------------------------
 
-    def _checked(self, team: int, address: FPAddress, write: bool
+    def _checked(self, team: int, address: FPAddress
                  ) -> Tuple[SegmentDescriptor, int, bool]:
         """The lookup and checks behind every translation.
 
         Probes the ATLB (walking the team's segment table and filling
-        the ATLB on a miss), then makes the capability and bounds
-        checks.  Returns ``(descriptor, offset, atlb_hit)``.
+        the ATLB on a miss), then makes the bounds check of figure 3.
+        Returns ``(descriptor, offset, atlb_hit)``.
         """
         # address.segment_name and address.offset, inline.
         exponent = address.exponent
@@ -205,12 +167,8 @@ class MMU:
             table = self.team_table(team)
             descriptor = table.descriptor_for(address)
             self.atlb.fill(team, (exponent, segment), descriptor)
-        if write and not descriptor.capability_write:
-            raise ProtectionTrap(f"no write capability through {address!r}")
-        if not write and not descriptor.capability_read:
-            raise ProtectionTrap(f"no read capability through {address!r}")
         offset = mantissa & ((1 << exponent) - 1)
-        if not 0 <= offset < descriptor.length:     # descriptor.contains
+        if not 0 <= offset < descriptor.length:
             if descriptor.forward is not None:
                 self.alias_traps_taken += 1
                 raise AliasTrap(
@@ -226,21 +184,17 @@ class MMU:
             )
         return descriptor, offset, atlb_hit
 
-    def translate(
-        self, team: int, address: FPAddress, *, write: bool = False
-    ) -> TranslationResult:
+    def translate(self, team: int, address: FPAddress) -> TranslationResult:
         """Virtual -> absolute translation with ATLB and alias handling.
 
         Raises :class:`AliasTrap` (with the forward address attached)
         when a stale pointer is used out of bounds -- callers emulating
         the trap handler should retry with ``trap.new_address``.
         """
-        descriptor, offset, atlb_hit = self._checked(team, address, write)
+        descriptor, offset, atlb_hit = self._checked(team, address)
         return TranslationResult(descriptor.base + offset, descriptor, atlb_hit)
 
-    def translate_absolute(
-        self, team: int, address: FPAddress, *, write: bool = False
-    ) -> int:
+    def translate_absolute(self, team: int, address: FPAddress) -> int:
         """:meth:`translate`'s absolute address alone.
 
         The same ATLB lookup and fill, the same checks and the same
@@ -248,40 +202,34 @@ class MMU:
         reads and writes, and the machine's context allocation and
         return path).
         """
-        descriptor, offset, _ = self._checked(team, address, write)
+        descriptor, offset, _ = self._checked(team, address)
         return descriptor.base + offset
 
-    def _resolve(self, team: int, address: FPAddress, write: bool) -> int:
+    def _resolve(self, team: int, address: FPAddress) -> int:
         """The absolute address, following one level of alias forward.
 
         This models the trap handler: the faulting access is retried
         through the new segment name after the pointer rewrite.
         """
         try:
-            return self.translate_absolute(team, address, write=write)
+            return self.translate_absolute(team, address)
         except AliasTrap as trap:
             forwarded = trap.new_address.with_offset(0)
             retry = forwarded.step(address.offset) if address.offset < forwarded.span \
                 else None
             if retry is None:
                 raise
-            return self.translate_absolute(team, retry, write=write)
+            return self.translate_absolute(team, retry)
 
     # -- word access -------------------------------------------------------------------
 
     def read(self, team: int, address: FPAddress) -> Word:
         """Read one word through a virtual address."""
-        absolute = self._resolve(team, address, write=False)
-        if self.hierarchy is not None:
-            self.hierarchy.access(absolute, write=False)
-        return self.absolute.read(absolute)
+        return self.absolute.read(self._resolve(team, address))
 
     def write(self, team: int, address: FPAddress, word: Word) -> None:
         """Write one word through a virtual address."""
-        absolute = self._resolve(team, address, write=True)
-        if self.hierarchy is not None:
-            self.hierarchy.access(absolute, write=True)
-        self.absolute.write(absolute, word)
+        self.absolute.write(self._resolve(team, address), word)
 
     def class_of(self, team: int, address: FPAddress) -> int:
         """The 16-bit class tag of the object named by ``address``."""

@@ -15,9 +15,9 @@ Segment table entries are kept only for segments actually allocated
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.errors import BoundsTrap, InvalidAddress, SegmentFault
+from repro.errors import InvalidAddress, SegmentFault
 from repro.memory.fpa import AddressFormat, FPAddress
 
 #: A segment name: (exponent, segment field).
@@ -40,12 +40,6 @@ class SegmentDescriptor:
     length: int
     class_tag: int
     forward: Optional[FPAddress] = None
-    capability_read: bool = True
-    capability_write: bool = True
-
-    def contains(self, offset: int) -> bool:
-        """Whether ``offset`` is inside the segment's current bounds."""
-        return 0 <= offset < self.length
 
 
 class SegmentTable:
@@ -84,13 +78,6 @@ class SegmentTable:
             raise InvalidAddress(f"segment name {name} out of range")
         self._entries[name] = descriptor
 
-    def release(self, name: SegmentName) -> SegmentDescriptor:
-        """Remove a name binding (GC of a dead object)."""
-        try:
-            return self._entries.pop(name)
-        except KeyError:
-            raise SegmentFault(f"release of unmapped segment {name}") from None
-
     def descriptor(self, name: SegmentName) -> SegmentDescriptor:
         """Resolve a name; raises :class:`SegmentFault` when unmapped."""
         try:
@@ -108,43 +95,3 @@ class SegmentTable:
         """Build the virtual address for a (name, offset) pair."""
         exponent, fieldval = name
         return self.fmt.make(exponent, fieldval, offset)
-
-    # -- translation (virtual -> absolute) ----------------------------------
-
-    def translate(self, address: FPAddress, *, write: bool = False) -> int:
-        """Translate a virtual address to an absolute address.
-
-        Performs the bounds check of figure 3.  On an out-of-bounds
-        access the raised :class:`BoundsTrap` carries the descriptor so
-        the alias handler can decide whether a forward exists.
-        """
-        descriptor = self.descriptor_for(address)
-        offset = address.offset
-        if not descriptor.contains(offset):
-            raise BoundsTrap(
-                f"offset {offset} outside segment {address.segment_name} "
-                f"(length {descriptor.length})",
-                segment=descriptor,
-                offset=offset,
-                length=descriptor.length,
-            )
-        # Segments are aligned on multiples of their size, so base+offset
-        # never carries into the segment-number bits (no adder needed).
-        return descriptor.base + offset
-
-    # -- inspection ---------------------------------------------------------
-
-    def names(self) -> Iterator[SegmentName]:
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, name: SegmentName) -> bool:
-        return name in self._entries
-
-    def live_descriptors(self) -> Iterator[Tuple[SegmentName, SegmentDescriptor]]:
-        """All (name, descriptor) pairs with no forward set."""
-        for name, desc in self._entries.items():
-            if desc.forward is None:
-                yield name, desc

@@ -1,6 +1,7 @@
-"""The object model: classes, method dictionaries, heap and GC."""
+"""The object model: classes, method dictionaries, the heap and
+context recycling."""
 
-from repro.objects.gc import ContextRecycler, GCStats, MarkSweepCollector
+from repro.objects.gc import ContextRecycler
 from repro.objects.heap import AllocationStats, ObjectHeap
 from repro.objects.model import (
     ClassRegistry,
@@ -13,6 +14,6 @@ from repro.objects.model import (
 
 __all__ = [
     "AllocationStats", "ClassRegistry", "ContextRecycler",
-    "DefinedMethod", "GCStats", "LookupResult", "MarkSweepCollector",
-    "MethodDictionary", "ObjectClass", "ObjectHeap", "PrimitiveMethod",
+    "DefinedMethod", "LookupResult", "MethodDictionary", "ObjectClass",
+    "ObjectHeap", "PrimitiveMethod",
 ]

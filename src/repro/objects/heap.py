@@ -2,14 +2,16 @@
 
 Sections 2.3 and 5 of the paper lean on measured allocation behaviour
 ("85% of all object allocations and deallocations involve contexts");
-this heap therefore buckets every allocation and deallocation by kind
-so the TAB-CTX experiment can reproduce those ratios on our workloads.
+this heap therefore buckets every allocation by kind so the TAB-CTX
+experiment can reproduce those ratios on our workloads.  Objects are
+never freed here: contexts recycle through the context pool, and no
+collector is modelled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.memory.fpa import FPAddress
 from repro.memory.mmu import MMU
@@ -19,38 +21,18 @@ from repro.objects.model import ObjectClass
 
 @dataclass
 class AllocationStats:
-    """Allocation/deallocation counters bucketed by object kind."""
+    """Allocation counters bucketed by object kind."""
 
     allocations: Dict[str, int] = field(default_factory=dict)
-    deallocations: Dict[str, int] = field(default_factory=dict)
     words_allocated: int = 0
 
     def note_allocation(self, kind: str, size: int) -> None:
         self.allocations[kind] = self.allocations.get(kind, 0) + 1
         self.words_allocated += size
 
-    def note_deallocation(self, kind: str) -> None:
-        self.deallocations[kind] = self.deallocations.get(kind, 0) + 1
-
     @property
     def total_allocations(self) -> int:
         return sum(self.allocations.values())
-
-    @property
-    def total_deallocations(self) -> int:
-        return sum(self.deallocations.values())
-
-    def allocation_fraction(self, kind: str) -> float:
-        """Fraction of all allocations *and* deallocations of ``kind``.
-
-        Matches the paper's phrasing "85% of all object allocations and
-        deallocations involve contexts".
-        """
-        total = self.total_allocations + self.total_deallocations
-        if total == 0:
-            return 0.0
-        hits = self.allocations.get(kind, 0) + self.deallocations.get(kind, 0)
-        return hits / total
 
 
 class ObjectHeap:
@@ -70,7 +52,6 @@ class ObjectHeap:
         self.team = team
         mmu.create_team(team)
         self.stats = AllocationStats()
-        self._kinds: Dict[int, str] = {}  # packed address -> kind
 
     # -- allocation --------------------------------------------------------
 
@@ -83,21 +64,11 @@ class ObjectHeap:
         size = max(size, 1)
         address = self.mmu.allocate_object(self.team, size, cls.class_tag)
         self.stats.note_allocation(kind, size)
-        self._kinds[address.packed] = kind
         return address
 
     def allocate_context(self, cls: ObjectClass, size: int) -> FPAddress:
         """Allocate a context object (bucketed as such for TAB-CTX)."""
         return self.allocate(cls, size, kind=self.CONTEXT_KIND)
-
-    def free(self, address: FPAddress) -> None:
-        """Free an instance, noting its kind."""
-        kind = self._kinds.pop(address.packed, "object")
-        self.stats.note_deallocation(kind)
-        self.mmu.free_object(self.team, address)
-
-    def kind_of(self, address: FPAddress) -> str:
-        return self._kinds.get(address.packed, "object")
 
     # -- field access -------------------------------------------------------
 
@@ -119,10 +90,3 @@ class ObjectHeap:
     def pointer_to(self, address: FPAddress) -> Word:
         """A tagged pointer word naming the object (a capability)."""
         return Word.pointer(address.packed, self.class_tag_of(address))
-
-    def live_objects(self) -> Iterator[int]:
-        """Packed addresses of objects still considered live."""
-        return iter(self._kinds)
-
-    def __len__(self) -> int:
-        return len(self._kinds)

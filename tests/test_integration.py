@@ -5,7 +5,6 @@ import pytest
 from repro.core.assembler import load_program
 from repro.core.machine import COMMachine
 from repro.core.pipeline import CycleParams
-from repro.memory.physical import DeviceSpec, MemoryHierarchy
 from repro.memory.tags import Tag, Word
 from repro.smalltalk import compile_program
 from repro.smalltalk.stackgen import run_stack_program
@@ -87,52 +86,6 @@ class TestSmalltalkOnFullMachine:
             main = compile_program(machine, self.SOURCE)
             machine.run_program(main, max_instructions=1_000_000)
         assert small.itlb.stats.miss_ratio >= big.itlb.stats.miss_ratio
-
-    def test_memory_hierarchy_attached(self):
-        hierarchy = MemoryHierarchy(
-            [DeviceSpec("cache", 64, block_words=8, associativity=2,
-                        latency_cycles=1)],
-            backing_latency=50)
-        machine = COMMachine(hierarchy=hierarchy)
-        main = compile_program(machine, self.SOURCE)
-        machine.run_program(main, max_instructions=1_000_000)
-        assert hierarchy.devices[0].stats.accesses > 0
-
-
-class TestGCIntegration:
-    def test_collect_dead_objects_after_run(self):
-        machine = COMMachine()
-        main = compile_program(machine, """
-        class Blob extends Object fields: a b c d
-        main | p i |
-            i := 0.
-            [i < 20] whileTrue: [p := Blob new. i := i + 1].
-            ^i
-        """)
-        machine.run_program(main, max_instructions=200_000)
-        blob_tag = machine.registry.by_name("Blob").class_tag
-        live_blobs = sum(
-            1 for packed in machine.heap.live_objects()
-            if machine.heap.class_tag_of(machine.mmu.fmt.from_packed(packed))
-            == blob_tag)
-        assert live_blobs == 20
-        # No roots pin the blobs: all are garbage.  Protect machine
-        # infrastructure (contexts, methods, constants) via roots.
-        machine.context_cache.flush_all()
-        roots = [p.virtual.packed for p in (machine.regs.cp, machine.regs.ncp)
-                 if p.is_set]
-        roots += [packed for packed in machine.heap.live_objects()
-                  if machine.heap.kind_of(
-                      machine.mmu.fmt.from_packed(packed)) != "object"]
-        freed = machine.collector.collect(roots=roots)
-        # 19 blobs are garbage; the 20th is still reachable through the
-        # temporary `p` in main's (rooted) context.
-        assert freed == 19
-        live_after = sum(
-            1 for packed in machine.heap.live_objects()
-            if machine.heap.class_tag_of(machine.mmu.fmt.from_packed(packed))
-            == blob_tag)
-        assert live_after == 1
 
 
 class TestDeepRecursionCopyBack:

@@ -13,7 +13,6 @@ from repro.errors import (
     ProtectionTrap,
     SimulationLimitExceeded,
 )
-from repro.memory.physical import default_hierarchy
 from repro.memory.tags import Tag, Word
 from repro.smalltalk import compile_program
 
@@ -600,21 +599,6 @@ class TestTraceRecording:
         """, machine=machine)
         addresses = list(trace.addresses())
         assert len(set(addresses)) == len(addresses)
-
-
-class TestHierarchyIntegration:
-    def test_machine_with_memory_hierarchy(self):
-        machine = COMMachine(hierarchy=default_hierarchy())
-        result, machine = run("""
-        main
-            c2 = #Array new: 8
-            c2 [ 0 ] = 5
-            c3 = c2 [ 0 ]
-            c0 = c3
-            halt
-        """, machine=machine)
-        assert result.value == 5
-        assert machine.mmu.hierarchy.devices[0].stats.accesses > 0
 
 
 class TestProfiling:

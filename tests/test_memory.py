@@ -1,18 +1,12 @@
-"""Tests for absolute memory, segments, the ATLB and the hierarchy."""
+"""Tests for absolute memory, segments and the ATLB."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import (
-    BoundsTrap,
-    FreeListExhausted,
-    InvalidAddress,
-    SegmentFault,
-)
+from repro.errors import FreeListExhausted, InvalidAddress, SegmentFault
 from repro.memory.absolute import AbsoluteMemory, BuddyAllocator
 from repro.memory.atlb import ATLB
 from repro.memory.fpa import address_format
-from repro.memory.physical import DeviceSpec, MemoryHierarchy, default_hierarchy
 from repro.memory.segments import SegmentDescriptor, SegmentTable
 from repro.memory.tags import Word
 
@@ -150,50 +144,10 @@ class TestSegmentTable:
         assert len(names) == 8
         assert all(name[0] == 4 for name in names)
 
-    def test_translate(self):
-        table = self._table()
-        name = table.allocate_name(4)
-        table.install(name, SegmentDescriptor(base=128, length=10,
-                                              class_tag=1))
-        address = table.address_for(name, 3)
-        assert table.translate(address) == 131
-
-    def test_bounds_trap(self):
-        table = self._table()
-        name = table.allocate_name(4)
-        table.install(name, SegmentDescriptor(base=0, length=4, class_tag=1))
-        address = table.address_for(name, 9)
-        with pytest.raises(BoundsTrap) as exc:
-            table.translate(address)
-        assert exc.value.offset == 9
-        assert exc.value.length == 4
-
     def test_unmapped_faults(self):
         table = self._table()
         with pytest.raises(SegmentFault):
             table.descriptor((3, 0))
-
-    def test_release(self):
-        table = self._table()
-        name = table.allocate_name(2)
-        table.install(name, SegmentDescriptor(0, 4, 1))
-        table.release(name)
-        with pytest.raises(SegmentFault):
-            table.descriptor(name)
-        with pytest.raises(SegmentFault):
-            table.release(name)
-
-    def test_live_descriptors_excludes_forwarded(self):
-        table = self._table()
-        fmt = table.fmt
-        a = table.allocate_name(2)
-        table.install(a, SegmentDescriptor(0, 4, 1))
-        b = table.allocate_name(3)
-        forwarded = SegmentDescriptor(8, 4, 1,
-                                      forward=table.address_for(a))
-        table.install(b, forwarded)
-        live = dict(table.live_descriptors())
-        assert a in live and b not in live
 
 
 class TestATLB:
@@ -226,62 +180,3 @@ class TestATLB:
         assert atlb.invalidate_segment(0, (2, 3)) is True
         assert atlb.lookup(0, (2, 3)) is None
 
-
-class TestMemoryHierarchy:
-    def _hierarchy(self):
-        return MemoryHierarchy(
-            [DeviceSpec("l1", 4, block_words=4, associativity=2,
-                        latency_cycles=1),
-             DeviceSpec("l2", 16, block_words=4, associativity=4,
-                        latency_cycles=10)],
-            backing_latency=100,
-        )
-
-    def test_first_access_goes_to_backing(self):
-        hierarchy = self._hierarchy()
-        result = hierarchy.access(0)
-        assert result.level == 2
-        assert result.device is None
-        assert result.latency == 111
-
-    def test_second_access_hits_l1(self):
-        hierarchy = self._hierarchy()
-        hierarchy.access(0)
-        result = hierarchy.access(1)    # same 4-word block
-        assert result.device == "l1"
-        assert result.latency == 1
-
-    def test_l2_catches_l1_victims(self):
-        hierarchy = self._hierarchy()
-        # Touch 8 distinct blocks: more than l1 (4) but within l2 (16).
-        for block in range(8):
-            hierarchy.access(block * 4)
-        result = hierarchy.access(0)
-        assert result.device in ("l1", "l2")
-        assert result.level <= 1
-
-    def test_writeback_counted(self):
-        hierarchy = self._hierarchy()
-        for block in range(8):
-            hierarchy.access(block * 4, write=True)
-        assert hierarchy.total_writebacks > 0
-
-    def test_flush(self):
-        hierarchy = self._hierarchy()
-        hierarchy.access(0)
-        hierarchy.flush()
-        assert hierarchy.access(0).level == 2
-
-    def test_amat_positive_after_traffic(self):
-        hierarchy = default_hierarchy()
-        for address in range(0, 4096, 8):
-            hierarchy.access(address)
-        assert hierarchy.amat() > 1.0
-
-    def test_needs_devices(self):
-        with pytest.raises(ValueError):
-            MemoryHierarchy([])
-
-    def test_stats_for_unknown_device(self):
-        with pytest.raises(KeyError):
-            self._hierarchy().stats_for("l3")

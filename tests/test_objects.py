@@ -1,4 +1,4 @@
-"""Tests for the object model, heap and GC (repro.objects)."""
+"""Tests for the object model, heap and context recycler (repro.objects)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +7,7 @@ from repro.errors import DoesNotUnderstandTrap, ReproError
 from repro.memory.fpa import address_format
 from repro.memory.mmu import MMU
 from repro.memory.tags import Tag, Word
-from repro.objects.gc import ContextRecycler, MarkSweepCollector
+from repro.objects.gc import ContextRecycler
 from repro.objects.heap import ObjectHeap
 from repro.objects.model import (
     ClassRegistry,
@@ -191,76 +191,6 @@ class TestObjectHeap:
         assert stats.allocations["context"] == 2
         assert stats.total_allocations == 3
 
-    def test_allocation_fraction(self, heap, point_class):
-        for _ in range(3):
-            address = heap.allocate_context(point_class, 32)
-            heap.free(address)
-        heap.allocate(point_class)
-        # 3 allocs + 3 frees context, 1 object alloc => 6/7.
-        assert heap.stats.allocation_fraction("context") == pytest.approx(6 / 7)
-
-    def test_free_forgets_kind(self, heap, point_class):
-        address = heap.allocate_context(point_class, 32)
-        heap.free(address)
-        assert len(heap) == 0
-
-
-class TestMarkSweep:
-    def _setup(self):
-        mmu = MMU(address_format(36), arena_words=1 << 16)
-        heap = ObjectHeap(mmu, team=0)
-        registry = ClassRegistry()
-        cls = registry.define_class("Node", instance_size=2)
-        collector = MarkSweepCollector(heap)
-        return heap, cls, collector
-
-    def test_unreachable_swept(self):
-        heap, cls, collector = self._setup()
-        heap.allocate(cls)
-        heap.allocate(cls)
-        assert collector.collect(roots=[]) == 2
-        assert len(heap) == 0
-
-    def test_roots_survive(self):
-        heap, cls, collector = self._setup()
-        a = heap.allocate(cls)
-        heap.allocate(cls)
-        assert collector.collect(roots=[a.packed]) == 1
-        assert list(heap.live_objects()) == [a.packed]
-
-    def test_pointer_chain_marked(self):
-        heap, cls, collector = self._setup()
-        a = heap.allocate(cls)
-        b = heap.allocate(cls)
-        c = heap.allocate(cls)
-        heap.store(a, 0, heap.pointer_to(b))
-        heap.store(b, 0, heap.pointer_to(c))
-        dead = heap.allocate(cls)
-        assert collector.collect(roots=[a.packed]) == 1
-        assert set(heap.live_objects()) == {a.packed, b.packed, c.packed}
-
-    def test_cycles_collected(self):
-        heap, cls, collector = self._setup()
-        a = heap.allocate(cls)
-        b = heap.allocate(cls)
-        heap.store(a, 0, heap.pointer_to(b))
-        heap.store(b, 0, heap.pointer_to(a))
-        assert collector.collect(roots=[]) == 2
-
-    def test_extra_roots_pin(self):
-        heap, cls, collector = self._setup()
-        a = heap.allocate(cls)
-        collector.add_root(a)
-        assert collector.collect(roots=[]) == 0
-        collector.remove_root(a)
-        assert collector.collect(roots=[]) == 1
-
-    def test_context_sweeps_counted(self):
-        heap, cls, collector = self._setup()
-        heap.allocate_context(cls, 32)
-        collector.collect(roots=[])
-        assert collector.stats.contexts_swept == 1
-
 
 class TestContextRecycler:
     def test_lifo_path(self):
@@ -276,13 +206,6 @@ class TestContextRecycler:
         assert recycler.on_return(1) is False
         assert recycler.stats.returned_non_lifo == 1
         assert recycler.stats.lifo_fraction == 0.0
-
-    def test_gc_free(self):
-        recycler = ContextRecycler()
-        recycler.note_capture(1)
-        recycler.on_gc_free(1)
-        assert recycler.stats.freed_by_gc == 1
-        assert not recycler.is_captured(1)
 
     def test_mixed_fraction(self):
         recycler = ContextRecycler()

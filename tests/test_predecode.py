@@ -270,7 +270,9 @@ class TestInvalidation:
             machine.registry.by_name("Object"), "__main__")
         key = compiled.code_address.segment_name
         assert key in machine.decoded.by_segment
-        machine.heap.free(compiled.code_address)
+        # Growing the method past its span relocates its block; the
+        # free of the old block must drop the plans it covered.
+        machine.mmu.grow_object(machine.heap.team, compiled.code_address, 64)
         assert key not in machine.decoded.by_segment
 
     def test_predecode_disabled_keeps_no_plans(self):

@@ -9,7 +9,7 @@ compares them exactly with ``sim_counters.golden.json``:
   per-reason stall breakdown, calls, returns and operands copied;
   the ITLB, icache and ATLB ``CacheStats``; every ``AccessProfile``
   field; the context-cache, context-pool and context-recycler stats
-  (with the LIFO fraction and total freed that TAB-CTX reads); the
+  (with the LIFO fraction and LIFO frees that TAB-CTX reads); the
   heap's allocations by kind; the MMU's alias-trap and bounds-fault
   counts; the activation count and maximum depth; and the result
   word;
@@ -61,8 +61,7 @@ def _com_record(experiment, machine, result):
                 "bounds_faults": machine.mmu.bounds_faults},
         "pool": dataclasses.asdict(machine.pool.stats),
         "recycler": dict(dataclasses.asdict(machine.recycler.stats),
-                         lifo_fraction=machine.recycler.stats.lifo_fraction,
-                         total_freed=machine.recycler.stats.total_freed),
+                         lifo_fraction=machine.recycler.stats.lifo_fraction),
         "heap": dataclasses.asdict(machine.heap.stats),
         "activation_count": machine.activation_count,
         "max_depth": machine.max_depth,

@@ -244,12 +244,6 @@ class TestCli:
         assert "semantics:" in out
         assert "engines:" in out
 
-    def test_list_versions_matches_version_flag(self, capsys):
-        assert cli.main(["--version"]) == 0
-        version_out = capsys.readouterr().out
-        assert cli.main(["list", "--versions"]) == 0
-        assert capsys.readouterr().out == version_out
-
     def test_report_without_telemetry_runs_errors_cleanly(
             self, tmp_path, capsys):
         code = cli.main(["report", "--run-dir", str(tmp_path)])
