@@ -3,10 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import FreeListExhausted, InvalidAddress, SegmentFault
+from repro.errors import (
+    BoundsTrap,
+    FreeListExhausted,
+    InvalidAddress,
+    SegmentFault,
+)
 from repro.memory.absolute import AbsoluteMemory, BuddyAllocator
 from repro.memory.atlb import ATLB
 from repro.memory.fpa import address_format
+from repro.memory.mmu import MMU
 from repro.memory.segments import SegmentDescriptor, SegmentTable
 from repro.memory.tags import Word
 
@@ -143,6 +149,19 @@ class TestSegmentTable:
         names = {table.allocate_name(4) for _ in range(8)}
         assert len(names) == 8
         assert all(name[0] == 4 for name in names)
+
+    def test_bounds_trap(self):
+        # The MMU's bounds check reads the length of the descriptor the
+        # team's table holds, not the span of the naming pointer.
+        mmu = MMU(address_format(16), arena_words=1 << 10)
+        table = mmu.create_team(1)
+        name = table.allocate_name(4)
+        table.install(name, SegmentDescriptor(base=0, length=4, class_tag=1))
+        address = table.address_for(name, 9)
+        with pytest.raises(BoundsTrap) as exc:
+            mmu.translate(1, address)
+        assert exc.value.offset == 9
+        assert exc.value.length == 4
 
     def test_unmapped_faults(self):
         table = self._table()
