@@ -35,37 +35,41 @@ Quickstart::
     print(machine.cycles.snapshot())
 """
 
-from repro.core.assembler import Assembler, load_program
-from repro.core.encoding import Instruction
-from repro.core.isa import Op, OpcodeTable
-from repro.core.machine import COMMachine, CompiledMethod
-from repro.core.operands import Operand
-from repro.core.pipeline import CycleParams, pipeline_diagram
-from repro.trace.columnar import Trace, TraceBuilder
-from repro.memory.fpa import AddressFormat, FPAddress, address_format
-from repro.memory.mmu import MMU
-from repro.memory.tags import Tag, Word
-
 __version__ = "1.2.0"
 
-__all__ = [
-    "Assembler",
-    "AddressFormat",
-    "COMMachine",
-    "CompiledMethod",
-    "CycleParams",
-    "FPAddress",
-    "Instruction",
-    "MMU",
-    "Op",
-    "OpcodeTable",
-    "Operand",
-    "Tag",
-    "Trace",
-    "TraceBuilder",
-    "Word",
-    "address_format",
-    "load_program",
-    "pipeline_diagram",
-    "__version__",
-]
+#: Each public name and the module that defines it.  ``import repro``
+#: imports none of them: a ``repro`` command loads only the layers it
+#: runs, and the first access to a name here imports its module.
+_EXPORTS = {
+    "Assembler": "repro.core.assembler",
+    "AddressFormat": "repro.memory.fpa",
+    "COMMachine": "repro.core.machine",
+    "CompiledMethod": "repro.core.machine",
+    "CycleParams": "repro.core.pipeline",
+    "FPAddress": "repro.memory.fpa",
+    "Instruction": "repro.core.encoding",
+    "MMU": "repro.memory.mmu",
+    "Op": "repro.core.isa",
+    "OpcodeTable": "repro.core.isa",
+    "Operand": "repro.core.operands",
+    "Tag": "repro.memory.tags",
+    "Trace": "repro.trace.columnar",
+    "TraceBuilder": "repro.trace.columnar",
+    "Word": "repro.memory.tags",
+    "address_format": "repro.memory.fpa",
+    "load_program": "repro.core.assembler",
+    "pipeline_diagram": "repro.core.pipeline",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    """Import a public name's module on first access (PEP 562)."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

@@ -48,10 +48,6 @@ class InstructionCache:
         """Capacity in instruction words."""
         return self._cache.size * self.line_words
 
-    @property
-    def associativity(self) -> int:
-        return self._cache.associativity
-
     def reference(self, address: int) -> bool:
         """Probe with an instruction address; True on hit, fills on miss."""
         return self._cache.reference(address // self.line_words)

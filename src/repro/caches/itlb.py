@@ -81,14 +81,6 @@ class ITLB:
     def stats(self):
         return self._cache.stats
 
-    @property
-    def size(self) -> int:
-        return self._cache.size
-
-    @property
-    def associativity(self) -> int:
-        return self._cache.associativity
-
     @staticmethod
     def key(opcode: int, class_tags: Tuple[int, ...]) -> ITLBKey:
         return (opcode, tuple(class_tags))

@@ -196,10 +196,6 @@ class SetAssociativeCache(Generic[K, V]):
                 entries.move_to_end(key)
         return value
 
-    def contains(self, key: K) -> bool:
-        """Non-statistical membership test (for assertions/tests)."""
-        return key in self._set_for(key)
-
     def fill(self, key: K, value: V) -> Optional[Tuple[K, V]]:
         """Insert (or update) an entry; returns the evicted (key, value).
 

@@ -45,6 +45,16 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+# The workload layer loads here, not in the subcommands: every
+# subcommand but `report` opens the registry or the store, and a
+# `trace` or `sweep` would otherwise pay for the import after start-up.
+# The simulator, Fith and the sweep engines load when a subcommand runs
+# them (DESIGN.md, "Import layering").
+from repro.trace.columnar import FORMAT_VERSION
+from repro.workloads import get, specs
+from repro.workloads.spec import check_scale
+from repro.workloads.store import QUARANTINE_DIR, TraceStore
+
 
 def _parse_override(text: str):
     """``k=v`` -> (k, v) with ints/floats/bools decoded."""
@@ -71,8 +81,6 @@ def _workload_overrides(args: argparse.Namespace) -> dict:
     declares no ``scale`` rejects it.  Raises :class:`ValueError` for
     a scale below 1.
     """
-    from repro.workloads.spec import check_scale
-
     overrides = dict(args.set or [])
     if args.scale is not None:
         overrides.setdefault("scale", args.scale)
@@ -106,7 +114,6 @@ def _print_engines() -> None:
 def _print_versions() -> None:
     """The versioned surfaces a reproduced number depends on."""
     import repro
-    from repro.trace.columnar import FORMAT_VERSION
     from repro.trace.semantics import SEMANTICS
 
     print(f"repro {repro.__version__}")
@@ -118,8 +125,6 @@ def _print_versions() -> None:
 
 def _cmd_list(args: argparse.Namespace) -> int:
     from repro.experiments import harness
-    from repro.workloads import specs
-    from repro.workloads.store import TraceStore
 
     only_flags = (args.workloads, args.experiments, args.engines)
     show_all = not any(only_flags)
@@ -157,8 +162,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_verify(args: argparse.Namespace) -> int:
-    from repro.workloads.store import QUARANTINE_DIR, TraceStore
-
     store = TraceStore(args.trace_dir)
     report = store.verify()
     print(f"trace store: {store.root}")
@@ -194,9 +197,6 @@ def _usage_error(error: Exception) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.workloads import get
-    from repro.workloads.store import TraceStore
-
     try:
         spec = get(args.name)
         overrides = _workload_overrides(args)
@@ -237,8 +237,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.workloads.store import TraceStore
-
     if args.action == "verify":
         return _cmd_store_verify(args)
     store = TraceStore(args.trace_dir)
@@ -306,8 +304,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.sweep import (Query, SweepSpec, run_batch,
                              run_semantics_delta, semantics_delta_table)
     from repro.trace.cachesim import ascii_plot
-    from repro.workloads import get
-    from repro.workloads.store import TraceStore
 
     caches = (("itlb", "icache") if args.cache == "both"
               else (args.cache,))
@@ -328,11 +324,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workload = get(args.workload)
         overrides = _workload_overrides(args)
         workload.resolve(quick=args.quick, overrides=overrides)
-        specs = [SweepSpec(cache=cache,
-                           line_words=(args.line_words
-                                       if cache == "icache" else 1),
-                           **common)
-                 for cache in caches]
+        sweep_specs = [SweepSpec(cache=cache,
+                                 line_words=(args.line_words
+                                             if cache == "icache" else 1),
+                                 **common)
+                       for cache in caches]
     except (KeyError, ValueError) as error:
         return _usage_error(error)
     store = TraceStore(args.trace_dir)
@@ -342,8 +338,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"warm-up:  "
           f"{'double pass' if args.warmup is None else f'fraction {args.warmup}'}"
           f" (semantics: {args.semantics})")
-    batch = run_batch([Query(spec=spec) for spec in specs], events)
-    for spec, surface in zip(specs, batch.surfaces):
+    batch = run_batch([Query(spec=spec) for spec in sweep_specs], events)
+    for spec, surface in zip(sweep_specs, batch.surfaces):
         meta = surface.meta
         print()
         print(surface.table())

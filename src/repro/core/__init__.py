@@ -1,25 +1,1 @@
 """The Caltech Object Machine: ISA, contexts, caches, pipeline, machine."""
-
-from repro.core.assembler import Assembler, load_program
-from repro.core.constants import ConstantTable
-from repro.core.context import CONTEXT_WORDS, ContextPool
-from repro.core.context_cache import ContextCache
-from repro.core.encoding import Instruction, disassemble
-from repro.core.isa import Op, OpcodeTable
-from repro.core.machine import COMMachine, CompiledMethod
-from repro.core.operands import Operand
-from repro.core.pipeline import (
-    CycleAccountant,
-    CycleParams,
-    pipeline_diagram,
-    pipeline_schedule,
-)
-from repro.core.registers import ProcessStatus, RegisterFile
-
-__all__ = [
-    "Assembler", "COMMachine", "CONTEXT_WORDS", "CompiledMethod",
-    "ConstantTable", "ContextCache", "ContextPool", "CycleAccountant",
-    "CycleParams", "Instruction", "Op", "OpcodeTable", "Operand",
-    "ProcessStatus", "RegisterFile", "disassemble", "load_program",
-    "pipeline_diagram", "pipeline_schedule",
-]

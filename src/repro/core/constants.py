@@ -77,6 +77,3 @@ class ConstantTable:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def words(self) -> List[Word]:
-        return list(self._entries)

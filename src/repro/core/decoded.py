@@ -328,10 +328,3 @@ class DecodedProgramCache:
         ]
         for method in victims:
             self._drop(method)
-
-    def flush(self) -> None:
-        self.invalidations += len(self.by_segment)
-        for method in self.by_segment.values():
-            method.live = False
-        self.by_segment.clear()
-        self._owner_of.clear()

@@ -15,7 +15,7 @@ on demand (the compiler's "assembling opcodes" step from section 2.1).
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from repro.errors import EncodingError
 
@@ -163,9 +163,6 @@ class OpcodeTable:
     def architectural_op(self, number: int) -> Optional[Op]:
         """The :class:`Op` member for an architectural number, else None."""
         return architectural_op(number)
-
-    def selectors(self) -> Iterator[str]:
-        return iter(self._by_selector)
 
     def __len__(self) -> int:
         return len(self._by_number)

@@ -306,9 +306,11 @@ class COMMachine:
         # segment is fresh and exactly ``count`` words long, so every
         # word passes the first word's checks, and each store after the
         # first would probe the same ATLB entry and hit without moving
-        # it.  Those hits are counted in bulk.
+        # it.  Those hits are counted in bulk.  The predecoded plans
+        # reuse the same translation.
         mmu = self.mmu
-        base = mmu.translate(self.heap.team, code).absolute
+        translation = mmu.translate(self.heap.team, code)
+        base = translation.absolute
         mmu.atlb.stats.hits += count - 1
         write = mmu.absolute.write
         for index, word in enumerate(words):
@@ -322,11 +324,9 @@ class COMMachine:
             self.decoded.invalidate_segment(
                 previous.code_address.segment_name)
         if self.predecode:
-            result = self.mmu.translate(self.heap.team, code)
             self.decoded.predecode(
-                code, instructions, words, result.absolute,
-                result.descriptor, self.opcodes.selector_of,
-                self.constants)
+                code, instructions, words, base, translation.descriptor,
+                self.opcodes.selector_of, self.constants)
         self._methods[(cls.class_tag, selector)] = compiled
         self.frame_sizes.record(frame_words)
         if frame_words > CONTEXT_WORDS:

@@ -704,10 +704,6 @@ class FithMachine:
         self.load(source)
         self.run(max_steps)
 
-    def result(self) -> Optional[Word]:
-        """Top of stack after a run (None when empty)."""
-        return self.stack[-1] if self.stack else None
-
 
 # ----------------------------------------------------------------------
 # interpreter dispatch table

@@ -15,7 +15,7 @@ produces exactly such placements and supports recycling freed segments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import FreeListExhausted, InvalidAddress
 from repro.memory.tags import Word
@@ -202,8 +202,3 @@ class AbsoluteMemory:
         """Reset a block to uninitialized (context-cache block clear)."""
         for addr in range(base, base + count):
             self._words.pop(addr, None)
-
-    # -- inspection -------------------------------------------------------------
-
-    def allocations(self) -> Iterator[Allocation]:
-        return iter(self._allocations.values())

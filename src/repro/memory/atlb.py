@@ -65,8 +65,5 @@ class ATLB:
         """Shoot down every translation belonging to one team space."""
         return self._cache.invalidate_where(lambda key, _value: key[0] == team)
 
-    def flush(self) -> None:
-        self._cache.flush()
-
     def __len__(self) -> int:
         return len(self._cache)

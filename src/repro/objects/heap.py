@@ -11,7 +11,7 @@ collector is modelled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.memory.fpa import FPAddress
 from repro.memory.mmu import MMU
@@ -79,10 +79,6 @@ class ObjectHeap:
     def store(self, address: FPAddress, index: int, word: Word) -> None:
         """Write field ``index`` of the object (``at:put:``)."""
         self.mmu.write(self.team, address.base().step(index), word)
-
-    def fill(self, address: FPAddress, words: List[Word]) -> None:
-        for index, word in enumerate(words):
-            self.store(address, index, word)
 
     def class_tag_of(self, address: FPAddress) -> int:
         return self.mmu.class_of(self.team, address)

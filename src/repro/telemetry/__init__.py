@@ -40,9 +40,7 @@ from __future__ import annotations
 import atexit
 import json
 import os
-import platform
 import time
-import uuid
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -177,6 +175,8 @@ class _Recorder:
     """The run's telemetry state: span sink, metric registry."""
 
     def __init__(self, directory: os.PathLike) -> None:
+        import uuid
+
         self.directory = Path(directory)
         self.pid = os.getpid()
         #: Per-recorder-unique id discriminator: a recycled PID
@@ -371,6 +371,7 @@ def environment_block() -> dict:
     The version comes from numpy's distribution metadata, so writing
     the block never imports numpy.
     """
+    import platform
     from importlib import metadata
     try:
         numpy_version = metadata.version("numpy")

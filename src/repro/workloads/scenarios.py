@@ -13,23 +13,15 @@ Importing this module populates the workload registry
 Adding a scenario is one generator function plus one
 :func:`workload` registration -- about ten lines; the CLI, harness,
 store and tests pick it up automatically.
+
+Each generator imports Fith (and :mod:`repro.trace.workloads`) when
+it runs, not here: ``import repro.cli`` registers the catalogue, and a
+command that only loads stored traces never loads Fith.
 """
 
 from __future__ import annotations
 
-from repro.fith.interp import FithMachine
-from repro.fith.programs import (
-    deep_calls,
-    gc_churn,
-    megamorphic,
-    redefinition_epoch,
-)
 from repro.trace.columnar import Trace
-from repro.trace.workloads import (
-    interleaved_trace,
-    monomorphic_trace,
-    paper_trace,
-)
 from repro.workloads.spec import WorkloadSpec, register
 
 _MAX_STEPS = 50_000_000
@@ -48,6 +40,8 @@ def workload(name: str, description: str, *, defaults=None, quick=None,
 
 
 def _run_traced(source: str) -> Trace:
+    from repro.fith.interp import FithMachine
+
     machine = FithMachine(trace=True)
     machine.run_source(source, max_steps=_MAX_STEPS)
     return machine.trace.snapshot()
@@ -55,38 +49,40 @@ def _run_traced(source: str) -> Trace:
 
 # -- ports of the original hand-wired traces ---------------------------
 
-register(WorkloadSpec(
-    name="paper",
-    description=("the section-5 measurement trace: the whole Fith "
-                 "corpus plus the calibrated polymorphic workload "
-                 "(figures 10 and 11 run on this)"),
-    build=paper_trace,
+@workload(
+    "paper",
+    "the section-5 measurement trace: the whole Fith corpus plus the "
+    "calibrated polymorphic workload (figures 10 and 11 run on this)",
     defaults={"scale": 1, "classes": 20, "selectors": 32, "rounds": 450,
               "phase_length": 700, "stray_percent": 2,
               "hot_selectors": 10},
-    quick_overrides={"phase_length": 280},
-    version=1,
-))
+    quick={"phase_length": 280},
+)
+def _paper_events(**params) -> Trace:
+    from repro.trace.workloads import paper_trace
+    return paper_trace(**params)
 
-register(WorkloadSpec(
-    name="interleaved",
-    description=("the corpus round-robin interleaved in fixed-size "
-                 "slices: a multiprogramming workload with "
-                 "alternating working sets"),
-    build=interleaved_trace,
+
+@workload(
+    "interleaved",
+    "the corpus round-robin interleaved in fixed-size slices: a "
+    "multiprogramming workload with alternating working sets",
     defaults={"scale": 1, "chunk": 2000},
-    version=1,
-))
+)
+def _interleaved_events(**params) -> Trace:
+    from repro.trace.workloads import interleaved_trace
+    return interleaved_trace(**params)
 
-register(WorkloadSpec(
-    name="monomorphic",
-    description=("degenerate single-key trace; the control case for "
-                 "cache experiments"),
-    build=monomorphic_trace,
+
+@workload(
+    "monomorphic",
+    "degenerate single-key trace; the control case for cache experiments",
     defaults={"length": 20_000},
-    quick_overrides={"length": 5_000},
-    version=1,
-))
+    quick={"length": 5_000},
+)
+def _monomorphic_events(**params) -> Trace:
+    from repro.trace.workloads import monomorphic_trace
+    return monomorphic_trace(**params)
 
 
 # -- new stress scenarios ----------------------------------------------
@@ -99,6 +95,7 @@ register(WorkloadSpec(
 )
 def _gc_churn_events(scale: int = 1, slots: int = 16,
                      batch: int = 48) -> Trace:
+    from repro.fith.programs import gc_churn
     return _run_traced(gc_churn(scale, slots=slots, batch=batch))
 
 
@@ -110,6 +107,7 @@ def _gc_churn_events(scale: int = 1, slots: int = 16,
 )
 def _megamorphic_events(scale: int = 1,
                         classes: int = 26) -> Trace:
+    from repro.fith.programs import megamorphic
     return _run_traced(megamorphic(scale, classes=classes))
 
 
@@ -122,6 +120,7 @@ def _megamorphic_events(scale: int = 1,
 )
 def _deep_calls_events(scale: int = 1,
                        depth: int = 500) -> Trace:
+    from repro.fith.programs import deep_calls
     return _run_traced(deep_calls(scale, depth=depth))
 
 
@@ -135,6 +134,9 @@ def _deep_calls_events(scale: int = 1,
 )
 def _redefine_churn_events(scale: int = 1, epochs: int = 8,
                            classes: int = 6) -> Trace:
+    from repro.fith.interp import FithMachine
+    from repro.fith.programs import redefinition_epoch
+
     machine = FithMachine(trace=True)
     for epoch in range(epochs):
         machine.load(redefinition_epoch(epoch, scale, classes=classes))
