@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    repro run    [--quick] [--only/--skip IDs] [--list]
+    repro run    [--quick] [--only/--skip IDs]
                  [--retries N] [--resume]
                  [--faults PLAN] [--fault-seed N] ...
                  run the experiment suite (the registry-driven
@@ -50,6 +50,7 @@ from typing import List, Optional
 # `trace` or `sweep` would otherwise pay for the import after start-up.
 # The simulator, Fith and the sweep engines load when a subcommand runs
 # them (DESIGN.md, "Import layering").
+from repro import faults
 from repro.trace.columnar import FORMAT_VERSION
 from repro.workloads import get, specs
 from repro.workloads.spec import check_scale
@@ -124,8 +125,6 @@ def _print_versions() -> None:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    from repro.experiments import harness
-
     only_flags = (args.workloads, args.experiments, args.engines)
     show_all = not any(only_flags)
     show_workloads = args.workloads or show_all
@@ -152,6 +151,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
     if show_workloads and show_experiments:
         print()
     if show_experiments:
+        from repro.experiments import harness
+
         print("experiments (claim registry):")
         harness.list_experiments()
     if show_engines:
@@ -398,17 +399,55 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.experiments import harness
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of Dally & Kajiya, 'An Object "
                     "Oriented Architecture' (ISCA 1985)")
     commands = parser.add_subparsers(dest="command", required=True)
 
+    # Declared here, not in the harness, so that parsing any command
+    # loads no experiment module; harness.run_from_args checks them.
     run_parser = commands.add_parser(
         "run", help="run the experiment suite")
-    harness.add_run_arguments(run_parser)
+    run_parser.add_argument("--scale", type=int, default=1,
+                            help="workload scale factor (default 1)")
+    run_parser.add_argument("--quick", action="store_true",
+                            help="shrink trace workloads for a fast pass")
+    run_parser.add_argument("--only", type=str, default=None,
+                            help="comma-separated experiment ids to run")
+    run_parser.add_argument("--skip", type=str, default=None,
+                            help="comma-separated experiment ids to skip")
+    run_parser.add_argument("--trace-dir", type=str, default=None,
+                            help="trace store directory "
+                                 "(default .repro_traces or $REPRO_TRACE_DIR)")
+    run_parser.add_argument("--retries", type=int,
+                            default=faults.DEFAULT_RETRIES,
+                            help="retry budget per failing task "
+                                 f"(default {faults.DEFAULT_RETRIES})")
+    run_parser.add_argument("--retry-backoff", type=float,
+                            default=faults.DEFAULT_BACKOFF, metavar="SECONDS",
+                            help="exponential backoff base between "
+                                 f"retries (default {faults.DEFAULT_BACKOFF})")
+    run_parser.add_argument("--resume", action="store_true",
+                            help="serve already-completed experiments "
+                                 "from the run journal and run the rest")
+    run_parser.add_argument("--run-dir", type=str, default=None,
+                            help="run-journal directory (default "
+                                 ".repro_runs or $REPRO_RUN_DIR)")
+    run_parser.add_argument("--faults", type=str, default=None,
+                            metavar="PLAN",
+                            help="arm a deterministic fault-injection "
+                                 "plan: site:kind[:p=0.5][:times=2][,...] "
+                                 "(sites: " + ", ".join(faults.SITES)
+                                 + "; kinds: " + ", ".join(faults.KINDS)
+                                 + ")")
+    run_parser.add_argument("--fault-seed", type=int, default=0,
+                            help="seed for the fault plan's deterministic "
+                                 "injection rolls (default 0)")
+    run_parser.add_argument("--telemetry", action="store_true",
+                            help="record spans + metrics under the run's "
+                                 "journal directory (render with "
+                                 "`repro report`)")
     run_parser.set_defaults(func=_cmd_run)
 
     sweep_parser = commands.add_parser(

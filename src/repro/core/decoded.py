@@ -1,22 +1,21 @@
-"""Predecoded instruction streams for the COM interpreter.
+"""Instruction plans: the one statement of how the COM runs a word.
 
-The functional simulator's hottest path is :meth:`COMMachine.step`:
-the seed re-decoded the same 32-bit word into frozen ``Instruction``/
-``Operand`` dataclasses on every fetch, re-derived the architectural
-:class:`~repro.core.isa.Op` three or four times per instruction, and
-re-translated the IP through the MMU.  None of that work depends on
-machine state -- a method's code is immutable between installation and
-redefinition -- so it can be done once, when
-:meth:`COMMachine.install_method` stores the method.
+Every instruction the interpreter (:meth:`COMMachine._execute`) runs,
+it runs from a *plan*: which operand words form the ITLB key (paper
+sections 2.1 and 3.5), where a primitive's result goes, which operands
+start a RAW hazard and what the instruction leaves as the previous
+destination.  This module is the only place those rules are written.
+None of them depends on machine state -- a method's code is immutable
+between installation and redefinition -- so
+:meth:`COMMachine.install_method` plans a method's code once, and a
+fetch no plan covers plans its word on the spot.
 
-This module holds the result of that one-time work:
-
-* :class:`DecodedInstruction` -- one instruction's *plan*: the decoded
-  ``Instruction``, its memoized architectural op, the dispatch shape
-  (which operand words form the ITLB key), precomputed operand slots,
-  the destination-write shape, the RAW-hazard source set, the
-  pretranslated fall-through IP and, for a conditional jump with a
-  constant small-integer displacement, the pretranslated target IP;
+* :class:`DecodedInstruction` -- one instruction's plan: the decoded
+  ``Instruction``, its architectural op, the dispatch shape, the
+  operand readers, the destination-write shape, the RAW-hazard source
+  set and, for an installed method's slot, the pretranslated
+  fall-through IP and, for a conditional jump with a constant
+  small-integer displacement, the pretranslated target IP;
 * :class:`DecodedMethod` -- a method's plan array plus the absolute
   base of its code segment (the IP-translation cache for straight-line
   fetch: ``absolute = base_absolute + offset`` with a descriptor
@@ -25,7 +24,8 @@ This module holds the result of that one-time work:
   instructions;
 * :class:`DecodedProgramCache` -- the per-machine registry, keyed by
   the code segment name and indexed by absolute code address for
-  invalidation.
+  invalidation, and the builder of every plan
+  (:meth:`DecodedProgramCache.plan`).
 
 Invalidation rules (documented in DESIGN.md):
 
@@ -37,17 +37,13 @@ Invalidation rules (documented in DESIGN.md):
 * **frees** -- a freed block (the old block of a method that
   ``MMU.grow_object`` relocated) drops any plans it covered via
   :meth:`note_free`;
-* **segment moves** -- the fetch fast path revalidates the captured
+* **segment moves** -- the fetch loop revalidates the captured
   segment descriptor (base unchanged, no alias forward) before
-  trusting a plan, so grown/aliased code falls back to the slow path.
+  trusting a plan, so grown/aliased code is fetched through the MMU.
 
 A jump's target IP cannot go stale: the constant table is
 append-only, so the displacement word a plan read never changes, and
 the target lies in the plan's own segment, so it dies with the plan.
-
-Every plan consumer preserves the seed's cycle accounting, trace
-events and :class:`~repro.caches.stats.AccessProfile` tallies exactly;
-``tests/test_predecode.py`` pins that equivalence.
 """
 
 from __future__ import annotations
@@ -60,23 +56,21 @@ from repro.core.isa import Op, architectural_op
 from repro.core.operands import Mode, Operand, Space
 
 #: Dispatch shapes: which operand words form the ITLB key (receiver
-#: first), mirroring ``COMMachine._dispatch_sources``.
+#: first).
 K_HALT = 0      # no dispatch; stops the machine
 K_ZERO = 1      # zero-operand format: nargs next-context locals
 K_SOURCES = 2   # three-operand format: read the plan's source list
 
-#: Destination-write shapes, mirroring ``COMMachine._write_result`` /
-#: ``_write_operand`` for a three-operand primitive result.
+#: Destination-write shapes: where a primitive's result goes.
 D_NONE = 0      # at:put: has no destination
 D_ZERO = 1      # zero-operand: through the next context's result pointer
 D_CUR0 = 2      # current-context slot 0: indirect through arg0 if pointer
 D_CUR = 3       # current-context slot write
 D_NEXT = 4      # next-context slot write
-D_SLOW = 5      # constant-mode destination: defer to the slow writer (raises)
+D_CONSTANT = 5  # constant-mode destination: COMMachine._write_operand raises
 
-#: Ops whose sources are operands B and C, destination A (re-exported
-#: by machine.py for its slow path).
-BINARY_OPS = frozenset({
+#: Ops whose sources are operands B and C, destination A.
+_BINARY_OPS = frozenset({
     Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD,
     Op.CARRY, Op.MULT1, Op.MULT2,
     Op.SHIFT, Op.ASHIFT, Op.ROTATE, Op.MASK,
@@ -84,7 +78,7 @@ BINARY_OPS = frozenset({
     Op.LT, Op.LE, Op.EQ, Op.SAME,
 })
 #: Ops whose single source is operand B, destination A.
-UNARY_OPS = frozenset({Op.NEG, Op.NOT, Op.TAG, Op.MOVE})
+_UNARY_OPS = frozenset({Op.NEG, Op.NOT, Op.TAG, Op.MOVE})
 
 #: Ops that never record a previous-destination for hazard tracking.
 _NO_DEST_OPS = frozenset({Op.FJMP, Op.RJMP, Op.XFER, Op.HALT, Op.ATPUT})
@@ -97,9 +91,9 @@ _JUMPS = {Op.FJMP: ("machine.fjmp", 1), Op.RJMP: ("machine.rjmp", -1)}
 def _source_operands(inst: Instruction, arch) -> Tuple[Operand, ...]:
     """The operands whose words form the ITLB key, receiver first."""
     a, b, c = inst.operands
-    if arch in BINARY_OPS or arch is None:
+    if arch in _BINARY_OPS or arch is None:
         return (b, c)                 # user sends dispatch like binaries
-    if arch in UNARY_OPS or arch is Op.MOVEA:
+    if arch in _UNARY_OPS or arch is Op.MOVEA:
         return (b,)
     if arch is Op.AT or arch is Op.AS:
         return (b, c)
@@ -153,7 +147,7 @@ def _word_fields(inst: Instruction, word: int, selector: str) -> tuple:
         return head + ((), frozenset(), D_ZERO, 0, None)
     sources = tuple(_reader_of(op) for op in _source_operands(inst, arch))
     # RAW hazard: operands B/C reading the previous instruction's
-    # context destination (COMMachine._check_raw_hazard).
+    # context destination.
     hazards = frozenset(
         (op.space.value, op.offset)
         for op in inst.operands[1:] if op.mode is Mode.CONTEXT
@@ -162,13 +156,13 @@ def _word_fields(inst: Instruction, word: int, selector: str) -> tuple:
     if arch is Op.ATPUT:
         dest_kind, dest_slot = D_NONE, 0
     elif a.mode is Mode.CONSTANT:
-        dest_kind, dest_slot = D_SLOW, 0
+        dest_kind, dest_slot = D_CONSTANT, 0
     elif a.space is Space.CURRENT:
         dest_kind = D_CUR0 if a.offset == 0 else D_CUR
         dest_slot = operand_slot(a.offset)
     else:
         dest_kind, dest_slot = D_NEXT, operand_slot(a.offset)
-    # Previous-destination bookkeeping (COMMachine._record_dest).
+    # What the next instruction's hazard check compares against.
     if arch in _NO_DEST_OPS or a.mode is not Mode.CONTEXT:
         dest_prev = None
     else:
@@ -187,29 +181,26 @@ class DecodedInstruction:
     """One instruction's execution plan (see module docstring).
 
     ``fields`` is :func:`_word_fields`'s tuple for the instruction's
-    word; the pretranslated fall-through IP and, for a predecoded
+    word.  The pretranslated fall-through IP and, for a predecoded
     conditional jump, the unit it must resolve to and its taken IP
-    (both None for every other instruction) depend on where the
-    instruction sits.
+    depend on where the instruction sits; they stay None unless
+    :meth:`DecodedProgramCache.predecode` sets them.
     """
 
     __slots__ = _WORD_FIELDS + ("next_ip", "jump_unit", "jump_ip")
 
-    def __init__(self, fields: tuple, next_ip,
-                 jump_unit: Optional[str] = None, jump_ip=None) -> None:
+    def __init__(self, fields: tuple) -> None:
         (self.inst, self.word, self.opcode, self.selector, self.arch,
          self.kind, self.returns, self.nargs, self.sources, self.hazards,
          self.dest_kind, self.dest_slot, self.dest_prev) = fields
-        self.next_ip = next_ip
-        self.jump_unit = jump_unit
-        self.jump_ip = jump_ip
+        self.next_ip = self.jump_unit = self.jump_ip = None
 
 
 class DecodedMethod:
     """A method's predecoded plan array plus its pretranslated base.
 
     ``live`` is True until the method's plans are shot down
-    (``DecodedProgramCache._drop`` and ``flush`` clear it).  The fetch
+    (``DecodedProgramCache._drop`` clears it).  The fetch
     loop keeps the running method across fall-through instructions
     instead of probing ``by_segment`` again, and tests ``live`` on
     each of them, so a shootdown takes effect at the next fetch.
@@ -219,7 +210,7 @@ class DecodedMethod:
                  "live")
 
     def __init__(self, segment_key: Tuple[int, int], base_absolute: int,
-                 descriptor, plans: List[Optional[DecodedInstruction]]) -> None:
+                 descriptor, plans: List[DecodedInstruction]) -> None:
         self.segment_key = segment_key
         self.base_absolute = base_absolute
         self.descriptor = descriptor
@@ -228,24 +219,44 @@ class DecodedMethod:
 
 
 class DecodedProgramCache:
-    """Per-machine registry of predecoded methods.
+    """Per-machine registry of predecoded methods, and the builder of
+    every plan the machine runs.
 
-    ``by_segment`` is consulted by the fetch fast path (one dict probe
-    per instruction); ``_owner_of`` maps every covered absolute code
-    address back to its method for write invalidation.
+    ``by_segment`` is consulted by the fetch loop (one dict probe per
+    instruction that does not fall through); ``_owner_of`` maps every
+    covered absolute code address back to its method for write
+    invalidation.
     """
 
     def __init__(self) -> None:
         self.by_segment: Dict[Tuple[int, int], DecodedMethod] = {}
         self._owner_of: Dict[int, Tuple[int, int]] = {}
-        #: (word, selector) -> _word_fields tuple: a word's plan fields
-        #: are computed once however often the word occurs.
-        self._fields_of: Dict[Tuple[int, str], tuple] = {}
+        #: word -> _word_fields tuple: a word's plan fields are computed
+        #: once however often the word occurs (an opcode's selector
+        #: never changes once the machine's opcode table assigns it).
+        self._fields_of: Dict[int, tuple] = {}
         self.installs = 0
         self.invalidations = 0
 
     def __len__(self) -> int:
         return len(self.by_segment)
+
+    def plan(self, word: int, selector_of,
+             inst: Optional[Instruction] = None) -> DecodedInstruction:
+        """The plan of one 32-bit instruction word, with no
+        pretranslated IP: the machine steps the IP past it and runs a
+        jump's machine unit.
+
+        ``selector_of`` is the opcode-number -> selector map and
+        ``inst`` the decoded word when the caller has it.
+        """
+        fields = self._fields_of.get(word)
+        if fields is None:
+            if inst is None:
+                inst = Instruction.decode(word)
+            fields = self._fields_of[word] = _word_fields(
+                inst, word, selector_of(inst.opcode))
+        return DecodedInstruction(fields)
 
     def predecode(self, code_base, instructions, words, base_absolute,
                   descriptor, selector_of, constants) -> DecodedMethod:
@@ -257,28 +268,21 @@ class DecodedProgramCache:
         and ``constants`` the machine's constant table.
         """
         span = code_base.span
-        plans: List[Optional[DecodedInstruction]] = []
-        fields_of = self._fields_of
+        plans = []
         for index, (inst, word) in enumerate(zip(instructions, words)):
-            selector = selector_of(inst.opcode)
-            fields = fields_of.get((word, selector))
-            if fields is None:
-                fields = fields_of[word, selector] = _word_fields(
-                    inst, word, selector)
+            plan = self.plan(word, selector_of, inst)
             # The fall-through IP is pretranslated here; the last slot
             # of a full segment has none (stepping past it must raise
-            # exactly as the slow path would).
-            next_ip = (code_base.step(index + 1)
-                       if index + 1 < span else None)
+            # as FPAddress.step does).
+            if index + 1 < span:
+                plan.next_ip = code_base.step(index + 1)
             # So is a jump's taken IP, when its displacement is a
             # small-integer constant and the target stays inside the
             # segment; any other jump runs its machine unit.
-            jump_unit = jump_ip = None
             jump = _jump_target(inst, index, constants)
             if jump is not None and 0 <= jump[1] < span:
-                jump_unit, jump_ip = jump[0], code_base.step(jump[1])
-            plans.append(DecodedInstruction(
-                fields, next_ip, jump_unit, jump_ip))
+                plan.jump_unit, plan.jump_ip = jump[0], code_base.step(jump[1])
+            plans.append(plan)
         method = DecodedMethod(
             code_base.segment_name, base_absolute, descriptor, plans)
         self.install(method)

@@ -36,10 +36,6 @@ _IMM_MASK = (1 << _IMM_BITS) - 1
 _OPERAND_MASK = (1 << OPERAND_BITS) - 1
 _OP_MASK = NUM_OPCODES - 1
 
-#: Shared memo for :meth:`Instruction.decode_cached`.
-_DECODE_CACHE = {}
-_DECODE_CACHE_LIMIT = 1 << 16
-
 
 @dataclass(frozen=True)
 class Instruction:
@@ -123,23 +119,6 @@ class Instruction:
         b = Operand.decode((word >> _B_SHIFT) & _OPERAND_MASK)
         c = Operand.decode((word >> _C_SHIFT) & _OPERAND_MASK)
         return Instruction.three(opcode, a, b, c, returns)
-
-    @staticmethod
-    def decode_cached(word: int) -> "Instruction":
-        """Memoized :meth:`decode` for hot fetch paths.
-
-        Instructions are frozen value objects, so sharing decode
-        results is safe; a program's working set of distinct encodings
-        is small.  The cache is bounded to keep pathological inputs
-        (e.g. decoding random words) from growing it without limit.
-        """
-        inst = _DECODE_CACHE.get(word)
-        if inst is None:
-            inst = Instruction.decode(word)
-            if len(_DECODE_CACHE) >= _DECODE_CACHE_LIMIT:
-                _DECODE_CACHE.clear()
-            _DECODE_CACHE[word] = inst
-        return inst
 
     # -- display ------------------------------------------------------------
 

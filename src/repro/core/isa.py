@@ -88,23 +88,12 @@ OP_SELECTORS: Dict[Op, str] = {
     Op.HALT: "halt",
 }
 
-#: Opcodes whose execution never consults operand classes at all
-#: (pure control / simulator plumbing).  Everything else dispatches.
-CONTROL_OPS = frozenset({Op.XFER, Op.HALT})
-
-#: Opcodes that read memory outside the contexts (pipeline stall source).
-MEMORY_OPS = frozenset({Op.AT, Op.ATPUT})
-
-#: Branch opcodes (one delay cycle in the pipeline, section 3.6).
-BRANCH_OPS = frozenset({Op.FJMP, Op.RJMP})
-
 #: First opcode number available for user-defined selectors.
 FIRST_USER_OPCODE = 64
 
 #: Memoized opcode-number -> Op member (or None) for the whole opcode
-#: space.  The interpretation loop consults the architectural op of
-#: every instruction several times per step; a flat table turns that
-#: into a single index instead of an enum construction.
+#: space: looking an instruction's op up is a single index instead of
+#: an enum construction.
 ARCHITECTURAL_OPS: tuple = tuple(
     Op(number) if (0 < number < FIRST_USER_OPCODE
                    and number in Op._value2member_map_) else None
@@ -159,10 +148,6 @@ class OpcodeTable:
     def number_of(self, selector: str) -> Optional[int]:
         """Existing number for a selector, or None (no assignment)."""
         return self._by_selector.get(selector)
-
-    def architectural_op(self, number: int) -> Optional[Op]:
-        """The :class:`Op` member for an architectural number, else None."""
-        return architectural_op(number)
 
     def __len__(self) -> int:
         return len(self._by_number)

@@ -62,22 +62,22 @@ from repro.core.context import (
 )
 from repro.core.context_cache import ContextCache
 from repro.core.decoded import (
-    BINARY_OPS as _BINARY_OPS,
+    D_CONSTANT,
     D_CUR,
     D_CUR0,
     D_NEXT,
-    D_SLOW,
     D_ZERO,
+    DecodedInstruction,
+    DecodedMethod,
     DecodedProgramCache,
     K_SOURCES,
     K_ZERO,
-    UNARY_OPS as _UNARY_OPS,
 )
 from repro.core.encoding import Instruction
 from repro.core.isa import Op, OpcodeTable
 from repro.core.operands import Mode, Operand, Space
 from repro.core.pipeline import CycleAccountant, CycleParams
-from repro.core.primitives import execute_unit, unit_function
+from repro.core.primitives import unit_function
 from repro.core.registers import RegisterFile
 from repro.trace.columnar import TraceBuilder
 
@@ -86,6 +86,11 @@ _ATOM = Tag.ATOM
 _POINTER = Tag.OBJECT_POINTER
 _CONSTANT = Mode.CONSTANT
 _CURRENT = Space.CURRENT
+
+#: What the fetch loop's ``by_segment`` probe yields when no method is
+#: predecoded at the IP: a method with no plans, so no plan covers it
+#: (the loop tests the plan count before it reads the descriptor).
+_UNPLANNED = DecodedMethod(None, 0, None, [])
 
 
 @dataclass
@@ -148,18 +153,19 @@ class COMMachine:
         #: Call depth of the running program (top-level frame = 1).
         self.depth = 0
         self.max_depth = 0
-        #: Predecode layer: per-method instruction plans consulted by
-        #: the fetch fast path.  Disable (predecode=False) to force the
-        #: decode-every-step interpreter -- the equivalence tests run
-        #: both and require identical cycles, profile and trace.
+        #: Predecode layer: per-method instruction plans built at
+        #: install time.  With predecode=False every fetch goes through
+        #: the MMU and plans its word on the spot, the reference for
+        #: what installed plans add -- the equivalence tests run both
+        #: and require identical cycles, profile and trace.
         self.predecode = predecode
         self.decoded = DecodedProgramCache()
         if predecode:
             self.mmu.absolute.watch_writes(self.decoded.note_write)
             self.mmu.absolute.watch_frees(self.decoded.note_free)
-        #: Machine-level function units by name: replaces the former
-        #: string-compare chain in _run_machine_unit with one dict
-        #: lookup of a bound handler.
+        #: Machine-level function units by name: bound handlers that
+        #: write their own destination and return True when they set
+        #: the IP themselves.
         self._machine_units = {
             "machine.movea": self._unit_movea,
             "machine.at": self._unit_at,
@@ -428,57 +434,6 @@ class COMMachine:
     # dispatch
     # ------------------------------------------------------------------
 
-    def _dispatch_sources(
-        self, inst: Instruction
-    ) -> Tuple[List[Word], List[Operand]]:
-        """Fetch the operand words that form the ITLB key, receiver first."""
-        arch = self.opcodes.architectural_op(inst.opcode)
-        if inst.is_zero_operand:
-            words = []
-            if inst.nargs >= 1:
-                self.profile.context_reads += 1
-                words.append(self.context_cache.read_next(ARG1_SLOT))
-            if inst.nargs >= 2:
-                self.profile.context_reads += 1
-                words.append(self.context_cache.read_next(ARG1_SLOT + 1))
-            return words, []
-        a, b, c = inst.operands
-        if arch in _BINARY_OPS or arch is None:
-            # User three-operand sends dispatch like binary messages.
-            return [self._read_operand(b), self._read_operand(c)], [b, c]
-        if arch in _UNARY_OPS:
-            return [self._read_operand(b)], [b]
-        if arch is Op.MOVEA:
-            return [self._read_operand(b)], [b]
-        if arch is Op.AT:
-            return [self._read_operand(b), self._read_operand(c)], [b, c]
-        if arch is Op.ATPUT:
-            return [
-                self._read_operand(b), self._read_operand(c),
-                self._read_operand(a),
-            ], [b, c, a]
-        if arch is Op.AS:
-            return [self._read_operand(b), self._read_operand(c)], [b, c]
-        if arch in (Op.FJMP, Op.RJMP):
-            return [self._read_operand(a)], [a]
-        if arch is Op.XFER:
-            return [self._read_operand(a)], [a]
-        return [], []   # HALT
-
-    def _itlb_translate(self, inst: Instruction,
-                        sources: List[Word]) -> ITLBEntry:
-        class_tags = tuple(word.class_tag for word in sources)
-        entry = self.itlb.probe((inst.opcode, class_tags))
-        if entry is MISS:
-            entry = self._itlb_miss(
-                inst.opcode, self.opcodes.selector_of(inst.opcode),
-                class_tags)
-        if self.trace is not None:
-            receiver = class_tags[0] if class_tags else -1
-            address = getattr(self, "_fetch_absolute", self.ip.packed)
-            self.trace.record(address, inst.opcode, receiver)
-        return entry
-
     def _itlb_miss(self, opcode: int, selector: str,
                    class_tags: Tuple[int, ...]) -> ITLBEntry:
         """An ITLB miss: full method lookup, fill, and the lookup's stall.
@@ -650,21 +605,6 @@ class COMMachine:
     # machine-level primitive units
     # ------------------------------------------------------------------
 
-    def _run_machine_unit(
-        self, unit: str, inst: Instruction, sources: List[Word]
-    ) -> bool:
-        """Execute a primitive that needs machine state.
-
-        Returns True when the unit changed control flow (IP already
-        set); False when the default IP increment should happen.  The
-        units live in ``self._machine_units``, a dict of bound
-        handlers keyed by unit name.
-        """
-        handler = self._machine_units.get(unit)
-        if handler is None:
-            raise TagMismatch(f"unknown machine unit {unit!r}")
-        return handler(inst, sources)
-
     def _unit_movea(self, inst: Instruction, sources: List[Word]) -> bool:
         address = self._effective_address(inst.operands[1])
         self._write_operand(
@@ -759,42 +699,45 @@ class COMMachine:
         return self.registry.by_name(word.value)
 
     def _write_result_or_operand(self, inst: Instruction, word: Word) -> None:
-        """Destination write that also works for zero-operand formats."""
-        if inst.is_zero_operand:
-            self._write_result(inst, word)
-        else:
+        """Destination write that also works for zero-operand formats:
+        their result goes through the next context's result pointer."""
+        if not inst.is_zero_operand:
             self._write_operand(inst.operands[0], word)
+            return
+        self.profile.context_reads += 1
+        target = self.context_cache.read_next(ARG0_SLOT)
+        if target.is_pointer:
+            self._store_through_pointer(target, word)
+        else:
+            self.profile.context_writes += 1
+            self.context_cache.write_next(ARG0_SLOT, word)
 
     # ------------------------------------------------------------------
     # the interpretation loop
     # ------------------------------------------------------------------
 
-    def _fetch(self) -> Instruction:
-        # The instruction cache holds absolute addresses: methods are
-        # packed densely in absolute space, which is what a hardware
-        # icache would index (virtual code addresses put segment bits
-        # in the high bits and would alias every method's entry point
-        # onto the same sets).  The IP is pretranslated (section 3.1),
-        # so this lookup costs nothing extra.
-        absolute = self._translate(self.ip)
-        self._fetch_absolute = absolute
-        if not self.icache.reference(absolute):
-            self.cycles.icache_miss()
-        self.profile.instruction_fetches += 1
+    def _reference_fetch(
+        self, ip: FPAddress
+    ) -> Tuple[int, DecodedInstruction]:
+        """Fetch the word at ``ip`` when no live plan covers it, and
+        plan it: returns its absolute address and its plan.
+
+        The IP translates through the MMU with the alias-forward retry.
+        The plan is unregistered and carries no pretranslated IP, so the
+        loop steps the IP and runs a jump's machine unit.  A word that
+        is not an instruction is fetched -- the icache referenced, the
+        fetch counted -- and traps before it issues.
+        """
+        absolute = self._translate(ip)
         word = self.mmu.absolute.read(absolute)
         if word.tag is not Tag.INSTRUCTION:
+            if not self.icache.reference(absolute):
+                self.cycles.icache_miss()
+            self.profile.instruction_fetches += 1
             raise ProtectionTrap(
-                f"attempt to execute non-instruction word at {self.ip!r}")
-        return Instruction.decode_cached(word.value)
-
-    def _check_raw_hazard(self, inst: Instruction) -> None:
-        if self._prev_dest is None or inst.is_zero_operand:
-            return
-        for operand in inst.operands[1:]:
-            if operand.mode is Mode.CONTEXT and \
-                    (operand.space.value, operand.offset) == self._prev_dest:
-                self.cycles.raw_hazard()
-                break
+                f"attempt to execute non-instruction word at {ip!r}")
+        return absolute, self.decoded.plan(word.value,
+                                           self.opcodes.selector_of)
 
     def step(self) -> None:
         """Interpret exactly one instruction: one turn of the run loop."""
@@ -806,18 +749,21 @@ class COMMachine:
         """The interpretation loop: run until the machine halts or
         ``limit`` instructions have executed; returns how many did.
 
-        :meth:`run` and :meth:`step` both come here, so the predecode
-        probe exists once.  Each turn looks the IP's segment name up in
-        the predecode layer, or, when the previous plan fell through to
-        its ``next_ip``, keeps that plan's method while it is ``live``
-        (not shot down): when the IP falls inside a predecoded method
-        whose code segment still translates to the captured absolute
-        base, the instruction's plan runs inline below with no MMU walk
-        and no word decode.  Everything else (predecode disabled, plan
-        shot down, code outside installed methods) takes
-        :meth:`_step_slow`, the seed's decode-every-step path.  Both
-        produce identical cycles, profile tallies and trace events
-        (pinned by tests/test_predecode.py).
+        :meth:`run` and :meth:`step` both come here, and this loop body
+        is the machine's only interpreter: every instruction runs from
+        a plan (:mod:`repro.core.decoded`).  Each turn looks the IP's
+        segment name up in the predecode layer, or, when the previous
+        plan fell through to its ``next_ip``, keeps that plan's method
+        while it is ``live`` (not shot down): when the IP falls inside
+        a predecoded method whose code segment still translates to the
+        captured absolute base, its installed plan runs, with no MMU
+        walk and no word decode.  When no live plan covers the IP
+        (predecode disabled, plans shot down, a moved or forwarded
+        segment, code outside installed methods),
+        :meth:`_reference_fetch` fetches the word through the MMU and
+        plans it, and the same body runs that plan.  Both produce
+        identical cycles, profile tallies and trace events (pinned by
+        tests/test_predecode.py).
 
         Loop-invariant objects are bound to locals once per call, and
         so are the counters the loop bumps per instruction: fetches,
@@ -826,7 +772,7 @@ class COMMachine:
         icache-miss, RAW-hazard and taken-branch stalls.  The
         ``finally`` clause adds them onto their objects, so after a
         trap, the budget exit or a :meth:`step` every counter is exact.
-        Calls, returns, machine units and the slow path count on the
+        Calls, returns, machine units and a trapping fetch count on the
         objects directly.
         """
         by_segment = self.decoded.by_segment if self.predecode else {}
@@ -866,24 +812,24 @@ class COMMachine:
                 else:
                     exponent = ip.exponent
                     mantissa = ip.mantissa
-                    method = by_segment.get((exponent, mantissa >> exponent))
-                    if method is None:
-                        self._step_slow()
-                        continue
+                    method = by_segment.get((exponent, mantissa >> exponent),
+                                            _UNPLANNED)
                     offset = mantissa & ((1 << exponent) - 1)
                 base = method.base_absolute
                 descriptor = method.descriptor
                 plans = method.plans
-                # The captured translation must still hold (no move or
-                # alias since predecode).
-                if not (descriptor.base == base
-                        and descriptor.forward is None
-                        and offset < len(plans)):
-                    self._step_slow()
-                    continue
-                plan = plans[offset]
-
-                absolute = base + offset
+                # An installed plan covers the IP while the captured
+                # translation holds (no move or alias since predecode).
+                if (offset < len(plans) and descriptor.base == base
+                        and descriptor.forward is None):
+                    plan = plans[offset]
+                    absolute = base + offset
+                else:
+                    absolute, plan = self._reference_fetch(ip)
+                # The icache holds absolute addresses, as hardware would
+                # index it: methods are packed densely in absolute
+                # space, where virtual code addresses would put segment
+                # bits high and alias every entry point onto one set.
                 if not icache_reference(absolute):
                     icache_misses += 1
                 fetched += 1                  # fetch + CycleAccountant.issue
@@ -1005,7 +951,7 @@ class COMMachine:
                             fast_writes += 1
                             blocks[block][plan.dest_slot] = result
                             dirty[block] = True
-                        elif dest == D_SLOW:
+                        elif dest == D_CONSTANT:
                             self._write_operand(inst.operands[0], result)
                         # D_NONE (at:put:): no destination.
                 except TagMismatch:
@@ -1020,9 +966,11 @@ class COMMachine:
                     self._prev_dest = plan.dest_prev
                     following = method
                 else:
-                    # Fall-through past the segment's last word: raise
-                    # exactly as the slow path's ip.step(1) would.
+                    # No pretranslated fall-through: a plan of the
+                    # reference fetch, or the last word of a full
+                    # segment (where ip.step(1) raises).
                     self.ip = ip.step(1)
+                    self._prev_dest = plan.dest_prev
         finally:
             profile.instruction_fetches += fetched
             profile.context_reads += reads + fast_reads
@@ -1035,80 +983,6 @@ class COMMachine:
             cycles.stall("raw_hazard", hazards * params.raw_hazard_bubble)
             cycles.stall("branch", taken * params.branch_penalty)
         return executed
-
-    def _step_slow(self) -> None:
-        """Fetch, decode and interpret the instruction at the IP.
-
-        The seed's decode-every-step path: the fallback of
-        :meth:`_execute`, and with ``predecode=False`` the reference
-        its predecoded path is pinned against.
-        """
-        inst = self._fetch()
-        self.cycles.issue()
-        self._check_raw_hazard(inst)
-        arch = self.opcodes.architectural_op(inst.opcode)
-        if arch is Op.HALT:
-            self.halted = True
-            self.ip = None
-            return
-        sources, source_operands = self._dispatch_sources(inst)
-        entry = self._itlb_translate(inst, sources)
-        control_transfer = False
-        if entry.primitive:
-            unit = entry.unit
-            try:
-                if unit.startswith("machine."):
-                    control_transfer = self._run_machine_unit(
-                        unit, inst, sources)
-                else:
-                    result = execute_unit(unit, sources)
-                    self._write_result(inst, result)
-            except TagMismatch:
-                # The operand classes had no primitive meaning after
-                # all: take the defined-method path via full lookup.
-                self._dispatch_defined(inst, sources)
-                control_transfer = True
-        else:
-            self._method_call(inst, entry.method, sources)
-            control_transfer = True
-        if not control_transfer:
-            if inst.returns:
-                self._method_return()
-            else:
-                self.ip = self.ip.step(1)
-                self._record_dest(inst)
-        # A control transfer with the return bit set (jump/xfer/call)
-        # is a program error the assembler rejects; the transfer wins.
-
-    def _record_dest(self, inst: Instruction) -> None:
-        if inst.is_zero_operand:
-            self._prev_dest = None
-            return
-        arch = self.opcodes.architectural_op(inst.opcode)
-        if arch in (Op.FJMP, Op.RJMP, Op.XFER, Op.HALT, Op.ATPUT):
-            self._prev_dest = None
-            return
-        a = inst.operands[0]
-        if a.mode is Mode.CONTEXT:
-            self._prev_dest = (a.space.value, a.offset)
-        else:
-            self._prev_dest = None
-
-    def _write_result(self, inst: Instruction, result: Word) -> None:
-        if inst.is_zero_operand:
-            # Result goes through the next context's result pointer.
-            self.profile.context_reads += 1
-            target = self.context_cache.read_next(ARG0_SLOT)
-            if target.is_pointer:
-                self._store_through_pointer(target, result)
-            else:
-                self.profile.context_writes += 1
-                self.context_cache.write_next(ARG0_SLOT, result)
-            return
-        arch = self.opcodes.architectural_op(inst.opcode)
-        if arch is Op.ATPUT:
-            return  # at:put: has no destination
-        self._write_operand(inst.operands[0], result)
 
     def _dispatch_defined(self, inst: Instruction, sources: List[Word]) -> None:
         """Primitive unit refused the operands: full lookup, defined call."""

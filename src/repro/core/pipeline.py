@@ -124,9 +124,6 @@ class CycleAccountant:
     def context_fault(self) -> None:
         self.stall("context_fault", self.params.context_fault)
 
-    def raw_hazard(self) -> None:
-        self.stall("raw_hazard", self.params.raw_hazard_bubble)
-
     # -- reporting -----------------------------------------------------------
 
     @property

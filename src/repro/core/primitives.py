@@ -27,7 +27,7 @@ check (``unit_add``, ``unit_sub`` and ``unit_mul`` make it inline).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.errors import TagMismatch, TrapError
 from repro.memory.tags import (
@@ -310,31 +310,26 @@ UNITS: Dict[str, tuple] = {
 }
 
 
-def execute_unit(name: str, operands: List[Word]) -> Word:
-    """Run a registered function unit on already-fetched operands."""
-    try:
-        arity, fn = UNITS[name]
-    except KeyError:
-        raise TagMismatch(f"unknown function unit {name!r}") from None
-    count = len(operands)
-    if count == arity:
-        return fn(*operands)
-    if count < arity:
-        raise TagMismatch(
-            f"unit {name} needs {arity} operands, got {count}"
-        )
-    return fn(*operands[:arity])
-
-
 def unit_function(name: str, count: int) -> Callable[..., Word]:
     """The callable that runs unit ``name`` on ``count`` operand words.
 
-    ``unit_function(name, len(words))(*words)`` behaves exactly like
-    ``execute_unit(name, words)``.  The machine resolves it once, when an
-    ITLB miss fills an entry (the entry's key fixes the operand count),
-    and calls the unit directly on every hit.
+    The machine resolves it once, when an ITLB miss fills an entry (the
+    entry's key fixes the operand count), and calls the unit directly
+    on every hit.  Extra operands are ignored; an unknown unit, or
+    fewer operands than the unit takes, raises :class:`TagMismatch`
+    when called, which sends the machine down the method-call path.
     """
     spec = UNITS.get(name)
-    if spec is not None and spec[0] == count:
-        return spec[1]
-    return lambda *operands: execute_unit(name, list(operands))
+    if spec is None:
+        message = f"unknown function unit {name!r}"
+    else:
+        arity, fn = spec
+        if count == arity:
+            return fn
+        if count > arity:
+            return lambda *operands: fn(*operands[:arity])
+        message = f"unit {name} needs {arity} operands, got {count}"
+
+    def refuse(*operands: Word) -> Word:
+        raise TagMismatch(message)
+    return refuse

@@ -14,7 +14,8 @@ TAB-3ADDR   stack vs three-address counts      (:mod:`.stack_vs_3addr`)
 
 Every module registers an :class:`~repro.experiments.registry
 .ExperimentSpec`; ``python -m repro run`` drives the registry, with
-``--only/--skip/--list`` selection.
+``--only/--skip`` selection, and ``python -m repro list --experiments``
+prints it.
 """
 
 from repro.experiments.common import ClaimCheck, ExperimentResult

@@ -1,9 +1,8 @@
 """Registry-driven driver: regenerates every figure and claim table.
 
-``repro run`` (:mod:`repro.cli`) is its command line:
-:func:`add_run_arguments` declares the flags and
-:func:`run_from_args` checks them and calls :func:`run_all`, the
-entry point for code.
+``repro run`` (:mod:`repro.cli`) is its command line: the CLI
+declares the flags and :func:`run_from_args` checks them and calls
+:func:`run_all`, the entry point for code.
 
 The suite comes from the experiment registry
 (:mod:`repro.experiments.registry`): each experiment module registers
@@ -42,13 +41,8 @@ from repro.experiments import registry
 from repro.experiments.common import ExperimentResult
 from repro.experiments.journal import RunJournal, run_key
 from repro.experiments.registry import ExperimentSpec, RunContext
-from repro.faults import FaultPlan
+from repro.faults import DEFAULT_BACKOFF, DEFAULT_RETRIES, FaultPlan
 from repro.workloads.spec import check_scale
-
-#: Default per-failure retry budget and backoff base (seconds; the
-#: n-th retry of a task waits ``backoff * 2**(n-1)``).
-DEFAULT_RETRIES = 2
-DEFAULT_BACKOFF = 0.1
 
 
 def _materialize_workloads(specs: Sequence[ExperimentSpec],
@@ -297,50 +291,6 @@ def _csv(value: Optional[str]) -> Optional[List[str]]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
-def add_run_arguments(parser: argparse.ArgumentParser) -> None:
-    """The ``repro run`` flags."""
-    parser.add_argument("--scale", type=int, default=1,
-                        help="workload scale factor (default 1)")
-    parser.add_argument("--quick", action="store_true",
-                        help="shrink trace workloads for a fast pass")
-    parser.add_argument("--only", type=str, default=None,
-                        help="comma-separated experiment ids to run")
-    parser.add_argument("--skip", type=str, default=None,
-                        help="comma-separated experiment ids to skip")
-    parser.add_argument("--trace-dir", type=str, default=None,
-                        help="trace store directory "
-                             "(default .repro_traces or $REPRO_TRACE_DIR)")
-    parser.add_argument("--retries", type=int, default=DEFAULT_RETRIES,
-                        help="retry budget per failing task "
-                             f"(default {DEFAULT_RETRIES})")
-    parser.add_argument("--retry-backoff", type=float,
-                        default=DEFAULT_BACKOFF, metavar="SECONDS",
-                        help="exponential backoff base between "
-                             f"retries (default {DEFAULT_BACKOFF})")
-    parser.add_argument("--resume", action="store_true",
-                        help="serve already-completed experiments "
-                             "from the run journal and run the rest")
-    parser.add_argument("--run-dir", type=str, default=None,
-                        help="run-journal directory (default "
-                             ".repro_runs or $REPRO_RUN_DIR)")
-    parser.add_argument("--faults", type=str, default=None,
-                        metavar="PLAN",
-                        help="arm a deterministic fault-injection "
-                             "plan: site:kind[:p=0.5][:times=2][,...] "
-                             "(sites: " + ", ".join(faults.SITES)
-                             + "; kinds: " + ", ".join(faults.KINDS)
-                             + ")")
-    parser.add_argument("--fault-seed", type=int, default=0,
-                        help="seed for the fault plan's deterministic "
-                             "injection rolls (default 0)")
-    parser.add_argument("--telemetry", action="store_true",
-                        help="record spans + metrics under the run's "
-                             "journal directory (render with "
-                             "`repro report`)")
-    parser.add_argument("--list", action="store_true", dest="list_only",
-                        help="list registered experiments and exit")
-
-
 def _usage_error(message: str) -> int:
     """Report bad ``repro run`` input as ``error: ...`` on stderr; the
     exit status is 2."""
@@ -349,9 +299,6 @@ def _usage_error(message: str) -> int:
 
 
 def run_from_args(args: argparse.Namespace) -> int:
-    if args.list_only:
-        list_experiments()
-        return 0
     # Reject bad input before the journal opens or anything runs.
     only, skip = _csv(args.only), _csv(args.skip)
     try:

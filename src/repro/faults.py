@@ -58,6 +58,13 @@ SITES = ("store.read", "store.write", "store.result_cache",
 #: Supported fault kinds (see module docstring).
 KINDS = ("io-error", "corrupt", "truncate", "error")
 
+#: The harness's answer to a transient fault: the default per-failure
+#: retry budget and backoff base (seconds; the n-th retry of a task
+#: waits ``backoff * 2**(n-1)``).  ``repro run`` shows them in its
+#: help without importing the harness.
+DEFAULT_RETRIES = 2
+DEFAULT_BACKOFF = 0.1
+
 
 @dataclass(frozen=True)
 class FaultSpec:

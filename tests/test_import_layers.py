@@ -69,3 +69,12 @@ def test_public_names_resolve_on_first_access():
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'Nosuch'"):
         repro.Nosuch
+
+
+def test_build_parser_loads_no_experiment_module():
+    # Only `run` and a listing of the experiments import the harness:
+    # `sweep`, `trace`, `store` and `list --engines` parse their flags
+    # without it.
+    loaded = _loaded_by("import repro.cli\nrepro.cli.build_parser()")
+    assert sorted(name for name in loaded
+                  if name.startswith("repro.experiments")) == []

@@ -19,6 +19,7 @@ from repro.core.isa import (
     Op,
     OP_SELECTORS,
     OpcodeTable,
+    architectural_op,
 )
 from repro.core.operands import (
     CONSTANT_TABLE_SIZE,
@@ -51,10 +52,9 @@ class TestOpcodeTable:
             assert a.intern(selector) == b.intern(selector)
 
     def test_architectural_op(self):
-        table = OpcodeTable()
-        assert table.architectural_op(int(Op.ADD)) is Op.ADD
-        assert table.architectural_op(FIRST_USER_OPCODE) is None
-        assert table.architectural_op(0) is None
+        assert architectural_op(int(Op.ADD)) is Op.ADD
+        assert architectural_op(FIRST_USER_OPCODE) is None
+        assert architectural_op(0) is None
 
     def test_unassigned_number(self):
         with pytest.raises(EncodingError):

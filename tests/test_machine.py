@@ -74,6 +74,26 @@ class TestArithmeticPrograms:
         """)
         assert result.value == (12 & 10 | 1) ^ 15
 
+    def test_zero_operand_result_written_in_place(self):
+        # A zero-operand primitive writes its result through the next
+        # context's arg0, in place when arg0 is not a pointer.  Five
+        # context writes: n0, n1, n2, the sum into n0, and c2 (c0
+        # stores through the result pointer, a heap write).
+        for predecode in (True, False):
+            result, machine = run("""
+            main
+                n0 = 0
+                n1 = 7
+                n2 = 5
+                send + 2
+                c2 = n0
+                c0 = c2
+                halt
+            """, machine=COMMachine(predecode=predecode))
+            assert result.value == 12
+            assert machine.profile.context_writes == 5
+            assert machine.profile.heap_writes == 1
+
     def test_negate_unary(self):
         result, _ = run("""
         main

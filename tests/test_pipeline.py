@@ -83,7 +83,7 @@ class TestCycleAccountant:
     def test_snapshot_and_reset(self):
         accountant = CycleAccountant()
         accountant.issue()
-        accountant.raw_hazard()
+        accountant.stall("raw_hazard", 1)
         snapshot = accountant.snapshot()
         assert snapshot["instructions"] == 1
         assert snapshot["stalls"]["raw_hazard"] == 1

@@ -1,11 +1,13 @@
-"""The predecode layer: equivalence with the slow path and invalidation.
+"""The predecode layer: equivalence with the reference fetch and
+invalidation.
 
-The predecode layer (repro.core.decoded) exists purely to make the
-simulator faster; it must be architecturally invisible.  These tests
-run the same workload with predecode enabled and disabled and require
-byte-identical cycle counts, AccessProfile tallies, trace events,
-cache statistics and results -- plus the invalidation rules: plans die
-on method re-installation and on heap writes into method objects.
+Installed plans (repro.core.decoded) exist purely to make the
+simulator faster; they must be architecturally invisible.  These tests
+run the same workload with predecode enabled and disabled (every fetch
+through the MMU, planned on the spot) and require byte-identical cycle
+counts, AccessProfile tallies, trace events, cache statistics and
+results -- plus the invalidation rules: plans die on method
+re-installation and on heap writes into method objects.
 """
 
 import dataclasses
@@ -107,6 +109,12 @@ class TestEquivalence:
                                   _profile_of(machine), trace)
         assert results[True] == results[False]
         assert results[True][0] == 28
+        # Pins the plan builder's rule that at:put: has no destination:
+        # each of the 8 passes stalls where `c4 = c4 + c5` reads the c5
+        # just written and where `c6 = c3 < 8` reads the c3 just
+        # written.  An at:put: that recorded its value operand c3 as a
+        # destination would add a stall at `c5 = c2 [ c3 ]` (24).
+        assert results[True][1]["stalls"]["raw_hazard"] == 16
 
 
 #: Recursive fib whose base case sends an unimplemented selector to a
@@ -125,8 +133,9 @@ main
 def _machine_state(machine, trace, atlb=True):
     """Every counter a run leaves on the machine, plus the trace bytes.
 
-    ``atlb=False`` leaves out the ATLB stats: the slow path walks the
-    MMU on every fetch, the predecoded path only on calls and returns.
+    ``atlb=False`` leaves out the ATLB stats: the reference fetch walks
+    the MMU on every fetch, the predecoded path only on calls and
+    returns.
     """
     state = {
         "cycles": machine.cycles.snapshot(),

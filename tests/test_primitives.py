@@ -7,12 +7,12 @@ from repro.core.constants import FALSE, TRUE
 from repro.core.primitives import (
     ArithmeticTrap,
     UNITS,
-    execute_unit,
     unit_add,
     unit_ashift,
     unit_carry,
     unit_div,
     unit_eq,
+    unit_function,
     unit_lt,
     unit_mask,
     unit_mod,
@@ -194,15 +194,15 @@ class TestRegistry:
             assert arity in (1, 2)
 
     def test_execute_unit(self):
-        assert execute_unit("arith.add", [I(1), I(2)]).value == 3
+        assert unit_function("arith.add", 2)(I(1), I(2)).value == 3
 
     def test_execute_unknown_unit(self):
         with pytest.raises(TagMismatch):
-            execute_unit("nope", [I(1)])
+            unit_function("nope", 1)(I(1))
 
     def test_execute_short_operands(self):
         with pytest.raises(TagMismatch):
-            execute_unit("arith.add", [I(1)])
+            unit_function("arith.add", 1)(I(1))
 
     def test_extra_operands_ignored(self):
-        assert execute_unit("move", [I(5), I(9)]).value == 5
+        assert unit_function("move", 2)(I(5), I(9)).value == 5

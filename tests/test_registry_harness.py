@@ -78,8 +78,12 @@ class TestCli:
         assert "FIG-10" in output
 
     def test_run_list_flag(self, capsys):
-        assert cli_main(["run", "--list"]) == 0
-        assert "TAB-3ADDR" in capsys.readouterr().out
+        # `repro list --experiments` lists the suite; `run` has no
+        # --list flag, so argparse rejects it as a usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "--list"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --list" in capsys.readouterr().err
 
     def test_trace_materializes_and_hits(self, tmp_path, capsys):
         args = ["trace", "monomorphic", "--set", "length=400",
