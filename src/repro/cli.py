@@ -380,10 +380,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     import json
 
-    from repro.experiments.journal import default_root
+    from repro.telemetry import default_run_root
     from repro.telemetry import report as telemetry_report
 
-    root = Path(args.run_dir) if args.run_dir else default_root()
+    root = Path(args.run_dir) if args.run_dir else default_run_root()
     try:
         run_dir = telemetry_report.find_run_directory(root, run=args.run)
     except FileNotFoundError as error:

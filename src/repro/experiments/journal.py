@@ -38,11 +38,6 @@ from repro.experiments.common import ExperimentResult
 _RECORD_SUFFIX = ".result"
 
 
-def default_root() -> Path:
-    """The journal directory: $REPRO_RUN_DIR or ./.repro_runs."""
-    return Path(os.environ.get("REPRO_RUN_DIR", ".repro_runs"))
-
-
 def run_key(*, scale: int, quick: bool, suite: Sequence[str],
             trace_dir: Optional[str]) -> str:
     """Hash of the run identity; resume only matches identical runs."""
@@ -59,7 +54,8 @@ class RunJournal:
     def __init__(self, key: str, root: Optional[os.PathLike] = None,
                  manifest: Optional[dict] = None) -> None:
         self.key = key
-        self.root = Path(root) if root is not None else default_root()
+        self.root = (Path(root) if root is not None
+                     else telemetry.default_run_root())
         self.directory = self.root / key
         self._manifest = dict(manifest or {})
 

@@ -31,10 +31,18 @@ engine"):
   one climb and descent of a max tree over the runs (O(log R) array
   steps).
 * The single-set (fully-associative) level has no useful depth cap,
-  so its depths come from an offline rank count instead: with
-  ``p = prev[i]``, depth(i) = #{k < i : prev[k] < p} - (p + 1), which
-  one bitwise prefix-rank pass answers for every reference at once
-  (:func:`_full_depth_counts`), clamped at ``full_cap``.
+  so run space does not apply; a re-reference's depth is the number
+  of distinct blocks in the window since its block's previous
+  reference, clamped at ``full_cap``.  While the block universe fits
+  :data:`_BITSET_MAX_WORDS` 64-bit words, that is the popcount of an
+  OR of one-hot block bitsets over the window, two lookups in a
+  sparse table of power-of-two window ORs built one level and one
+  word at a time in two ``uint64`` arrays, 16 bytes per reference
+  (:func:`_full_depth_bitsets`).  A wider universe, whose table would
+  take one build per word, takes one bitwise prefix-rank pass instead:
+  with ``p = prev[i]``, depth(i) = #{k < i : prev[k] < p} - (p + 1)
+  (:func:`_full_depth_counts`), in time that does not grow with the
+  universe.
 * Stack state between segments is carried as one global MRU-ordered
   list of distinct ``(block, placement)`` pairs; replaying that list
   as a synthetic prefix regenerates every level's per-set stacks
@@ -72,6 +80,16 @@ np = None
 #: the resolver took 64 ms per iteration with no rounds (the tree for
 #: every query) and 47-51 ms with 1 to 10 (2-CPU box).
 _CHAIN_VECTOR_ROUNDS = 6
+
+#: Widest block universe, in 64-block words, whose fully-associative
+#: column takes the window bitsets (:func:`_full_depth_bitsets`);
+#: wider ones take the rank pass (:func:`_full_depth_counts`).  The
+#: bitsets cost one table build per word, the rank pass one level per
+#: bit of the stream length; they broke even between 13 and 19 words
+#: on the paper icache stream shrunk to smaller universes, and the
+#: bitsets won on every stream of 12 words or fewer (DESIGN.md, "The
+#: fully-associative column").
+_BITSET_MAX_WORDS = 12
 
 
 def numpy_available() -> bool:
@@ -380,6 +398,72 @@ def _full_depth_counts(prev, cap):
     return counts
 
 
+def _full_depth_bitsets(bid, prev, universe, cap):
+    """:func:`_full_depth_counts` from window bitsets, for block ids
+    ``bid`` in ``range(universe)``.
+
+    The depth of a re-reference i is the number of distinct blocks in
+    the window ``(prev[i], i)``: the popcount of the OR of the blocks'
+    one-hot bitsets over the window.  A sparse table answers every
+    window with two lookups: level j holds, at position k, the OR over
+    ``[k, k + 2**j)``, and a window of length L, ``2**j <= L <
+    2**(j + 1)``, is the OR of the level-j entries at its two ends.
+    The table is built one level at a time in two ``uint64`` arrays,
+    answering the windows of each level before the next replaces it,
+    and one 64-block word of the universe at a time, each word adding
+    its popcounts to the depths; so it takes 16 bytes per reference
+    whatever the universe, and time that grows with the number of
+    words.  A gap-0 re-reference (its window is empty) has depth 0.
+    """
+    n = len(prev)
+    again = np.flatnonzero(prev >= 0)
+    # windows [lo, i - 1]; the lookups gather with intp indices, which
+    # numpy need not convert
+    lo = prev[again].astype(np.intp)
+    lo += 1
+    length = again - lo
+    deep = length > 0
+    lo = lo[deep]
+    hi = again[deep]
+    # level = floor(log2(length)); the 8-bit key sorts by radix
+    level = np.frexp(length[deep])[1].astype(np.uint8)
+    level -= 1
+    order = np.argsort(level, kind="stable")
+    level = level[order]
+    lo = lo[order]
+    hi = hi[order]
+    # the right-hand entry starts 2**level before the window's end
+    hi -= np.left_shift(1, level, dtype=np.intp)
+    levels = int(level[-1]) + 1 if len(level) else 0
+    bounds = np.searchsorted(level, np.arange(levels + 1)).tolist()
+    depth = np.zeros(len(lo), np.int32)
+    table = np.empty(n, np.uint64)
+    spare = np.empty(n, np.uint64)
+    bit = (bid & 63).astype(np.uint64)
+    word = bid >> 6
+    words = (universe + 63) >> 6
+    for w in range(words if levels else 0):
+        # level 0: each reference's block, if it lies in word w
+        np.left_shift(word == w, bit, out=table)
+        for j in range(levels):
+            a, b = bounds[j], bounds[j + 1]
+            if a < b:
+                depth[a:b] += np.bitwise_count(table[lo[a:b]]
+                                               | table[hi[a:b]])
+            if j + 1 < levels:
+                # entries past n - 2**(j + 1) go stale; no window
+                # reads them
+                half = 1 << j
+                np.bitwise_or(table[:n - half], table[half:],
+                              out=spare[:n - half])
+                table, spare = spare, table
+    np.minimum(depth, cap, out=depth)
+    counts = np.bincount(depth, minlength=cap + 1)
+    counts[0] += len(again) - len(lo)
+    counts[cap] += n - len(again)
+    return counts
+
+
 class NumpyMultiConfigLRU:
     """All swept LRU configurations, updated by one block stream.
 
@@ -461,7 +545,7 @@ class NumpyMultiConfigLRU:
             bid, prev, pvals = self._links(seg, P)
             self._count_levels(bid, prev, pvals, P)
             if self._full_cap:
-                self._replay_full(prev, P)
+                self._replay_full(bid, prev, len(pvals), P)
             self.total += seg.m
             self._cum_by_k = None
             self._full_cum = None
@@ -672,19 +756,31 @@ class NumpyMultiConfigLRU:
                 hist[c] += counts[c - 1] - counts[c]
             hist[cap] += comp_c + counts[cap - 1]
 
-    def _replay_full(self, prev, P):
+    def _replay_full(self, bid, prev, universe, P):
         """Count the fully-associative column of one counted segment.
 
-        ``prev`` links the carry prefix (P distinct blocks, LRU first)
-        followed by the segment, so a segment reference's previous
+        ``bid`` and ``prev`` cover the carry prefix (P distinct blocks,
+        LRU first) followed by the segment, with block ids in
+        ``range(universe)``, so a segment reference's previous
         occurrence may lie in the prefix and its depth counts every
         distinct block the carry orders above it.  Depths at or past
         ``full_cap`` clamp to the miss bucket, which is exact: a
         ``full_cap``-entry stack has evicted such a block, even though
         the carry, which is never truncated, still ranks it.  The
         prefix positions are first references and are not counted.
+
+        A universe of at most :data:`_BITSET_MAX_WORDS` 64-block words
+        takes the window bitsets, whose time grows with the words; a
+        wider one, or a numpy without ``bitwise_count`` (before 2.0),
+        takes the rank pass, whose time does not depend on the
+        universe.  Both count the same depths.
         """
-        counts = _full_depth_counts(prev, self._full_cap)
+        if (universe <= _BITSET_MAX_WORDS * 64
+                and hasattr(np, "bitwise_count")):
+            counts = _full_depth_bitsets(bid, prev, universe,
+                                         self._full_cap)
+        else:
+            counts = _full_depth_counts(prev, self._full_cap)
         counts[-1] -= P
         self._full_hist[:] = [
             total + new for total, new in zip(self._full_hist,

@@ -52,6 +52,18 @@ METRICS_FILE = "metrics.json"
 ENVIRONMENT_FILE = "environment.json"
 
 
+def default_run_root() -> Path:
+    """The run directory: $REPRO_RUN_DIR or ./.repro_runs.
+
+    Each run keeps its journal records
+    (:mod:`repro.experiments.journal`) and its telemetry sink under
+    ``<root>/<run key>/``, and ``repro report`` reads the newest sink
+    there.  The default lives in this module, which every ``repro``
+    command loads, so that the report loads no experiment module.
+    """
+    return Path(os.environ.get("REPRO_RUN_DIR", ".repro_runs"))
+
+
 def _metric_key(name: str, labels: Dict[str, object]) -> str:
     """``name`` or ``name{k=v,...}`` with labels sorted -- flat keys
     keep the registry a plain JSON object."""

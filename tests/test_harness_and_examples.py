@@ -17,7 +17,13 @@ import pytest
 from repro.experiments.harness import run_all
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+EXAMPLES_DIR = ROOT / "examples"
+EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
+if not EXAMPLES:
+    # One collection error, not an empty parametrization and a missing
+    # script per named example.
+    pytest.fail(f"no example scripts in {EXAMPLES_DIR}: this module runs "
+                "every one of them", pytrace=False)
 
 
 @pytest.mark.slow
@@ -62,14 +68,12 @@ class TestExamples:
         assert out.strip(), f"{script.name} printed nothing"
 
     def test_quickstart_prints_factorial(self, capsys):
-        runpy.run_path(str(next(p for p in EXAMPLES
-                                if p.stem == "quickstart")),
+        runpy.run_path(str(EXAMPLES_DIR / "quickstart.py"),
                        run_name="__main__")
         assert "3628800" in capsys.readouterr().out
 
     def test_coroutine_prints_42(self, capsys):
-        runpy.run_path(str(next(p for p in EXAMPLES
-                                if p.stem == "coroutines_xfer")),
+        runpy.run_path(str(EXAMPLES_DIR / "coroutines_xfer.py"),
                        run_name="__main__")
         assert "42" in capsys.readouterr().out
 

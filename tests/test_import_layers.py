@@ -78,3 +78,18 @@ def test_build_parser_loads_no_experiment_module():
     loaded = _loaded_by("import repro.cli\nrepro.cli.build_parser()")
     assert sorted(name for name in loaded
                   if name.startswith("repro.experiments")) == []
+
+
+@pytest.mark.parametrize("flags", [[], ["--run-dir", "runs"]],
+                         ids=["default", "run-dir"])
+def test_report_loads_no_experiment_module(tmp_path, flags):
+    # The report finds the run directory through repro.telemetry; with
+    # no run there it stops with status 2.
+    loaded = _loaded_by("import os\n"
+                        "import repro.cli\n"
+                        f"os.chdir({str(tmp_path)!r})\n"
+                        f"assert repro.cli.main(['report', *{flags!r}]) "
+                        "== 2\n")
+    assert "repro.telemetry.report" in loaded
+    assert sorted(name for name in loaded
+                  if name.startswith("repro.experiments")) == []

@@ -7,9 +7,12 @@ hits and each fully-associative capacity's hits -- must equal what one
 (:class:`trace_helpers.LruOracle`), across random column pairs
 (varying alphabet sizes, set counts, depth caps, count=False segments,
 count resets, sub-ranges), loop-structured streams and a deep
-fully-associative column.  The reference-stream builders are checked
-against per-event scans, and numpy stays a lazy import that a missing
-install turns into an ``ImportError``.
+fully-associative column.  The fully-associative column's two methods,
+window bitsets and the rank pass, are checked against each other and
+the oracle on both sides of the universe that picks between them.  The
+reference-stream builders are checked against per-event scans, and
+numpy stays a lazy import that a missing install turns into an
+``ImportError``.
 """
 
 import os
@@ -241,6 +244,160 @@ class TestRandomizedEquivalence:
                         if blocks[j] == block), float("inf")))
             for i, block in enumerate(blocks)]
         assert np_engine.np_next_use_times([]) == []
+
+
+#: The widest block universe the window bitsets take.
+_BITSET_UNIVERSE = np_engine._BITSET_MAX_WORDS * 64
+
+needs_bitwise_count = pytest.mark.skipif(
+    not hasattr(np, "bitwise_count"),
+    reason="the window bitsets need numpy.bitwise_count (numpy 2.0)")
+
+
+def _full_column_case(universe):
+    """A seeded stream over exactly ``universe`` blocks, a segmented
+    plan for the single-set level, and a ``full_cap`` below the
+    universe, so depths run past it.
+
+    The first segment, counted, holds only first references; the
+    later ones, counted or warm, replay behind a carry prefix, and the
+    last one, counted, ends the stream, whose tail is every block.
+    One reference in seven repeats the one before (gap 0), a few hot
+    blocks keep depths shallow, and uniform picks reach deep.
+    """
+    rng = random.Random(32_000 + universe)
+    order = list(range(universe))
+    rng.shuffle(order)
+    blocks = order[:max(1, universe // 3)]
+    head = len(blocks)
+    hot = order[:12]
+    while len(blocks) < head + 3 * universe + 1_000:
+        roll = rng.random()
+        if roll < 1 / 7:
+            blocks.append(blocks[-1])
+        elif roll < 0.6:
+            blocks.append(rng.choice(hot))
+        else:
+            blocks.append(rng.randrange(universe))
+    blocks += order
+    pmap = {block: rng.getrandbits(16) for block in order}
+    placements = [pmap[block] for block in blocks]
+    cuts = [0, head,
+            *sorted(rng.sample(range(head + 1, len(blocks)), 4)),
+            len(blocks)]
+    plan = [(lo, hi, lo == 0 or hi == len(blocks) or rng.random() < 0.75)
+            for lo, hi in zip(cuts, cuts[1:])]
+    return blocks, placements, max(1, universe // 4), plan
+
+
+def _method_calls(monkeypatch):
+    """Count the engine's calls of each full-column method."""
+    calls = {"_full_depth_bitsets": 0, "_full_depth_counts": 0}
+    for name in calls:
+        def counted(*args, name=name, method=getattr(np_engine, name)):
+            calls[name] += 1
+            return method(*args)
+        monkeypatch.setattr(np_engine, name, counted)
+    return calls
+
+
+class TestFullColumnMethods:
+    """The window bitsets (:func:`np_engine._full_depth_bitsets`) and
+    the rank pass (:func:`np_engine._full_depth_counts`) count the same
+    fully-associative column, and both match one fully-associative
+    cache per capacity; the engine takes the bitsets while the block
+    universe fits ``_BITSET_MAX_WORDS`` words and numpy has
+    ``bitwise_count``."""
+
+    UNIVERSES = (1, 63, 64, 65, _BITSET_UNIVERSE - 64,
+                 _BITSET_UNIVERSE + 64, 2_000)
+
+    @needs_bitwise_count
+    @pytest.mark.parametrize("universe", UNIVERSES)
+    def test_methods_match_each_other_and_the_oracle(self, universe,
+                                                     monkeypatch):
+        blocks, placements, full_cap, plan = _full_column_case(universe)
+        full_entries = sorted({entries for entries in
+                               (1, 2, full_cap // 2, full_cap - 1,
+                                full_cap) if 1 <= entries <= full_cap})
+        oracle = LruOracle({}, full_entries)
+        for step in plan:
+            oracle.replay_columns(blocks, placements, *step)
+        # every counted segment's inputs, as the engine hands them over
+        inputs = []
+        replay_full = np_engine.NumpyMultiConfigLRU._replay_full
+
+        def recorded(engine, bid, prev, seen, prefix):
+            inputs.append((bid.copy(), prev.copy(), seen, prefix))
+            return replay_full(engine, bid, prev, seen, prefix)
+
+        monkeypatch.setattr(np_engine.NumpyMultiConfigLRU, "_replay_full",
+                            recorded)
+        for words in (0, 1 << 20):          # the rank pass, the bitsets
+            monkeypatch.setattr(np_engine, "_BITSET_MAX_WORDS", words)
+            engine = np_engine.NumpyMultiConfigLRU({}, full_cap)
+            for step in plan:
+                engine.replay_columns(blocks, placements, *step)
+            assert engine_counts(engine, {}, full_entries) \
+                == oracle.counts()
+        gap0 = clamped = 0
+        for bid, prev, seen, _ in inputs:
+            counts = np_engine._full_depth_counts(prev, full_cap)
+            assert np_engine._full_depth_bitsets(
+                bid, prev, seen, full_cap).tolist() == counts.tolist()
+            gap0 += int(np.count_nonzero(
+                prev[1:] == np.arange(len(prev) - 1)))
+            clamped += int(counts[-1]) - int(np.count_nonzero(prev < 0))
+        # the plan's shapes: an all-first-reference segment first, then
+        # carry prefixes, gap-0 re-references and depths past full_cap
+        assert (inputs[0][1] < 0).all() and inputs[0][3] == 0
+        assert all(prefix for *_, prefix in inputs[1:len(inputs) // 2])
+        assert inputs[-1][2] == universe
+        assert gap0 and (clamped or universe == 1)
+
+    @needs_bitwise_count
+    def test_bitset_edge_cases(self):
+        # no re-reference; only gap-0 re-references; one reference
+        for prev, universe in (([-1, -1, -1], 3), ([-1, 0, 1, 2], 1),
+                               ([-1], 1)):
+            prev = np.array(prev, np.int32)
+            bid = np.arange(len(prev), dtype=np.int32) % universe
+            for cap in (1, 4):
+                assert np_engine._full_depth_bitsets(
+                    bid, prev, universe, cap).tolist() \
+                    == np_engine._full_depth_counts(prev, cap).tolist()
+
+    @needs_bitwise_count
+    @pytest.mark.parametrize("universe,method",
+                             [(_BITSET_UNIVERSE, "_full_depth_bitsets"),
+                              (_BITSET_UNIVERSE + 1, "_full_depth_counts")])
+    def test_method_each_side_of_the_threshold(self, universe, method,
+                                               monkeypatch):
+        calls = _method_calls(monkeypatch)
+        blocks = list(range(universe)) * 2
+        engine = np_engine.NumpyMultiConfigLRU({}, universe)
+        engine.replay_columns(blocks, blocks)
+        assert calls == {name: int(name == method) for name in calls}
+        # every re-reference sits at depth universe - 1
+        assert (engine.full_hits(universe - 1),
+                engine.full_hits(universe)) == (0, universe)
+
+    def test_numpy_without_bitwise_count_takes_the_rank_pass(
+            self, monkeypatch):
+        blocks, placements, full_cap, plan = _full_column_case(65)
+        full_entries = (1, full_cap // 2, full_cap)
+        expected = np_engine.NumpyMultiConfigLRU({}, full_cap)
+        for step in plan:
+            expected.replay_columns(blocks, placements, *step)
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        calls = _method_calls(monkeypatch)
+        engine = np_engine.NumpyMultiConfigLRU({}, full_cap)
+        for step in plan:
+            engine.replay_columns(blocks, placements, *step)
+        assert calls["_full_depth_bitsets"] == 0
+        assert calls["_full_depth_counts"] > 0
+        assert engine_counts(engine, {}, full_entries) \
+            == engine_counts(expected, {}, full_entries)
 
 
 @pytest.fixture(scope="module")

@@ -11,6 +11,7 @@ from repro.trace.cachesim import (
     simulate_icache,
     simulate_itlb,
 )
+from repro.trace.columnar import TraceBuilder
 from repro.trace.semantics import (
     DEFAULT_SEMANTICS,
     QUIRKS,
@@ -46,6 +47,14 @@ class TestTraceColumns:
     def test_addresses(self):
         trace = trace_of([(3, 1, 1), (9, 1, 1)])
         assert list(trace.addresses()) == [3, 9]
+
+    @pytest.mark.parametrize("length", [0, 1, 7, 8, 63, 64, 65, 5_000])
+    def test_monomorphic_bulk_build_matches_recorded_events(self, length):
+        builder = TraceBuilder()
+        for i in range(length):
+            builder.record(i % 64, 1, 1)
+        assert monomorphic_trace(length).to_bytes() \
+            == builder.snapshot().to_bytes()
 
 
 class TestSimulateITLB:
